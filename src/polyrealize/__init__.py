@@ -13,7 +13,6 @@ from .certifier import (
     UNDECIDED,
     certify_couple,
     certify_gap_class,
-    enclose_critical_points,
     exact_expand,
     exact_sign_pattern,
     rationalize,
@@ -39,8 +38,6 @@ from .polycore import (
     derivative,
     evaluate,
     expand_from_roots,
-    negate_variable,
-    reciprocal,
     sign_vector,
 )
 from .sampler import (
@@ -66,7 +63,6 @@ from .signpatterns import (
     from_runs,
     orbit,
     parse_pattern,
-    to_runs,
 )
 from .sweeps import SweepReport, SweepRow, enumerate_couples, sweep_moduli, sweep_pairs
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .moduliorders import ModuliCouple, ModuliOrder, TiedModuliError
-from .polycore import RootSpec
+from .moduliorders import ModuliCouple, ModuliOrder, order_from_roots
+from .polycore import RootSpec, derivative_coeffs, expand, horner
 from .signpatterns import PairCouple, SignPattern
 
 DEFAULT_DIGITS = 12
@@ -33,6 +33,10 @@ class RoundsToZeroError(ValueError):
 
 class ZeroCoefficientError(ValueError):
     """The exact expansion has a vanishing coefficient; its sign word is undefined."""
+
+
+class RootSumIdentityError(RuntimeError):
+    """The exact expansion's subdominant coefficient is not minus the root sum."""
 
 
 class _UndecidedType:
@@ -64,10 +68,7 @@ class ExactPolynomial:
         return len(self.coeffs) - 1
 
     def __call__(self, x: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in self.coeffs:
-            acc = acc * x + c
-        return acc
+        return horner(self.coeffs, x)
 
 
 @dataclass(frozen=True)
@@ -119,24 +120,11 @@ def rationalize(spec: RootSpec, digits: int = DEFAULT_DIGITS) -> RootSpec:
 
 def exact_expand(spec: RootSpec) -> ExactPolynomial:
     """Exact convolution product over the spec's factors."""
-    coeffs = [Fraction(1)]
-    for r in spec.real_roots:
-        r = Fraction(r)
-        nxt = coeffs + [Fraction(0)]
-        for j in range(len(coeffs)):
-            nxt[j + 1] -= r * coeffs[j]
-        coeffs = nxt
-    for re, im in spec.complex_pairs:
-        re = Fraction(re)
-        im = Fraction(im)
-        s = 2 * re
-        q = re * re + im * im
-        nxt = coeffs + [Fraction(0), Fraction(0)]
-        for j in range(len(coeffs)):
-            nxt[j + 1] -= s * coeffs[j]
-            nxt[j + 2] += q * coeffs[j]
-        coeffs = nxt
-    return ExactPolynomial(tuple(coeffs))
+    return ExactPolynomial(tuple(expand(
+        [Fraction(r) for r in spec.real_roots],
+        [(Fraction(re), Fraction(im)) for re, im in spec.complex_pairs],
+        Fraction(1),
+    )))
 
 
 def exact_sign_pattern(poly: ExactPolynomial) -> SignPattern:
@@ -147,14 +135,6 @@ def exact_sign_pattern(poly: ExactPolynomial) -> SignPattern:
             raise ZeroCoefficientError(f"coefficient of x^{poly.degree - i} is exactly zero")
         signs.append(1 if c > 0 else -1)
     return SignPattern(tuple(signs))
-
-
-def _exact_order(spec: RootSpec) -> ModuliOrder:
-    mods = sorted(spec.real_roots, key=abs)
-    for a, b in zip(mods, mods[1:]):
-        if abs(Fraction(a)) == abs(Fraction(b)):
-            raise TiedModuliError(f"tied moduli {a!r}")
-    return ModuliOrder("".join("P" if r > 0 else "N" for r in mods))
 
 
 def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
@@ -199,7 +179,7 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
                 actual_pair=(pos, neg),
             )
         checks.append(("hyperbolic", "all roots real"))
-        order = _exact_order(spec)  # TiedModuliError propagates: sample is invalid
+        order = order_from_roots(spec.real_roots)  # TiedModuliError: sample is invalid
         if order != claim.order:
             return Mismatch(
                 "moduli_order",
@@ -213,62 +193,24 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     # internal identity: subdominant coefficient is minus the exact root sum
     root_sum = sum((Fraction(r) for r in spec.real_roots), Fraction(0))
     root_sum += sum((2 * Fraction(re) for re, _ in spec.complex_pairs), Fraction(0))
-    assert poly.coeffs[1] == -root_sum, "expansion broke the root-sum identity"
+    if poly.coeffs[1] != -root_sum:
+        raise RootSumIdentityError(
+            f"subdominant coefficient {poly.coeffs[1]} is not minus the root sum {root_sum}"
+        )
     checks.append(("subdominant_identity", str(poly.coeffs[1])))
 
     return Certificate(spec=spec, coeffs=poly.coeffs, claim=claim, checks=tuple(checks))
 
 
-def _exact_derivative(poly: ExactPolynomial) -> tuple[Fraction, ...]:
-    d = poly.degree
-    return tuple(Fraction(d - i) * poly.coeffs[i] for i in range(d))
-
-
-def _eval(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * x + c
-    return acc
-
-
 def _halve(dcoeffs, lo, hi, flo):
     """One exact bisection step; collapses to a point when the midpoint is a root."""
     mid = (lo + hi) / 2
-    fm = _eval(dcoeffs, mid)
+    fm = horner(dcoeffs, mid)
     if fm == 0:
         return mid, mid, flo
     if (fm > 0) == (flo > 0):
         return mid, hi, fm
     return lo, mid, flo
-
-
-def enclose_critical_points(
-    poly: ExactPolynomial, roots: Sequence[Fraction], width_bound: Fraction
-) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint rational enclosures of the derivative's roots, one per root interval.
-
-    Endpoint signs are exact, so bisection always converges; midpoints are
-    dyadic refinements of the rational endpoints, keeping value sizes linear
-    in the iteration count.
-    """
-    roots = [Fraction(r) for r in roots]
-    for a, b in zip(roots, roots[1:]):
-        if a >= b:
-            raise ValueError("roots must be strictly increasing")
-    dcoeffs = _exact_derivative(poly)
-    out = []
-    for k in range(len(roots) - 1):
-        lo, hi = roots[k], roots[k + 1]
-        flo = _eval(dcoeffs, lo)
-        fhi = _eval(dcoeffs, hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-            raise ValueError("derivative does not change sign; roots are not simple")
-        while hi - lo >= width_bound:
-            lo, hi, flo = _halve(dcoeffs, lo, hi, flo)
-            if lo == hi:
-                break
-        out.append((lo, hi))
-    return out
 
 
 def certify_gap_class(roots: Sequence[Fraction], max_rounds: int = GAP_REFINE_CAP):
@@ -289,15 +231,16 @@ def certify_gap_class(roots: Sequence[Fraction], max_rounds: int = GAP_REFINE_CA
     z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(len(roots) - 2)]
     m_tilde, M_tilde = min(z_gaps), max(z_gaps)
 
-    poly = ExactPolynomial(_expand_allowing_zero(roots))
-    dcoeffs = _exact_derivative(poly)
+    # gap analysis admits a zero root, which RootSpec does not
+    poly = ExactPolynomial(tuple(expand(roots, (), Fraction(1))))
+    dcoeffs = derivative_coeffs(poly.coeffs)
 
     # initial enclosures with cached endpoint signs
     intervals = []
     for k in range(len(roots) - 1):
         lo, hi = roots[k], roots[k + 1]
-        flo = _eval(dcoeffs, lo)
-        fhi = _eval(dcoeffs, hi)
+        flo = horner(dcoeffs, lo)
+        fhi = horner(dcoeffs, hi)
         if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
             raise ValueError("derivative does not change sign; roots are not simple")
         intervals.append((lo, hi, flo))
@@ -325,17 +268,6 @@ def certify_gap_class(roots: Sequence[Fraction], max_rounds: int = GAP_REFINE_CA
             for lo, hi, flo in intervals
         ]
     return UNDECIDED
-
-
-def _expand_allowing_zero(roots: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    # gap analysis admits a zero root; RootSpec does not
-    coeffs = [Fraction(1)]
-    for r in roots:
-        nxt = coeffs + [Fraction(0)]
-        for j in range(len(coeffs)):
-            nxt[j + 1] -= r * coeffs[j]
-        coeffs = nxt
-    return tuple(coeffs)
 
 
 def fraction_str(q: Fraction) -> str:

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .polycore import RealPolynomial, derivative, horner
-
 # below this absolute margin a strict comparison is not trusted in floats
 MARGIN_EPS = 1e-10
 BISECTION_REL_TOL = 1e-12
@@ -33,12 +31,8 @@ class TiedRootsError(ValueError):
     """Roots must be pairwise distinct."""
 
 
-class MultipleRootsError(ValueError):
-    """Critical-point isolation needs simple roots."""
-
-
 class NoSignChangeError(ValueError):
-    """Derivative did not change sign over a root interval (inconsistent input)."""
+    """Derivative did not change sign over a root interval (e.g. its value underflowed)."""
 
 
 class DegenerateMarginError(ValueError):
@@ -68,7 +62,9 @@ class GapReport:
     margins: tuple[float, float]
 
 
-def _check_sorted(x: Sequence[float]) -> None:
+def _check_sorted(x: Sequence[float], at_least: int) -> None:
+    if len(x) < at_least:
+        raise ValueError(f"need at least {at_least} roots")
     for a, b in zip(x, x[1:]):
         if a == b:
             raise TiedRootsError(f"tied roots at {a!r}")
@@ -76,24 +72,26 @@ def _check_sorted(x: Sequence[float]) -> None:
             raise UnsortedRootsError("roots must be strictly increasing")
 
 
-def midpoints(x: Sequence[float]) -> list[float]:
-    """Midpoints of consecutive roots; needs at least two strictly increasing roots."""
-    if len(x) < 2:
-        raise ValueError("need at least two roots")
-    _check_sorted(x)
+def _midpoints(x: Sequence[float]) -> list[float]:
     return [(x[k] + x[k + 1]) * 0.5 for k in range(len(x) - 1)]
 
 
-def _bisect(deriv, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    flo = deriv(lo)
-    fhi = deriv(hi)
+def midpoints(x: Sequence[float]) -> list[float]:
+    """Midpoints of consecutive roots; needs at least two strictly increasing roots."""
+    _check_sorted(x, 2)
+    return _midpoints(x)
+
+
+def _bisect(x: Sequence[float], lo: float, hi: float, tol: float) -> tuple[float, float]:
+    flo = derivative_at_from_roots(x, lo)
+    fhi = derivative_at_from_roots(x, hi)
     if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
         raise NoSignChangeError(f"no derivative sign change over ({lo!r}, {hi!r})")
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
             break
-        fm = deriv(mid)
+        fm = derivative_at_from_roots(x, mid)
         if fm == 0.0:
             return mid, mid
         if (fm > 0.0) == (flo > 0.0):
@@ -128,32 +126,26 @@ def derivative_at_from_roots(roots: Sequence[float], x: float) -> float:
     return prod * s
 
 
-def critical_points(p: RealPolynomial, x: Sequence[float]) -> list[float]:
+def critical_points(x: Sequence[float]) -> list[float]:
     """One derivative root per open interval between consecutive simple roots.
 
-    Bisection refines each enclosure to absolute half-width at most
-    1e-12 * (x_n - x_1); interlacing guarantees exactly one sign change
-    per interval.  The derivative of the supplied polynomial is what is
-    bisected, so inconsistent (p, x) inputs surface as NoSignChangeError.
+    Bisection on the product-form derivative (derivative_at_from_roots)
+    refines each enclosure to absolute half-width at most
+    1e-12 * (x_n - x_1); interlacing guarantees exactly one sign change per
+    interval.  A derivative that underflows to zero at a root surfaces as
+    NoSignChangeError.
     """
-    dcoeffs = derivative(p)
-    xi, _ = _critical_points_with_widths(lambda v: horner(dcoeffs, v), x)
+    _check_sorted(x, 2)
+    xi, _ = _critical_points_with_widths(x)
     return xi
 
 
-def _critical_points_with_widths(deriv, x: Sequence[float]):
-    if len(x) < 2:
-        raise ValueError("need at least two roots")
-    for a, b in zip(x, x[1:]):
-        if a == b:
-            raise MultipleRootsError(f"tied roots at {a!r}")
-        if a > b:
-            raise UnsortedRootsError("roots must be strictly increasing")
+def _critical_points_with_widths(x: Sequence[float]):
     tol = BISECTION_REL_TOL * (x[-1] - x[0])
     xi = []
     widths = []
     for k in range(len(x) - 1):
-        lo, hi = _bisect(deriv, x[k], x[k + 1], tol)
+        lo, hi = _bisect(x, x[k], x[k + 1], tol)
         xi.append(0.5 * (lo + hi))
         widths.append(0.5 * (hi - lo))
     return xi, widths
@@ -169,14 +161,10 @@ def gap_report(x: Sequence[float]) -> GapReport:
     zero; exact classification then belongs to the certifier.
     """
     x = [float(v) for v in x]
-    if len(x) < 3:
-        raise ValueError("need at least three roots")
-    _check_sorted(x)
+    _check_sorted(x, 3)
 
-    z = midpoints(x)
-    xi, widths = _critical_points_with_widths(
-        lambda v: derivative_at_from_roots(x, v), x
-    )
+    z = _midpoints(x)
+    xi, widths = _critical_points_with_widths(x)
 
     x_gaps = [b - a for a, b in zip(x, x[1:])]
     z_gaps = [b - a for a, b in zip(z, z[1:])]

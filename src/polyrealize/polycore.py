@@ -1,10 +1,10 @@
 """Monic real polynomials in double precision.
 
-Construction from explicit roots, Horner evaluation, derivative, the two
-variable transforms (x -> -x up to sign, and root inversion), and
-tolerance-aware extraction of the coefficient sign word.  All exact-arithmetic
-re-verification lives in :mod:`polyrealize.certifier`; this module is the fast
-path driven by the search loops.
+Construction from explicit roots, Horner evaluation, derivative, and
+tolerance-aware extraction of the coefficient sign word.  The expansion,
+Horner and derivative kernels are generic over the number type, so
+:mod:`polyrealize.certifier` runs the same code on Fractions for its exact
+re-verification; this module is the fast path driven by the search loops.
 """
 
 from __future__ import annotations
@@ -19,10 +19,6 @@ DEFAULT_SIGN_TOLERANCE = 1e-9
 
 class ZeroRootError(ValueError):
     """A real root is exactly zero; sign words need a nonzero constant term."""
-
-
-class ZeroConstantTermError(ValueError):
-    """Root inversion needs a nonzero constant term."""
 
 
 class _AmbiguousType:
@@ -94,44 +90,55 @@ class RealPolynomial:
         return (1.0,) + self.tail
 
 
+def expand(reals: Sequence, pairs: Sequence, one) -> list:
+    """Descending coefficients of prod (x - r) * prod (x^2 - 2*re*x + re^2 + im^2).
+
+    Sequential convolution, real factors first, then one quadratic per
+    (re, im) pair.  Generic over the number type: `one` is the unit of the
+    arithmetic (1.0 or Fraction(1)) and the entries must already be of it.
+    """
+    zero = one - one
+    coeffs = [one]
+    for r in reals:
+        nxt = coeffs + [zero]
+        for j in range(len(coeffs)):
+            nxt[j + 1] -= r * coeffs[j]
+        coeffs = nxt
+    for re, im in pairs:
+        s = 2 * re
+        q = re * re + im * im
+        nxt = coeffs + [zero, zero]
+        for j in range(len(coeffs)):
+            nxt[j + 1] -= s * coeffs[j]
+            nxt[j + 2] += q * coeffs[j]
+        coeffs = nxt
+    return coeffs
+
+
 def expand_real(roots: Sequence[float]) -> list[float]:
     """Descending coefficients of the monic product of (x - r); no validation.
 
     Used directly by the gap machinery, where a zero root is legitimate.
     """
-    coeffs = [1.0]
-    for r in roots:
-        nxt = coeffs + [0.0]
-        for j in range(len(coeffs)):
-            nxt[j + 1] -= r * coeffs[j]
-        coeffs = nxt
-    return coeffs
+    return expand(roots, (), 1.0)
 
 
 def expand_from_roots(spec: RootSpec) -> RealPolynomial:
-    """Expand a RootSpec by sequential convolution, real factors first.
-
-    Complex pairs contribute quadratics x^2 - 2*re*x + (re^2 + im^2).
-    """
+    """Expand a RootSpec in floats, real factors first (see `expand`)."""
     if spec.degree == 0:
         raise ValueError("empty RootSpec")
-    coeffs = expand_real([float(r) for r in spec.real_roots])
-    for re, im in spec.complex_pairs:
-        re = float(re)
-        im = float(im)
-        s = 2.0 * re
-        q = re * re + im * im
-        nxt = coeffs + [0.0, 0.0]
-        for j in range(len(coeffs)):
-            nxt[j + 1] -= s * coeffs[j]
-            nxt[j + 2] += q * coeffs[j]
-        coeffs = nxt
+    coeffs = expand(
+        [float(r) for r in spec.real_roots],
+        [(float(re), float(im)) for re, im in spec.complex_pairs],
+        1.0,
+    )
     return RealPolynomial(tuple(coeffs[1:]))
 
 
-def horner(coeffs: Sequence[float], x: float) -> float:
-    acc = 0.0
-    for c in coeffs:
+def horner(coeffs: Sequence, x):
+    """Value at x of the polynomial with descending coefficients; any number type."""
+    acc = coeffs[0]
+    for c in coeffs[1:]:
         acc = acc * x + c
     return acc
 
@@ -145,24 +152,10 @@ def derivative(p: RealPolynomial) -> tuple[float, ...]:
     return derivative_coeffs(p.coeffs)
 
 
-def derivative_coeffs(coeffs: Sequence[float]) -> tuple[float, ...]:
+def derivative_coeffs(coeffs: Sequence) -> tuple:
+    """Descending coefficients of the derivative; any number type."""
     d = len(coeffs) - 1
-    return tuple(float(d - i) * coeffs[i] for i in range(d))
-
-
-def negate_variable(p: RealPolynomial) -> RealPolynomial:
-    """(-1)^d * p(-x): negates every root, stays monic."""
-    full = p.coeffs
-    return RealPolynomial(tuple(c if i % 2 == 0 else -c for i, c in enumerate(full))[1:])
-
-
-def reciprocal(p: RealPolynomial) -> RealPolynomial:
-    """Monic polynomial whose roots are the inverses of p's roots."""
-    a0 = p.coeffs[-1]
-    if a0 == 0.0:
-        raise ZeroConstantTermError("constant term is zero, roots cannot be inverted")
-    rev = p.coeffs[::-1]
-    return RealPolynomial(tuple(c / a0 for c in rev[1:]))
+    return tuple((d - i) * coeffs[i] for i in range(d))
 
 
 def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):

@@ -2,8 +2,7 @@
 
 Search reports carry the full outcome including wall time; sweep reports are
 deliberately time-free so that identical (query, config) inputs serialize to
-byte-identical documents.  The worker count is an execution hint with no
-effect on outcomes and is likewise omitted from the config section.
+byte-identical documents.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 Every attempt's randomness is a pure function of (seed, attempt index): the
 index is folded into the seed through a 64-bit avalanche mix, and successive
 uniforms of that attempt come from re-mixing an incremented counter.  The
-result is bitwise reproducibility regardless of execution order, so attempt
-blocks can be evaluated by any number of workers and the outcome is always the
-lowest-index hit.
+result is bitwise reproducibility regardless of execution order, and the
+outcome is always the lowest-index hit: a search with budget n returns what
+the first n attempts of any larger budget return.
 
 Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs, expand, compare the
@@ -18,8 +18,8 @@ form fails certification is counted as a failed attempt and the scan goes on.
 
 from __future__ import annotations
 
+import dataclasses
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -33,7 +33,7 @@ from .criticalgaps import (
     gap_report,
 )
 from .moduliorders import ModuliCouple, ModuliOrder, is_compatible
-from .polycore import RealPolynomial, RootSpec, expand_from_roots, sign_tuple
+from .polycore import RealPolynomial, RootSpec, expand, expand_from_roots, sign_tuple
 from .signpatterns import (
     IncompatibleCoupleError,
     PairCouple,
@@ -45,7 +45,6 @@ from .signpatterns import (
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
-_BLOCK = 1024
 
 
 class ParityMismatchError(ValueError):
@@ -113,7 +112,6 @@ class SearchConfig:
     tau: float = polycore.DEFAULT_SIGN_TOLERANCE
     digits: int = certifier.DEFAULT_DIGITS
     certify: bool = True
-    workers: int = 1
 
     def __post_init__(self):
         if self.n < 1:
@@ -124,8 +122,6 @@ class SearchConfig:
             raise ValueError("tau must be positive")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
         if isinstance(self.strategy, Mixture):
             s = self.strategy.narrow_scale
             if s is not None and not 0 < s < self.ell:
@@ -231,95 +227,56 @@ def draw_rootspec_pair(
     return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
 
 
-def _moduli_count(d: int, strategy: Strategy) -> int:
-    return 2 * d if isinstance(strategy, Mixture) else d
+def _draw_values(d: int, cfg: SearchConfig, attempt: int, signed: bool) -> list[float]:
+    """d values on (0, ell], or on [-ell, ell) when signed; Mixture may shrink some.
 
-
-def _draw_moduli(d: int, cfg: SearchConfig, attempt: int) -> list[float]:
-    """d positive moduli on (0, ell]; Mixture may shrink individual draws."""
+    A Mixture spends two unit draws per value (narrow/wide choice, position).
+    """
     strategy = cfg.strategy
-    u = attempt_unit_draws(cfg.seed, attempt, _moduli_count(d, strategy))
     if isinstance(strategy, Mixture):
+        u = attempt_unit_draws(cfg.seed, attempt, 2 * d)
         ns, frac = cfg.narrow_scale, strategy.narrow_fraction
-        return [
-            (ns if u[2 * j] < frac else cfg.ell) * (1.0 - u[2 * j + 1])
-            for j in range(d)
-        ]
-    return [cfg.ell * (1.0 - x) for x in u]
-
-
-def _draw_gap_points(d: int, cfg: SearchConfig, attempt: int) -> list[float]:
-    strategy = cfg.strategy
-    u = attempt_unit_draws(cfg.seed, attempt, _moduli_count(d, strategy))
-    if isinstance(strategy, Mixture):
-        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
-        return [
-            (ns if u[2 * j] < frac else cfg.ell) * (2.0 * u[2 * j + 1] - 1.0)
-            for j in range(d)
-        ]
-    return [cfg.ell * (2.0 * x - 1.0) for x in u]
+        scales = [ns if u[2 * j] < frac else cfg.ell for j in range(d)]
+        u = u[1::2]
+    else:
+        u = attempt_unit_draws(cfg.seed, attempt, d)
+        scales = [cfg.ell] * d
+    if signed:
+        return [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
+    return [s * (1.0 - x) for s, x in zip(scales, u)]
 
 
 # --- the scan loop ----------------------------------------------------------
 
 def _scan(attempt_fn, cfg: SearchConfig) -> SearchOutcome:
-    """Run attempts 1..n in blocks, returning the lowest-index hit.
+    """Run attempts 1..n in order, returning the lowest-index hit.
 
     attempt_fn(i) returns a SearchOutcome for a verified hit at attempt i, or
-    None.  With several workers a block is split into chunks evaluated
-    concurrently; attempt-level determinism makes the result independent of
-    the worker count.
+    None.  The returned outcome carries the scan's wall time.
     """
     start = time.perf_counter()
-    n = cfg.n
-
-    if cfg.workers == 1:
-        for i in range(1, n + 1):
-            hit = attempt_fn(i)
-            if hit is not None:
-                return hit
-        return SearchOutcome("exhausted", n, time.perf_counter() - start)
-
-    def scan_range(lo: int, hi: int):
-        best = None
-        for i in range(lo, hi):
-            hit = attempt_fn(i)
-            if hit is not None:
-                best = hit
-                break
-        return best
-
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        block_lo = 1
-        while block_lo <= n:
-            block_hi = min(block_lo + _BLOCK, n + 1)
-            step = max(1, (block_hi - block_lo + cfg.workers - 1) // cfg.workers)
-            chunks = [
-                (lo, min(lo + step, block_hi))
-                for lo in range(block_lo, block_hi, step)
-            ]
-            hits = [
-                h
-                for h in pool.map(lambda c: scan_range(*c), chunks)
-                if h is not None
-            ]
-            if hits:
-                return min(hits, key=lambda h: h.attempt_index)
-            block_lo = block_hi
-    return SearchOutcome("exhausted", n, time.perf_counter() - start)
+    for i in range(1, cfg.n + 1):
+        hit = attempt_fn(i)
+        if hit is not None:
+            return dataclasses.replace(hit, seconds=time.perf_counter() - start)
+    return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
 
 
-def _finish(outcome: SearchOutcome, start: float) -> SearchOutcome:
-    return SearchOutcome(
-        status=outcome.status,
-        attempts=outcome.attempts,
-        seconds=time.perf_counter() - start,
-        attempt_index=outcome.attempt_index,
-        spec=outcome.spec,
-        poly=outcome.poly,
-        certificate=outcome.certificate,
-        gap=outcome.gap,
-    )
+def _certified_hit(i: int, spec: RootSpec, coeffs: list[float], claim, cfg: SearchConfig):
+    """Found outcome for a float hit at attempt i, or None when certification rejects it.
+
+    The spec is rationalized and certified exactly; a Mismatch or a vanishing
+    exact coefficient marks a borderline sample, and the scan goes on.
+    """
+    cert = None
+    if cfg.certify:
+        try:
+            cert = certifier.certify_couple(certifier.rationalize(spec, cfg.digits), claim)
+        except certifier.ZeroCoefficientError:
+            return None
+        if isinstance(cert, Mismatch):
+            return None
+    return SearchOutcome("found", i, 0.0, i, spec, RealPolynomial(tuple(coeffs[1:])), cert)
 
 
 # --- engines ----------------------------------------------------------------
@@ -336,41 +293,16 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
     npairs = (d - pos - neg) // 2
     target = sigma.signs
     claim = PairCouple(sigma, pair)
-    start = time.perf_counter()
 
     def attempt(i: int):
         reals, cpairs = _draw_pair_roots(pos, neg, npairs, cfg, i)
-        coeffs = [1.0]
-        for r in reals:
-            nxt = coeffs + [0.0]
-            for j in range(len(coeffs)):
-                nxt[j + 1] -= r * coeffs[j]
-            coeffs = nxt
-        for re, im in cpairs:
-            s = 2.0 * re
-            q = re * re + im * im
-            nxt = coeffs + [0.0, 0.0]
-            for j in range(len(coeffs)):
-                nxt[j + 1] -= s * coeffs[j]
-                nxt[j + 2] += q * coeffs[j]
-            coeffs = nxt
+        coeffs = expand(reals, cpairs, 1.0)
         if sign_tuple(coeffs, cfg.tau) != target:
             return None
-        spec = draw_rootspec_pair(d, pair, cfg, i)
-        poly = expand_from_roots(spec)
-        cert = None
-        if cfg.certify:
-            try:
-                cert = certifier.certify_couple(
-                    certifier.rationalize(spec, cfg.digits), claim
-                )
-            except certifier.ZeroCoefficientError:
-                return None
-            if isinstance(cert, Mismatch):  # borderline sample; keep scanning
-                return None
-        return SearchOutcome("found", i, 0.0, i, spec, poly, cert)
+        spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
+        return _certified_hit(i, spec, coeffs, claim, cfg)
 
-    return _finish(_scan(attempt, cfg), start)
+    return _scan(attempt, cfg)
 
 
 def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> SearchOutcome:
@@ -383,38 +315,20 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     target = sigma.signs
     letters = order.word
     claim = ModuliCouple(sigma, order)
-    start = time.perf_counter()
 
     def attempt(i: int):
-        mods = _draw_moduli(d, cfg, i)
+        mods = _draw_values(d, cfg, i, signed=False)
         mods.sort()
         for j in range(d - 1):
             if mods[j] == mods[j + 1]:  # tied moduli: rejected, index consumed
                 return None
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
-        coeffs = [1.0]
-        for r in roots:
-            nxt = coeffs + [0.0]
-            for j in range(len(coeffs)):
-                nxt[j + 1] -= r * coeffs[j]
-            coeffs = nxt
+        coeffs = expand(roots, (), 1.0)
         if sign_tuple(coeffs, cfg.tau) != target:
             return None
-        spec = RootSpec(real_roots=tuple(roots))
-        poly = expand_from_roots(spec)
-        cert = None
-        if cfg.certify:
-            try:
-                cert = certifier.certify_couple(
-                    certifier.rationalize(spec, cfg.digits), claim
-                )
-            except certifier.ZeroCoefficientError:
-                return None
-            if isinstance(cert, Mismatch):
-                return None
-        return SearchOutcome("found", i, 0.0, i, spec, poly, cert)
+        return _certified_hit(i, RootSpec(real_roots=tuple(roots)), coeffs, claim, cfg)
 
-    return _finish(_scan(attempt, cfg), start)
+    return _scan(attempt, cfg)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
@@ -423,10 +337,9 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
         raise ValueError("need degree >= 3")
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
-    start = time.perf_counter()
 
     def attempt(i: int):
-        xs = _draw_gap_points(d, cfg, i)
+        xs = _draw_values(d, cfg, i, signed=True)
         xs.sort()
         if any(x == 0.0 for x in xs):
             return None
@@ -451,4 +364,4 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             "found", i, 0.0, i, spec, expand_from_roots(spec), cert, gap=report
         )
 
-    return _finish(_scan(attempt, cfg), start)
+    return _scan(attempt, cfg)

@@ -101,10 +101,6 @@ def from_runs(runs: Iterable[int]) -> SignPattern:
     return SignPattern(tuple(signs))
 
 
-def to_runs(sigma: SignPattern) -> tuple[int, ...]:
-    return sigma.runs
-
-
 def parse_pattern(text: str) -> SignPattern:
     """Accepts either a sign word '+--++' or a run list '1,3,2'."""
     text = text.strip()

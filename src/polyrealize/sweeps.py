@@ -35,6 +35,10 @@ FORCED = "forced"
 UNRESOLVED = "unresolved"
 
 
+class OrbitWitnessError(RuntimeError):
+    """A witness mapped through g1/g2 failed to certify for its orbit member."""
+
+
 @dataclass(frozen=True)
 class SweepRow:
     couple: Union[PairCouple, ModuliCouple]
@@ -134,7 +138,10 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
                         certifier.rationalize(outcome.spec, cfg.digits), rep, member
                     )
                     cert = certifier.certify_couple(mapped, member)
-                    assert isinstance(cert, Certificate), "orbit-mapped witness failed"
+                    if not isinstance(cert, Certificate):
+                        raise OrbitWitnessError(
+                            f"witness of {rep} mapped to {member} failed: {cert.detail}"
+                        )
                     found[_couple_token(member)] = SweepRow(
                         couple=member,
                         status=REALIZED,

@@ -32,11 +32,9 @@ from polyrealize.moduliorders import (
     parse_order,
 )
 from polyrealize.polycore import (
-    RealPolynomial,
     RootSpec,
     evaluate,
     expand_from_roots,
-    expand_real,
     sign_vector,
 )
 from polyrealize.sampler import (
@@ -71,10 +69,6 @@ MODULI_FIXTURES = (
     "sigma341-witness", "sigma1232-0301", "sigma1232-1201", "sigma1232-2011",
     "sigma1232-2002", "sigma1232-2101", "sigma1232-3001",
 )
-
-
-def monic(xs) -> RealPolynomial:
-    return RealPolynomial(tuple(expand_real(list(xs))[1:]))
 
 
 def test_criterion_1_fixture_reproduction():
@@ -302,7 +296,7 @@ def test_criterion_7_property_suites():
     for case in range(n_cases):
         n = 3 + case % 6
         xs = random_distinct_sorted(1004, case, n)
-        xi = critical_points(monic(xs), xs)
+        xi = critical_points(xs)
         for k, v in enumerate(xi):
             assert xs[k] < v < xs[k + 1]
     print(f"[criterion 7] strict interlacing: PASS ({n_cases} root sets)")
@@ -335,26 +329,25 @@ def test_criterion_7_property_suites():
             assert abs(evaluate(result.poly, float(r))) <= bound
     print(f"[criterion 7] concat root bookkeeping: PASS ({n_cases} merges)")
 
-    # bitwise determinism across repeated draws and worker counts
+    # bitwise determinism across repeated draws and budget prefixes: a search
+    # with budget k stops at its hit k, and with budget k - 1 it is exhausted
     for case in range(n_cases):
         cfg = SearchConfig(n=1, seed=1007)
         assert draw_rootspec_pair(6, RootCountPair(2, 2), cfg, case + 1) == \
                draw_rootspec_pair(6, RootCountPair(2, 2), cfg, case + 1)
-    pairs_1 = search_pair(from_runs((1, 3, 2)), RootCountPair(0, 3),
-                          SearchConfig(n=10**4, seed=42, workers=1))
-    pairs_4 = search_pair(from_runs((1, 3, 2)), RootCountPair(0, 3),
-                          SearchConfig(n=10**4, seed=42, workers=4))
-    assert pairs_1.attempt_index == pairs_4.attempt_index
-    assert pairs_1.spec == pairs_4.spec
-    mod_1 = search_moduli(from_runs((3, 4, 1)), parse_order("[0,0,5]"),
-                          SearchConfig(n=10**3, seed=5, workers=1))
-    mod_4 = search_moduli(from_runs((3, 4, 1)), parse_order("[0,0,5]"),
-                          SearchConfig(n=10**3, seed=5, workers=4))
-    assert mod_1.attempt_index == mod_4.attempt_index
-    gap_1 = search_gap_class(6, "L-R+", SearchConfig(n=10**4, seed=3, workers=1))
-    gap_4 = search_gap_class(6, "L-R+", SearchConfig(n=10**4, seed=3, workers=4))
-    assert gap_1.attempt_index == gap_4.attempt_index
-    print(f"[criterion 7] sampler determinism across 1 vs 4 workers: PASS "
+    searches = (
+        (lambda n: search_pair(from_runs((1, 3, 2)), RootCountPair(0, 3),
+                               SearchConfig(n=n, seed=42)), 467),
+        (lambda n: search_moduli(from_runs((3, 4, 1)), parse_order("[0,0,5]"),
+                                 SearchConfig(n=n, seed=5)), 115),
+        (lambda n: search_gap_class(6, "L-R+", SearchConfig(n=n, seed=3)), 2),
+    )
+    for run, k in searches:
+        wide, exact, short = run(10**3 * k), run(k), run(k - 1)
+        assert wide.attempt_index == exact.attempt_index == k
+        assert wide.spec == exact.spec
+        assert short.status == "exhausted" and short.attempts == k - 1
+    print(f"[criterion 7] sampler determinism across budget prefixes: PASS "
           f"({n_cases} draws + three searches)")
 
     elapsed = time.perf_counter() - start

@@ -14,14 +14,12 @@ from polyrealize.certifier import (
     ZeroCoefficientError,
     certify_couple,
     certify_gap_class,
-    enclose_critical_points,
     exact_expand,
     exact_sign_pattern,
     fraction_str,
     rationalize,
     rationalize_value,
 )
-from polyrealize.criticalgaps import critical_points
 from polyrealize.moduliorders import ModuliCouple, TiedModuliError, parse_order
 from polyrealize.polycore import RootSpec, expand_from_roots, sign_vector
 from polyrealize.signpatterns import PairCouple, RootCountPair, from_runs
@@ -145,55 +143,6 @@ class TestCertifyCouple:
             assert exact == sv
             agreed += 1
         assert agreed > 1000
-
-
-class TestEncloseCriticalPoints:
-    def test_parabola_enclosure(self):
-        poly = exact_expand(RootSpec(real_roots=(Fraction(-1), Fraction(1))))
-        (lo, hi), = enclose_critical_points(
-            poly, [Fraction(-1), Fraction(1)], Fraction(1, 2**40)
-        )
-        assert lo <= 0 <= hi
-        assert hi - lo < Fraction(1, 2**40)
-
-    def test_degree6_witness_encloses_float_xi(self):
-        roots = [rationalize_value(x) for x in GAP_D6_ROOTS]
-        poly = exact_expand(RootSpec(real_roots=tuple(roots)))
-        enclosures = enclose_critical_points(poly, roots, Fraction(1, 10**9))
-        float_xi = critical_points(
-            expand_from_roots(RootSpec(real_roots=GAP_D6_ROOTS)), list(GAP_D6_ROOTS)
-        )
-        assert len(enclosures) == 5
-        for (lo, hi), xi in zip(enclosures, float_xi):
-            assert float(lo) - 1e-9 <= xi <= float(hi) + 1e-9
-        for (_, hi), (lo2, _) in zip(enclosures, enclosures[1:]):
-            assert hi < lo2  # pairwise disjoint
-        for k, (lo, hi) in enumerate(enclosures):
-            assert roots[k] < lo and hi < roots[k + 1]  # interlacing
-
-    def test_derivative_sign_change_check(self):
-        poly = exact_expand(RootSpec(real_roots=(Fraction(-1), Fraction(1))))
-        with pytest.raises(ValueError):
-            enclose_critical_points(poly, [Fraction(2), Fraction(3)], Fraction(1, 4))
-
-    def test_enclosure_endpoint_signs(self):
-        # the exact derivative changes sign across every returned interval
-        roots = [rationalize_value(x) for x in GAP_D6_ROOTS]
-        poly = exact_expand(RootSpec(real_roots=tuple(roots)))
-        d = poly.degree
-        dcoeffs = [Fraction(d - i) * poly.coeffs[i] for i in range(d)]
-
-        def dval(x):
-            acc = Fraction(0)
-            for c in dcoeffs:
-                acc = acc * x + c
-            return acc
-
-        for lo, hi in enclose_critical_points(poly, roots, Fraction(1, 2**30)):
-            if lo == hi:
-                assert dval(lo) == 0
-            else:
-                assert (dval(lo) > 0) != (dval(hi) > 0)
 
 
 class TestCertifyGapClass:

@@ -5,7 +5,6 @@ import pytest
 from conftest import random_distinct_sorted
 from polyrealize.criticalgaps import (
     DegenerateMarginError,
-    MultipleRootsError,
     NoSignChangeError,
     TiedRootsError,
     UnsortedRootsError,
@@ -13,14 +12,8 @@ from polyrealize.criticalgaps import (
     gap_report,
     midpoints,
 )
-from polyrealize.polycore import RealPolynomial, expand_real
-
 GAP_D6_ROOTS = [-0.19, -0.18, 0.13, 0.21, 0.67, 0.96]
 GAP_D6_XI = [-0.1850968062, -0.02957083052, 0.1718593928, 0.5155057599, 0.8606358173]
-
-
-def monic(roots) -> RealPolynomial:
-    return RealPolynomial(tuple(expand_real(list(roots))[1:]))
 
 
 class TestMidpoints:
@@ -47,31 +40,38 @@ class TestMidpoints:
 
 class TestCriticalPoints:
     def test_degree6_witness_xi(self):
-        got = critical_points(monic(GAP_D6_ROOTS), GAP_D6_ROOTS)
+        got = critical_points(GAP_D6_ROOTS)
         assert got == pytest.approx(GAP_D6_XI, abs=1e-6)
 
     def test_parabola(self):
-        got = critical_points(monic([-1.0, 1.0]), [-1.0, 1.0])
+        got = critical_points([-1.0, 1.0])
         assert got == pytest.approx([0.0], abs=1e-12)
 
     def test_cubic_analytic(self):
-        got = critical_points(monic([-1.0, 0.0, 1.0]), [-1.0, 0.0, 1.0])
+        got = critical_points([-1.0, 0.0, 1.0])
         s = 1.0 / math.sqrt(3.0)
         assert got == pytest.approx([-s, s], abs=1e-9)
 
     def test_multiple_roots_rejected(self):
-        with pytest.raises(MultipleRootsError):
-            critical_points(monic([1.0, 1.0]), [1.0, 1.0])
+        with pytest.raises(TiedRootsError):
+            critical_points([1.0, 1.0])
 
-    def test_no_sign_change_on_inconsistent_input(self):
+    def test_unsorted_and_too_few_rejected(self):
+        with pytest.raises(UnsortedRootsError):
+            critical_points([1.0, 0.0])
+        with pytest.raises(ValueError):
+            critical_points([1.0])
+
+    def test_no_sign_change_when_derivative_underflows(self):
+        # P'(1e-200) = (1e-200 - 2e-200)(1e-200 - 3e-200) = 2e-400 underflows to 0
         with pytest.raises(NoSignChangeError):
-            critical_points(monic([-1.0, 1.0]), [2.0, 3.0])
+            critical_points([1e-200, 2e-200, 3e-200])
 
     def test_interlacing(self):
         for case in range(300):
             n = 3 + case % 6
             xs = random_distinct_sorted(421, case, n)
-            xi = critical_points(monic(xs), xs)
+            xi = critical_points(xs)
             for k, v in enumerate(xi):
                 assert xs[k] < v < xs[k + 1]
 

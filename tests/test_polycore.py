@@ -1,24 +1,27 @@
 import math
+import struct
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_rootspec
+from polyrealize.certifier import exact_expand, rationalize
 from polyrealize.polycore import (
     AMBIGUOUS,
     RealPolynomial,
     RootSpec,
-    ZeroConstantTermError,
     ZeroRootError,
     derivative,
     evaluate,
+    expand,
     expand_from_roots,
     expand_real,
-    negate_variable,
-    reciprocal,
+    horner,
     sign_vector,
 )
+from polyrealize.sampler import Mixture, MultiplicityBias, SearchConfig, Uniform, _draw_pair_roots
 
 GAP_D6_ROOTS = (-0.19, -0.18, 0.13, 0.21, 0.67, 0.96)
 
@@ -115,38 +118,81 @@ class TestDerivative:
             assert d[0] == float(p.degree)
 
 
-class TestTransforms:
-    def test_negate_examples(self):
-        assert negate_variable(RealPolynomial((-1.0,))).coeffs == (1.0, 1.0)
-        # x^2 + x - 2 has roots {1, -2}; negation gives roots {-1, 2}
-        assert negate_variable(RealPolynomial((1.0, -2.0))).coeffs == (1.0, -1.0, -2.0)
+def reference_float_expand(reals, pairs):
+    """The hand-written float convolution the search loops used before the shared kernel."""
+    coeffs = [1.0]
+    for r in reals:
+        nxt = coeffs + [0.0]
+        for j in range(len(coeffs)):
+            nxt[j + 1] -= r * coeffs[j]
+        coeffs = nxt
+    for re, im in pairs:
+        s = 2.0 * re
+        q = re * re + im * im
+        nxt = coeffs + [0.0, 0.0]
+        for j in range(len(coeffs)):
+            nxt[j + 1] -= s * coeffs[j]
+            nxt[j + 2] += q * coeffs[j]
+        coeffs = nxt
+    return coeffs
 
-    def test_negate_involution_exact(self):
-        for case in range(100):
-            p = expand_from_roots(random_rootspec(13, case))
-            assert negate_variable(negate_variable(p)).coeffs == p.coeffs
 
-    def test_reciprocal_examples(self):
-        assert reciprocal(RealPolynomial((-2.0,))).coeffs == (1.0, -0.5)
-        got = reciprocal(RealPolynomial((-3.0, 2.0)))  # roots 1, 2 -> 1, 0.5
-        assert got.coeffs == pytest.approx((1.0, -1.5, 0.5), abs=1e-15)
+def reference_exact_expand(spec):
+    """Exact convolution written out on Fractions, independent of the kernel."""
+    coeffs = [Fraction(1)]
+    for r in spec.real_roots:
+        r = Fraction(r)
+        nxt = coeffs + [Fraction(0)]
+        for j in range(len(coeffs)):
+            nxt[j + 1] -= r * coeffs[j]
+        coeffs = nxt
+    for re, im in spec.complex_pairs:
+        re, im = Fraction(re), Fraction(im)
+        s = 2 * re
+        q = re * re + im * im
+        nxt = coeffs + [Fraction(0), Fraction(0)]
+        for j in range(len(coeffs)):
+            nxt[j + 1] -= s * coeffs[j]
+            nxt[j + 2] += q * coeffs[j]
+        coeffs = nxt
+    return tuple(coeffs)
 
-    def test_reciprocal_zero_constant(self):
-        with pytest.raises(ZeroConstantTermError):
-            reciprocal(RealPolynomial((1.0, 0.0)))
 
-    def test_involutions_and_commutation(self):
-        for case in range(100):
-            p = expand_from_roots(random_rootspec(29, case))
-            if p.coeffs[-1] == 0.0:
-                continue
-            rr = reciprocal(reciprocal(p))
-            for a, b in zip(rr.coeffs, p.coeffs):
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
-            lhs = negate_variable(reciprocal(p))
-            rhs = reciprocal(negate_variable(p))
-            for a, b in zip(lhs.coeffs, rhs.coeffs):
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(a), abs(b))
+def bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+# (pos, neg, npairs) shapes up to degree 8, cycled over the attempts
+SHAPES = [(1, 0, 0), (0, 3, 1), (2, 1, 1), (1, 1, 3), (3, 3, 1), (2, 2, 2), (0, 0, 4), (4, 2, 0)]
+
+
+class TestExpandKernel:
+    @pytest.mark.parametrize(
+        "strategy", [Uniform(), Mixture(), MultiplicityBias()], ids=lambda s: type(s).__name__
+    )
+    def test_bit_identical_to_reference_loop(self, strategy):
+        cfg = SearchConfig(n=1, seed=2025, strategy=strategy)
+        for attempt in range(1, 10**4 + 1):
+            pos, neg, npairs = SHAPES[attempt % len(SHAPES)]
+            reals, pairs = _draw_pair_roots(pos, neg, npairs, cfg, attempt)
+            want = bits(reference_float_expand(reals, pairs))
+            assert bits(expand(reals, pairs, 1.0)) == want
+            spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
+            assert bits(expand_from_roots(spec).coeffs) == want
+
+    def test_exact_path_equals_reference_loop(self):
+        for case in range(1000):
+            spec = rationalize(random_rootspec(31, case))
+            got = exact_expand(spec).coeffs
+            assert got == reference_exact_expand(spec)
+            assert all(type(c) is Fraction for c in got)
+
+    def test_horner_on_fractions(self):
+        # (x - 1/2)(x + 1/3) = x^2 - x/6 - 1/6
+        coeffs = expand([Fraction(1, 2), Fraction(-1, 3)], (), Fraction(1))
+        assert coeffs == [1, Fraction(-1, 6), Fraction(-1, 6)]
+        assert horner(coeffs, Fraction(1, 2)) == 0
+        assert horner(coeffs, Fraction(1)) == Fraction(2, 3)
 
 
 class TestSignVector:

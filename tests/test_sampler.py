@@ -82,7 +82,7 @@ class TestConfigValidation:
             dict(n=10, ell=0.0),
             dict(n=10, tau=0.0),
             dict(n=10, digits=0),
-            dict(n=10, workers=0),
+            dict(n=10, ell=-1.0),
             dict(n=10, strategy=Mixture(narrow_scale=2.0)),
             dict(n=10, strategy=Mixture(narrow_fraction=1.5)),
             dict(n=10, strategy=MultiplicityBias(dup_probability=-0.1)),
@@ -126,13 +126,6 @@ class TestSearchPair:
         assert out.status == "exhausted"
         assert out.attempts == 2000
 
-    def test_worker_count_does_not_change_outcome(self):
-        sigma = from_runs((1, 3, 2))
-        o1 = search_pair(sigma, RootCountPair(0, 3), SearchConfig(n=10**4, seed=42, workers=1))
-        o4 = search_pair(sigma, RootCountPair(0, 3), SearchConfig(n=10**4, seed=42, workers=4))
-        assert o1.attempt_index == o4.attempt_index
-        assert o1.spec == o4.spec
-
     def test_no_certify_skips_certificate(self):
         out = search_pair(parse_pattern("+-"), RootCountPair(1, 0),
                           SearchConfig(n=10, certify=False))
@@ -165,14 +158,6 @@ class TestSearchModuli:
                             SearchConfig(n=10**5, seed=1))
         assert not out.found and out.attempts == 10**5
 
-    def test_worker_equality(self):
-        sigma = from_runs((3, 4, 1))
-        o1 = search_moduli(sigma, parse_order("[0,0,5]"),
-                           SearchConfig(n=10**3, seed=5, workers=1))
-        o4 = search_moduli(sigma, parse_order("[0,0,5]"),
-                           SearchConfig(n=10**3, seed=5, workers=4))
-        assert o1.attempt_index == o4.attempt_index
-        assert o1.status == o4.status
 
 
 class TestSearchGapClass:
@@ -187,11 +172,6 @@ class TestSearchGapClass:
         b = search_gap_class(6, "L-R+", SearchConfig(n=10**4, seed=3))
         assert a.attempt_index == b.attempt_index
         assert a.spec == b.spec
-
-    def test_worker_equality(self):
-        a = search_gap_class(6, "L-R+", SearchConfig(n=10**4, seed=3, workers=1))
-        b = search_gap_class(6, "L-R+", SearchConfig(n=10**4, seed=3, workers=4))
-        assert a.attempt_index == b.attempt_index
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -234,3 +214,27 @@ class TestStrategies:
         cfg = SearchConfig(n=200, seed=6, strategy=MultiplicityBias(dup_probability=0.8))
         out = search_pair(SignPattern.from_word("+--"), RootCountPair(1, 1), cfg)
         assert out.found
+
+
+# (search, pinned lowest hit): each search is a pure function of (seed, attempt)
+PREFIX_CASES = {
+    "pair": (lambda n: search_pair(from_runs((1, 3, 2)), RootCountPair(0, 3),
+                                   SearchConfig(n=n, seed=42)), 467),
+    "moduli": (lambda n: search_moduli(from_runs((3, 4, 1)), parse_order("[0,0,5]"),
+                                       SearchConfig(n=n, seed=5)), 115),
+    "gap": (lambda n: search_gap_class(6, "L-R+", SearchConfig(n=n, seed=3)), 2),
+}
+
+
+@pytest.mark.parametrize("name", list(PREFIX_CASES))
+def test_budget_prefix_determinism(name):
+    # a budget of n returns exactly what the first n attempts of a larger one do
+    run, k = PREFIX_CASES[name]
+    wide = run(10 * k)
+    exact = run(k)
+    short = run(k - 1)
+    assert wide.found and wide.attempt_index == k
+    assert exact.found and exact.attempt_index == k and exact.attempts == k
+    assert exact.spec == wide.spec
+    assert exact.certificate == wide.certificate
+    assert short.status == "exhausted" and short.attempts == k - 1

@@ -17,7 +17,6 @@ from polyrealize.signpatterns import (
     is_compatible_pair,
     orbit,
     parse_pattern,
-    to_runs,
 )
 
 words = st.builds(
@@ -50,7 +49,7 @@ class TestRunsForm:
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=6))
     def test_round_trip(self, runs):
-        assert to_runs(from_runs(runs)) == tuple(runs)
+        assert from_runs(runs).runs == tuple(runs)
 
     @given(words)
     def test_runs_sum(self, sigma):
