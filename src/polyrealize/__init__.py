@@ -10,7 +10,6 @@ from .certifier import (
     Certificate,
     ExactPolynomial,
     Mismatch,
-    UNDECIDED,
     certify_couple,
     certify_gap_class,
     exact_expand,
@@ -21,7 +20,6 @@ from .certifier import (
 from .concatenation import ConcatResult, Realizer, concat_pairs, extend_large, extend_small
 from .criticalgaps import GapReport, critical_points, gap_report, midpoints
 from .moduliorders import (
-    INCONCLUSIVE,
     ForcedConflict,
     ModuliCouple,
     ModuliOrder,
@@ -31,15 +29,7 @@ from .moduliorders import (
     order_from_roots,
     parse_order,
 )
-from .polycore import (
-    AMBIGUOUS,
-    RealPolynomial,
-    RootSpec,
-    derivative,
-    evaluate,
-    expand_from_roots,
-    sign_vector,
-)
+from .polycore import RealPolynomial, RootSpec, expand_from_roots
 from .sampler import (
     Mixture,
     MultiplicityBias,

@@ -7,7 +7,10 @@ a claimed couple.  Gap classes are certified by exact-sign bisection on the
 derivative with dyadic midpoints, refined until every strict comparison is
 decided by interval separation.
 
-A Certificate is a transcript: re-running its checks on the stored data
+Every check returns a Certificate or a Mismatch naming the first check that
+failed; a property of the sample (a vanishing coefficient, tied moduli, tied
+roots, an undecidable comparison) is a Mismatch, never an exception.  A
+Certificate is a transcript: re-running its checks on the stored data
 reproduces the claim.  A rationalized witness differs microscopically from
 the floating sample that suggested it; that is irrelevant, since existence of
 the rationalized polynomial is what the certificate claims.
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .moduliorders import ModuliCouple, ModuliOrder, order_from_roots
+from .moduliorders import ModuliCouple, ModuliOrder, TiedModuliError, order_from_roots
 from .polycore import RootSpec, derivative_coeffs, expand, horner
 from .signpatterns import PairCouple, SignPattern
 
@@ -39,19 +42,6 @@ class RootSumIdentityError(RuntimeError):
     """The exact expansion's subdominant coefficient is not minus the root sum."""
 
 
-class _UndecidedType:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "UNDECIDED"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-UNDECIDED = _UndecidedType()
-
-
 @dataclass(frozen=True)
 class ExactPolynomial:
     """Monic polynomial with arbitrary-precision rational coefficients, descending."""
@@ -66,9 +56,6 @@ class ExactPolynomial:
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    def __call__(self, x: Fraction) -> Fraction:
-        return horner(self.coeffs, x)
 
 
 @dataclass(frozen=True)
@@ -141,17 +128,20 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     """Certificate if the exact expansion of spec realizes the claim, else Mismatch.
 
     Checks run in order: sign vector, then root counts (pair claims) or
-    hyperbolicity / distinct moduli / order (moduli claims).  Raises
-    ZeroCoefficientError when the expansion has a vanishing coefficient; such
-    a sample must be rejected, never patched.
+    hyperbolicity / distinct moduli / order (moduli claims).  A vanishing
+    coefficient fails the sign vector check and tied moduli fail the order
+    check; such a sample is rejected, never patched.
     """
     poly = exact_expand(spec)
-    actual = exact_sign_pattern(poly)
     checks: list[tuple[str, str]] = []
 
     pos = spec.pos_count
     neg = spec.neg_count
 
+    try:
+        actual = exact_sign_pattern(poly)
+    except ZeroCoefficientError as exc:
+        return Mismatch("sign_vector", str(exc), actual_pair=(pos, neg))
     if actual != claim.pattern:
         return Mismatch(
             "sign_vector",
@@ -179,7 +169,12 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
                 actual_pair=(pos, neg),
             )
         checks.append(("hyperbolic", "all roots real"))
-        order = order_from_roots(spec.real_roots)  # TiedModuliError: sample is invalid
+        try:
+            order = order_from_roots(spec.real_roots)
+        except TiedModuliError as exc:
+            return Mismatch(
+                "moduli_order", str(exc), actual_pattern=actual, actual_pair=(pos, neg)
+            )
         if order != claim.order:
             return Mismatch(
                 "moduli_order",
@@ -218,15 +213,19 @@ def certify_gap_class(roots: Sequence[Fraction], max_rounds: int = GAP_REFINE_CA
 
     The midpoint-gap extrema are exact rationals; the critical-point gaps are
     bracketed by enclosures that are refined until both strict comparisons are
-    decided by separation.  Returns UNDECIDED after `max_rounds` refinement
-    rounds, which signals a potential non-strict equality.
+    decided by separation.  Adjacent equal roots (rationalization can merge
+    two close floats) fail the "simple_roots" check; running out of
+    `max_rounds` refinement rounds, which signals a potential non-strict
+    equality, fails the "gap_class" check.  Fewer than three roots or
+    decreasing roots are caller errors and raise ValueError.
     """
     roots = [Fraction(r) for r in roots]
     if len(roots) < 3:
         raise ValueError("need at least three roots")
-    for a, b in zip(roots, roots[1:]):
-        if a >= b:
-            raise ValueError("roots must be strictly increasing")
+    if any(a > b for a, b in zip(roots, roots[1:])):
+        raise ValueError("roots must be increasing")
+    if len(set(roots)) < len(roots):
+        return Mismatch("simple_roots", "two roots are equal")
 
     z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(len(roots) - 2)]
     m_tilde, M_tilde = min(z_gaps), max(z_gaps)
@@ -267,7 +266,7 @@ def certify_gap_class(roots: Sequence[Fraction], max_rounds: int = GAP_REFINE_CA
             _halve(dcoeffs, lo, hi, flo) if lo != hi else (lo, hi, flo)
             for lo, hi, flo in intervals
         ]
-    return UNDECIDED
+    return Mismatch("gap_class", f"undecided after {max_rounds} rounds")
 
 
 def fraction_str(q: Fraction) -> str:

@@ -6,6 +6,7 @@ Exit codes: 0 found/verified, 1 exhausted or mismatch, 2 invalid input,
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -51,11 +52,17 @@ def parse_roots_file(path: str) -> RootSpec:
         try:
             if line.startswith("c:"):
                 re_s, im_s = line[2:].split(",")
-                pairs.append((float(re_s), float(im_s)))
+                values = (float(re_s), float(im_s))
             else:
-                reals.append(float(line))
+                values = (float(line),)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: cannot parse root line {line!r}")
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError(f"{path}:{lineno}: root is not finite")
+        if len(values) == 2:
+            pairs.append(values)
+        else:
+            reals.append(values[0])
     if not reals and not pairs:
         raise ValueError(f"{path}: no roots found")
     return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
@@ -84,7 +91,6 @@ def _search_options(fn):
         click.option("--dup-prob", type=float, default=0.5, show_default=True),
         click.option("--digits", type=int, default=12, show_default=True,
                      help="Significant digits kept by the exact certifier."),
-        click.option("--no-certify", is_flag=True, default=False),
         click.option("--json", "json_path", type=click.Path(), default=None),
     ]
     for opt in reversed(opts):
@@ -93,11 +99,11 @@ def _search_options(fn):
 
 
 def _config(n, ell, seed, strategy, narrow_scale, narrow_fraction, dup_prob,
-            digits, no_certify) -> SearchConfig:
+            digits) -> SearchConfig:
     return SearchConfig(
         n=n, ell=ell, seed=seed,
         strategy=_strategy(strategy, narrow_scale, narrow_fraction, dup_prob),
-        digits=digits, certify=not no_certify,
+        digits=digits,
     )
 
 
@@ -110,8 +116,7 @@ def _emit_search(command: str, cfg: SearchConfig, query: dict, outcome,
         click.echo("coefficients: " + ", ".join(repr(c) for c in outcome.poly.coeffs))
         click.echo(f"roots: real={list(outcome.spec.real_roots)} "
                    f"complex={list(outcome.spec.complex_pairs)}")
-        if outcome.certificate is not None:
-            click.echo("certified: " + "; ".join(n for n, _ in outcome.certificate.checks))
+        click.echo("certified: " + "; ".join(n for n, _ in outcome.certificate.checks))
         if outcome.gap is not None:
             click.echo(f"gap class {outcome.gap.gap_class}, margins {outcome.gap.margins}")
         return EXIT_FOUND
@@ -135,14 +140,12 @@ def search():
 @click.option("--pos", type=int, required=True)
 @click.option("--neg", type=int, required=True)
 @_search_options
-def search_pair_cmd(sigma, pos, neg, n, ell, seed, strategy, narrow_scale,
-                    narrow_fraction, dup_prob, digits, no_certify, json_path):
+def search_pair_cmd(sigma, pos, neg, json_path, **opts):
     """Hunt a polynomial with sign pattern SIGMA and the given root counts."""
 
     def body():
         pattern = parse_pattern(sigma)
-        cfg = _config(n, ell, seed, strategy, narrow_scale, narrow_fraction,
-                      dup_prob, digits, no_certify)
+        cfg = _config(**opts)
         outcome = sampler.search_pair(pattern, RootCountPair(pos, neg), cfg)
         query = {"sigma": pattern.word, "pos": pos, "neg": neg}
         return _emit_search("search pair", cfg, query, outcome, json_path)
@@ -155,15 +158,13 @@ def search_pair_cmd(sigma, pos, neg, n, ell, seed, strategy, narrow_scale,
 @click.option("--order", "order_text", required=True,
               help="Order of moduli: word 'PNPNNPN' or bracket '[0,1,2,1]'.")
 @_search_options
-def search_moduli_cmd(sigma, order_text, n, ell, seed, strategy, narrow_scale,
-                      narrow_fraction, dup_prob, digits, no_certify, json_path):
+def search_moduli_cmd(sigma, order_text, json_path, **opts):
     """Hunt a hyperbolic polynomial with sign pattern SIGMA and modulus order ORDER."""
 
     def body():
         pattern = parse_pattern(sigma)
         order = parse_order(order_text)
-        cfg = _config(n, ell, seed, strategy, narrow_scale, narrow_fraction,
-                      dup_prob, digits, no_certify)
+        cfg = _config(**opts)
         outcome = sampler.search_moduli(pattern, order, cfg)
         query = {"sigma": pattern.word, "order": order.word}
         return _emit_search("search moduli", cfg, query, outcome, json_path)
@@ -175,13 +176,11 @@ def search_moduli_cmd(sigma, order_text, n, ell, seed, strategy, narrow_scale,
 @click.option("--degree", type=int, required=True)
 @click.option("--class", "target", type=click.Choice(GAP_CLASSES), required=True)
 @_search_options
-def search_gaps_cmd(degree, target, n, ell, seed, strategy, narrow_scale,
-                    narrow_fraction, dup_prob, digits, no_certify, json_path):
+def search_gaps_cmd(degree, target, json_path, **opts):
     """Hunt a root configuration realizing the given critical-gap class."""
 
     def body():
-        cfg = _config(n, ell, seed, strategy, narrow_scale, narrow_fraction,
-                      dup_prob, digits, no_certify)
+        cfg = _config(**opts)
         outcome = sampler.search_gap_class(degree, target, cfg)
         query = {"degree": degree, "class": target}
         return _emit_search("search gaps", cfg, query, outcome, json_path)
@@ -350,8 +349,8 @@ def gaps_cmd(roots_path, do_certify):
         if do_certify:
             exact = [certifier.rationalize_value(x) for x in xs]
             got = certifier.certify_gap_class(exact)
-            if got is certifier.UNDECIDED:
-                click.echo("exact certification: UNDECIDED (possible tight equality)")
+            if isinstance(got, Mismatch):
+                click.echo(f"exact certification: mismatch at {got.failed_check}: {got.detail}")
                 return EXIT_EXHAUSTED
             click.echo(f"exact certification: {got.claim}")
         return EXIT_FOUND

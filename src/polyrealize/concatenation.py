@@ -109,10 +109,7 @@ def concat_pairs(left: Realizer, right: Realizer) -> ConcatResult:
             )
             + scaled.complex_pairs,
         )
-        try:
-            got = certifier.certify_couple(spec, target)
-        except certifier.ZeroCoefficientError:
-            got = None
+        got = certifier.certify_couple(spec, target)
         if isinstance(got, Certificate):
             return ConcatResult(eps, spec, expand_from_roots(spec), target, got, step + 1)
         eps /= 2
@@ -175,10 +172,7 @@ def _extend(v, letter, target, scale0, ratio, err_cls):
         spec = RootSpec(
             real_roots=(root,) + tuple(Fraction(r) for r in v.spec.real_roots)
         )
-        try:
-            got = certifier.certify_couple(spec, target)
-        except certifier.ZeroCoefficientError:
-            got = None
+        got = certifier.certify_couple(spec, target)
         if isinstance(got, Certificate):
             return ConcatResult(scale, spec, expand_from_roots(spec), target, got, step + 1)
         scale *= ratio

@@ -25,19 +25,6 @@ class TiedModuliError(ValueError):
     """Two roots share the same modulus; the order is undefined."""
 
 
-class _InconclusiveType:
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "INCONCLUSIVE"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-INCONCLUSIVE = _InconclusiveType()
-
-
 @dataclass(frozen=True)
 class ModuliOrder:
     """Word over {P, N}, smallest modulus first."""
@@ -185,14 +172,14 @@ def _dominating_matching(word: str, small: str, large: str):
     return tuple(reversed(matching))
 
 
-def forcing_test(sigma: SignPattern, order: ModuliOrder):
+def forcing_test(sigma: SignPattern, order: ModuliOrder) -> ForcedConflict | None:
     """ForcedConflict when the order pins the root-sum coefficient against sigma.
 
     The subdominant coefficient equals (sum of negative-root moduli) - (sum of
     positive roots).  If every positive root is matched injectively to a
     strictly larger negative modulus the coefficient is forced positive;
     symmetrically for the other direction.  A conflict with sigma's second
-    sign proves non-realizability; INCONCLUSIVE proves nothing.
+    sign proves non-realizability; None proves nothing.
     """
     if not is_compatible(sigma, order):
         raise IncompatibleCoupleError(
@@ -206,4 +193,4 @@ def forcing_test(sigma: SignPattern, order: ModuliOrder):
     m = _dominating_matching(order.word, "N", "P")
     if m is not None and required == 1:
         return ForcedConflict("-", m)
-    return INCONCLUSIVE
+    return None

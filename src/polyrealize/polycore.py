@@ -12,28 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .signpatterns import SignPattern
-
 DEFAULT_SIGN_TOLERANCE = 1e-9
 
 
 class ZeroRootError(ValueError):
     """A real root is exactly zero; sign words need a nonzero constant term."""
-
-
-class _AmbiguousType:
-    """Singleton returned by sign_vector when some coefficient is too small to call."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "AMBIGUOUS"
-
-    def __bool__(self) -> bool:
-        return False
-
-
-AMBIGUOUS = _AmbiguousType()
 
 
 @dataclass(frozen=True)
@@ -143,15 +126,6 @@ def horner(coeffs: Sequence, x):
     return acc
 
 
-def evaluate(p: RealPolynomial, x: float) -> float:
-    return horner(p.coeffs, x)
-
-
-def derivative(p: RealPolynomial) -> tuple[float, ...]:
-    """Descending coefficients of p'; non-monic, leading coefficient is exactly d."""
-    return derivative_coeffs(p.coeffs)
-
-
 def derivative_coeffs(coeffs: Sequence) -> tuple:
     """Descending coefficients of the derivative; any number type."""
     d = len(coeffs) - 1
@@ -179,10 +153,3 @@ def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):
             return None
     return tuple(out)
 
-
-def sign_vector(p: RealPolynomial, tau: float = DEFAULT_SIGN_TOLERANCE):
-    """SignPattern of p's coefficients, or AMBIGUOUS."""
-    if not tau > 0:
-        raise ValueError("tau must be positive")
-    t = sign_tuple(p.coeffs, tau)
-    return AMBIGUOUS if t is None else SignPattern(t)

@@ -11,20 +11,21 @@ Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs, expand, compare the
 coefficient sign word), moduli search (draw d positives, sort, negate where
 the target order says N), and gap-class search (draw d distinct reals and
-classify their critical-point gaps).  Found results re-verify through the
-exact certifier before they are reported; a floating hit whose rationalized
-form fails certification is counted as a failed attempt and the scan goes on.
+classify their critical-point gaps).  A hit is reported only with an exact
+Certificate; a floating hit whose rationalized form yields a Mismatch is
+counted as a failed attempt and the scan goes on.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import certifier, polycore
-from .certifier import Certificate, Mismatch
+from .certifier import Certificate
 from .criticalgaps import (
     GAP_CLASSES,
     DegenerateMarginError,
@@ -111,15 +112,14 @@ class SearchConfig:
     strategy: Strategy = Uniform()
     tau: float = polycore.DEFAULT_SIGN_TOLERANCE
     digits: int = certifier.DEFAULT_DIGITS
-    certify: bool = True
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("n must be >= 1")
-        if not self.ell > 0:
-            raise ValueError("ell must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < self.ell < math.inf:
+            raise ValueError("ell must be positive and finite")
+        if not 0 < self.tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
         if isinstance(self.strategy, Mixture):
@@ -265,17 +265,12 @@ def _scan(attempt_fn, cfg: SearchConfig) -> SearchOutcome:
 def _certified_hit(i: int, spec: RootSpec, coeffs: list[float], claim, cfg: SearchConfig):
     """Found outcome for a float hit at attempt i, or None when certification rejects it.
 
-    The spec is rationalized and certified exactly; a Mismatch or a vanishing
-    exact coefficient marks a borderline sample, and the scan goes on.
+    The spec is rationalized and certified exactly; a Mismatch marks a
+    borderline sample, and the scan goes on.
     """
-    cert = None
-    if cfg.certify:
-        try:
-            cert = certifier.certify_couple(certifier.rationalize(spec, cfg.digits), claim)
-        except certifier.ZeroCoefficientError:
-            return None
-        if isinstance(cert, Mismatch):
-            return None
+    cert = certifier.certify_couple(certifier.rationalize(spec, cfg.digits), claim)
+    if not isinstance(cert, Certificate):
+        return None
     return SearchOutcome("found", i, 0.0, i, spec, RealPolynomial(tuple(coeffs[1:])), cert)
 
 
@@ -352,14 +347,12 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             return None
         if report.gap_class != target:
             return None
+        cert = certifier.certify_gap_class(
+            [certifier.rationalize_value(x, cfg.digits) for x in xs]
+        )
+        if not isinstance(cert, Certificate) or cert.claim != target:
+            return None
         spec = RootSpec(real_roots=tuple(xs))
-        cert = None
-        if cfg.certify:
-            exact_roots = [certifier.rationalize_value(x, cfg.digits) for x in xs]
-            got = certifier.certify_gap_class(exact_roots)
-            if got is certifier.UNDECIDED or got.claim != target:
-                return None
-            cert = got
         return SearchOutcome(
             "found", i, 0.0, i, spec, expand_from_roots(spec), cert, gap=report
         )

@@ -9,7 +9,7 @@ derived by the two root transforms (negation, inversion) and re-certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from typing import Optional, Union
@@ -127,12 +127,13 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
     if not orbits:
         for couple in couples:
             outcome = sampler.search_pair(couple.pattern, couple.pair, cfg)
-            rows.append(_pair_row(couple, outcome))
+            rows.append(_row(couple, outcome))
     else:
         found: dict[tuple, SweepRow] = {}
         for rep in enumerate_couples(d, orbits=True):
             outcome = sampler.search_pair(rep.pattern, rep.pair, cfg)
             for member in orbit(rep):
+                row = replace(_row(member, outcome), derived_from=None if member == rep else rep)
                 if outcome.found:
                     mapped = _map_witness(
                         certifier.rationalize(outcome.spec, cfg.digits), rep, member
@@ -142,22 +143,8 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
                         raise OrbitWitnessError(
                             f"witness of {rep} mapped to {member} failed: {cert.detail}"
                         )
-                    found[_couple_token(member)] = SweepRow(
-                        couple=member,
-                        status=REALIZED,
-                        attempts=outcome.attempts,
-                        attempt_index=outcome.attempt_index,
-                        spec=mapped,
-                        certificate=cert,
-                        derived_from=None if member == rep else rep,
-                    )
-                else:
-                    found[_couple_token(member)] = SweepRow(
-                        couple=member,
-                        status=UNRESOLVED,
-                        attempts=outcome.attempts,
-                        derived_from=None if member == rep else rep,
-                    )
+                    row = replace(row, spec=mapped, certificate=cert)
+                found[_couple_token(member)] = row
         rows = [found[_couple_token(c)] for c in couples]
 
     orbit_groups = _orbit_groups(couples)
@@ -167,7 +154,7 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
     )
 
 
-def _pair_row(couple: PairCouple, outcome: SearchOutcome) -> SweepRow:
+def _row(couple: Union[PairCouple, ModuliCouple], outcome: SearchOutcome) -> SweepRow:
     if outcome.found:
         return SweepRow(
             couple=couple,
@@ -210,20 +197,7 @@ def sweep_moduli(sigma: SignPattern, cfg: SearchConfig) -> SweepReport:
                 )
             )
             continue
-        outcome = sampler.search_moduli(sigma, order, cfg)
-        if outcome.found:
-            rows.append(
-                SweepRow(
-                    couple=couple,
-                    status=REALIZED,
-                    attempts=outcome.attempts,
-                    attempt_index=outcome.attempt_index,
-                    spec=outcome.spec,
-                    certificate=outcome.certificate,
-                )
-            )
-        else:
-            rows.append(SweepRow(couple=couple, status=UNRESOLVED, attempts=outcome.attempts))
+        rows.append(_row(couple, sampler.search_moduli(sigma, order, cfg)))
     return SweepReport(
         kind="moduli", query=f"sigma={sigma.word}", config=cfg, rows=tuple(rows)
     )

@@ -31,12 +31,7 @@ from polyrealize.moduliorders import (
     forcing_test,
     parse_order,
 )
-from polyrealize.polycore import (
-    RootSpec,
-    evaluate,
-    expand_from_roots,
-    sign_vector,
-)
+from polyrealize.polycore import RootSpec, expand_from_roots, horner, sign_tuple
 from polyrealize.sampler import (
     Mixture,
     SearchConfig,
@@ -262,10 +257,10 @@ def test_criterion_7_property_suites():
     while checked < n_cases:
         spec = random_rootspec(1001, case, max_degree=8)
         case += 1
-        sv = sign_vector(expand_from_roots(spec))
-        if not sv:
+        sv = sign_tuple(expand_from_roots(spec).coeffs)
+        if sv is None:
             continue
-        c, p = descartes_pair(sv)
+        c, p = descartes_pair(SignPattern(sv))
         pos, neg = spec.pos_count, spec.neg_count
         assert pos <= c and neg <= p
         assert (c - pos) % 2 == 0 and (p - neg) % 2 == 0
@@ -307,10 +302,10 @@ def test_criterion_7_property_suites():
     while agreed < n_cases:
         spec = random_rootspec(1005, case, max_degree=8)
         case += 1
-        sv = sign_vector(expand_from_roots(spec))
-        if not sv:
+        sv = sign_tuple(expand_from_roots(spec).coeffs)
+        if sv is None:
             continue
-        assert exact_sign_pattern(exact_expand(rationalize(spec))) == sv
+        assert exact_sign_pattern(exact_expand(rationalize(spec))).signs == sv
         agreed += 1
     print(f"[criterion 7] float/exact agreement: PASS ({agreed} specs)")
 
@@ -326,7 +321,7 @@ def test_criterion_7_property_suites():
         assert result.spec.real_roots == expect
         bound = 1e-9 * (1.0 + max(abs(c) for c in result.poly.coeffs))
         for r in result.spec.real_roots:
-            assert abs(evaluate(result.poly, float(r))) <= bound
+            assert abs(horner(result.poly.coeffs, float(r))) <= bound
     print(f"[criterion 7] concat root bookkeeping: PASS ({n_cases} merges)")
 
     # bitwise determinism across repeated draws and budget prefixes: a search

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_rootspec
 from polyrealize.catalog import catalog_lookup
 from polyrealize.certifier import (
-    UNDECIDED,
+    GAP_REFINE_CAP,
     Certificate,
     ExactPolynomial,
     Mismatch,
@@ -20,9 +20,10 @@ from polyrealize.certifier import (
     rationalize,
     rationalize_value,
 )
-from polyrealize.moduliorders import ModuliCouple, TiedModuliError, parse_order
-from polyrealize.polycore import RootSpec, expand_from_roots, sign_vector
-from polyrealize.signpatterns import PairCouple, RootCountPair, from_runs
+from polyrealize.criticalgaps import gap_report
+from polyrealize.moduliorders import ModuliCouple, ModuliOrder, parse_order
+from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
+from polyrealize.signpatterns import PairCouple, RootCountPair, from_runs, parse_pattern
 
 
 def q1_spec() -> RootSpec:
@@ -120,27 +121,39 @@ class TestCertifyCouple:
         assert got.failed_check == "moduli_order"
         assert got.actual_order == parse_order("[0,0,5]")
 
-    def test_zero_coefficient_raises(self):
+    def test_zero_coefficient_is_sign_vector_mismatch(self):
+        # (x-1)(x+1) = x^2 - 1: the x^1 coefficient vanishes, so no sign word
         spec = RootSpec(real_roots=(Fraction(1), Fraction(-1)))
-        with pytest.raises(ZeroCoefficientError):
-            certify_couple(spec, PairCouple(from_runs((1, 1, 1)), RootCountPair(2, 0)))
+        got = certify_couple(spec, PairCouple(from_runs((1, 1, 1)), RootCountPair(2, 0)))
+        assert isinstance(got, Mismatch)
+        assert got.failed_check == "sign_vector"
+        assert got.actual_pattern is None and got.actual_pair == (1, 1)
 
-    def test_tied_moduli_raises(self):
+    def test_tied_moduli_is_order_mismatch(self):
         # (x-1)(x+1)(x-2) has sign word +--+ but |1| = |-1| ties the order
         spec = RootSpec(real_roots=(Fraction(1), Fraction(-1), Fraction(2)))
         claim = ModuliCouple(from_runs((1, 2, 1)), parse_order("PNP"))
-        with pytest.raises(TiedModuliError):
-            certify_couple(spec, claim)
+        got = certify_couple(spec, claim)
+        assert isinstance(got, Mismatch)
+        assert got.failed_check == "moduli_order"
+        assert got.actual_order is None
+
+    def test_moduli_tied_by_rationalization(self):
+        # the float moduli differ, but both round to 3/10 at 12 digits
+        spec = rationalize(RootSpec(real_roots=(0.3000000000001, -0.3000000000002, 0.9)))
+        got = certify_couple(spec, ModuliCouple(parse_pattern("+--+"), ModuliOrder("PNP")))
+        assert isinstance(got, Mismatch)
+        assert got.failed_check == "moduli_order"
 
     def test_float_exact_sign_agreement(self):
         agreed = 0
         for case in range(2000):
             spec = random_rootspec(2718, case)
-            sv = sign_vector(expand_from_roots(spec))
-            if not sv:
+            sv = sign_tuple(expand_from_roots(spec).coeffs)
+            if sv is None:
                 continue
             exact = exact_sign_pattern(exact_expand(rationalize(spec)))
-            assert exact == sv
+            assert exact.signs == sv
             agreed += 1
         assert agreed > 1000
 
@@ -160,7 +173,17 @@ class TestCertifyGapClass:
         k = 1100
         b = Fraction(2**k - 1, 2**k)
         got = certify_gap_class([Fraction(-1), -b, b, Fraction(1)])
-        assert got is UNDECIDED
+        assert isinstance(got, Mismatch)
+        assert got.failed_check == "gap_class"
+        assert got.detail == f"undecided after {GAP_REFINE_CAP} rounds"
+
+    def test_roots_tied_by_rationalization(self):
+        # distinct floats with a float class; both middle roots round to 3/10
+        xs = [-0.7, 0.3000000000001, 0.3000000000002, 0.9]
+        assert gap_report(xs).gap_class == "L+R-"
+        got = certify_gap_class([rationalize_value(x) for x in xs])
+        assert isinstance(got, Mismatch)
+        assert got.failed_check == "simple_roots"
 
     def test_input_validation(self):
         with pytest.raises(ValueError):

@@ -34,6 +34,13 @@ class TestRootsFile:
         with pytest.raises(ValueError):
             parse_roots_file(str(path))
 
+    @pytest.mark.parametrize("line", ["nan", "inf", "-inf", "c:0.5,inf"])
+    def test_non_finite(self, tmp_path, line):
+        path = tmp_path / "roots.txt"
+        path.write_text(f"0.5\n{line}\n-0.3\n")
+        with pytest.raises(ValueError, match=r"roots\.txt:2: root is not finite"):
+            parse_roots_file(str(path))
+
 
 class TestSearchCommands:
     def test_trivial_pair_found(self, runner):
@@ -120,6 +127,20 @@ class TestSweepCommands:
         assert result.exit_code == 0
         assert "forced" in result.output
 
+    def test_readme_experiments(self, runner):
+        # the three experiment commands README documents, at the default seed
+        result = runner.invoke(main, ["sweep", "pairs", "--degree", "4", "--budget", "100000"])
+        assert result.exit_code == 1
+        assert "46 couples: 44 realized, 0 forced non-realizable, 2 unresolved" in result.output
+        result = runner.invoke(main, ["sweep", "moduli", "--sigma", "1,2,3,2",
+                                      "--budget", "1000000"])
+        assert result.exit_code == 0
+        assert "35 couples: 21 realized, 14 forced non-realizable, 0 unresolved" in result.output
+        result = runner.invoke(main, ["search", "gaps", "--degree", "6", "--class", "L-R+",
+                                      "--n", "100000", "--seed", "3"])
+        assert result.exit_code == 0
+        assert "found at attempt 2 " in result.output
+
 
 class TestVerifyCommand:
     def test_verified(self, runner, tmp_path):
@@ -145,6 +166,18 @@ class TestVerifyCommand:
                                       "--sigma", "3,4,1", "--order", "[0,0,5]"])
         assert result.exit_code == 0
 
+    @pytest.mark.parametrize("roots, claim, check", [
+        ("1\n-1\n", ["--sigma", "1,1,1", "--pos", "2", "--neg", "0"], "sign_vector"),
+        ("1\n-1\n2\n", ["--sigma", "1,2,1", "--order", "PNP"], "moduli_order"),
+    ], ids=["zero_coefficient", "tied_moduli"])
+    def test_degenerate_roots_are_a_mismatch(self, runner, tmp_path, roots, claim, check):
+        # a zero coefficient or tied moduli make the claim false, not the input invalid
+        path = tmp_path / "roots.txt"
+        path.write_text(roots)
+        result = runner.invoke(main, ["verify", "--roots", str(path), *claim])
+        assert result.exit_code == 1
+        assert f"mismatch at {check}" in result.output
+
     def test_both_claims_rejected(self, runner, tmp_path):
         path = tmp_path / "roots.txt"
         path.write_text(Q1_FILE)
@@ -162,6 +195,14 @@ class TestGapsCommand:
         assert result.exit_code == 0
         assert "class L-R+" in result.output
         assert "exact certification: L-R+" in result.output
+
+    def test_rationalization_tie_is_a_mismatch(self, runner, tmp_path):
+        path = tmp_path / "roots.txt"
+        path.write_text("-0.7\n0.3000000000001\n0.3000000000002\n0.9\n")
+        result = runner.invoke(main, ["gaps", "--roots", str(path), "--certify"])
+        assert result.exit_code == 1
+        assert "class L+R-" in result.output
+        assert "exact certification: mismatch at simple_roots" in result.output
 
     def test_complex_roots_rejected(self, runner, tmp_path):
         path = tmp_path / "roots.txt"

@@ -9,19 +9,18 @@ from hypothesis import strategies as st
 from conftest import random_rootspec
 from polyrealize.certifier import exact_expand, rationalize
 from polyrealize.polycore import (
-    AMBIGUOUS,
     RealPolynomial,
     RootSpec,
     ZeroRootError,
-    derivative,
-    evaluate,
+    derivative_coeffs,
     expand,
     expand_from_roots,
     expand_real,
     horner,
-    sign_vector,
+    sign_tuple,
 )
 from polyrealize.sampler import Mixture, MultiplicityBias, SearchConfig, Uniform, _draw_pair_roots
+from polyrealize.signpatterns import SignPattern
 
 GAP_D6_ROOTS = (-0.19, -0.18, 0.13, 0.21, 0.67, 0.96)
 
@@ -49,7 +48,7 @@ class TestExpandFromRoots:
     def test_symmetric_cancellation_is_ambiguous(self):
         p = expand_from_roots(RootSpec(real_roots=(1.0, -1.0)))
         assert p.coeffs == (1.0, 0.0, -1.0)
-        assert sign_vector(p, 1e-9) is AMBIGUOUS
+        assert sign_tuple(p.coeffs, 1e-9) is None
 
     def test_zero_root_rejected(self):
         with pytest.raises(ZeroRootError):
@@ -80,40 +79,40 @@ class TestExpandFromRoots:
             p = expand_from_roots(spec)
             bound = 1e-9 * (1.0 + max(abs(c) for c in p.coeffs))
             for r in spec.real_roots:
-                assert abs(evaluate(p, r)) <= bound
+                assert abs(horner(p.coeffs, r)) <= bound
 
 
 class TestEvaluate:
     def test_simple(self):
         p = RealPolynomial((0.0, -1.0))  # x^2 - 1
-        assert evaluate(p, 2.0) == 3.0
-        assert evaluate(p, 1.0) == 0.0
+        assert horner(p.coeffs, 2.0) == 3.0
+        assert horner(p.coeffs, 1.0) == 0.0
 
     def test_gap_witness_at_zero(self):
         p = RealPolynomial(tuple(expand_real(list(GAP_D6_ROOTS))[1:]))
-        assert abs(evaluate(p, 0.0) - 0.000600530112) < 1e-15
+        assert abs(horner(p.coeffs, 0.0) - 0.000600530112) < 1e-15
 
 
 class TestDerivative:
     def test_gap_witness_derivative(self):
         p = RealPolynomial(tuple(expand_real(list(GAP_D6_ROOTS))[1:]))
         expected = (6.0, -8.0, 2.12, 0.367734, -0.07587018, -0.0025040322)
-        got = derivative(p)
+        got = derivative_coeffs(p.coeffs)
         assert len(got) == 6
         for a, b in zip(got, expected):
             assert abs(a - b) <= 1e-12
 
     def test_quadratic(self):
-        assert derivative(RealPolynomial((0.0, -1.0))) == (2.0, 0.0)
+        assert derivative_coeffs(RealPolynomial((0.0, -1.0)).coeffs) == (2.0, 0.0)
 
     def test_linear(self):
-        assert derivative(RealPolynomial((-3.0,))) == (1.0,)
+        assert derivative_coeffs(RealPolynomial((-3.0,)).coeffs) == (1.0,)
 
     def test_degree_and_leading(self):
         for case in range(100):
             spec = random_rootspec(5, case)
             p = expand_from_roots(spec)
-            d = derivative(p)
+            d = derivative_coeffs(p.coeffs)
             assert len(d) == p.degree
             assert d[0] == float(p.degree)
 
@@ -197,27 +196,21 @@ class TestExpandKernel:
 
 class TestSignVector:
     def test_q1_pattern(self):
-        sv = sign_vector(expand_from_roots(q1_spec()))
+        sv = SignPattern(sign_tuple(expand_from_roots(q1_spec()).coeffs))
         assert sv.word == "+---++"
         assert sv.runs == (1, 3, 2)
 
     def test_degree7_moduli_witness_pattern(self):
         printed = (17.91, 98.1106, -21.793074, -1971.427200, -5976.303538,
                    -2955.965399, 6696.676474)
-        sv = sign_vector(RealPolynomial(printed))
+        sv = SignPattern(sign_tuple(RealPolynomial(printed).coeffs))
         assert sv.word == "+++----+"
 
     def test_ambiguous_is_falsy_value(self):
-        got = sign_vector(RealPolynomial((0.0, -1.0)), 1e-9)
-        assert got is AMBIGUOUS
-        assert not got
-
-    def test_tau_validation(self):
-        with pytest.raises(ValueError):
-            sign_vector(RealPolynomial((1.0,)), 0.0)
+        assert sign_tuple(RealPolynomial((0.0, -1.0)).coeffs, 1e-9) is None
 
     @given(st.floats(min_value=0.1, max_value=10.0))
     def test_scaling_keeps_signs(self, r):
         p = expand_from_roots(RootSpec(real_roots=(r, -2 * r)))
-        sv = sign_vector(p)
-        assert sv is not AMBIGUOUS and sv.signs[0] == 1
+        sv = sign_tuple(p.coeffs)
+        assert sv is not None and sv[0] == 1

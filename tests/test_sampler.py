@@ -1,8 +1,11 @@
+from fractions import Fraction
+
 import pytest
 
+from polyrealize import certifier
 from polyrealize.certifier import Certificate
 from polyrealize.moduliorders import ModuliOrder, order_from_roots, parse_order
-from polyrealize.polycore import expand_from_roots, sign_vector
+from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
 from polyrealize.sampler import (
     Mixture,
     MultiplicityBias,
@@ -86,6 +89,8 @@ class TestConfigValidation:
             dict(n=10, strategy=Mixture(narrow_scale=2.0)),
             dict(n=10, strategy=Mixture(narrow_fraction=1.5)),
             dict(n=10, strategy=MultiplicityBias(dup_probability=-0.1)),
+            dict(n=10, ell=float("inf")),
+            dict(n=10, tau=float("inf")),
         ],
     )
     def test_rejects(self, kwargs):
@@ -114,7 +119,7 @@ class TestSearchPair:
     def test_found_reverifies(self):
         sigma = from_runs((1, 3, 2))
         out = search_pair(sigma, RootCountPair(0, 3), SearchConfig(n=10**5, seed=42))
-        assert sign_vector(expand_from_roots(out.spec)) == sigma
+        assert sign_tuple(expand_from_roots(out.spec).coeffs) == sigma.signs
         assert (out.spec.pos_count, out.spec.neg_count) == (0, 3)
         assert isinstance(out.certificate, Certificate)
         assert out.certificate.claim.pattern == sigma
@@ -125,11 +130,6 @@ class TestSearchPair:
         assert not out.found
         assert out.status == "exhausted"
         assert out.attempts == 2000
-
-    def test_no_certify_skips_certificate(self):
-        out = search_pair(parse_pattern("+-"), RootCountPair(1, 0),
-                          SearchConfig(n=10, certify=False))
-        assert out.found and out.certificate is None
 
 
 class TestSearchModuli:
@@ -158,6 +158,34 @@ class TestSearchModuli:
                             SearchConfig(n=10**5, seed=1))
         assert not out.found and out.attempts == 10**5
 
+
+class TestTiesAfterRationalization:
+    # a float hit whose rationalized roots tie is a rejected sample, not an error
+
+    def test_moduli_search_scans_on(self, monkeypatch):
+        calls = []
+
+        def all_moduli_one(spec, digits):
+            calls.append(spec)
+            return RootSpec(real_roots=tuple(Fraction(1 if r > 0 else -1)
+                                             for r in spec.real_roots))
+
+        monkeypatch.setattr(certifier, "rationalize", all_moduli_one)
+        out = search_moduli(parse_pattern("+--+"), ModuliOrder("PNP"), SearchConfig(n=200))
+        assert calls  # float hits reached the certifier
+        assert out.status == "exhausted" and out.attempts == 200
+
+    def test_gap_search_scans_on(self, monkeypatch):
+        calls = []
+
+        def round_to_integer(x, digits):
+            calls.append(x)
+            return Fraction(round(x))  # four roots in [-1, 1] take at most three values
+
+        monkeypatch.setattr(certifier, "rationalize_value", round_to_integer)
+        out = search_gap_class(4, "L+R-", SearchConfig(n=100, seed=17))
+        assert calls
+        assert out.status == "exhausted" and out.attempts == 100
 
 
 class TestSearchGapClass:
