@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -41,7 +42,7 @@ def _run(body) -> None:
     sys.exit(code)
 
 
-def parse_roots_file(path: str) -> RootSpec:
+def _read_roots(path: str) -> tuple[list[float], list[tuple[float, float]]]:
     """One decimal per line for real roots; complex pairs as 'c:re,im' lines."""
     reals: list[float] = []
     pairs: list[tuple[float, float]] = []
@@ -65,6 +66,12 @@ def parse_roots_file(path: str) -> RootSpec:
             reals.append(values[0])
     if not reals and not pairs:
         raise ValueError(f"{path}: no roots found")
+    return reals, pairs
+
+
+def parse_roots_file(path: str) -> RootSpec:
+    """The RootSpec of a roots file (see _read_roots); a zero real root is rejected."""
+    reals, pairs = _read_roots(path)
     return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
 
 
@@ -327,10 +334,10 @@ def gaps_cmd(roots_path, do_certify):
     """Gap statistics and class of a root file (real roots only)."""
 
     def body():
-        spec = parse_roots_file(roots_path)
-        if spec.complex_pairs:
+        reals, pairs = _read_roots(roots_path)
+        if pairs:
             raise ValueError("gap analysis takes real roots only")
-        xs = sorted(spec.real_roots)
+        xs = sorted(reals)
         try:
             rpt = gap_report(xs)
         except DegenerateMarginError as exc:
@@ -347,7 +354,7 @@ def gaps_cmd(roots_path, do_certify):
             click.echo(f"m(crit)={rpt.m_prime}  M(crit)={rpt.M_prime}")
             click.echo(f"class {rpt.gap_class}  margins {rpt.margins}")
         if do_certify:
-            exact = [certifier.rationalize_value(x) for x in xs]
+            exact = [certifier.rationalize_value(x) if x else Fraction(0) for x in xs]
             got = certifier.certify_gap_class(exact)
             if isinstance(got, Mismatch):
                 click.echo(f"exact certification: mismatch at {got.failed_check}: {got.detail}")

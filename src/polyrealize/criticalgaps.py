@@ -2,13 +2,15 @@
 
 Given strictly increasing roots x_1 < ... < x_n, this module computes the
 midpoints z_k = (x_k + x_{k+1})/2, the critical points xi_k (one per open root
-interval, by sign-change bisection on the derivative), the six min/max gap
-statistics over the three sequences, and the four-way class recording which
-side of the chain
+interval, by bisection on the sign of P'/P = sum 1/(t - x_j)), the six
+min/max gap statistics over the three sequences, and the four-way class
+recording which side of the chain
 
     min consecutive-midpoint gap  <  critical-point gap  <  max midpoint gap
 
-holds strictly (+) or fails (-) on the left (L) and right (R).
+holds strictly (+) or fails (-) on the left (L) and right (R).  gap_report
+refines every critical point in full; match, the search's test, refines in
+stages and stops as soon as the target class is ruled out.
 """
 
 from __future__ import annotations
@@ -19,8 +21,11 @@ from typing import Sequence
 # below this absolute margin a strict comparison is not trusted in floats
 MARGIN_EPS = 1e-10
 BISECTION_REL_TOL = 1e-12
+# match() refines in stages of tolerance (x_n - x_1) / 16**j, j = 1, 2, ...
+_STAGE_FACTOR = 16.0
 
 GAP_CLASSES = ("L+R+", "L+R-", "L-R+", "L-R-")
+_SIGN = {1: "+", -1: "-"}
 
 
 class UnsortedRootsError(ValueError):
@@ -82,25 +87,6 @@ def midpoints(x: Sequence[float]) -> list[float]:
     return _midpoints(x)
 
 
-def _bisect(x: Sequence[float], lo: float, hi: float, tol: float) -> tuple[float, float]:
-    flo = derivative_at_from_roots(x, lo)
-    fhi = derivative_at_from_roots(x, hi)
-    if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChangeError(f"no derivative sign change over ({lo!r}, {hi!r})")
-    while hi - lo > 2.0 * tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
-            break
-        fm = derivative_at_from_roots(x, mid)
-        if fm == 0.0:
-            return mid, mid
-        if (fm > 0.0) == (flo > 0.0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return lo, hi
-
-
 def derivative_at_from_roots(roots: Sequence[float], x: float) -> float:
     """P'(x) for P = prod (x - r), evaluated from root differences.
 
@@ -126,46 +112,74 @@ def derivative_at_from_roots(roots: Sequence[float], x: float) -> float:
     return prod * s
 
 
+def _brackets(x: Sequence[float]) -> tuple[list[float], list[float]]:
+    """Lower and upper ends of the root intervals (x_k, x_{k+1}), one bracket each.
+
+    Raises NoSignChangeError when P' does not change sign over an interval,
+    which happens when its product form underflows to zero at a root.
+    """
+    ends = [derivative_at_from_roots(x, r) for r in x]
+    for k in range(len(x) - 1):
+        flo, fhi = ends[k], ends[k + 1]
+        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
+            raise NoSignChangeError(f"no derivative sign change over ({x[k]!r}, {x[k + 1]!r})")
+    return list(x[:-1]), list(x[1:])
+
+
+def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> None:
+    """Halve every bracket [lo[k], hi[k]] in place until it is at most 2*tol wide.
+
+    On a root interval P'/P = sum 1/(t - r) falls strictly from +inf to -inf
+    while the sign of P is fixed, so the sign of that sum alone says which
+    half holds the critical point.  A bracket stops early when its ends are
+    adjacent floats, and collapses onto a midpoint where the sum is exactly
+    zero (or NaN, which takes subnormal root gaps).  Refining to tol and
+    then to a smaller tol visits the same midpoints as refining to the
+    smaller tol at once.
+    """
+    width = 2.0 * tol
+    for k in range(len(lo)):
+        a, b = lo[k], hi[k]
+        while b - a > width:
+            mid = 0.5 * (a + b)
+            if mid <= a or mid >= b:
+                break
+            s = 0.0
+            for r in x:
+                s += 1.0 / (mid - r)
+            if s > 0.0:
+                a = mid
+            elif s < 0.0:
+                b = mid
+            else:
+                a = b = mid
+        lo[k], hi[k] = a, b
+
+
+def _margin_sign(m: float) -> int:
+    """+1 or -1 for a margin decided in floats; 0 when it is within MARGIN_EPS of zero."""
+    if abs(m) < MARGIN_EPS:
+        return 0
+    return 1 if m > 0 else -1
+
+
 def critical_points(x: Sequence[float]) -> list[float]:
     """One derivative root per open interval between consecutive simple roots.
 
-    Bisection on the product-form derivative (derivative_at_from_roots)
-    refines each enclosure to absolute half-width at most
-    1e-12 * (x_n - x_1); interlacing guarantees exactly one sign change per
-    interval.  A derivative that underflows to zero at a root surfaces as
-    NoSignChangeError.
+    Each enclosure is bisected on the sign of P'/P (see _refine) to absolute
+    half-width at most 1e-12 * (x_n - x_1); interlacing guarantees exactly
+    one critical point per interval.  A derivative that underflows to zero
+    at a root surfaces as NoSignChangeError.
     """
     _check_sorted(x, 2)
-    xi, _ = _critical_points_with_widths(x)
-    return xi
+    lo, hi = _brackets(x)
+    _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
+    return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
 
-def _critical_points_with_widths(x: Sequence[float]):
-    tol = BISECTION_REL_TOL * (x[-1] - x[0])
-    xi = []
-    widths = []
-    for k in range(len(x) - 1):
-        lo, hi = _bisect(x, x[k], x[k + 1], tol)
-        xi.append(0.5 * (lo + hi))
-        widths.append(0.5 * (hi - lo))
-    return xi, widths
-
-
-def gap_report(x: Sequence[float]) -> GapReport:
-    """Gap statistics and class of the monic polynomial with roots x.
-
-    Needs at least three roots so that both consecutive-midpoint gaps and
-    consecutive critical-point gaps exist.  The derivative is evaluated in
-    product form straight from the roots (see derivative_at_from_roots).
-    Raises DegenerateMarginError when a deciding margin is within 1e-10 of
-    zero; exact classification then belongs to the certifier.
-    """
-    x = [float(v) for v in x]
-    _check_sorted(x, 3)
-
-    z = _midpoints(x)
-    xi, widths = _critical_points_with_widths(x)
-
+def _report(x: list[float], z: list[float], lo: list[float], hi: list[float]) -> GapReport:
+    """The GapReport whose critical points are the centres of the brackets."""
+    xi = [0.5 * (a + b) for a, b in zip(lo, hi)]
     x_gaps = [b - a for a, b in zip(x, x[1:])]
     z_gaps = [b - a for a, b in zip(z, z[1:])]
     xi_gaps = [b - a for a, b in zip(xi, xi[1:])]
@@ -174,22 +188,86 @@ def gap_report(x: Sequence[float]) -> GapReport:
     m_prime, M_prime = min(xi_gaps), max(xi_gaps)
     left = m_prime - m_tilde
     right = M_tilde - M_prime
-    if abs(left) < MARGIN_EPS or abs(right) < MARGIN_EPS:
+    left_sign, right_sign = _margin_sign(left), _margin_sign(right)
+    if not left_sign or not right_sign:
         raise DegenerateMarginError(
             f"margins ({left!r}, {right!r}) too small to classify in floats"
         )
-    cls = ("L+" if left > 0 else "L-") + ("R+" if right > 0 else "R-")
     return GapReport(
         x=tuple(x),
         z=tuple(z),
         xi=tuple(xi),
-        xi_halfwidth=tuple(widths),
+        xi_halfwidth=tuple(0.5 * (b - a) for a, b in zip(lo, hi)),
         m_p=min(x_gaps),
         M_p=max(x_gaps),
         m_tilde=m_tilde,
         M_tilde=M_tilde,
         m_prime=m_prime,
         M_prime=M_prime,
-        gap_class=cls,
+        gap_class=f"L{_SIGN[left_sign]}R{_SIGN[right_sign]}",
         margins=(left, right),
     )
+
+
+def gap_report(x: Sequence[float]) -> GapReport:
+    """Gap statistics and class of the monic polynomial with roots x.
+
+    Needs at least three roots so that both consecutive-midpoint gaps and
+    consecutive critical-point gaps exist.  Critical points come from
+    critical_points' bisection, refined in full.  Raises
+    DegenerateMarginError when a deciding margin is within 1e-10 of zero;
+    exact classification then belongs to the certifier.
+    """
+    x = [float(v) for v in x]
+    _check_sorted(x, 3)
+    lo, hi = _brackets(x)
+    _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
+    return _report(x, _midpoints(x), lo, hi)
+
+
+def match(x: Sequence[float], target: str) -> GapReport | None:
+    """gap_report(x) when its class is `target`; None otherwise.
+
+    None also stands for the inputs gap_report rejects with
+    DegenerateMarginError or NoSignChangeError.  The brackets are refined in
+    stages whose tolerance falls by _STAGE_FACTOR from (x_n - x_1) /
+    _STAGE_FACTOR.  After each stage the brackets bound every critical gap,
+    and so both margins: float subtraction and min/max are monotone, so the
+    bounds hold the margins that full refinement computes.  Once the bounds
+    rule out the target side of a margin the search stops.  Otherwise the
+    last stage is the full refinement, and the report is built from those
+    brackets exactly as gap_report builds it.
+    """
+    if target not in GAP_CLASSES:
+        raise ValueError(f"target class must be one of {GAP_CLASSES}")
+    want_left = 1 if target[1] == "+" else -1
+    want_right = 1 if target[3] == "+" else -1
+    x = [float(v) for v in x]
+    _check_sorted(x, 3)
+    try:
+        lo, hi = _brackets(x)
+    except NoSignChangeError:
+        return None
+    z = _midpoints(x)
+    z_gaps = [b - a for a, b in zip(z, z[1:])]
+    m_tilde, M_tilde = min(z_gaps), max(z_gaps)
+    span = x[-1] - x[0]
+    full = BISECTION_REL_TOL * span
+    tol = span / _STAGE_FACTOR
+    while tol > full:
+        _refine(x, lo, hi, tol)
+        inner = [b - a for a, b in zip(hi, lo[1:])]  # lo_{k+1} - hi_k <= xi gap k
+        outer = [b - a for a, b in zip(lo, hi[1:])]  # hi_{k+1} - lo_k >= xi gap k
+        if not (_margin_sign(min(inner) - m_tilde) <= want_left
+                <= _margin_sign(min(outer) - m_tilde)):
+            return None
+        if not (_margin_sign(M_tilde - max(outer)) <= want_right
+                <= _margin_sign(M_tilde - max(inner))):
+            return None
+        tol /= _STAGE_FACTOR
+    _refine(x, lo, hi, full)
+    try:
+        report = _report(x, z, lo, hi)
+    except DegenerateMarginError:
+        return None
+    return report if report.gap_class == target else None

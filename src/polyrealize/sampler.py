@@ -11,7 +11,8 @@ Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs, expand, compare the
 coefficient sign word), moduli search (draw d positives, sort, negate where
 the target order says N), and gap-class search (draw d distinct reals and
-classify their critical-point gaps).  A hit is reported only with an exact
+test their critical-point gaps against the target class, which stops
+refining once that class is ruled out).  A hit is reported only with an exact
 Certificate; a floating hit whose rationalized form yields a Mismatch is
 counted as a failed attempt and the scan goes on.
 """
@@ -26,13 +27,7 @@ from typing import Optional, Union
 
 from . import certifier, polycore
 from .certifier import Certificate
-from .criticalgaps import (
-    GAP_CLASSES,
-    DegenerateMarginError,
-    GapReport,
-    NoSignChangeError,
-    gap_report,
-)
+from .criticalgaps import GAP_CLASSES, GapReport, match
 from .moduliorders import ModuliCouple, ModuliOrder, is_compatible
 from .polycore import RealPolynomial, RootSpec, expand, expand_from_roots, sign_tuple
 from .signpatterns import (
@@ -341,11 +336,8 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
         for j in range(d - 1):
             if xs[j] == xs[j + 1]:
                 return None
-        try:
-            report = gap_report(xs)
-        except (DegenerateMarginError, NoSignChangeError):
-            return None
-        if report.gap_class != target:
+        report = match(xs, target)
+        if report is None:
             return None
         cert = certifier.certify_gap_class(
             [certifier.rationalize_value(x, cfg.digits) for x in xs]

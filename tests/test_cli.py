@@ -204,6 +204,15 @@ class TestGapsCommand:
         assert "class L+R-" in result.output
         assert "exact certification: mismatch at simple_roots" in result.output
 
+    def test_zero_root(self, runner, tmp_path):
+        # a zero root is valid for gap analysis, unlike for sign patterns
+        path = tmp_path / "roots.txt"
+        path.write_text("-1\n0\n1\n")
+        result = runner.invoke(main, ["gaps", "--roots", str(path), "--certify"])
+        assert result.exit_code == 0
+        assert "class L+R-" in result.output
+        assert "exact certification: L+R-" in result.output
+
     def test_complex_roots_rejected(self, runner, tmp_path):
         path = tmp_path / "roots.txt"
         path.write_text("1.0\n2.0\n3.0\nc:0.5,0.5\n")

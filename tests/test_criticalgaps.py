@@ -1,15 +1,22 @@
 import math
+import struct
 
 import pytest
 
 from conftest import random_distinct_sorted
+from polyrealize import criticalgaps
 from polyrealize.criticalgaps import (
+    BISECTION_REL_TOL,
+    GAP_CLASSES,
+    MARGIN_EPS,
     DegenerateMarginError,
     NoSignChangeError,
     TiedRootsError,
     UnsortedRootsError,
     critical_points,
+    derivative_at_from_roots,
     gap_report,
+    match,
     midpoints,
 )
 GAP_D6_ROOTS = [-0.19, -0.18, 0.13, 0.21, 0.67, 0.96]
@@ -153,3 +160,162 @@ class TestGapReport:
             assert rpt.m_prime <= rpt.M_prime
             direct = min((xs[k + 2] - xs[k]) / 2 for k in range(len(xs) - 2))
             assert rpt.m_tilde == direct
+
+
+# --- reference: the product-form bisection that the sign-only kernel replaced ---
+
+def _reference_bisect(x, lo, hi, tol):
+    flo = derivative_at_from_roots(x, lo)
+    fhi = derivative_at_from_roots(x, hi)
+    if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
+        raise NoSignChangeError(f"no derivative sign change over ({lo!r}, {hi!r})")
+    while hi - lo > 2.0 * tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
+            break
+        fm = derivative_at_from_roots(x, mid)
+        if fm == 0.0:
+            return mid, mid
+        if (fm > 0.0) == (flo > 0.0):
+            lo, flo = mid, fm
+        else:
+            hi = mid
+    return lo, hi
+
+
+def _reference_critical_points_with_widths(x):
+    tol = BISECTION_REL_TOL * (x[-1] - x[0])
+    xi = []
+    widths = []
+    for k in range(len(x) - 1):
+        lo, hi = _reference_bisect(x, x[k], x[k + 1], tol)
+        xi.append(0.5 * (lo + hi))
+        widths.append(0.5 * (hi - lo))
+    return xi, widths
+
+
+def _reference_match(xs, target):
+    try:
+        rpt = gap_report(xs)
+    except (DegenerateMarginError, NoSignChangeError):
+        return None
+    return rpt if rpt.gap_class == target else None
+
+
+def _bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+ELLS = (2.0**-30, 1.0, 2.0**30)
+
+
+class TestSignOnlyKernel:
+    @pytest.mark.parametrize("draws", [300, pytest.param(10_000, marks=pytest.mark.slow)])
+    def test_bit_identical_to_product_form(self, draws):
+        for d in range(3, 13):
+            for ell in ELLS:
+                for case in range(draws):
+                    xs = random_distinct_sorted(500 + d, case, d, spread=ell)
+                    want_xi, want_w = _reference_critical_points_with_widths(xs)
+                    lo, hi = criticalgaps._brackets(xs)
+                    criticalgaps._refine(xs, lo, hi, BISECTION_REL_TOL * (xs[-1] - xs[0]))
+                    got_xi = [0.5 * (a + b) for a, b in zip(lo, hi)]
+                    got_w = [0.5 * (b - a) for a, b in zip(lo, hi)]
+                    assert _bits(got_xi) == _bits(want_xi), (d, ell, case)
+                    assert _bits(got_w) == _bits(want_w), (d, ell, case)
+
+    def test_public_paths_share_the_kernel(self):
+        xs = random_distinct_sorted(77, 0, 7)
+        xi, widths = _reference_critical_points_with_widths(xs)
+        rpt = gap_report(xs)
+        assert _bits(critical_points(xs)) == _bits(xi) == _bits(rpt.xi)
+        assert _bits(rpt.xi_halfwidth) == _bits(widths)
+
+    def test_gap_report_keeps_no_sign_change(self):
+        with pytest.raises(NoSignChangeError):
+            gap_report([1e-200, 2e-200, 3e-200])
+
+
+def _margins(xs):
+    """gap_report's two margins, also where it would call them degenerate."""
+    z = midpoints(xs)
+    xi = critical_points(xs)
+    z_gaps = [b - a for a, b in zip(z, z[1:])]
+    xi_gaps = [b - a for a, b in zip(xi, xi[1:])]
+    return min(xi_gaps) - min(z_gaps), max(z_gaps) - max(xi_gaps)
+
+
+def _near_degenerate_roots():
+    """Root sets with a margin steered to within 10 * MARGIN_EPS of +-MARGIN_EPS.
+
+    For each degree and side, two random root sets whose margins on that side
+    have opposite signs are joined by a straight path (a convex combination of
+    sorted vectors stays sorted); bisection on the path parameter then hits
+    each target margin.
+    """
+    offsets = (-9.0, -3.0, -1.0, -0.5, -0.1, -1e-3, 0.0, 1e-3, 0.1, 0.5, 1.0, 3.0, 9.0)
+    found = []
+    for d in (5, 6, 8):  # sampled degree-3 and degree-4 root sets are all L+
+        for side in (0, 1):
+            ends = {}
+            case = 0
+            while len(ends) < 2:
+                xs = random_distinct_sorted(600 + d, case, d)
+                case += 1
+                ends.setdefault(_margins(xs)[side] > 0, xs)
+            a, b = ends[True], ends[False]
+
+            def path(t):
+                return [(1.0 - t) * p + t * q for p, q in zip(a, b)]
+
+            for sign in (1.0, -1.0):
+                for off in offsets:
+                    target = sign * MARGIN_EPS * (1.0 + off)
+                    t0, t1 = 0.0, 1.0  # margin - target is > 0 at t0 and < 0 at t1
+                    for _ in range(60):
+                        mid = 0.5 * (t0 + t1)
+                        if _margins(path(mid))[side] > target:
+                            t0 = mid
+                        else:
+                            t1 = mid
+                    found.append(path(t0))
+    return found
+
+
+class TestMatch:
+    def test_equals_gap_report_then_compare(self):
+        for d in range(3, 13):
+            for ell in ELLS:
+                for case in range(100):
+                    xs = random_distinct_sorted(700 + d, case, d, spread=ell)
+                    for target in GAP_CLASSES:
+                        assert match(xs, target) == _reference_match(xs, target), (
+                            d, ell, case, target)
+
+    def test_near_degenerate_margins(self):
+        roots = _near_degenerate_roots()
+        sides = {"+": 0, "-": 0, "degenerate": 0}
+        for xs in roots:
+            near = [m for m in _margins(xs) if abs(abs(m) - MARGIN_EPS) <= 10 * MARGIN_EPS]
+            assert near, xs
+            for m in near:
+                sides["degenerate" if abs(m) < MARGIN_EPS else "+-"[m < 0]] += 1
+            for target in GAP_CLASSES:
+                assert match(xs, target) == _reference_match(xs, target), (xs, target)
+        assert min(sides.values()) > 0, sides
+
+    def test_degenerate_inputs_are_none(self):
+        b = 1.0 - 2e-5
+        for target in GAP_CLASSES:
+            assert match([-1.0, -b, b, 1.0], target) is None
+            assert match([1e-200, 2e-200, 3e-200], target) is None
+
+    def test_found_report_is_gap_report(self):
+        assert match(GAP_D6_ROOTS, "L-R+") == gap_report(GAP_D6_ROOTS)
+        assert match(GAP_D6_ROOTS, "L+R+") is None
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            match(GAP_D6_ROOTS, "L*R+")
+        with pytest.raises(UnsortedRootsError):
+            match([1.0, 0.0, 2.0], "L+R-")

@@ -4,6 +4,7 @@ import pytest
 
 from polyrealize import certifier
 from polyrealize.certifier import Certificate
+from polyrealize.criticalgaps import gap_report
 from polyrealize.moduliorders import ModuliOrder, order_from_roots, parse_order
 from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
 from polyrealize.sampler import (
@@ -210,6 +211,14 @@ class TestSearchGapClass:
     def test_common_class_found_fast(self):
         out = search_gap_class(4, "L+R-", SearchConfig(n=100, seed=17))
         assert out.found
+
+    @pytest.mark.parametrize("d, target, seed", [
+        (6, "L-R+", 3), (4, "L+R-", 17), (6, "L+R+", 1), (8, "L-R-", 2), (10, "L+R+", 5),
+    ])
+    def test_found_report_is_full_gap_report(self, d, target, seed):
+        out = search_gap_class(d, target, SearchConfig(n=10**4, seed=seed))
+        assert out.found
+        assert out.gap == gap_report(out.spec.real_roots)
 
 
 class TestStrategies:
