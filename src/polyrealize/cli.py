@@ -17,7 +17,7 @@ from . import certifier, report, sampler, sweeps
 from .catalog import UnknownIdError, catalog_ids, catalog_lookup
 from .certifier import Mismatch, fraction_str
 from .concatenation import ConcatResult, Realizer, concat_pairs
-from .criticalgaps import GAP_CLASSES, DegenerateMarginError, gap_report
+from .criticalgaps import GAP_CLASSES, DegenerateMarginError, NoSignChangeError, gap_report
 from .moduliorders import ModuliCouple, parse_order
 from .polycore import RootSpec
 from .sampler import Mixture, MultiplicityBias, SearchConfig, Uniform
@@ -340,7 +340,7 @@ def gaps_cmd(roots_path, do_certify):
         xs = sorted(reals)
         try:
             rpt = gap_report(xs)
-        except DegenerateMarginError as exc:
+        except (DegenerateMarginError, NoSignChangeError) as exc:
             click.echo(f"float classification is degenerate: {exc}")
             if not do_certify:
                 return EXIT_EXHAUSTED

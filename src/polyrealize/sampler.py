@@ -3,9 +3,10 @@
 Every attempt's randomness is a pure function of (seed, attempt index): the
 index is folded into the seed through a 64-bit avalanche mix, and successive
 uniforms of that attempt come from re-mixing an incremented counter.  The
-result is bitwise reproducibility regardless of execution order, and the
-outcome is always the lowest-index hit: a search with budget n returns what
-the first n attempts of any larger budget return.
+scan mixes the counters of a block of attempts together, which changes no
+bit.  The result is bitwise reproducibility regardless of execution order
+or block size, and the outcome is always the lowest-index hit: a search
+with budget n returns what the first n attempts of any larger budget return.
 
 Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs, expand, compare the
@@ -21,8 +22,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Union
 
 from . import certifier, polycore
@@ -41,28 +44,83 @@ from .signpatterns import (
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
+_BLOCK_CAP = 256  # attempts drawn together at most
+_UNIT = (2.0**-53).__mul__
 
 
 class ParityMismatchError(ValueError):
     """d - pos - neg must be even (complex roots come in conjugate pairs)."""
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK64
+# --- counter-based draws, many 64-bit lanes per Python integer ----------------
+#
+# Attempt a's base is mix64((seed ^ salt) + a*gamma) and its j-th uniform
+# (j = 1..count) is (mix64(base + j*gamma) >> 11) * 2**-53, where mix64 is
+# SplitMix64's finalizer (Steele, Lea & Flood, OOPSLA 2014).  mix64 acts on
+# each counter alone, so one integer holding many counters, each in its own
+# 128-bit slot, mixes them all in a dozen big-integer operations.
+
+
+def _slots(values) -> int:
+    """One integer holding `values` (each < 2**64) in consecutive 128-bit slots."""
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in values), "little")
+
+
+@lru_cache(maxsize=64)
+def _block_constants(b: int, count: int):
+    """Packed constants for `b` attempts of `count` uniforms each.
+
+    The j-th uniform of the block's i-th attempt sits in slot (j-1)*b + i, so
+    the j-th copy of the b bases, side by side, serves the j-th uniforms.
+    """
+    lanes = b * count
+    ones = _slots([1] * b)
+    return (
+        ones,                                                                 # 1 per attempt
+        _GAMMA * _slots(range(b)),                                            # i * gamma
+        _MASK64 * ones,                                                       # b-slot mask
+        _GAMMA * _slots([j for j in range(1, count + 1) for _ in range(b)]),  # j * gamma
+        _MASK64 * _slots([1] * lanes),                                        # lane mask
+        struct.Struct("<" + "Q8x" * lanes).unpack,                           # low halves
+    )
+
+
+def _mix_lanes(z: int, mask: int) -> int:
+    """SplitMix64's finalizer on every lane of z at once; `mask` is 2**64 - 1 per slot.
+
+    A lane times a 64-bit constant stays below 2**128, so no product carries
+    into the next slot.  A right shift pulls the next slot's low bits into
+    this slot's upper half, which the mask clears before each multiply.  The
+    last xor-shift is left unmasked: it writes only bits 97-127 of a slot, so
+    bits 0-96 hold the mixed lane followed by zeros.
+    """
+    z &= mask
     z ^= z >> 30
-    z = (z * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z & mask) * 0xBF58476D1CE4E5B9) & mask
     z ^= z >> 27
-    z = (z * 0x94D049BB133111EB) & _MASK64
-    z ^= z >> 31
-    return z
+    z = ((z & mask) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def _unit_block(seed: int, first: int, b: int, count: int) -> list[float]:
+    """`count` uniforms in [0, 1) for each of the attempts first .. first+b-1.
+
+    Attempt first+i's uniforms are result[i::b]; they do not depend on b.
+    Sums stay inside their slots: a counter is below 2**64 + b * gamma, a
+    second-pass lane below (count + 1) * 2**64.
+    """
+    ones, ramp, mask_b, steps, mask, unpack = _block_constants(b, count)
+    z = _mix_lanes((((seed ^ _SEED_SALT) + first * _GAMMA) & _MASK64) * ones + ramp, mask_b)
+    # `count` copies of the b bases: copying bytes is linear, a multiply is not
+    z = int.from_bytes((z & mask_b).to_bytes(16 * b, "little") * count, "little")
+    z = _mix_lanes(z + steps, mask)
+    # the low 8 bytes of a slot of z >> 11 are the lane's top 53 bits over zeros
+    return list(map(_UNIT, unpack((z >> 11).to_bytes(16 * b * count, "little"))))
 
 
 def attempt_unit_draws(seed: int, attempt: int, count: int) -> list[float]:
     """`count` uniforms in [0, 1), a pure function of (seed, attempt)."""
-    base = _mix64((seed ^ _SEED_SALT) + attempt * _GAMMA)
-    return [
-        (_mix64(base + j * _GAMMA) >> 11) * 2.0**-53 for j in range(1, count + 1)
-    ]
+    return _unit_block(seed, attempt, 1, count)
 
 
 @dataclass(frozen=True)
@@ -162,11 +220,10 @@ def _pair_draw_count(pos: int, neg: int, npairs: int, strategy: Strategy) -> int
     return 2 * (pos + neg) + 2 * npairs  # MultiplicityBias
 
 
-def _draw_pair_roots(pos, neg, npairs, cfg: SearchConfig, attempt: int):
-    """Raw (reals, pairs) lists for one pair-search attempt."""
+def _pair_roots(pos, neg, npairs, cfg: SearchConfig, u: list[float]):
+    """Raw (reals, pairs) lists for one pair-search attempt with unit draws u."""
     strategy = cfg.strategy
     ell = cfg.ell
-    u = attempt_unit_draws(cfg.seed, attempt, _pair_draw_count(pos, neg, npairs, strategy))
     reals: list[float] = []
     pairs: list[tuple[float, float]] = []
     t = 0
@@ -218,23 +275,27 @@ def draw_rootspec_pair(
         raise ValueError(f"pos + neg exceeds degree {d}")
     if rest % 2 != 0:
         raise ParityMismatchError(f"d - pos - neg = {rest} is odd")
-    reals, pairs = _draw_pair_roots(pos, neg, rest // 2, cfg, attempt_index)
+    npairs = rest // 2
+    u = attempt_unit_draws(
+        cfg.seed, attempt_index, _pair_draw_count(pos, neg, npairs, cfg.strategy)
+    )
+    reals, pairs = _pair_roots(pos, neg, npairs, cfg, u)
     return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
 
 
-def _draw_values(d: int, cfg: SearchConfig, attempt: int, signed: bool) -> list[float]:
-    """d values on (0, ell], or on [-ell, ell) when signed; Mixture may shrink some.
+def _value_draw_count(d: int, strategy: Strategy) -> int:
+    # a Mixture spends two unit draws per value (narrow/wide choice, position)
+    return 2 * d if isinstance(strategy, Mixture) else d
 
-    A Mixture spends two unit draws per value (narrow/wide choice, position).
-    """
+
+def _values(d: int, cfg: SearchConfig, u: list[float], signed: bool) -> list[float]:
+    """d values on (0, ell], or on [-ell, ell) when signed; Mixture may shrink some."""
     strategy = cfg.strategy
     if isinstance(strategy, Mixture):
-        u = attempt_unit_draws(cfg.seed, attempt, 2 * d)
         ns, frac = cfg.narrow_scale, strategy.narrow_fraction
         scales = [ns if u[2 * j] < frac else cfg.ell for j in range(d)]
         u = u[1::2]
     else:
-        u = attempt_unit_draws(cfg.seed, attempt, d)
         scales = [cfg.ell] * d
     if signed:
         return [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
@@ -243,17 +304,27 @@ def _draw_values(d: int, cfg: SearchConfig, attempt: int, signed: bool) -> list[
 
 # --- the scan loop ----------------------------------------------------------
 
-def _scan(attempt_fn, cfg: SearchConfig) -> SearchOutcome:
+def _scan(attempt_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
     """Run attempts 1..n in order, returning the lowest-index hit.
 
-    attempt_fn(i) returns a SearchOutcome for a verified hit at attempt i, or
-    None.  The returned outcome carries the scan's wall time.
+    attempt_fn(i, u) gets attempt i's `count` unit draws, equal to
+    attempt_unit_draws(cfg.seed, i, count), and returns a SearchOutcome for a
+    verified hit at attempt i, or None.  Draws come in blocks of attempts
+    that double from 1 up to _BLOCK_CAP, so a search that hits early draws at
+    most about twice what it uses.  The returned outcome carries the scan's
+    wall time.
     """
     start = time.perf_counter()
-    for i in range(1, cfg.n + 1):
-        hit = attempt_fn(i)
-        if hit is not None:
-            return dataclasses.replace(hit, seconds=time.perf_counter() - start)
+    first, size = 1, 1
+    while first <= cfg.n:
+        b = min(size, cfg.n - first + 1)
+        u = _unit_block(cfg.seed, first, b, count)
+        for k in range(b):
+            hit = attempt_fn(first + k, u[k::b])
+            if hit is not None:
+                return dataclasses.replace(hit, seconds=time.perf_counter() - start)
+        first += b
+        size = min(2 * size, _BLOCK_CAP)
     return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
 
 
@@ -284,15 +355,15 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
     target = sigma.signs
     claim = PairCouple(sigma, pair)
 
-    def attempt(i: int):
-        reals, cpairs = _draw_pair_roots(pos, neg, npairs, cfg, i)
+    def attempt(i: int, u: list[float]):
+        reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
         coeffs = expand(reals, cpairs, 1.0)
         if sign_tuple(coeffs, cfg.tau) != target:
             return None
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
         return _certified_hit(i, spec, coeffs, claim, cfg)
 
-    return _scan(attempt, cfg)
+    return _scan(attempt, _pair_draw_count(pos, neg, npairs, cfg.strategy), cfg)
 
 
 def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> SearchOutcome:
@@ -306,8 +377,8 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     letters = order.word
     claim = ModuliCouple(sigma, order)
 
-    def attempt(i: int):
-        mods = _draw_values(d, cfg, i, signed=False)
+    def attempt(i: int, u: list[float]):
+        mods = _values(d, cfg, u, signed=False)
         mods.sort()
         for j in range(d - 1):
             if mods[j] == mods[j + 1]:  # tied moduli: rejected, index consumed
@@ -318,7 +389,7 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
             return None
         return _certified_hit(i, RootSpec(real_roots=tuple(roots)), coeffs, claim, cfg)
 
-    return _scan(attempt, cfg)
+    return _scan(attempt, _value_draw_count(d, cfg.strategy), cfg)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
@@ -328,8 +399,8 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
 
-    def attempt(i: int):
-        xs = _draw_values(d, cfg, i, signed=True)
+    def attempt(i: int, u: list[float]):
+        xs = _values(d, cfg, u, signed=True)
         xs.sort()
         if any(x == 0.0 for x in xs):
             return None
@@ -349,4 +420,4 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             "found", i, 0.0, i, spec, expand_from_roots(spec), cert, gap=report
         )
 
-    return _scan(attempt, cfg)
+    return _scan(attempt, _value_draw_count(d, cfg.strategy), cfg)

@@ -213,6 +213,18 @@ class TestGapsCommand:
         assert "class L+R-" in result.output
         assert "exact certification: L+R-" in result.output
 
+    @pytest.mark.parametrize("certify, code", [(False, 1), (True, 0)])
+    def test_underflowing_derivative(self, runner, tmp_path, certify, code):
+        # P' underflows at roots this small, so the float classification is
+        # degenerate, but the exact bisection decides the class
+        path = tmp_path / "roots.txt"
+        path.write_text("1e-200\n2e-200\n3e-200\n")
+        args = ["gaps", "--roots", str(path)] + (["--certify"] if certify else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert "float classification is degenerate" in result.output
+        assert ("exact certification: L+R-" in result.output) == certify
+
     def test_complex_roots_rejected(self, runner, tmp_path):
         path = tmp_path / "roots.txt"
         path.write_text("1.0\n2.0\n3.0\nc:0.5,0.5\n")

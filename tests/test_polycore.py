@@ -19,7 +19,13 @@ from polyrealize.polycore import (
     horner,
     sign_tuple,
 )
-from polyrealize.sampler import Mixture, MultiplicityBias, SearchConfig, Uniform, _draw_pair_roots
+from polyrealize.sampler import (
+    Mixture,
+    MultiplicityBias,
+    SearchConfig,
+    Uniform,
+    draw_rootspec_pair,
+)
 from polyrealize.signpatterns import SignPattern
 
 GAP_D6_ROOTS = (-0.19, -0.18, 0.13, 0.21, 0.67, 0.96)
@@ -173,10 +179,10 @@ class TestExpandKernel:
         cfg = SearchConfig(n=1, seed=2025, strategy=strategy)
         for attempt in range(1, 10**4 + 1):
             pos, neg, npairs = SHAPES[attempt % len(SHAPES)]
-            reals, pairs = _draw_pair_roots(pos, neg, npairs, cfg, attempt)
+            spec = draw_rootspec_pair(pos + neg + 2 * npairs, (pos, neg), cfg, attempt)
+            reals, pairs = list(spec.real_roots), list(spec.complex_pairs)
             want = bits(reference_float_expand(reals, pairs))
             assert bits(expand(reals, pairs, 1.0)) == want
-            spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
             assert bits(expand_from_roots(spec).coeffs) == want
 
     def test_exact_path_equals_reference_loop(self):

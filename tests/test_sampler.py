@@ -1,17 +1,31 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polyrealize import certifier
-from polyrealize.certifier import Certificate
-from polyrealize.criticalgaps import gap_report
-from polyrealize.moduliorders import ModuliOrder, order_from_roots, parse_order
+from polyrealize.certifier import (
+    Certificate,
+    certify_couple,
+    certify_gap_class,
+    rationalize,
+    rationalize_value,
+)
+from polyrealize.criticalgaps import gap_report, match
+from polyrealize.moduliorders import ModuliCouple, ModuliOrder, order_from_roots, parse_order
 from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
 from polyrealize.sampler import (
     Mixture,
     MultiplicityBias,
     ParityMismatchError,
     SearchConfig,
+    SearchOutcome,
+    Uniform,
+    _scan,
+    _unit_block,
     attempt_unit_draws,
     draw_rootspec_pair,
     search_gap_class,
@@ -20,6 +34,7 @@ from polyrealize.sampler import (
 )
 from polyrealize.signpatterns import (
     IncompatibleCoupleError,
+    PairCouple,
     RootCountPair,
     SignPattern,
     from_runs,
@@ -275,3 +290,168 @@ def test_budget_prefix_determinism(name):
     assert exact.spec == wide.spec
     assert exact.certificate == wide.certificate
     assert short.status == "exhausted" and short.attempts == k - 1
+
+
+# --- block draws --------------------------------------------------------------
+
+_M64 = (1 << 64) - 1
+
+
+def reference_mix64(z):
+    # the scalar SplitMix64 finalizer that the lane-packed kernel replaced
+    z &= _M64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _M64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _M64
+    z ^= z >> 31
+    return z
+
+
+def reference_unit_draws(seed, attempt, count):
+    base = reference_mix64((seed ^ 0xD1B54A32D192ED03) + attempt * 0x9E3779B97F4A7C15)
+    return [(reference_mix64(base + j * 0x9E3779B97F4A7C15) >> 11) * 2.0**-53
+            for j in range(1, count + 1)]
+
+
+BLOCK_SIZES = (1, 2, 3, 255, 256)
+# budgets on and around every block boundary of the schedule 1, 2, 4, ..., 256, 256, ...
+BOUNDARY_BUDGETS = (1, 2, 3, 4, 7, 8, 255, 256, 257, 511, 512, 513)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("seed", [0, 1, 2024, -1, -2**70, 2**64 - 1, 2**64 + 5, 2**200])
+    def test_bit_identical_to_scalar_loop(self, seed):
+        for first in (1, 2**40):
+            for count in range(1, 21):
+                want = [reference_unit_draws(seed, first + i, count) for i in range(max(BLOCK_SIZES))]
+                assert attempt_unit_draws(seed, first, count) == want[0]
+                for b in BLOCK_SIZES:
+                    got = _unit_block(seed, first, b, count)
+                    assert len(got) == b * count
+                    assert [got[i::b] for i in range(b)] == want[:b]
+
+    def test_zero_count(self):
+        assert attempt_unit_draws(3, 4, 0) == []
+
+
+class TestBlockSchedule:
+    @pytest.mark.parametrize("n", BOUNDARY_BUDGETS)
+    def test_each_attempt_gets_its_own_draws(self, n):
+        seen = []
+        out = _scan(lambda i, u: seen.append((i, u)), 3, SearchConfig(n=n, seed=77))
+        assert out.status == "exhausted" and out.attempts == n
+        assert [i for i, _ in seen] == list(range(1, n + 1))
+        assert all(u == attempt_unit_draws(77, i, 3) for i, u in seen)
+
+    def test_hit_stops_mid_block(self):
+        seen = []
+
+        def attempt(i, u):
+            seen.append(i)
+            return SearchOutcome("found", i, 0.0, i) if i == 6 else None
+
+        out = _scan(attempt, 2, SearchConfig(n=100, seed=1))  # attempt 6 lies in block 4..7
+        assert out.attempt_index == 6 and seen == list(range(1, 7))
+
+
+def reference_values(d, cfg, i, signed):
+    strategy = cfg.strategy
+    if isinstance(strategy, Mixture):
+        u = attempt_unit_draws(cfg.seed, i, 2 * d)
+        scales = [cfg.narrow_scale if u[2 * j] < strategy.narrow_fraction else cfg.ell
+                  for j in range(d)]
+        u = u[1::2]
+    else:
+        u = attempt_unit_draws(cfg.seed, i, d)
+        scales = [cfg.ell] * d
+    if signed:
+        return [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
+    return [s * (1.0 - x) for s, x in zip(scales, u)]
+
+
+def reference_attempt(kind, args, cfg, i):
+    """(spec, certificate) of a certified hit at attempt i, drawn on its own, or None."""
+    if kind == "pair":
+        sigma, pair = args
+        spec = draw_rootspec_pair(sigma.degree, pair, cfg, i)
+        claim = PairCouple(sigma, pair)
+    elif kind == "moduli":
+        sigma, order = args
+        mods = sorted(reference_values(order.degree, cfg, i, signed=False))
+        if len(set(mods)) < len(mods):
+            return None
+        spec = RootSpec(real_roots=tuple(m if c == "P" else -m for c, m in zip(order.word, mods)))
+        claim = ModuliCouple(sigma, order)
+    else:
+        d, target = args
+        xs = sorted(reference_values(d, cfg, i, signed=True))
+        if 0.0 in xs or len(set(xs)) < d or match(xs, target) is None:
+            return None
+        cert = certify_gap_class([rationalize_value(x, cfg.digits) for x in xs])
+        if not isinstance(cert, Certificate) or cert.claim != target:
+            return None
+        return RootSpec(real_roots=tuple(xs)), cert
+    if sign_tuple(expand_from_roots(spec).coeffs, cfg.tau) != claim.pattern.signs:
+        return None
+    cert = certify_couple(rationalize(spec, cfg.digits), claim)
+    return (spec, cert) if isinstance(cert, Certificate) else None
+
+
+ENGINES = {"pair": search_pair, "moduli": search_moduli, "gap": search_gap_class}
+
+# (kind, args, strategy, seed, first hit within 513 attempts)
+SCHEDULE_CASES = [
+    ("pair", (parse_pattern("+----+"), RootCountPair(0, 1)), Uniform(), 2, 467),
+    ("pair", (parse_pattern("++-++"), RootCountPair(0, 0)), Uniform(), 1, 66),
+    ("pair", (parse_pattern("++-++-"), RootCountPair(3, 0)), Mixture(), 3, 422),
+    ("pair", (parse_pattern("+--+--"), RootCountPair(1, 0)), Mixture(), 3, 71),
+    ("pair", (parse_pattern("++-+++"), RootCountPair(2, 1)), MultiplicityBias(), 2, 436),
+    ("pair", (parse_pattern("+-++++"), RootCountPair(2, 1)), MultiplicityBias(), 2, 183),
+    ("moduli", (parse_pattern("++---+"), ModuliOrder("NPPNN")), Uniform(), 1, 351),
+    ("moduli", (parse_pattern("++---+"), ModuliOrder("PPNNN")), Mixture(), 2, 76),
+    ("gap", (6, "L-R+"), Uniform(), 5, 221),
+    ("gap", (6, "L-R+"), Uniform(), 3, 2),
+    ("gap", (6, "L-R+"), Mixture(), 1, 138),
+    ("gap", (5, "L-R+"), Uniform(), 1, None),
+]
+
+
+@pytest.mark.parametrize("kind, args, strategy, seed, first_hit", SCHEDULE_CASES)
+def test_block_schedule_matches_attempt_by_attempt_scan(kind, args, strategy, seed, first_hit):
+    cfg = SearchConfig(n=1, seed=seed, strategy=strategy)
+    hit = None
+    for i in range(1, max(BOUNDARY_BUDGETS) + 1):
+        hit = reference_attempt(kind, args, cfg, i)
+        if hit is not None:
+            break
+    assert (i if hit else None) == first_hit
+    for n in BOUNDARY_BUDGETS:
+        out = ENGINES[kind](*args, SearchConfig(n=n, seed=seed, strategy=strategy))
+        if first_hit is not None and first_hit <= n:
+            assert (out.status, out.attempts, out.attempt_index) == ("found", i, i)
+            assert (out.spec, out.certificate) == hit
+        else:
+            assert (out.status, out.attempts, out.attempt_index) == ("exhausted", n, None)
+            assert out.spec is None and out.certificate is None
+
+
+def test_searches_do_not_import_numpy():
+    # the block draws are pure Python so that peak memory stays that of the interpreter
+    script = "\n".join([
+        "import sys",
+        "import polyrealize",
+        "from polyrealize.moduliorders import parse_order",
+        "from polyrealize.sampler import SearchConfig, search_gap_class, search_moduli, search_pair",
+        "from polyrealize.signpatterns import RootCountPair, from_runs",
+        "search_pair(from_runs((1, 3, 2)), RootCountPair(0, 3), SearchConfig(n=600, seed=42))",
+        "search_moduli(from_runs((3, 4, 1)), parse_order('[0,0,5]'), SearchConfig(n=200, seed=5))",
+        "search_gap_class(6, 'L-R+', SearchConfig(n=10, seed=3))",
+        "print('numpy' in sys.modules)",
+    ])
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
