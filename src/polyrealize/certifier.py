@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from .criticalgaps import xi_gap_bounds
 from .moduliorders import ModuliCouple, ModuliOrder, TiedModuliError, order_from_roots
 from .polycore import RootSpec, derivative_coeffs, expand, horner
 from .signpatterns import PairCouple, SignPattern
@@ -197,76 +198,69 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     return Certificate(spec=spec, coeffs=poly.coeffs, claim=claim, checks=tuple(checks))
 
 
-def _halve(dcoeffs, lo, hi, flo):
-    """One exact bisection step; collapses to a point when the midpoint is a root."""
+def _halve(dcoeffs, lo, hi, sign):
+    """One exact bisection step on a bracket where P' has sign `sign` at lo.
+
+    Collapses to a point when the midpoint is a root of P'.
+    """
     mid = (lo + hi) / 2
     fm = horner(dcoeffs, mid)
     if fm == 0:
-        return mid, mid, flo
-    if (fm > 0) == (flo > 0):
-        return mid, hi, fm
-    return lo, mid, flo
+        return mid, mid
+    if (fm > 0) == (sign > 0):
+        return mid, hi
+    return lo, mid
 
 
-def certify_gap_class(roots: Sequence[Fraction], max_rounds: int = GAP_REFINE_CAP):
+def certify_gap_class(roots: Sequence[Fraction]):
     """Certified gap class of the monic polynomial with the given exact roots.
 
     The midpoint-gap extrema are exact rationals; the critical-point gaps are
     bracketed by enclosures that are refined until both strict comparisons are
     decided by separation.  Adjacent equal roots (rationalization can merge
     two close floats) fail the "simple_roots" check; running out of
-    `max_rounds` refinement rounds, which signals a potential non-strict
+    GAP_REFINE_CAP refinement rounds, which signals a potential non-strict
     equality, fails the "gap_class" check.  Fewer than three roots or
     decreasing roots are caller errors and raise ValueError.
     """
     roots = [Fraction(r) for r in roots]
-    if len(roots) < 3:
+    n = len(roots)
+    if n < 3:
         raise ValueError("need at least three roots")
     if any(a > b for a, b in zip(roots, roots[1:])):
         raise ValueError("roots must be increasing")
-    if len(set(roots)) < len(roots):
+    if len(set(roots)) < n:
         return Mismatch("simple_roots", "two roots are equal")
 
-    z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(len(roots) - 2)]
+    z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(n - 2)]
     m_tilde, M_tilde = min(z_gaps), max(z_gaps)
 
     # gap analysis admits a zero root, which RootSpec does not
     poly = ExactPolynomial(tuple(expand(roots, (), Fraction(1))))
     dcoeffs = derivative_coeffs(poly.coeffs)
 
-    # initial enclosures with cached endpoint signs
-    intervals = []
-    for k in range(len(roots) - 1):
-        lo, hi = roots[k], roots[k + 1]
-        flo = horner(dcoeffs, lo)
-        fhi = horner(dcoeffs, hi)
-        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
-            raise ValueError("derivative does not change sign; roots are not simple")
-        intervals.append((lo, hi, flo))
+    # the root intervals enclose the critical points; at the simple root x_k
+    # (0-based) P' = prod_{j != k} (x_k - x_j) has sign (-1)^(n-1-k)
+    lo, hi = roots[:-1], roots[1:]
+    signs = [1 if (n - 1 - k) % 2 == 0 else -1 for k in range(n - 1)]
 
-    for _ in range(max_rounds + 1):
-        gap_lo = [intervals[k + 1][0] - intervals[k][1] for k in range(len(intervals) - 1)]
-        gap_hi = [intervals[k + 1][1] - intervals[k][0] for k in range(len(intervals) - 1)]
-        m_lo, m_hi = min(gap_lo), min(gap_hi)
-        M_lo, M_hi = max(gap_lo), max(gap_hi)
-
+    for _ in range(GAP_REFINE_CAP + 1):
+        m_lo, m_hi, M_lo, M_hi = xi_gap_bounds(lo, hi)
         left = "L+" if m_lo > m_tilde else ("L-" if m_hi < m_tilde else None)
         right = "R+" if M_hi < M_tilde else ("R-" if M_lo > M_tilde else None)
         if left and right:
-            cls = left + right
             checks = (
                 ("m_tilde", str(m_tilde)),
                 ("M_tilde", str(M_tilde)),
                 ("m_prime_bounds", f"[{m_lo}, {m_hi}]"),
                 ("M_prime_bounds", f"[{M_lo}, {M_hi}]"),
             )
-            return Certificate(spec=None, coeffs=poly.coeffs, claim=cls, checks=checks)
+            return Certificate(spec=None, coeffs=poly.coeffs, claim=left + right, checks=checks)
 
-        intervals = [
-            _halve(dcoeffs, lo, hi, flo) if lo != hi else (lo, hi, flo)
-            for lo, hi, flo in intervals
-        ]
-    return Mismatch("gap_class", f"undecided after {max_rounds} rounds")
+        for k in range(n - 1):
+            if lo[k] != hi[k]:
+                lo[k], hi[k] = _halve(dcoeffs, lo[k], hi[k], signs[k])
+    return Mismatch("gap_class", f"undecided after {GAP_REFINE_CAP} rounds")
 
 
 def fraction_str(q: Fraction) -> str:

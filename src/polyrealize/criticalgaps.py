@@ -10,7 +10,9 @@ recording which side of the chain
 
 holds strictly (+) or fails (-) on the left (L) and right (R).  gap_report
 refines every critical point in full; match, the search's test, refines in
-stages and stops as soon as the target class is ruled out.
+stages and stops as soon as the target class is ruled out.  xi_gap_bounds
+turns brackets on the critical points into bounds on the critical gaps, for
+floats here and for Fractions in the certifier.
 """
 
 from __future__ import annotations
@@ -37,7 +39,11 @@ class TiedRootsError(ValueError):
 
 
 class NoSignChangeError(ValueError):
-    """Derivative did not change sign over a root interval (e.g. its value underflowed)."""
+    """Never raised: the sign of P' at a simple root is known in advance.
+
+    Kept only because the benchmark replay (perfbench/replay.py) still
+    imports it; delete it once the replay stops doing so.
+    """
 
 
 class DegenerateMarginError(ValueError):
@@ -87,45 +93,6 @@ def midpoints(x: Sequence[float]) -> list[float]:
     return _midpoints(x)
 
 
-def derivative_at_from_roots(roots: Sequence[float], x: float) -> float:
-    """P'(x) for P = prod (x - r), evaluated from root differences.
-
-    Unlike Horner on the expanded coefficients this loses no precision when
-    the roots sit far from the origin, so gap statistics are translation and
-    scale stable.
-    """
-    prod = 1.0
-    zero_seen = False
-    for r in roots:
-        d = x - r
-        if d == 0.0:
-            if zero_seen:
-                return 0.0  # multiple root
-            zero_seen = True
-        else:
-            prod *= d
-    if zero_seen:
-        return prod
-    s = 0.0
-    for r in roots:
-        s += 1.0 / (x - r)
-    return prod * s
-
-
-def _brackets(x: Sequence[float]) -> tuple[list[float], list[float]]:
-    """Lower and upper ends of the root intervals (x_k, x_{k+1}), one bracket each.
-
-    Raises NoSignChangeError when P' does not change sign over an interval,
-    which happens when its product form underflows to zero at a root.
-    """
-    ends = [derivative_at_from_roots(x, r) for r in x]
-    for k in range(len(x) - 1):
-        flo, fhi = ends[k], ends[k + 1]
-        if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-            raise NoSignChangeError(f"no derivative sign change over ({x[k]!r}, {x[k + 1]!r})")
-    return list(x[:-1]), list(x[1:])
-
-
 def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> None:
     """Halve every bracket [lo[k], hi[k]] in place until it is at most 2*tol wide.
 
@@ -157,10 +124,22 @@ def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) ->
 
 
 def _margin_sign(m: float) -> int:
-    """+1 or -1 for a margin decided in floats; 0 when it is within MARGIN_EPS of zero."""
-    if abs(m) < MARGIN_EPS:
+    """+1 or -1 for a margin decided in floats; 0 when it is within MARGIN_EPS of zero or NaN."""
+    if not abs(m) >= MARGIN_EPS:
         return 0
     return 1 if m > 0 else -1
+
+
+def xi_gap_bounds(lo: Sequence, hi: Sequence) -> tuple:
+    """(m_lo, m_hi, M_lo, M_hi): bounds on the min and max critical-point gap.
+
+    Critical point k lies in [lo[k], hi[k]], so gap k lies between
+    lo[k+1] - hi[k] and hi[k+1] - lo[k]; the min and max over k bound the
+    min and max gap.  Works for any ordered number type (floats, Fractions).
+    """
+    inner = [b - a for a, b in zip(hi, lo[1:])]
+    outer = [b - a for a, b in zip(lo, hi[1:])]
+    return min(inner), min(outer), max(inner), max(outer)
 
 
 def critical_points(x: Sequence[float]) -> list[float]:
@@ -168,11 +147,11 @@ def critical_points(x: Sequence[float]) -> list[float]:
 
     Each enclosure is bisected on the sign of P'/P (see _refine) to absolute
     half-width at most 1e-12 * (x_n - x_1); interlacing guarantees exactly
-    one critical point per interval.  A derivative that underflows to zero
-    at a root surfaces as NoSignChangeError.
+    one critical point per interval, so the root intervals themselves are
+    the initial brackets and no derivative is evaluated at their ends.
     """
     _check_sorted(x, 2)
-    lo, hi = _brackets(x)
+    lo, hi = list(x[:-1]), list(x[1:])
     _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
     return [0.5 * (a + b) for a, b in zip(lo, hi)]
 
@@ -220,7 +199,7 @@ def gap_report(x: Sequence[float]) -> GapReport:
     """
     x = [float(v) for v in x]
     _check_sorted(x, 3)
-    lo, hi = _brackets(x)
+    lo, hi = x[:-1], x[1:]
     _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
     return _report(x, _midpoints(x), lo, hi)
 
@@ -229,14 +208,15 @@ def match(x: Sequence[float], target: str) -> GapReport | None:
     """gap_report(x) when its class is `target`; None otherwise.
 
     None also stands for the inputs gap_report rejects with
-    DegenerateMarginError or NoSignChangeError.  The brackets are refined in
-    stages whose tolerance falls by _STAGE_FACTOR from (x_n - x_1) /
-    _STAGE_FACTOR.  After each stage the brackets bound every critical gap,
-    and so both margins: float subtraction and min/max are monotone, so the
-    bounds hold the margins that full refinement computes.  Once the bounds
-    rule out the target side of a margin the search stops.  Otherwise the
-    last stage is the full refinement, and the report is built from those
-    brackets exactly as gap_report builds it.
+    DegenerateMarginError.  The brackets start as the root intervals and are
+    refined in stages whose tolerance falls by _STAGE_FACTOR from
+    (x_n - x_1) / _STAGE_FACTOR.  After each stage xi_gap_bounds bounds the
+    min and max critical gap, and so both margins: float subtraction and
+    min/max are monotone, so the bounds hold the margins that full
+    refinement computes.  Once the bounds rule out the target side of a
+    margin the search stops.  Otherwise the last stage is the full
+    refinement, and the report is built from those brackets exactly as
+    gap_report builds it.
     """
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
@@ -244,10 +224,7 @@ def match(x: Sequence[float], target: str) -> GapReport | None:
     want_right = 1 if target[3] == "+" else -1
     x = [float(v) for v in x]
     _check_sorted(x, 3)
-    try:
-        lo, hi = _brackets(x)
-    except NoSignChangeError:
-        return None
+    lo, hi = x[:-1], x[1:]
     z = _midpoints(x)
     z_gaps = [b - a for a, b in zip(z, z[1:])]
     m_tilde, M_tilde = min(z_gaps), max(z_gaps)
@@ -256,13 +233,10 @@ def match(x: Sequence[float], target: str) -> GapReport | None:
     tol = span / _STAGE_FACTOR
     while tol > full:
         _refine(x, lo, hi, tol)
-        inner = [b - a for a, b in zip(hi, lo[1:])]  # lo_{k+1} - hi_k <= xi gap k
-        outer = [b - a for a, b in zip(lo, hi[1:])]  # hi_{k+1} - lo_k >= xi gap k
-        if not (_margin_sign(min(inner) - m_tilde) <= want_left
-                <= _margin_sign(min(outer) - m_tilde)):
+        m_lo, m_hi, M_lo, M_hi = xi_gap_bounds(lo, hi)
+        if not _margin_sign(m_lo - m_tilde) <= want_left <= _margin_sign(m_hi - m_tilde):
             return None
-        if not (_margin_sign(M_tilde - max(outer)) <= want_right
-                <= _margin_sign(M_tilde - max(inner))):
+        if not _margin_sign(M_tilde - M_hi) <= want_right <= _margin_sign(M_tilde - M_lo):
             return None
         tol /= _STAGE_FACTOR
     _refine(x, lo, hi, full)

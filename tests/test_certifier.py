@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_rootspec
+from conftest import random_distinct_sorted, random_rootspec
 from polyrealize.catalog import catalog_lookup
 from polyrealize.certifier import (
     GAP_REFINE_CAP,
@@ -22,7 +22,14 @@ from polyrealize.certifier import (
 )
 from polyrealize.criticalgaps import gap_report
 from polyrealize.moduliorders import ModuliCouple, ModuliOrder, parse_order
-from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
+from polyrealize.polycore import (
+    RootSpec,
+    derivative_coeffs,
+    expand,
+    expand_from_roots,
+    horner,
+    sign_tuple,
+)
 from polyrealize.signpatterns import PairCouple, RootCountPair, from_runs, parse_pattern
 
 
@@ -190,6 +197,90 @@ class TestCertifyGapClass:
             certify_gap_class([Fraction(0), Fraction(1)])
         with pytest.raises(ValueError):
             certify_gap_class([Fraction(1), Fraction(0), Fraction(2)])
+
+
+# --- reference: the endpoint-evaluating gap certifier that the fixed-sign one replaced ---
+
+def _reference_halve(dcoeffs, lo, hi, flo):
+    mid = (lo + hi) / 2
+    fm = horner(dcoeffs, mid)
+    if fm == 0:
+        return mid, mid, flo
+    if (fm > 0) == (flo > 0):
+        return mid, hi, fm
+    return lo, mid, flo
+
+
+def _reference_certify_gap_class(roots):
+    roots = [Fraction(r) for r in roots]
+    if len(set(roots)) < len(roots):
+        return Mismatch("simple_roots", "two roots are equal")
+
+    z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(len(roots) - 2)]
+    m_tilde, M_tilde = min(z_gaps), max(z_gaps)
+    poly = ExactPolynomial(tuple(expand(roots, (), Fraction(1))))
+    dcoeffs = derivative_coeffs(poly.coeffs)
+
+    intervals = []
+    for k in range(len(roots) - 1):
+        lo, hi = roots[k], roots[k + 1]
+        flo = horner(dcoeffs, lo)
+        fhi = horner(dcoeffs, hi)
+        if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+            raise ValueError("derivative does not change sign; roots are not simple")
+        intervals.append((lo, hi, flo))
+
+    for _ in range(GAP_REFINE_CAP + 1):
+        gap_lo = [intervals[k + 1][0] - intervals[k][1] for k in range(len(intervals) - 1)]
+        gap_hi = [intervals[k + 1][1] - intervals[k][0] for k in range(len(intervals) - 1)]
+        m_lo, m_hi = min(gap_lo), min(gap_hi)
+        M_lo, M_hi = max(gap_lo), max(gap_hi)
+
+        left = "L+" if m_lo > m_tilde else ("L-" if m_hi < m_tilde else None)
+        right = "R+" if M_hi < M_tilde else ("R-" if M_lo > M_tilde else None)
+        if left and right:
+            checks = (
+                ("m_tilde", str(m_tilde)),
+                ("M_tilde", str(M_tilde)),
+                ("m_prime_bounds", f"[{m_lo}, {m_hi}]"),
+                ("M_prime_bounds", f"[{M_lo}, {M_hi}]"),
+            )
+            return Certificate(spec=None, coeffs=poly.coeffs, claim=left + right, checks=checks)
+
+        intervals = [
+            _reference_halve(dcoeffs, lo, hi, flo) if lo != hi else (lo, hi, flo)
+            for lo, hi, flo in intervals
+        ]
+    return Mismatch("gap_class", f"undecided after {GAP_REFINE_CAP} rounds")
+
+
+def _gap_inputs():
+    """Rationalized draws, then zero-root, tie and near-tie inputs."""
+    for d in range(3, 9):
+        for digits in (3, 6, 12):
+            for scale in (1e-3, 1.0, 1e3):
+                for case in range(6):
+                    xs = random_distinct_sorted(900 + d, case, d, spread=scale)
+                    yield [rationalize_value(x, digits) for x in xs]
+    yield [Fraction(-1), Fraction(0), Fraction(1)]
+    yield [Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2)]
+    yield [Fraction(-7, 4), Fraction(-1), Fraction(0)]
+    yield [rationalize_value(x) for x in (-0.7, 0.3000000000001, 0.3000000000002, 0.9)]
+    for k in (10, 60, 1100):
+        b = Fraction(2**k - 1, 2**k)
+        yield [Fraction(-1), -b, b, Fraction(1)]
+
+
+def test_gap_certificates_match_endpoint_reference():
+    inputs = list(_gap_inputs())
+    verdicts = set()
+    for roots in inputs:
+        got = certify_gap_class(roots)
+        assert got == _reference_certify_gap_class(roots), roots
+        verdicts.add(got.claim if isinstance(got, Certificate) else got.failed_check)
+    assert len(inputs) > 300
+    # no sampled input is L-R-
+    assert verdicts == {"L+R+", "L+R-", "L-R+", "simple_roots", "gap_class"}, verdicts
 
 
 def test_fraction_str():

@@ -215,14 +215,27 @@ class TestGapsCommand:
 
     @pytest.mark.parametrize("certify, code", [(False, 1), (True, 0)])
     def test_underflowing_derivative(self, runner, tmp_path, certify, code):
-        # P' underflows at roots this small, so the float classification is
-        # degenerate, but the exact bisection decides the class
+        # the float margins of roots this small are far under MARGIN_EPS, so
+        # the float classification is degenerate, but the exact bisection
+        # decides the class
         path = tmp_path / "roots.txt"
         path.write_text("1e-200\n2e-200\n3e-200\n")
         args = ["gaps", "--roots", str(path)] + (["--certify"] if certify else [])
         result = runner.invoke(main, args)
         assert result.exit_code == code
         assert "float classification is degenerate" in result.output
+        assert ("exact certification: L+R-" in result.output) == certify
+
+    @pytest.mark.parametrize("certify, code", [(False, 1), (True, 0)])
+    def test_overflowing_midpoints(self, runner, tmp_path, certify, code):
+        # the float midpoints overflow to inf and both margins are NaN
+        path = tmp_path / "roots.txt"
+        path.write_text("1e308\n1.5e308\n1.7e308\n")
+        args = ["gaps", "--roots", str(path)] + (["--certify"] if certify else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == code
+        assert "float classification is degenerate" in result.output
+        assert "class L-R-" not in result.output
         assert ("exact certification: L+R-" in result.output) == certify
 
     def test_complex_roots_rejected(self, runner, tmp_path):

@@ -1,5 +1,6 @@
 import math
 import struct
+from fractions import Fraction
 
 import pytest
 
@@ -10,17 +11,18 @@ from polyrealize.criticalgaps import (
     GAP_CLASSES,
     MARGIN_EPS,
     DegenerateMarginError,
-    NoSignChangeError,
     TiedRootsError,
     UnsortedRootsError,
     critical_points,
-    derivative_at_from_roots,
     gap_report,
     match,
     midpoints,
+    xi_gap_bounds,
 )
 GAP_D6_ROOTS = [-0.19, -0.18, 0.13, 0.21, 0.67, 0.96]
 GAP_D6_XI = [-0.1850968062, -0.02957083052, 0.1718593928, 0.5155057599, 0.8606358173]
+# finite roots whose midpoints overflow to inf
+HUGE_ROOTS = [1e308, 1.5e308, 1.7e308]
 
 
 class TestMidpoints:
@@ -69,10 +71,11 @@ class TestCriticalPoints:
         with pytest.raises(ValueError):
             critical_points([1.0])
 
-    def test_no_sign_change_when_derivative_underflows(self):
-        # P'(1e-200) = (1e-200 - 2e-200)(1e-200 - 3e-200) = 2e-400 underflows to 0
-        with pytest.raises(NoSignChangeError):
-            critical_points([1e-200, 2e-200, 3e-200])
+    def test_tiny_roots_scale_the_critical_points(self):
+        # P'(1e-200) = (1e-200 - 2e-200)(1e-200 - 3e-200) = 2e-400 underflows to 0,
+        # but the bisection never evaluates P' and only reads the sign of P'/P
+        want = [1e-200 * v for v in critical_points([1.0, 2.0, 3.0])]
+        assert critical_points([1e-200, 2e-200, 3e-200]) == pytest.approx(want, rel=1e-12)
 
     def test_interlacing(self):
         for case in range(300):
@@ -81,6 +84,21 @@ class TestCriticalPoints:
             xi = critical_points(xs)
             for k, v in enumerate(xi):
                 assert xs[k] < v < xs[k + 1]
+
+
+class TestXiGapBounds:
+    def test_floats_and_fractions(self):
+        lo, hi = [0.0, 2.0, 5.0], [1.0, 3.0, 7.0]
+        # gap 0 in [2 - 1, 3 - 0] = [1, 3], gap 1 in [5 - 3, 7 - 2] = [2, 5]
+        assert xi_gap_bounds(lo, hi) == (1.0, 3.0, 2.0, 5.0)
+        got = xi_gap_bounds([Fraction(v) for v in lo], [Fraction(v) for v in hi])
+        assert got == (1, 3, 2, 5)
+        assert all(isinstance(v, Fraction) for v in got)
+
+    def test_points_give_the_gaps(self):
+        xi = critical_points(GAP_D6_ROOTS)
+        gaps = [b - a for a, b in zip(xi, xi[1:])]
+        assert xi_gap_bounds(xi, xi) == (min(gaps), min(gaps), max(gaps), max(gaps))
 
 
 class TestGapReport:
@@ -119,6 +137,11 @@ class TestGapReport:
         b = 1.0 - 2e-5
         with pytest.raises(DegenerateMarginError):
             gap_report([-1.0, -b, b, 1.0])
+
+    def test_nan_margins_are_degenerate(self):
+        # the midpoints overflow to inf, so both margins are NaN
+        with pytest.raises(DegenerateMarginError):
+            gap_report(HUGE_ROOTS)
 
     def test_translation_invariance(self):
         for case in range(60):
@@ -164,16 +187,36 @@ class TestGapReport:
 
 # --- reference: the product-form bisection that the sign-only kernel replaced ---
 
+def _derivative_at_from_roots(roots, x):
+    """P'(x) for P = prod (x - r), evaluated from root differences."""
+    prod = 1.0
+    zero_seen = False
+    for r in roots:
+        d = x - r
+        if d == 0.0:
+            if zero_seen:
+                return 0.0  # multiple root
+            zero_seen = True
+        else:
+            prod *= d
+    if zero_seen:
+        return prod
+    s = 0.0
+    for r in roots:
+        s += 1.0 / (x - r)
+    return prod * s
+
+
 def _reference_bisect(x, lo, hi, tol):
-    flo = derivative_at_from_roots(x, lo)
-    fhi = derivative_at_from_roots(x, hi)
+    flo = _derivative_at_from_roots(x, lo)
+    fhi = _derivative_at_from_roots(x, hi)
     if flo == 0.0 or fhi == 0.0 or (flo > 0.0) == (fhi > 0.0):
-        raise NoSignChangeError(f"no derivative sign change over ({lo!r}, {hi!r})")
+        raise ValueError(f"no derivative sign change over ({lo!r}, {hi!r})")
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:  # interval collapsed to adjacent floats
             break
-        fm = derivative_at_from_roots(x, mid)
+        fm = _derivative_at_from_roots(x, mid)
         if fm == 0.0:
             return mid, mid
         if (fm > 0.0) == (flo > 0.0):
@@ -197,7 +240,7 @@ def _reference_critical_points_with_widths(x):
 def _reference_match(xs, target):
     try:
         rpt = gap_report(xs)
-    except (DegenerateMarginError, NoSignChangeError):
+    except DegenerateMarginError:
         return None
     return rpt if rpt.gap_class == target else None
 
@@ -217,7 +260,7 @@ class TestSignOnlyKernel:
                 for case in range(draws):
                     xs = random_distinct_sorted(500 + d, case, d, spread=ell)
                     want_xi, want_w = _reference_critical_points_with_widths(xs)
-                    lo, hi = criticalgaps._brackets(xs)
+                    lo, hi = xs[:-1], xs[1:]
                     criticalgaps._refine(xs, lo, hi, BISECTION_REL_TOL * (xs[-1] - xs[0]))
                     got_xi = [0.5 * (a + b) for a, b in zip(lo, hi)]
                     got_w = [0.5 * (b - a) for a, b in zip(lo, hi)]
@@ -231,8 +274,9 @@ class TestSignOnlyKernel:
         assert _bits(critical_points(xs)) == _bits(xi) == _bits(rpt.xi)
         assert _bits(rpt.xi_halfwidth) == _bits(widths)
 
-    def test_gap_report_keeps_no_sign_change(self):
-        with pytest.raises(NoSignChangeError):
+    def test_gap_report_tiny_roots_are_degenerate(self):
+        # both margins are of order 1e-200, far under MARGIN_EPS
+        with pytest.raises(DegenerateMarginError):
             gap_report([1e-200, 2e-200, 3e-200])
 
 
@@ -309,6 +353,10 @@ class TestMatch:
         for target in GAP_CLASSES:
             assert match([-1.0, -b, b, 1.0], target) is None
             assert match([1e-200, 2e-200, 3e-200], target) is None
+
+    def test_nan_margins_are_none(self):
+        for target in GAP_CLASSES:
+            assert match(HUGE_ROOTS, target) is None
 
     def test_found_report_is_gap_report(self):
         assert match(GAP_D6_ROOTS, "L-R+") == gap_report(GAP_D6_ROOTS)
