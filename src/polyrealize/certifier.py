@@ -1,11 +1,17 @@
 """Exact-arithmetic back end.
 
 Sampled roots are rationalized (rounded to a fixed number of significant
-decimal digits, represented exactly), expanded by exact convolution, and the
-resulting coefficient signs / root counts / modulus order are checked against
-a claimed couple.  Gap classes are certified by exact-sign bisection on the
-derivative with dyadic midpoints, refined until every strict comparison is
-decided by interval separation.
+decimal digits, represented exactly) and put over one common denominator D,
+the lcm of their denominators.  The integer roots R = D*r expand by exact
+convolution over Python ints; only the emitted coefficients a_j = A_j / D**j
+are Fractions.  The resulting coefficient signs / root counts / modulus order
+are checked against a claimed couple.  Gap classes are certified by
+exact-sign bisection on the derivative in the integer variable t = D*x: all
+brackets share one dyadic scale 2**s, the sign of the derivative at a
+midpoint is that of a homogenized integer Horner sum, and bisection goes on
+until every strict comparison is decided by interval separation, compared
+in integers on the common scale (the setting of the Descartes method for
+real-root isolation, Collins & Akritas 1976).
 
 Every check returns a Certificate or a Mismatch naming the first check that
 failed; a property of the sample (a vanishing coefficient, tied moduli, tied
@@ -18,6 +24,7 @@ the rationalized polynomial is what the certificate claims.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -50,7 +57,9 @@ class ExactPolynomial:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(
+            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
+        )
         if not self.coeffs or self.coeffs[0] != 1:
             raise ValueError("exact polynomial must be monic")
 
@@ -87,11 +96,15 @@ def rationalize_value(v, digits: int = DEFAULT_DIGITS) -> Fraction:
     v = float(v)
     if v == 0.0:
         raise RoundsToZeroError("value is zero")
+    if not math.isfinite(v):
+        raise ValueError(f"{v!r} is not finite")
+    # "d.ddde[+-]xx": the digits form an integer mantissa, so v ~ mant * 10**exp
     mant, exp = format(v, f".{digits - 1}e").split("e")
-    q = Fraction(mant) * Fraction(10) ** int(exp)
-    if q == 0:
-        raise RoundsToZeroError(f"{v!r} rounds to zero at {digits} digits")
-    return q
+    mant = int(mant.replace(".", ""))
+    exp = int(exp) - (digits - 1)
+    if exp >= 0:
+        return Fraction(mant * 10**exp)
+    return Fraction(mant, 10**-exp)
 
 
 def rationalize(spec: RootSpec, digits: int = DEFAULT_DIGITS) -> RootSpec:
@@ -106,22 +119,40 @@ def rationalize(spec: RootSpec, digits: int = DEFAULT_DIGITS) -> RootSpec:
     )
 
 
+def _over_common_denominator(values) -> tuple[int, list[int]]:
+    """(D, [D*q for q in values]) with D the lcm of the denominators of the rationals."""
+    qs = [q if type(q) is Fraction else Fraction(q) for q in values]
+    D = math.lcm(*(q.denominator for q in qs))
+    return D, [q.numerator * (D // q.denominator) for q in qs]
+
+
+def _descaled(coeffs, D: int) -> tuple[Fraction, ...]:
+    """Coefficients of P(x) from those of Q(t) = D**n * P(t/D): a_j = A_j / D**j."""
+    return tuple(Fraction(c, D**j) for j, c in enumerate(coeffs))
+
+
 def exact_expand(spec: RootSpec) -> ExactPolynomial:
-    """Exact convolution product over the spec's factors."""
-    return ExactPolynomial(tuple(expand(
-        [Fraction(r) for r in spec.real_roots],
-        [(Fraction(re), Fraction(im)) for re, im in spec.complex_pairs],
-        Fraction(1),
-    )))
+    """Exact convolution product over the spec's factors, run on integers.
+
+    With t = D*x, each real factor becomes t - D*r and each quadratic
+    t**2 - 2*(D*re)*t + (D*re)**2 + (D*im)**2, all over Python ints.
+    """
+    nreal = len(spec.real_roots)
+    D, ints = _over_common_denominator(
+        list(spec.real_roots) + [v for pair in spec.complex_pairs for v in pair]
+    )
+    pairs = list(zip(ints[nreal::2], ints[nreal + 1::2]))
+    return ExactPolynomial(_descaled(expand(ints[:nreal], pairs, 1), D))
 
 
 def exact_sign_pattern(poly: ExactPolynomial) -> SignPattern:
     """Sign word of exact coefficients; a zero coefficient is an error, not a guess."""
     signs = []
     for i, c in enumerate(poly.coeffs):
-        if c == 0:
+        num = c.numerator
+        if num == 0:
             raise ZeroCoefficientError(f"coefficient of x^{poly.degree - i} is exactly zero")
-        signs.append(1 if c > 0 else -1)
+        signs.append(1 if num > 0 else -1)
     return SignPattern(tuple(signs))
 
 
@@ -187,8 +218,11 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
         checks.append(("moduli_order", order.word))
 
     # internal identity: subdominant coefficient is minus the exact root sum
-    root_sum = sum((Fraction(r) for r in spec.real_roots), Fraction(0))
-    root_sum += sum((2 * Fraction(re) for re, _ in spec.complex_pairs), Fraction(0))
+    D, ints = _over_common_denominator(
+        list(spec.real_roots) + [re for re, _ in spec.complex_pairs]
+    )
+    nreal = len(spec.real_roots)
+    root_sum = Fraction(sum(ints[:nreal]) + 2 * sum(ints[nreal:]), D)
     if poly.coeffs[1] != -root_sum:
         raise RootSumIdentityError(
             f"subdominant coefficient {poly.coeffs[1]} is not minus the root sum {root_sum}"
@@ -196,20 +230,6 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     checks.append(("subdominant_identity", str(poly.coeffs[1])))
 
     return Certificate(spec=spec, coeffs=poly.coeffs, claim=claim, checks=tuple(checks))
-
-
-def _halve(dcoeffs, lo, hi, sign):
-    """One exact bisection step on a bracket where P' has sign `sign` at lo.
-
-    Collapses to a point when the midpoint is a root of P'.
-    """
-    mid = (lo + hi) / 2
-    fm = horner(dcoeffs, mid)
-    if fm == 0:
-        return mid, mid
-    if (fm > 0) == (sign > 0):
-        return mid, hi
-    return lo, mid
 
 
 def certify_gap_class(roots: Sequence[Fraction]):
@@ -222,44 +242,68 @@ def certify_gap_class(roots: Sequence[Fraction]):
     GAP_REFINE_CAP refinement rounds, which signals a potential non-strict
     equality, fails the "gap_class" check.  Fewer than three roots or
     decreasing roots are caller errors and raise ValueError.
+
+    Everything runs in integers: with t = D*x the roots are R_k = D*x_k and
+    Q(t) = prod (t - R_k).  After s rounds a bracket end t = L / 2**s is
+    stored as the integer L, so the midpoint of [L, H] is L + H at scale
+    2**(s+1), and the sign of Q' there is the sign of
+    sum_j c_j * M**(m-j) * 2**((s+1)*j).  A gap g between bracket ends and a
+    midpoint gap (R_{k+2} - R_k) / 2 compare as 2*g against (R_{k+2} - R_k) * 2**s.
     """
-    roots = [Fraction(r) for r in roots]
-    n = len(roots)
+    D, R = _over_common_denominator(roots)
+    n = len(R)
     if n < 3:
         raise ValueError("need at least three roots")
-    if any(a > b for a, b in zip(roots, roots[1:])):
+    if any(a > b for a, b in zip(R, R[1:])):
         raise ValueError("roots must be increasing")
-    if len(set(roots)) < n:
+    if len(set(R)) < n:
         return Mismatch("simple_roots", "two roots are equal")
 
-    z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(n - 2)]
-    m_tilde, M_tilde = min(z_gaps), max(z_gaps)
+    z_gaps = [R[k + 2] - R[k] for k in range(n - 2)]
+    z_min, z_max = min(z_gaps), max(z_gaps)
 
     # gap analysis admits a zero root, which RootSpec does not
-    poly = ExactPolynomial(tuple(expand(roots, (), Fraction(1))))
-    dcoeffs = derivative_coeffs(poly.coeffs)
+    Q = expand(R, (), 1)
+    dcoeffs = derivative_coeffs(Q)
 
     # the root intervals enclose the critical points; at the simple root x_k
     # (0-based) P' = prod_{j != k} (x_k - x_j) has sign (-1)^(n-1-k)
-    lo, hi = roots[:-1], roots[1:]
-    signs = [1 if (n - 1 - k) % 2 == 0 else -1 for k in range(n - 1)]
+    lo, hi = R[:-1], R[1:]
+    positive = [(n - 1 - k) % 2 == 0 for k in range(n - 1)]
 
-    for _ in range(GAP_REFINE_CAP + 1):
+    for s in range(GAP_REFINE_CAP + 1):
         m_lo, m_hi, M_lo, M_hi = xi_gap_bounds(lo, hi)
-        left = "L+" if m_lo > m_tilde else ("L-" if m_hi < m_tilde else None)
-        right = "R+" if M_hi < M_tilde else ("R-" if M_lo > M_tilde else None)
+        z_lo, z_hi = z_min << s, z_max << s
+        left = "L+" if 2 * m_lo > z_lo else ("L-" if 2 * m_hi < z_lo else None)
+        right = "R+" if 2 * M_hi < z_hi else ("R-" if 2 * M_lo > z_hi else None)
         if left and right:
+            unit = D << s
             checks = (
-                ("m_tilde", str(m_tilde)),
-                ("M_tilde", str(M_tilde)),
-                ("m_prime_bounds", f"[{m_lo}, {m_hi}]"),
-                ("M_prime_bounds", f"[{M_lo}, {M_hi}]"),
+                ("m_tilde", str(Fraction(z_min, 2 * D))),
+                ("M_tilde", str(Fraction(z_max, 2 * D))),
+                ("m_prime_bounds", f"[{Fraction(m_lo, unit)}, {Fraction(m_hi, unit)}]"),
+                ("M_prime_bounds", f"[{Fraction(M_lo, unit)}, {Fraction(M_hi, unit)}]"),
             )
-            return Certificate(spec=None, coeffs=poly.coeffs, claim=left + right, checks=checks)
+            return Certificate(
+                spec=None, coeffs=_descaled(Q, D), claim=left + right, checks=checks
+            )
+        if s == GAP_REFINE_CAP:
+            break
 
+        shifted = [c << ((s + 1) * j) for j, c in enumerate(dcoeffs)]
         for k in range(n - 1):
-            if lo[k] != hi[k]:
-                lo[k], hi[k] = _halve(dcoeffs, lo[k], hi[k], signs[k])
+            a, b = lo[k], hi[k]
+            mid = a + b
+            if a == b:
+                lo[k] = hi[k] = mid
+                continue
+            acc = horner(shifted, mid)
+            if acc == 0:
+                lo[k] = hi[k] = mid
+            elif (acc > 0) == positive[k]:
+                lo[k], hi[k] = mid, 2 * b
+            else:
+                lo[k], hi[k] = 2 * a, mid
     return Mismatch("gap_class", f"undecided after {GAP_REFINE_CAP} rounds")
 
 

@@ -12,11 +12,12 @@ holds strictly (+) or fails (-) on the left (L) and right (R).  gap_report
 refines every critical point in full; match, the search's test, refines in
 stages and stops as soon as the target class is ruled out.  xi_gap_bounds
 turns brackets on the critical points into bounds on the critical gaps, for
-floats here and for Fractions in the certifier.
+floats here and for integers in the certifier.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -135,7 +136,7 @@ def xi_gap_bounds(lo: Sequence, hi: Sequence) -> tuple:
 
     Critical point k lies in [lo[k], hi[k]], so gap k lies between
     lo[k+1] - hi[k] and hi[k+1] - lo[k]; the min and max over k bound the
-    min and max gap.  Works for any ordered number type (floats, Fractions).
+    min and max gap.  Works for any ordered number type (floats, ints, Fractions).
     """
     inner = [b - a for a, b in zip(hi, lo[1:])]
     outer = [b - a for a, b in zip(lo, hi[1:])]
@@ -169,6 +170,8 @@ def _report(x: list[float], z: list[float], lo: list[float], hi: list[float]) ->
     right = M_tilde - M_prime
     left_sign, right_sign = _margin_sign(left), _margin_sign(right)
     if not left_sign or not right_sign:
+        if not (math.isfinite(left) and math.isfinite(right)):
+            raise DegenerateMarginError(f"margins ({left!r}, {right!r}) are not finite")
         raise DegenerateMarginError(
             f"margins ({left!r}, {right!r}) too small to classify in floats"
         )

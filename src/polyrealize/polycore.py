@@ -2,9 +2,10 @@
 
 Construction from explicit roots, Horner evaluation, derivative, and
 tolerance-aware extraction of the coefficient sign word.  The expansion,
-Horner and derivative kernels are generic over the number type, so
-:mod:`polyrealize.certifier` runs the same code on Fractions for its exact
-re-verification; this module is the fast path driven by the search loops.
+Horner and derivative kernels are generic over the number type: the search
+loops expand in floats (unit 1.0), and :mod:`polyrealize.certifier` runs all
+three on Python ints (unit 1) for its exact re-verification, over roots
+scaled to a common denominator.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
 
     Sequential convolution, real factors first, then one quadratic per
     (re, im) pair.  Generic over the number type: `one` is the unit of the
-    arithmetic (1.0 or Fraction(1)) and the entries must already be of it.
+    arithmetic (1.0 or int 1) and the entries must already be of it.
     """
     zero = one - one
     coeffs = [one]

@@ -1,15 +1,17 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_distinct_sorted, random_rootspec
+from conftest import random_distinct_sorted, random_rootspec, unit_draws
 from polyrealize.catalog import catalog_lookup
 from polyrealize.certifier import (
     GAP_REFINE_CAP,
     Certificate,
     ExactPolynomial,
     Mismatch,
+    RootSumIdentityError,
     RoundsToZeroError,
     ZeroCoefficientError,
     certify_couple,
@@ -20,8 +22,15 @@ from polyrealize.certifier import (
     rationalize,
     rationalize_value,
 )
+from polyrealize.concatenation import _scaled
 from polyrealize.criticalgaps import gap_report
-from polyrealize.moduliorders import ModuliCouple, ModuliOrder, parse_order
+from polyrealize.moduliorders import (
+    ModuliCouple,
+    ModuliOrder,
+    TiedModuliError,
+    order_from_roots,
+    parse_order,
+)
 from polyrealize.polycore import (
     RootSpec,
     derivative_coeffs,
@@ -30,7 +39,24 @@ from polyrealize.polycore import (
     horner,
     sign_tuple,
 )
-from polyrealize.signpatterns import PairCouple, RootCountPair, from_runs, parse_pattern
+from polyrealize.sampler import (
+    Mixture,
+    MultiplicityBias,
+    SearchConfig,
+    Uniform,
+    draw_rootspec_pair,
+)
+from polyrealize.signpatterns import (
+    PairCouple,
+    RootCountPair,
+    SignPattern,
+    compatible_pairs,
+    descartes_pair,
+    from_runs,
+    is_compatible_pair,
+    parse_pattern,
+)
+from polyrealize.sweeps import _g1_spec, _g2_spec
 
 
 def q1_spec() -> RootSpec:
@@ -68,6 +94,11 @@ class TestRationalize:
     def test_zero_re_passes_through(self):
         spec = rationalize(RootSpec(complex_pairs=((0.0, 0.5),)))
         assert spec.complex_pairs[0][0] == 0
+
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rejected(self, v):
+        with pytest.raises(ValueError, match="is not finite"):
+            rationalize_value(v)
 
 
 class TestExactExpand:
@@ -281,6 +312,215 @@ def test_gap_certificates_match_endpoint_reference():
     assert len(inputs) > 300
     # no sampled input is L-R-
     assert verdicts == {"L+R+", "L+R-", "L-R+", "simple_roots", "gap_class"}, verdicts
+
+
+def test_high_degree_gap_certificates_match_endpoint_reference():
+    # degrees 9-12: the sizes the benchmark's witness workload certifies
+    verdicts = set()
+    for d in range(9, 13):
+        for digits in (3, 6, 12):
+            for scale in (1e-3, 1.0, 1e3):
+                for case in range(2):
+                    xs = random_distinct_sorted(1900 + d, case, d, spread=scale)
+                    roots = [rationalize_value(x, digits) for x in xs]
+                    got = certify_gap_class(roots)
+                    assert got == _reference_certify_gap_class(roots), roots
+                    verdicts.add(got.claim if isinstance(got, Certificate) else got.failed_check)
+    assert {"L+R+", "L+R-", "simple_roots"} <= verdicts, verdicts
+
+
+# --- reference: the Fraction-based rationalization and couple certifier that
+# the integer back end replaced ---
+
+def _reference_rationalize_value(v, digits):
+    mant, exp = format(float(v), f".{digits - 1}e").split("e")
+    return Fraction(mant) * Fraction(10) ** int(exp)
+
+
+def _reference_exact_expand(spec):
+    return ExactPolynomial(tuple(expand(
+        [Fraction(r) for r in spec.real_roots],
+        [(Fraction(re), Fraction(im)) for re, im in spec.complex_pairs],
+        Fraction(1),
+    )))
+
+
+def _reference_sign_pattern(poly):
+    signs = []
+    for i, c in enumerate(poly.coeffs):
+        if c == 0:
+            raise ZeroCoefficientError(f"coefficient of x^{poly.degree - i} is exactly zero")
+        signs.append(1 if c > 0 else -1)
+    return SignPattern(tuple(signs))
+
+
+def _reference_certify_couple(spec, claim):
+    poly = _reference_exact_expand(spec)
+    checks = []
+    pos = spec.pos_count
+    neg = spec.neg_count
+    try:
+        actual = _reference_sign_pattern(poly)
+    except ZeroCoefficientError as exc:
+        return Mismatch("sign_vector", str(exc), actual_pair=(pos, neg))
+    if actual != claim.pattern:
+        return Mismatch(
+            "sign_vector",
+            f"expansion has sign word {actual.word}, claim is {claim.pattern.word}",
+            actual_pattern=actual,
+            actual_pair=(pos, neg),
+        )
+    checks.append(("sign_vector", actual.word))
+    if isinstance(claim, PairCouple):
+        if (pos, neg) != tuple(claim.pair):
+            return Mismatch(
+                "root_counts",
+                f"spec has (pos, neg) = ({pos}, {neg}), claim is {tuple(claim.pair)}",
+                actual_pattern=actual,
+                actual_pair=(pos, neg),
+            )
+        checks.append(("root_counts", f"({pos},{neg})"))
+    else:
+        if spec.complex_pairs:
+            return Mismatch(
+                "hyperbolic",
+                "moduli claims need all roots real",
+                actual_pattern=actual,
+                actual_pair=(pos, neg),
+            )
+        checks.append(("hyperbolic", "all roots real"))
+        try:
+            order = order_from_roots(spec.real_roots)
+        except TiedModuliError as exc:
+            return Mismatch(
+                "moduli_order", str(exc), actual_pattern=actual, actual_pair=(pos, neg)
+            )
+        if order != claim.order:
+            return Mismatch(
+                "moduli_order",
+                f"roots give order {order.word}, claim is {claim.order.word}",
+                actual_pattern=actual,
+                actual_pair=(pos, neg),
+                actual_order=order,
+            )
+        checks.append(("moduli_order", order.word))
+    root_sum = sum((Fraction(r) for r in spec.real_roots), Fraction(0))
+    root_sum += sum((2 * Fraction(re) for re, _ in spec.complex_pairs), Fraction(0))
+    if poly.coeffs[1] != -root_sum:
+        raise RootSumIdentityError(
+            f"subdominant coefficient {poly.coeffs[1]} is not minus the root sum {root_sum}"
+        )
+    checks.append(("subdominant_identity", str(poly.coeffs[1])))
+    return Certificate(spec=spec, coeffs=poly.coeffs, claim=claim, checks=tuple(checks))
+
+
+def _claims(spec):
+    """A true pair claim, then claims that fail each check the spec allows."""
+    poly = _reference_exact_expand(spec)
+    d = poly.degree
+    pos, neg = spec.pos_count, spec.neg_count
+    if any(c == 0 for c in poly.coeffs):
+        yield PairCouple(SignPattern((1,) * (d + 1)), RootCountPair(0, d % 2))
+        return
+    actual = _reference_sign_pattern(poly)
+    yield PairCouple(actual, RootCountPair(pos, neg))
+    flipped = SignPattern(actual.signs[:-1] + (-actual.signs[-1],))
+    if is_compatible_pair(flipped, RootCountPair(pos, neg)):
+        yield PairCouple(flipped, RootCountPair(pos, neg))
+    wrong_pairs = [p for p in compatible_pairs(actual) if p != (pos, neg)]
+    if wrong_pairs:
+        yield PairCouple(actual, wrong_pairs[0])
+    # all-real specs: a true claim or moduli_order; others fail "hyperbolic"
+    c, p = descartes_pair(actual)
+    yield ModuliCouple(actual, ModuliOrder("P" * c + "N" * p))
+    if not spec.complex_pairs:
+        try:
+            order = order_from_roots(spec.real_roots)
+        except TiedModuliError:
+            return
+        yield ModuliCouple(actual, order)
+        yield ModuliCouple(actual, ModuliOrder(order.word[::-1]))
+
+
+def _couple_inputs():
+    """Search draws, all-real draws, orbit-mapped and rescaled specs, edge cases."""
+    drawn = []
+    strategies = (Uniform(), Mixture(), MultiplicityBias())
+    t = 0
+    for d in range(1, 9):
+        pairs = [
+            RootCountPair(p, q)
+            for p in range(d + 1) for q in range(d + 1 - p) if (d - p - q) % 2 == 0
+        ]
+        for strategy in strategies:
+            for digits in (3, 6, 12):
+                for ell in (2.0**-30, 1.0, 2.0**30):
+                    cfg = SearchConfig(n=1, ell=ell, seed=d, strategy=strategy, digits=digits)
+                    for _ in range(2):
+                        t += 1
+                        spec = draw_rootspec_pair(d, pairs[t % len(pairs)], cfg, t)
+                        drawn.append(rationalize(spec, digits))
+    yield from drawn
+    for d in range(2, 9):
+        for case in range(12):
+            xs = random_distinct_sorted(3100 + d, case, d)
+            yield rationalize(RootSpec(real_roots=tuple(xs)), 3 + case % 10)
+    # reciprocals and rescalings: denominators that are not powers of ten
+    for spec in drawn[::7]:
+        yield _g2_spec(spec)
+        yield _g2_spec(_g1_spec(spec))
+        yield _scaled(spec, Fraction(2, 3))
+    yield RootSpec(complex_pairs=((Fraction(0), Fraction(1, 2)),))
+    yield RootSpec(
+        real_roots=(Fraction(-3, 10),),
+        complex_pairs=((Fraction(0), Fraction(7, 10)), (Fraction(1, 5), Fraction(1, 3))),
+    )
+    yield rationalize(RootSpec(real_roots=(0.4,), complex_pairs=((0.0, 0.25), (-0.0, 2.5))))
+    yield RootSpec(real_roots=(Fraction(1), Fraction(-1)))
+    yield RootSpec(real_roots=(Fraction(1), Fraction(-1), Fraction(2)))
+    yield rationalize(RootSpec(real_roots=(0.3000000000001, -0.3000000000002, 0.9)))
+
+
+def test_couple_certificates_match_fraction_reference():
+    outcomes = set()
+    count = 0
+    for spec in _couple_inputs():
+        for claim in _claims(spec):
+            got = certify_couple(spec, claim)
+            ref = _reference_certify_couple(spec, claim)
+            assert got == ref and repr(got) == repr(ref), (spec, claim)
+            outcomes.add("certificate" if isinstance(got, Certificate) else got.failed_check)
+            count += 1
+    assert count > 2000
+    assert outcomes == {"certificate", "sign_vector", "root_counts", "hyperbolic",
+                        "moduli_order"}, outcomes
+
+
+def _float_inputs():
+    """Extremes, powers of ten and draws over the whole exponent range, both signs."""
+    tiny, huge = 5e-324, sys.float_info.max
+    yield from (tiny, -tiny, huge, -huge, sys.float_info.min, 1.0, 0.1, 9.5, 0.5, 2.0**-30)
+    for k in range(-323, 309):
+        x = float(f"1e{k}")
+        yield x
+        yield -x
+    for i in range(9000):
+        u = unit_draws(4242, i, 3)
+        x = math.ldexp(0.5 + u[0] / 2, int(u[1] * 2098) - 1074)
+        yield x if u[2] < 0.5 else -x
+
+
+def test_rationalize_value_matches_fraction_reference():
+    floats = list(_float_inputs())
+    count = 0
+    for x in floats:
+        for digits in range(1, 18):
+            got = rationalize_value(x, digits)
+            assert type(got) is Fraction
+            assert got == _reference_rationalize_value(x, digits), (x, digits)
+            count += 1
+    assert len(set(floats)) >= 10**4
+    assert count == 17 * len(floats)
 
 
 def test_fraction_str():

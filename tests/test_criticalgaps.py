@@ -143,6 +143,12 @@ class TestGapReport:
         with pytest.raises(DegenerateMarginError):
             gap_report(HUGE_ROOTS)
 
+    def test_degenerate_messages_name_the_cause(self):
+        with pytest.raises(DegenerateMarginError, match=r"^margins \(nan, nan\) are not finite$"):
+            gap_report(HUGE_ROOTS)
+        with pytest.raises(DegenerateMarginError, match="too small to classify in floats"):
+            gap_report([1e-200, 2e-200, 3e-200])
+
     def test_translation_invariance(self):
         for case in range(60):
             xs = random_distinct_sorted(99, case, 3 + case % 5)
