@@ -8,7 +8,6 @@ root moduli, and critical-point/midpoint gap classes.
 
 from .certifier import (
     Certificate,
-    ExactPolynomial,
     Mismatch,
     certify_couple,
     certify_gap_class,

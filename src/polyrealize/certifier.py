@@ -3,15 +3,18 @@
 Sampled roots are rationalized (rounded to a fixed number of significant
 decimal digits, represented exactly) and put over one common denominator D,
 the lcm of their denominators.  The integer roots R = D*r expand by exact
-convolution over Python ints; only the emitted coefficients a_j = A_j / D**j
-are Fractions.  The resulting coefficient signs / root counts / modulus order
-are checked against a claimed couple.  Gap classes are certified by
-exact-sign bisection on the derivative in the integer variable t = D*x: all
-brackets share one dyadic scale 2**s, the sign of the derivative at a
-midpoint is that of a homogenized integer Horner sum, and bisection goes on
-until every strict comparison is decided by interval separation, compared
-in integers on the common scale (the setting of the Descartes method for
-real-root isolation, Collins & Akritas 1976).
+convolution over Python ints into Q(t) = D**n * P(t/D), whose coefficients
+A_j have the signs of the a_j = A_j / D**j.  Couple checks read the sign
+word and the root-sum identity from the integers A_j, and the claimed root
+counts or modulus order from the roots; Fractions are built only for the
+coefficients a Certificate stores and for what exact_expand returns.  Gap
+classes are certified by exact-sign bisection on the derivative in the
+integer variable t = D*x: all brackets share one dyadic scale 2**s, the
+sign of the derivative at a midpoint is that of a homogenized integer
+Horner sum, and bisection goes on until every strict comparison is decided
+by interval separation, compared in integers on the common scale (the
+setting of the Descartes method for real-root isolation, Collins & Akritas
+1976).
 
 Every check returns a Certificate or a Mismatch naming the first check that
 failed; a property of the sample (a vanishing coefficient, tied moduli, tied
@@ -48,24 +51,6 @@ class ZeroCoefficientError(ValueError):
 
 class RootSumIdentityError(RuntimeError):
     """The exact expansion's subdominant coefficient is not minus the root sum."""
-
-
-@dataclass(frozen=True)
-class ExactPolynomial:
-    """Monic polynomial with arbitrary-precision rational coefficients, descending."""
-
-    coeffs: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "coeffs", tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
-        )
-        if not self.coeffs or self.coeffs[0] != 1:
-            raise ValueError("exact polynomial must be monic")
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
 
 
 @dataclass(frozen=True)
@@ -131,28 +116,36 @@ def _descaled(coeffs, D: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, D**j) for j, c in enumerate(coeffs))
 
 
-def exact_expand(spec: RootSpec) -> ExactPolynomial:
-    """Exact convolution product over the spec's factors, run on integers.
+def _integer_expansion(spec: RootSpec) -> tuple[int, list[int], int]:
+    """(D, A, S): the spec over its common denominator D, expanded in integers.
 
     With t = D*x, each real factor becomes t - D*r and each quadratic
-    t**2 - 2*(D*re)*t + (D*re)**2 + (D*im)**2, all over Python ints.
+    t**2 - 2*(D*re)*t + (D*re)**2 + (D*im)**2, all over Python ints; A holds
+    the coefficients of Q(t) = D**n * P(t/D) and S = D * (sum of the roots).
     """
     nreal = len(spec.real_roots)
     D, ints = _over_common_denominator(
         list(spec.real_roots) + [v for pair in spec.complex_pairs for v in pair]
     )
-    pairs = list(zip(ints[nreal::2], ints[nreal + 1::2]))
-    return ExactPolynomial(_descaled(expand(ints[:nreal], pairs, 1), D))
+    reals, res = ints[:nreal], ints[nreal::2]
+    A = expand(reals, list(zip(res, ints[nreal + 1::2])), 1)
+    return D, A, sum(reals) + 2 * sum(res)
 
 
-def exact_sign_pattern(poly: ExactPolynomial) -> SignPattern:
-    """Sign word of exact coefficients; a zero coefficient is an error, not a guess."""
+def exact_expand(spec: RootSpec) -> tuple[Fraction, ...]:
+    """Exact descending coefficients of the monic polynomial with the spec's roots."""
+    D, A, _ = _integer_expansion(spec)
+    return _descaled(A, D)
+
+
+def exact_sign_pattern(coeffs: Sequence) -> SignPattern:
+    """Sign word of exact coefficients (ints or Fractions); a zero is an error, not a guess."""
+    d = len(coeffs) - 1
     signs = []
-    for i, c in enumerate(poly.coeffs):
-        num = c.numerator
-        if num == 0:
-            raise ZeroCoefficientError(f"coefficient of x^{poly.degree - i} is exactly zero")
-        signs.append(1 if num > 0 else -1)
+    for i, c in enumerate(coeffs):
+        if c == 0:
+            raise ZeroCoefficientError(f"coefficient of x^{d - i} is exactly zero")
+        signs.append(1 if c > 0 else -1)
     return SignPattern(tuple(signs))
 
 
@@ -164,14 +157,14 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     coefficient fails the sign vector check and tied moduli fail the order
     check; such a sample is rejected, never patched.
     """
-    poly = exact_expand(spec)
+    D, A, S = _integer_expansion(spec)
     checks: list[tuple[str, str]] = []
 
     pos = spec.pos_count
     neg = spec.neg_count
 
     try:
-        actual = exact_sign_pattern(poly)
+        actual = exact_sign_pattern(A)  # D > 0: A_j has the sign of a_j
     except ZeroCoefficientError as exc:
         return Mismatch("sign_vector", str(exc), actual_pair=(pos, neg))
     if actual != claim.pattern:
@@ -218,18 +211,14 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
         checks.append(("moduli_order", order.word))
 
     # internal identity: subdominant coefficient is minus the exact root sum
-    D, ints = _over_common_denominator(
-        list(spec.real_roots) + [re for re, _ in spec.complex_pairs]
-    )
-    nreal = len(spec.real_roots)
-    root_sum = Fraction(sum(ints[:nreal]) + 2 * sum(ints[nreal:]), D)
-    if poly.coeffs[1] != -root_sum:
+    coeffs = _descaled(A, D)
+    if A[1] != -S:
         raise RootSumIdentityError(
-            f"subdominant coefficient {poly.coeffs[1]} is not minus the root sum {root_sum}"
+            f"subdominant coefficient {coeffs[1]} is not minus the root sum {Fraction(S, D)}"
         )
-    checks.append(("subdominant_identity", str(poly.coeffs[1])))
+    checks.append(("subdominant_identity", str(coeffs[1])))
 
-    return Certificate(spec=spec, coeffs=poly.coeffs, claim=claim, checks=tuple(checks))
+    return Certificate(spec=spec, coeffs=coeffs, claim=claim, checks=tuple(checks))
 
 
 def certify_gap_class(roots: Sequence[Fraction]):

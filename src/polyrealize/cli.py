@@ -6,6 +6,7 @@ Exit codes: 0 found/verified, 1 exhausted or mismatch, 2 invalid input,
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -29,17 +30,23 @@ EXIT_INVALID = 2
 EXIT_INTERNAL = 3
 
 
-def _run(body) -> None:
-    try:
-        code = body()
-    except click.ClickException:
-        raise
-    except (ValueError, KeyError, OSError) as exc:
-        raise click.UsageError(str(exc)) from exc
-    except Exception as exc:  # pragma: no cover - defensive
-        click.echo(f"internal error: {exc!r}", err=True)
-        sys.exit(EXIT_INTERNAL)
-    sys.exit(code)
+def _exit_codes(command):
+    """Exit with the command's return code; bad input exits 2, a crash 3."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs) -> None:
+        try:
+            code = command(*args, **kwargs)
+        except click.ClickException:
+            raise
+        except (ValueError, KeyError, OSError) as exc:
+            raise click.UsageError(str(exc)) from exc
+        except Exception as exc:  # pragma: no cover - defensive
+            click.echo(f"internal error: {exc!r}", err=True)
+            sys.exit(EXIT_INTERNAL)
+        sys.exit(code)
+
+    return run
 
 
 def _read_roots(path: str) -> tuple[list[float], list[tuple[float, float]]]:
@@ -147,17 +154,14 @@ def search():
 @click.option("--pos", type=int, required=True)
 @click.option("--neg", type=int, required=True)
 @_search_options
+@_exit_codes
 def search_pair_cmd(sigma, pos, neg, json_path, **opts):
     """Hunt a polynomial with sign pattern SIGMA and the given root counts."""
-
-    def body():
-        pattern = parse_pattern(sigma)
-        cfg = _config(**opts)
-        outcome = sampler.search_pair(pattern, RootCountPair(pos, neg), cfg)
-        query = {"sigma": pattern.word, "pos": pos, "neg": neg}
-        return _emit_search("search pair", cfg, query, outcome, json_path)
-
-    _run(body)
+    pattern = parse_pattern(sigma)
+    cfg = _config(**opts)
+    outcome = sampler.search_pair(pattern, RootCountPair(pos, neg), cfg)
+    query = {"sigma": pattern.word, "pos": pos, "neg": neg}
+    return _emit_search("search pair", cfg, query, outcome, json_path)
 
 
 @search.command("moduli")
@@ -165,34 +169,28 @@ def search_pair_cmd(sigma, pos, neg, json_path, **opts):
 @click.option("--order", "order_text", required=True,
               help="Order of moduli: word 'PNPNNPN' or bracket '[0,1,2,1]'.")
 @_search_options
+@_exit_codes
 def search_moduli_cmd(sigma, order_text, json_path, **opts):
     """Hunt a hyperbolic polynomial with sign pattern SIGMA and modulus order ORDER."""
-
-    def body():
-        pattern = parse_pattern(sigma)
-        order = parse_order(order_text)
-        cfg = _config(**opts)
-        outcome = sampler.search_moduli(pattern, order, cfg)
-        query = {"sigma": pattern.word, "order": order.word}
-        return _emit_search("search moduli", cfg, query, outcome, json_path)
-
-    _run(body)
+    pattern = parse_pattern(sigma)
+    order = parse_order(order_text)
+    cfg = _config(**opts)
+    outcome = sampler.search_moduli(pattern, order, cfg)
+    query = {"sigma": pattern.word, "order": order.word}
+    return _emit_search("search moduli", cfg, query, outcome, json_path)
 
 
 @search.command("gaps")
 @click.option("--degree", type=int, required=True)
 @click.option("--class", "target", type=click.Choice(GAP_CLASSES), required=True)
 @_search_options
+@_exit_codes
 def search_gaps_cmd(degree, target, json_path, **opts):
     """Hunt a root configuration realizing the given critical-gap class."""
-
-    def body():
-        cfg = _config(**opts)
-        outcome = sampler.search_gap_class(degree, target, cfg)
-        query = {"degree": degree, "class": target}
-        return _emit_search("search gaps", cfg, query, outcome, json_path)
-
-    _run(body)
+    cfg = _config(**opts)
+    outcome = sampler.search_gap_class(degree, target, cfg)
+    query = {"degree": degree, "class": target}
+    return _emit_search("search gaps", cfg, query, outcome, json_path)
 
 
 @main.group()
@@ -219,33 +217,27 @@ def _emit_sweep(command: str, rpt, json_path) -> int:
 @click.option("--orbits", is_flag=True, default=False,
               help="Search one representative per orbit and map witnesses.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
+@_exit_codes
 def sweep_pairs_cmd(degree, budget, orbits, json_path):
     """Search every (pattern, root counts) couple of DEGREE."""
-
-    def body():
-        cfg = SearchConfig(n=budget)
-        rpt = sweeps.sweep_pairs(degree, cfg, orbits=orbits)
-        return _emit_sweep("sweep pairs", rpt, json_path)
-
-    _run(body)
+    cfg = SearchConfig(n=budget)
+    rpt = sweeps.sweep_pairs(degree, cfg, orbits=orbits)
+    return _emit_sweep("sweep pairs", rpt, json_path)
 
 
 @sweep.command("moduli")
 @click.option("--sigma", required=True)
 @click.option("--budget", type=int, required=True, help="Attempts per order.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
+@_exit_codes
 def sweep_moduli_cmd(sigma, budget, json_path):
     """Forcing test then search for every order compatible with SIGMA."""
-
-    def body():
-        pattern = parse_pattern(sigma)
-        # wide/narrow mixture: plain uniform cannot reach the orders that
-        # need one root to dominate the rest
-        cfg = SearchConfig(n=budget, strategy=Mixture(narrow_scale=0.05))
-        rpt = sweeps.sweep_moduli(pattern, cfg)
-        return _emit_sweep("sweep moduli", rpt, json_path)
-
-    _run(body)
+    pattern = parse_pattern(sigma)
+    # wide/narrow mixture: plain uniform cannot reach the orders that
+    # need one root to dominate the rest
+    cfg = SearchConfig(n=budget, strategy=Mixture(narrow_scale=0.05))
+    rpt = sweeps.sweep_moduli(pattern, cfg)
+    return _emit_sweep("sweep moduli", rpt, json_path)
 
 
 def _load_realizer(ref: str) -> Realizer:
@@ -269,29 +261,26 @@ def _load_realizer(ref: str) -> Realizer:
 @click.option("--left", required=True, help="Fixture id or roots file.")
 @click.option("--right", required=True, help="Fixture id or roots file.")
 @click.option("--json", "json_path", type=click.Path(), default=None)
+@_exit_codes
 def concat_cmd(left, right, json_path):
     """Merge two realizers into a higher-degree one (small-root scaling)."""
-
-    def body():
-        result: ConcatResult = concat_pairs(_load_realizer(left), _load_realizer(right))
-        click.echo(f"realized {result.couple} with scale {fraction_str(result.scale)} "
-                   f"({result.steps} halvings)")
-        click.echo("coefficients: " + ", ".join(repr(c) for c in result.poly.coeffs))
-        if json_path:
-            doc = {
-                "schema_version": report.SCHEMA_VERSION,
-                "command": "concat",
-                "query": {"left": left, "right": right},
-                "scale": fraction_str(result.scale),
-                "steps": result.steps,
-                "couple": report.couple_json(result.couple),
-                "roots": report.roots_json(result.spec),
-                "certificate": report.certificate_json(result.certificate),
-            }
-            report.write_json(json_path, doc)
-        return EXIT_FOUND
-
-    _run(body)
+    result: ConcatResult = concat_pairs(_load_realizer(left), _load_realizer(right))
+    click.echo(f"realized {result.couple} with scale {fraction_str(result.scale)} "
+               f"({result.steps} halvings)")
+    click.echo("coefficients: " + ", ".join(repr(c) for c in result.poly.coeffs))
+    if json_path:
+        doc = {
+            "schema_version": report.SCHEMA_VERSION,
+            "command": "concat",
+            "query": {"left": left, "right": right},
+            "scale": fraction_str(result.scale),
+            "steps": result.steps,
+            "couple": report.couple_json(result.couple),
+            "roots": report.roots_json(result.spec),
+            "certificate": report.certificate_json(result.certificate),
+        }
+        report.write_json(json_path, doc)
+    return EXIT_FOUND
 
 
 @main.command("verify")
@@ -300,69 +289,63 @@ def concat_cmd(left, right, json_path):
 @click.option("--pos", type=int, default=None)
 @click.option("--neg", type=int, default=None)
 @click.option("--order", "order_text", default=None)
+@_exit_codes
 def verify_cmd(roots_path, sigma, pos, neg, order_text):
     """Exactly certify that a root file realizes a claimed couple."""
-
-    def body():
-        pattern = parse_pattern(sigma)
-        pair_given = pos is not None or neg is not None
-        if pair_given == (order_text is not None):
-            raise ValueError("give either --pos/--neg or --order, not both")
-        if pair_given and (pos is None or neg is None):
-            raise ValueError("--pos and --neg go together")
-        spec = certifier.rationalize(parse_roots_file(roots_path))
-        if pair_given:
-            claim = PairCouple(pattern, RootCountPair(pos, neg))
-        else:
-            claim = ModuliCouple(pattern, parse_order(order_text))
-        got = certifier.certify_couple(spec, claim)
-        if isinstance(got, Mismatch):
-            click.echo(f"mismatch at {got.failed_check}: {got.detail}")
-            return EXIT_EXHAUSTED
-        click.echo(f"verified {claim}")
-        for name, detail in got.checks:
-            click.echo(f"  {name}: {detail}")
-        return EXIT_FOUND
-
-    _run(body)
+    pattern = parse_pattern(sigma)
+    pair_given = pos is not None or neg is not None
+    if pair_given == (order_text is not None):
+        raise ValueError("give either --pos/--neg or --order, not both")
+    if pair_given and (pos is None or neg is None):
+        raise ValueError("--pos and --neg go together")
+    spec = certifier.rationalize(parse_roots_file(roots_path))
+    if pair_given:
+        claim = PairCouple(pattern, RootCountPair(pos, neg))
+    else:
+        claim = ModuliCouple(pattern, parse_order(order_text))
+    got = certifier.certify_couple(spec, claim)
+    if isinstance(got, Mismatch):
+        click.echo(f"mismatch at {got.failed_check}: {got.detail}")
+        return EXIT_EXHAUSTED
+    click.echo(f"verified {claim}")
+    for name, detail in got.checks:
+        click.echo(f"  {name}: {detail}")
+    return EXIT_FOUND
 
 
 @main.command("gaps")
 @click.option("--roots", "roots_path", required=True, type=click.Path(exists=True))
 @click.option("--certify", "do_certify", is_flag=True, default=False)
+@_exit_codes
 def gaps_cmd(roots_path, do_certify):
     """Gap statistics and class of a root file (real roots only)."""
-
-    def body():
-        reals, pairs = _read_roots(roots_path)
-        if pairs:
-            raise ValueError("gap analysis takes real roots only")
-        xs = sorted(reals)
-        try:
-            rpt = gap_report(xs)
-        except DegenerateMarginError as exc:
-            click.echo(f"float classification is degenerate: {exc}")
-            if not do_certify:
-                return EXIT_EXHAUSTED
-            rpt = None
-        if rpt is not None:
-            click.echo(f"x  = {list(rpt.x)}")
-            click.echo(f"z  = {list(rpt.z)}")
-            click.echo(f"xi = {list(rpt.xi)}")
-            click.echo(f"m(P)={rpt.m_p}  M(P)={rpt.M_p}")
-            click.echo(f"m(mid)={rpt.m_tilde}  M(mid)={rpt.M_tilde}")
-            click.echo(f"m(crit)={rpt.m_prime}  M(crit)={rpt.M_prime}")
-            click.echo(f"class {rpt.gap_class}  margins {rpt.margins}")
-        if do_certify:
-            exact = [certifier.rationalize_value(x) if x else Fraction(0) for x in xs]
-            got = certifier.certify_gap_class(exact)
-            if isinstance(got, Mismatch):
-                click.echo(f"exact certification: mismatch at {got.failed_check}: {got.detail}")
-                return EXIT_EXHAUSTED
-            click.echo(f"exact certification: {got.claim}")
-        return EXIT_FOUND
-
-    _run(body)
+    reals, pairs = _read_roots(roots_path)
+    if pairs:
+        raise ValueError("gap analysis takes real roots only")
+    xs = sorted(reals)
+    try:
+        rpt = gap_report(xs)
+    except DegenerateMarginError as exc:
+        click.echo(f"float classification is degenerate: {exc}")
+        if not do_certify:
+            return EXIT_EXHAUSTED
+        rpt = None
+    if rpt is not None:
+        click.echo(f"x  = {list(rpt.x)}")
+        click.echo(f"z  = {list(rpt.z)}")
+        click.echo(f"xi = {list(rpt.xi)}")
+        click.echo(f"m(P)={rpt.m_p}  M(P)={rpt.M_p}")
+        click.echo(f"m(mid)={rpt.m_tilde}  M(mid)={rpt.M_tilde}")
+        click.echo(f"m(crit)={rpt.m_prime}  M(crit)={rpt.M_prime}")
+        click.echo(f"class {rpt.gap_class}  margins {rpt.margins}")
+    if do_certify:
+        exact = [certifier.rationalize_value(x) if x else Fraction(0) for x in xs]
+        got = certifier.certify_gap_class(exact)
+        if isinstance(got, Mismatch):
+            click.echo(f"exact certification: mismatch at {got.failed_check}: {got.detail}")
+            return EXIT_EXHAUSTED
+        click.echo(f"exact certification: {got.claim}")
+    return EXIT_FOUND
 
 
 @main.group()
@@ -371,41 +354,37 @@ def catalog():
 
 
 @catalog.command("list")
+@_exit_codes
 def catalog_list_cmd():
-    def body():
-        for entry_id in catalog_ids():
-            entry = catalog_lookup(entry_id)
-            click.echo(f"{entry_id:20s} {entry.kind:26s} {entry.title}")
-        return EXIT_FOUND
-
-    _run(body)
+    for entry_id in catalog_ids():
+        entry = catalog_lookup(entry_id)
+        click.echo(f"{entry_id:20s} {entry.kind:26s} {entry.title}")
+    return EXIT_FOUND
 
 
 @catalog.command("show")
 @click.argument("entry_id")
+@_exit_codes
 def catalog_show_cmd(entry_id):
-    def body():
-        try:
-            entry = catalog_lookup(entry_id)
-        except UnknownIdError:
-            raise ValueError(f"unknown catalog id {entry_id!r}")
-        click.echo(f"id:     {entry.id}")
-        click.echo(f"kind:   {entry.kind}")
-        click.echo(f"title:  {entry.title}")
-        click.echo(f"source: {entry.source}")
-        for key, value in entry.payload.items():
-            if isinstance(value, RootSpec):
-                click.echo(f"{key}: real={list(value.real_roots)} "
-                           f"complex={list(value.complex_pairs)}")
-            elif isinstance(value, (tuple, list)) and value and hasattr(value[0], "pattern"):
-                click.echo(f"{key}: " + "; ".join(str(v) for v in value))
-            else:
-                click.echo(f"{key}: {value}")
-        for note in entry.notes:
-            click.echo(f"note: {note}")
-        return EXIT_FOUND
-
-    _run(body)
+    try:
+        entry = catalog_lookup(entry_id)
+    except UnknownIdError:
+        raise ValueError(f"unknown catalog id {entry_id!r}")
+    click.echo(f"id:     {entry.id}")
+    click.echo(f"kind:   {entry.kind}")
+    click.echo(f"title:  {entry.title}")
+    click.echo(f"source: {entry.source}")
+    for key, value in entry.payload.items():
+        if isinstance(value, RootSpec):
+            click.echo(f"{key}: real={list(value.real_roots)} "
+                       f"complex={list(value.complex_pairs)}")
+        elif isinstance(value, (tuple, list)) and value and hasattr(value[0], "pattern"):
+            click.echo(f"{key}: " + "; ".join(str(v) for v in value))
+        else:
+            click.echo(f"{key}: {value}")
+    for note in entry.notes:
+        click.echo(f"note: {note}")
+    return EXIT_FOUND
 
 
 if __name__ == "__main__":

@@ -26,20 +26,14 @@ import struct
 import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import ClassVar, Optional, Union
 
 from . import certifier, polycore
 from .certifier import Certificate
 from .criticalgaps import GAP_CLASSES, GapReport, match
-from .moduliorders import ModuliCouple, ModuliOrder, is_compatible
+from .moduliorders import ModuliCouple, ModuliOrder
 from .polycore import RealPolynomial, RootSpec, expand, expand_from_roots, sign_tuple
-from .signpatterns import (
-    IncompatibleCoupleError,
-    PairCouple,
-    RootCountPair,
-    SignPattern,
-    is_compatible_pair,
-)
+from .signpatterns import PairCouple, RootCountPair, SignPattern
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -163,7 +157,7 @@ class SearchConfig:
     ell: float = 1.0
     seed: int = 0
     strategy: Strategy = Uniform()
-    tau: float = polycore.DEFAULT_SIGN_TOLERANCE
+    tau: ClassVar[float] = polycore.DEFAULT_SIGN_TOLERANCE  # float sign-test tolerance, fixed
     digits: int = certifier.DEFAULT_DIGITS
 
     def __post_init__(self):
@@ -171,8 +165,6 @@ class SearchConfig:
             raise ValueError("n must be >= 1")
         if not 0 < self.ell < math.inf:
             raise ValueError("ell must be positive and finite")
-        if not 0 < self.tau < math.inf:
-            raise ValueError("tau must be positive and finite")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
         if isinstance(self.strategy, Mixture):
@@ -344,21 +336,19 @@ def _certified_hit(i: int, spec: RootSpec, coeffs: list[float], claim, cfg: Sear
 
 def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> SearchOutcome:
     """Hunt a polynomial whose sign word is sigma with the given root counts."""
-    pair = RootCountPair(*pair)
-    if not is_compatible_pair(sigma, pair):
-        raise IncompatibleCoupleError(
-            f"pair {tuple(pair)} incompatible with pattern {sigma.word}"
-        )
     d = sigma.degree
-    pos, neg = pair
+    if d < 1:
+        raise ValueError("need degree >= 1")
+    claim = PairCouple(sigma, pair)
+    pos, neg = claim.pair
     npairs = (d - pos - neg) // 2
     target = sigma.signs
-    claim = PairCouple(sigma, pair)
+    tau = cfg.tau
 
     def attempt(i: int, u: list[float]):
         reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
         coeffs = expand(reals, cpairs, 1.0)
-        if sign_tuple(coeffs, cfg.tau) != target:
+        if sign_tuple(coeffs, tau) != target:
             return None
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
         return _certified_hit(i, spec, coeffs, claim, cfg)
@@ -368,14 +358,11 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
 
 def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> SearchOutcome:
     """Hunt a hyperbolic polynomial realizing sigma with the given modulus order."""
-    if not is_compatible(sigma, order):
-        raise IncompatibleCoupleError(
-            f"order {order.word} incompatible with pattern {sigma.word}"
-        )
+    claim = ModuliCouple(sigma, order)
     d = order.degree
     target = sigma.signs
     letters = order.word
-    claim = ModuliCouple(sigma, order)
+    tau = cfg.tau
 
     def attempt(i: int, u: list[float]):
         mods = _values(d, cfg, u, signed=False)
@@ -385,7 +372,7 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
                 return None
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
         coeffs = expand(roots, (), 1.0)
-        if sign_tuple(coeffs, cfg.tau) != target:
+        if sign_tuple(coeffs, tau) != target:
             return None
         return _certified_hit(i, RootSpec(real_roots=tuple(roots)), coeffs, claim, cfg)
 

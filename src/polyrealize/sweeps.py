@@ -107,16 +107,12 @@ def _g2_spec(spec: RootSpec) -> RootSpec:
 def _map_witness(spec: RootSpec, src: PairCouple, dst: PairCouple) -> Optional[RootSpec]:
     """Transform a witness of src into one of dst via g1/g2 at the root level."""
     candidates = {
-        _couple_token(src): spec,
-        _couple_token(act_g1(src)): _g1_spec(spec),
-        _couple_token(act_g2(src)): _g2_spec(spec),
-        _couple_token(act_g2(act_g1(src))): _g2_spec(_g1_spec(spec)),
+        src: spec,
+        act_g1(src): _g1_spec(spec),
+        act_g2(src): _g2_spec(spec),
+        act_g2(act_g1(src)): _g2_spec(_g1_spec(spec)),
     }
-    return candidates.get(_couple_token(dst))
-
-
-def _couple_token(couple: PairCouple) -> tuple:
-    return (couple.pattern.signs, tuple(couple.pair))
+    return candidates.get(dst)
 
 
 def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
@@ -129,23 +125,21 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
             outcome = sampler.search_pair(couple.pattern, couple.pair, cfg)
             rows.append(_row(couple, outcome))
     else:
-        found: dict[tuple, SweepRow] = {}
+        found: dict[PairCouple, SweepRow] = {}
         for rep in enumerate_couples(d, orbits=True):
             outcome = sampler.search_pair(rep.pattern, rep.pair, cfg)
             for member in orbit(rep):
                 row = replace(_row(member, outcome), derived_from=None if member == rep else rep)
                 if outcome.found:
-                    mapped = _map_witness(
-                        certifier.rationalize(outcome.spec, cfg.digits), rep, member
-                    )
+                    mapped = _map_witness(outcome.certificate.spec, rep, member)
                     cert = certifier.certify_couple(mapped, member)
                     if not isinstance(cert, Certificate):
                         raise OrbitWitnessError(
                             f"witness of {rep} mapped to {member} failed: {cert.detail}"
                         )
                     row = replace(row, spec=mapped, certificate=cert)
-                found[_couple_token(member)] = row
-        rows = [found[_couple_token(c)] for c in couples]
+                found[member] = row
+        rows = [found[c] for c in couples]
 
     orbit_groups = _orbit_groups(couples)
     return SweepReport(
@@ -168,13 +162,13 @@ def _row(couple: Union[PairCouple, ModuliCouple], outcome: SearchOutcome) -> Swe
 
 
 def _orbit_groups(couples: list[PairCouple]) -> tuple[tuple[int, ...], ...]:
-    index = {_couple_token(c): i for i, c in enumerate(couples)}
+    index = {c: i for i, c in enumerate(couples)}
     seen = set()
     groups = []
     for i, couple in enumerate(couples):
         if i in seen:
             continue
-        group = tuple(sorted(index[_couple_token(m)] for m in orbit(couple)))
+        group = tuple(sorted(index[m] for m in orbit(couple)))
         seen.update(group)
         groups.append(group)
     return tuple(groups)

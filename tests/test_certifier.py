@@ -9,7 +9,6 @@ from polyrealize.catalog import catalog_lookup
 from polyrealize.certifier import (
     GAP_REFINE_CAP,
     Certificate,
-    ExactPolynomial,
     Mismatch,
     RootSumIdentityError,
     RoundsToZeroError,
@@ -103,25 +102,21 @@ class TestRationalize:
 
 class TestExactExpand:
     def test_middle_coefficient_exactly_zero(self):
-        poly = exact_expand(RootSpec(real_roots=(Fraction(1), Fraction(-1))))
-        assert poly.coeffs == (1, 0, -1)
+        coeffs = exact_expand(RootSpec(real_roots=(Fraction(1), Fraction(-1))))
+        assert coeffs == (1, 0, -1)
         with pytest.raises(ZeroCoefficientError):
-            exact_sign_pattern(poly)
+            exact_sign_pattern(coeffs)
 
     def test_q1_signs(self):
-        poly = exact_expand(rationalize(q1_spec()))
-        assert exact_sign_pattern(poly).word == "+---++"
+        coeffs = exact_expand(rationalize(q1_spec()))
+        assert exact_sign_pattern(coeffs).word == "+---++"
 
     def test_subdominant_equals_negated_root_sum(self):
         # independent oracle: sum the roots by hand
         spec = rationalize(catalog_lookup("c1").payload["spec"])
-        poly = exact_expand(spec)
+        coeffs = exact_expand(spec)
         total = sum(spec.real_roots) + 2 * sum(re for re, _ in spec.complex_pairs)
-        assert poly.coeffs[1] == -total
-
-    def test_monic_validation(self):
-        with pytest.raises(ValueError):
-            ExactPolynomial((Fraction(2), Fraction(1)))
+        assert coeffs[1] == -total
 
 
 class TestCertifyCouple:
@@ -249,8 +244,8 @@ def _reference_certify_gap_class(roots):
 
     z_gaps = [(roots[k + 2] - roots[k]) / 2 for k in range(len(roots) - 2)]
     m_tilde, M_tilde = min(z_gaps), max(z_gaps)
-    poly = ExactPolynomial(tuple(expand(roots, (), Fraction(1))))
-    dcoeffs = derivative_coeffs(poly.coeffs)
+    coeffs = tuple(expand(roots, (), Fraction(1)))
+    dcoeffs = derivative_coeffs(coeffs)
 
     intervals = []
     for k in range(len(roots) - 1):
@@ -276,7 +271,7 @@ def _reference_certify_gap_class(roots):
                 ("m_prime_bounds", f"[{m_lo}, {m_hi}]"),
                 ("M_prime_bounds", f"[{M_lo}, {M_hi}]"),
             )
-            return Certificate(spec=None, coeffs=poly.coeffs, claim=left + right, checks=checks)
+            return Certificate(spec=None, coeffs=coeffs, claim=left + right, checks=checks)
 
         intervals = [
             _reference_halve(dcoeffs, lo, hi, flo) if lo != hi else (lo, hi, flo)
@@ -338,29 +333,29 @@ def _reference_rationalize_value(v, digits):
 
 
 def _reference_exact_expand(spec):
-    return ExactPolynomial(tuple(expand(
+    return tuple(expand(
         [Fraction(r) for r in spec.real_roots],
         [(Fraction(re), Fraction(im)) for re, im in spec.complex_pairs],
         Fraction(1),
-    )))
+    ))
 
 
-def _reference_sign_pattern(poly):
+def _reference_sign_pattern(coeffs):
     signs = []
-    for i, c in enumerate(poly.coeffs):
+    for i, c in enumerate(coeffs):
         if c == 0:
-            raise ZeroCoefficientError(f"coefficient of x^{poly.degree - i} is exactly zero")
+            raise ZeroCoefficientError(f"coefficient of x^{len(coeffs) - 1 - i} is exactly zero")
         signs.append(1 if c > 0 else -1)
     return SignPattern(tuple(signs))
 
 
 def _reference_certify_couple(spec, claim):
-    poly = _reference_exact_expand(spec)
+    coeffs = _reference_exact_expand(spec)
     checks = []
     pos = spec.pos_count
     neg = spec.neg_count
     try:
-        actual = _reference_sign_pattern(poly)
+        actual = _reference_sign_pattern(coeffs)
     except ZeroCoefficientError as exc:
         return Mismatch("sign_vector", str(exc), actual_pair=(pos, neg))
     if actual != claim.pattern:
@@ -406,23 +401,23 @@ def _reference_certify_couple(spec, claim):
         checks.append(("moduli_order", order.word))
     root_sum = sum((Fraction(r) for r in spec.real_roots), Fraction(0))
     root_sum += sum((2 * Fraction(re) for re, _ in spec.complex_pairs), Fraction(0))
-    if poly.coeffs[1] != -root_sum:
+    if coeffs[1] != -root_sum:
         raise RootSumIdentityError(
-            f"subdominant coefficient {poly.coeffs[1]} is not minus the root sum {root_sum}"
+            f"subdominant coefficient {coeffs[1]} is not minus the root sum {root_sum}"
         )
-    checks.append(("subdominant_identity", str(poly.coeffs[1])))
-    return Certificate(spec=spec, coeffs=poly.coeffs, claim=claim, checks=tuple(checks))
+    checks.append(("subdominant_identity", str(coeffs[1])))
+    return Certificate(spec=spec, coeffs=coeffs, claim=claim, checks=tuple(checks))
 
 
 def _claims(spec):
     """A true pair claim, then claims that fail each check the spec allows."""
-    poly = _reference_exact_expand(spec)
-    d = poly.degree
+    coeffs = _reference_exact_expand(spec)
+    d = len(coeffs) - 1
     pos, neg = spec.pos_count, spec.neg_count
-    if any(c == 0 for c in poly.coeffs):
+    if any(c == 0 for c in coeffs):
         yield PairCouple(SignPattern((1,) * (d + 1)), RootCountPair(0, d % 2))
         return
-    actual = _reference_sign_pattern(poly)
+    actual = _reference_sign_pattern(coeffs)
     yield PairCouple(actual, RootCountPair(pos, neg))
     flipped = SignPattern(actual.signs[:-1] + (-actual.signs[-1],))
     if is_compatible_pair(flipped, RootCountPair(pos, neg)):

@@ -65,6 +65,14 @@ class TestSearchCommands:
                                       "--pos", "0", "--neg", "1", "--n", "10"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("sigma", ["+", "1"])
+    def test_degree_zero_exits_two(self, runner, sigma):
+        result = runner.invoke(main, ["search", "pair", "--sigma", sigma,
+                                      "--pos", "0", "--neg", "0", "--n", "10"])
+        assert result.exit_code == 2
+        assert "need degree >= 1" in result.output
+        assert "internal error" not in result.output
+
     def test_json_report_schema(self, runner, tmp_path):
         out = tmp_path / "report.json"
         result = runner.invoke(main, ["search", "pair", "--sigma", "1,3,2",

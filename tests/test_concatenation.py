@@ -37,7 +37,7 @@ class TestConcatPairs:
         assert tuple(result.couple.pair) == (1, 1)
         eps = result.scale
         expected = (Fraction(1), 1 - eps, -eps)
-        assert exact_expand(result.spec).coeffs == expected
+        assert exact_expand(result.spec) == expected
 
     def test_minus_case_exact_oracle(self):
         # (x-1)(x - eps) = x^2 - (1+eps)x + eps: trailing word flips
@@ -45,7 +45,7 @@ class TestConcatPairs:
         assert result.couple.pattern.word == "+-+"
         assert tuple(result.couple.pair) == (2, 0)
         eps = result.scale
-        assert exact_expand(result.spec).coeffs == (Fraction(1), -(1 + eps), eps)
+        assert exact_expand(result.spec) == (Fraction(1), -(1 + eps), eps)
 
     def test_invalid_input_rejected_before_any_search(self):
         fake = Realizer(
@@ -95,7 +95,7 @@ class TestExtendSmall:
         assert result.couple.pattern.word == "++-+"
         assert result.couple.order.word == "PPN"
         eps = result.scale
-        assert exact_expand(result.spec).coeffs == (
+        assert exact_expand(result.spec) == (
             Fraction(1), 1 - eps, -(2 + eps), 2 * eps,
         )
 
@@ -105,7 +105,7 @@ class TestExtendSmall:
         assert result.couple.pattern.word == "++--"
         assert result.couple.order.word == "NPN"
         eps = result.scale
-        assert exact_expand(result.spec).coeffs == (
+        assert exact_expand(result.spec) == (
             Fraction(1), 1 + eps, eps - 2, -2 * eps,
         )
 
@@ -140,7 +140,7 @@ class TestExtendLarge:
         assert result.couple.order.word == "PNP"
         delta = result.scale
         assert delta > 1
-        assert exact_expand(result.spec).coeffs == (
+        assert exact_expand(result.spec) == (
             Fraction(1), 1 - delta, -(2 + delta), 2 * delta,
         )
 

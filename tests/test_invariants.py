@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from polyrealize import certifier, sweeps
-from polyrealize.certifier import ExactPolynomial, RootSumIdentityError, certify_couple
+from polyrealize.certifier import RootSumIdentityError, certify_couple
 from polyrealize.polycore import RootSpec
 from polyrealize.sampler import SearchConfig
 from polyrealize.signpatterns import PairCouple, RootCountPair, from_runs
@@ -21,13 +21,13 @@ from polyrealize.sweeps import OrbitWitnessError, sweep_pairs
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-_exact_expand = certifier.exact_expand
+_integer_expansion = certifier._integer_expansion
 
 
-def broken_expand(spec):
-    """Exact expansion with a doubled subdominant coefficient: same signs, wrong sum."""
-    c = _exact_expand(spec).coeffs
-    return ExactPolynomial((c[0], 2 * c[1]) + c[2:])
+def broken_expansion(spec):
+    """Integer expansion with a doubled subdominant coefficient: same signs, wrong sum."""
+    D, A, S = _integer_expansion(spec)
+    return D, [A[0], 2 * A[1], *A[2:]], S
 
 
 def q1_couple():
@@ -40,7 +40,7 @@ def q1_couple():
 def test_root_sum_identity_violation_raises(monkeypatch):
     spec, claim = q1_couple()
     assert isinstance(certify_couple(spec, claim), certifier.Certificate)
-    monkeypatch.setattr(certifier, "exact_expand", broken_expand)
+    monkeypatch.setattr(certifier, "_integer_expansion", broken_expansion)
     with pytest.raises(RootSumIdentityError):
         certify_couple(spec, claim)
 
@@ -57,9 +57,9 @@ def test_orbit_mapped_witness_failure_raises(monkeypatch):
 def test_root_sum_check_survives_python_O():
     script = "\n".join([
         "from polyrealize import certifier",
-        "from test_invariants import broken_expand, q1_couple",
+        "from test_invariants import broken_expansion, q1_couple",
         "assert False, 'asserts must be stripped under -O'",
-        "certifier.exact_expand = broken_expand",
+        "certifier._integer_expansion = broken_expansion",
         "spec, claim = q1_couple()",
         "try:",
         "    certifier.certify_couple(spec, claim)",

@@ -99,14 +99,12 @@ class TestConfigValidation:
         [
             dict(n=0),
             dict(n=10, ell=0.0),
-            dict(n=10, tau=0.0),
             dict(n=10, digits=0),
             dict(n=10, ell=-1.0),
             dict(n=10, strategy=Mixture(narrow_scale=2.0)),
             dict(n=10, strategy=Mixture(narrow_fraction=1.5)),
             dict(n=10, strategy=MultiplicityBias(dup_probability=-0.1)),
             dict(n=10, ell=float("inf")),
-            dict(n=10, tau=float("inf")),
         ],
     )
     def test_rejects(self, kwargs):
@@ -126,6 +124,10 @@ class TestSearchPair:
     def test_incompatible_raises(self):
         with pytest.raises(IncompatibleCoupleError):
             search_pair(parse_pattern("+-"), RootCountPair(0, 1), SearchConfig(n=10))
+
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="need degree >= 1"):
+            search_pair(SignPattern((1,)), (0, 0), SearchConfig(n=10))
 
     def test_known_realizable_case(self):
         out = search_pair(from_runs((1, 3, 2)), RootCountPair(0, 3),
