@@ -99,6 +99,7 @@ class TestConfigValidation:
         [
             dict(n=0),
             dict(n=10, ell=0.0),
+            dict(n=10, ell=float("nan")),
             dict(n=10, digits=0),
             dict(n=10, ell=-1.0),
             dict(n=10, strategy=Mixture(narrow_scale=2.0)),
