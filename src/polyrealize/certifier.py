@@ -41,10 +41,6 @@ DEFAULT_DIGITS = 12
 GAP_REFINE_CAP = 1000
 
 
-class RoundsToZeroError(ValueError):
-    """Rationalization produced a zero entry."""
-
-
 class ZeroCoefficientError(ValueError):
     """The exact expansion has a vanishing coefficient; its sign word is undefined."""
 
@@ -79,8 +75,6 @@ def rationalize_value(v, digits: int = DEFAULT_DIGITS) -> Fraction:
     if digits < 1:
         raise ValueError("digits must be >= 1")
     v = float(v)
-    if v == 0.0:
-        raise RoundsToZeroError("value is zero")
     if not math.isfinite(v):
         raise ValueError(f"{v!r} is not finite")
     # "d.ddde[+-]xx": the digits form an integer mantissa, so v ~ mant * 10**exp
@@ -97,8 +91,7 @@ def rationalize(spec: RootSpec, digits: int = DEFAULT_DIGITS) -> RootSpec:
     return RootSpec(
         real_roots=tuple(rationalize_value(r, digits) for r in spec.real_roots),
         complex_pairs=tuple(
-            (rationalize_value(re, digits) if re != 0 else Fraction(0),
-             rationalize_value(im, digits))
+            (rationalize_value(re, digits), rationalize_value(im, digits))
             for re, im in spec.complex_pairs
         ),
     )
@@ -155,8 +148,11 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     Checks run in order: sign vector, then root counts (pair claims) or
     hyperbolicity / distinct moduli / order (moduli claims).  A vanishing
     coefficient fails the sign vector check and tied moduli fail the order
-    check; such a sample is rejected, never patched.
+    check; such a sample is rejected, never patched.  A spec of degree 0 is a
+    caller error and raises ValueError.
     """
+    if spec.degree < 1:
+        raise ValueError("need degree >= 1")
     D, A, S = _integer_expansion(spec)
     checks: list[tuple[str, str]] = []
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -339,7 +338,7 @@ def gaps_cmd(roots_path, do_certify):
         click.echo(f"m(crit)={rpt.m_prime}  M(crit)={rpt.M_prime}")
         click.echo(f"class {rpt.gap_class}  margins {rpt.margins}")
     if do_certify:
-        exact = [certifier.rationalize_value(x) if x else Fraction(0) for x in xs]
+        exact = [certifier.rationalize_value(x) for x in xs]
         got = certifier.certify_gap_class(exact)
         if isinstance(got, Mismatch):
             click.echo(f"exact certification: mismatch at {got.failed_check}: {got.detail}")

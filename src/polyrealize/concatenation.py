@@ -7,10 +7,12 @@ add.  Moduli couples: multiplying by (x -+ eps) with eps below every existing
 modulus prepends a letter to the order; multiplying by (x -+ delta) with delta
 above every modulus appends one.
 
-No closed-form threshold is used anywhere: candidate scales walk a dyadic
+No closed-form threshold is used anywhere: all three merges climb one dyadic
 ladder (halving eps, doubling delta) and every candidate is checked by exact
 expansion, so the returned scale carries a certificate rather than an
-estimate.  Scales are dyadic and inputs rational, hence all checks stay exact.
+estimate; a ladder that certifies nothing within MAX_SCALE_STEPS steps raises
+ScaleNotFoundError.  Scales are dyadic and inputs rational, hence all checks
+stay exact.
 """
 
 from __future__ import annotations
@@ -32,12 +34,8 @@ class InvalidRealizerError(ValueError):
     """An input failed its own certificate; it does not realize its couple."""
 
 
-class EpsilonNotFoundError(RuntimeError):
-    """No dyadic epsilon verified within the step budget."""
-
-
-class DeltaNotFoundError(RuntimeError):
-    """No dyadic delta verified within the step budget."""
+class ScaleNotFoundError(RuntimeError):
+    """No dyadic scale (epsilon or delta) verified within the step budget."""
 
 
 @dataclass(frozen=True)
@@ -78,6 +76,17 @@ def _scaled(spec: RootSpec, factor: Fraction) -> RootSpec:
     )
 
 
+def _ladder(target, spec_at, scale: Fraction, ratio: Fraction) -> ConcatResult:
+    """First certified spec_at(scale), trying scale, scale*ratio, ... for MAX_SCALE_STEPS steps."""
+    for step in range(1, MAX_SCALE_STEPS + 1):
+        spec = spec_at(scale)
+        got = certifier.certify_couple(spec, target)
+        if isinstance(got, Certificate):
+            return ConcatResult(scale, spec, expand_from_roots(spec), target, got, step)
+        scale *= ratio
+    raise ScaleNotFoundError(f"no scale verified for {target} within {MAX_SCALE_STEPS} steps")
+
+
 def concat_pairs(left: Realizer, right: Realizer) -> ConcatResult:
     """Merge two verified pair-couple realizers; halve epsilon until certified.
 
@@ -99,23 +108,14 @@ def concat_pairs(left: Realizer, right: Realizer) -> ConcatResult:
         ),
     )
 
-    eps = Fraction(1, 2)
-    for step in range(MAX_SCALE_STEPS):
+    reals = tuple(Fraction(r) for r in left.spec.real_roots)
+    pairs = tuple((Fraction(re), Fraction(im)) for re, im in left.spec.complex_pairs)
+
+    def spec_at(eps):
         scaled = _scaled(right.spec, eps)
-        spec = RootSpec(
-            real_roots=tuple(Fraction(r) for r in left.spec.real_roots) + scaled.real_roots,
-            complex_pairs=tuple(
-                (Fraction(re), Fraction(im)) for re, im in left.spec.complex_pairs
-            )
-            + scaled.complex_pairs,
-        )
-        got = certifier.certify_couple(spec, target)
-        if isinstance(got, Certificate):
-            return ConcatResult(eps, spec, expand_from_roots(spec), target, got, step + 1)
-        eps /= 2
-    raise EpsilonNotFoundError(
-        f"no epsilon verified for {target} within {MAX_SCALE_STEPS} halvings"
-    )
+        return RootSpec(reals + scaled.real_roots, pairs + scaled.complex_pairs)
+
+    return _ladder(target, spec_at, Fraction(1, 2), Fraction(1, 2))
 
 
 def _moduli_of(spec: RootSpec) -> list[Fraction]:
@@ -142,7 +142,7 @@ def extend_small(v: Realizer, letter: str) -> ConcatResult:
         ModuliOrder(letter + v.couple.order.word),
     )
     eps = min(_moduli_of(v.spec)) / 2
-    return _extend(v, letter, target, eps, Fraction(1, 2), EpsilonNotFoundError)
+    return _extend(v, letter, target, eps, Fraction(1, 2))
 
 
 def extend_large(v: Realizer, letter: str) -> ConcatResult:
@@ -162,18 +162,10 @@ def extend_large(v: Realizer, letter: str) -> ConcatResult:
         ModuliOrder(v.couple.order.word + letter),
     )
     delta = max(_moduli_of(v.spec)) * 2
-    return _extend(v, letter, target, delta, Fraction(2), DeltaNotFoundError)
+    return _extend(v, letter, target, delta, Fraction(2))
 
 
-def _extend(v, letter, target, scale0, ratio, err_cls):
-    scale = scale0
-    for step in range(MAX_SCALE_STEPS):
-        root = scale if letter == "P" else -scale
-        spec = RootSpec(
-            real_roots=(root,) + tuple(Fraction(r) for r in v.spec.real_roots)
-        )
-        got = certifier.certify_couple(spec, target)
-        if isinstance(got, Certificate):
-            return ConcatResult(scale, spec, expand_from_roots(spec), target, got, step + 1)
-        scale *= ratio
-    raise err_cls(f"no scale verified for {target} within {MAX_SCALE_STEPS} steps")
+def _extend(v, letter, target, scale, ratio):
+    rest = tuple(Fraction(r) for r in v.spec.real_roots)
+    sign = 1 if letter == "P" else -1
+    return _ladder(target, lambda s: RootSpec((sign * s,) + rest), scale, ratio)

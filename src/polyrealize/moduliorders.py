@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Sequence
 
+from .polycore import ZeroRootError
 from .signpatterns import IncompatibleCoupleError, SignPattern, descartes_pair
 
 _WORD_RE = re.compile(r"[PN]+\Z")
@@ -89,8 +90,6 @@ def parse_order(text: str) -> ModuliOrder:
 
 def order_from_roots(real_roots: Sequence) -> ModuliOrder:
     """Order of moduli of a list of nonzero reals with pairwise distinct moduli."""
-    from .polycore import ZeroRootError  # deferred: polycore imports signpatterns
-
     for r in real_roots:
         if r == 0:
             raise ZeroRootError("root is exactly zero")

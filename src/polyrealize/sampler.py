@@ -366,10 +366,9 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
 
     def attempt(i: int, u: list[float]):
         mods = _values(d, cfg, u, signed=False)
+        if len(set(mods)) < d:  # tied moduli: rejected, index consumed
+            return None
         mods.sort()
-        for j in range(d - 1):
-            if mods[j] == mods[j + 1]:  # tied moduli: rejected, index consumed
-                return None
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
         coeffs = expand(roots, (), 1.0)
         if sign_tuple(coeffs, tau) != target:
@@ -388,12 +387,9 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
 
     def attempt(i: int, u: list[float]):
         xs = _values(d, cfg, u, signed=True)
-        xs.sort()
-        if any(x == 0.0 for x in xs):
+        if 0.0 in xs or len(set(xs)) < d:
             return None
-        for j in range(d - 1):
-            if xs[j] == xs[j + 1]:
-                return None
+        xs.sort()
         report = match(xs, target)
         if report is None:
             return None

@@ -72,10 +72,6 @@ class SignPattern:
     def changes(self) -> int:
         return sum(1 for a, b in zip(self.signs, self.signs[1:]) if a != b)
 
-    @property
-    def preservations(self) -> int:
-        return self.degree - self.changes
-
     @classmethod
     def from_word(cls, word: str) -> "SignPattern":
         if not _WORD_RE.fullmatch(word):
@@ -196,13 +192,7 @@ def orbit(couple: PairCouple) -> tuple[PairCouple, ...]:
     the couple and has size 1, 2 or 4 after deduplication.
     """
     g1c = act_g1(couple)
-    members = {
-        _couple_key(couple): couple,
-        _couple_key(g1c): g1c,
-        _couple_key(act_g2(couple)): act_g2(couple),
-        _couple_key(act_g2(g1c)): act_g2(g1c),
-    }
-    return tuple(members[k] for k in sorted(members))
+    return tuple(sorted({couple, g1c, act_g2(couple), act_g2(g1c)}, key=_couple_key))
 
 
 def canonical_representative(couple: PairCouple) -> PairCouple:

@@ -2,9 +2,10 @@
 
 A sweep runs the corresponding search per couple under one budget and
 aggregates rows.  Moduli sweeps run the forcing test first so provably dead
-couples never burn attempts.  Pair sweeps can deduplicate by orbit: only the
-canonical representative is searched and witnesses for the other members are
-derived by the two root transforms (negation, inversion) and re-certified.
+couples never burn attempts.  Pair sweeps collect each g1/g2 orbit once, at its
+first member; with orbit deduplication only its canonical representative is
+searched and witnesses for the other members are derived by the two root
+transforms (negation, inversion) and re-certified.
 """
 
 from __future__ import annotations
@@ -118,17 +119,22 @@ def _map_witness(spec: RootSpec, src: PairCouple, dst: PairCouple) -> Optional[R
 def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
     """Search every degree-d couple with the same budget and aggregate."""
     couples = enumerate_couples(d)
-    rows: list[SweepRow] = []
+    seen: set[PairCouple] = set()
+    groups: list[tuple[PairCouple, ...]] = []
+    for couple in couples:
+        if couple not in seen:
+            members = orbit(couple)
+            seen.update(members)
+            groups.append(members)
 
     if not orbits:
-        for couple in couples:
-            outcome = sampler.search_pair(couple.pattern, couple.pair, cfg)
-            rows.append(_row(couple, outcome))
+        rows = [_row(c, sampler.search_pair(c.pattern, c.pair, cfg)) for c in couples]
     else:
         found: dict[PairCouple, SweepRow] = {}
-        for rep in enumerate_couples(d, orbits=True):
+        for members in groups:
+            rep = members[0]
             outcome = sampler.search_pair(rep.pattern, rep.pair, cfg)
-            for member in orbit(rep):
+            for member in members:
                 row = replace(_row(member, outcome), derived_from=None if member == rep else rep)
                 if outcome.found:
                     mapped = _map_witness(outcome.certificate.spec, rep, member)
@@ -141,10 +147,10 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
                 found[member] = row
         rows = [found[c] for c in couples]
 
-    orbit_groups = _orbit_groups(couples)
+    index = {c: i for i, c in enumerate(couples)}
     return SweepReport(
         kind="pairs", query=f"degree={d}", config=cfg, rows=tuple(rows),
-        orbits=orbit_groups,
+        orbits=tuple(tuple(sorted(index[m] for m in members)) for members in groups),
     )
 
 
@@ -161,21 +167,10 @@ def _row(couple: Union[PairCouple, ModuliCouple], outcome: SearchOutcome) -> Swe
     return SweepRow(couple=couple, status=UNRESOLVED, attempts=outcome.attempts)
 
 
-def _orbit_groups(couples: list[PairCouple]) -> tuple[tuple[int, ...], ...]:
-    index = {c: i for i, c in enumerate(couples)}
-    seen = set()
-    groups = []
-    for i, couple in enumerate(couples):
-        if i in seen:
-            continue
-        group = tuple(sorted(index[m] for m in orbit(couple)))
-        seen.update(group)
-        groups.append(group)
-    return tuple(groups)
-
-
 def sweep_moduli(sigma: SignPattern, cfg: SearchConfig) -> SweepReport:
     """Forcing test first, then search, for every order compatible with sigma."""
+    if sigma.degree < 1:
+        raise ValueError("degree must be >= 1")
     c, p = descartes_pair(sigma)
     rows: list[SweepRow] = []
     for order in enumerate_orders(c, p):

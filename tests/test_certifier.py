@@ -11,7 +11,6 @@ from polyrealize.certifier import (
     Certificate,
     Mismatch,
     RootSumIdentityError,
-    RoundsToZeroError,
     ZeroCoefficientError,
     certify_couple,
     certify_gap_class,
@@ -75,9 +74,10 @@ class TestRationalize:
     def test_five_digits_negative(self):
         assert rationalize_value(-0.0025040322, 5) == Fraction(-25040, 10**7)
 
-    def test_zero_rejected(self):
-        with pytest.raises(RoundsToZeroError):
-            rationalize_value(0.0)
+    @pytest.mark.parametrize("v", [0.0, -0.0, 0])
+    def test_zero_is_exact(self, v):
+        got = rationalize_value(v)
+        assert got == 0 and type(got) is Fraction
 
     def test_digits_validated(self):
         with pytest.raises(ValueError):
@@ -120,6 +120,10 @@ class TestExactExpand:
 
 
 class TestCertifyCouple:
+    def test_degree_zero_claim_rejected(self):
+        with pytest.raises(ValueError, match="need degree >= 1"):
+            certify_couple(RootSpec(), PairCouple(SignPattern((1,)), RootCountPair(0, 0)))
+
     def test_q1_certificate(self):
         claim = PairCouple(from_runs((1, 3, 2)), RootCountPair(0, 3))
         got = certify_couple(rationalize(q1_spec()), claim)

@@ -135,6 +135,12 @@ class TestSweepCommands:
         assert result.exit_code == 0
         assert "forced" in result.output
 
+    @pytest.mark.parametrize("sigma", ["+", "1"])
+    def test_sweep_moduli_degree_zero_exits_two(self, runner, sigma):
+        result = runner.invoke(main, ["sweep", "moduli", "--sigma", sigma, "--budget", "10"])
+        assert result.exit_code == 2
+        assert "degree must be >= 1" in result.output
+
     def test_readme_experiments(self, runner):
         # the three experiment commands README documents, at the default seed
         result = runner.invoke(main, ["sweep", "pairs", "--degree", "4", "--budget", "100000"])

@@ -1,0 +1,33 @@
+"""Static checks on the package source: no module keeps an import it never uses."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import polyrealize
+
+MODULES = sorted(
+    p for p in Path(polyrealize.__file__).parent.glob("*.py") if p.name != "__init__.py"
+)
+
+
+def _imported_names(tree: ast.Module):
+    """Names bound by the module-level imports (the __future__ import binds none)."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_imports_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = {
+        n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+    }
+    unused = [name for name in _imported_names(tree) if name not in loaded]
+    assert unused == [], f"{path.name} never uses its imports {unused}"

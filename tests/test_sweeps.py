@@ -18,7 +18,7 @@ from polyrealize.sweeps import (
     sweep_moduli,
     sweep_pairs,
 )
-from polyrealize.signpatterns import from_runs
+from polyrealize.signpatterns import SignPattern, from_runs
 
 
 def couple_count_formula(d: int) -> int:
@@ -99,6 +99,10 @@ class TestSweepPairs:
 
 
 class TestSweepModuli:
+    def test_degree_zero_rejected(self):
+        with pytest.raises(ValueError, match="degree must be >= 1"):
+            sweep_moduli(SignPattern((1,)), SearchConfig(n=10))
+
     def test_sigma341_smoke(self):
         rpt = sweep_moduli(from_runs((3, 4, 1)), SearchConfig(n=2000, seed=5))
         assert len(rpt.rows) == comb(7, 2)
