@@ -1,0 +1,68 @@
+"""Golden digests of the CLI's JSON reports.
+
+Each case runs one command with --json and compares the sha256 of the
+document with the digest recorded when the case was added.  Search reports
+carry the scan's wall time, so outcome.timing.seconds is dropped before
+hashing; everything else in every report is a pure function of the command
+line.  A refactor that must keep reports byte-identical keeps these digests.
+"""
+
+import hashlib
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from polyrealize.cli import main
+
+GOLDEN = [
+    pytest.param(
+        "sweep pairs --degree 4 --budget 20000",
+        1, "49e3748272674a8ca7d546fb986eb0bc7f6a7375d47b02f9385cf42e75c66b98",
+        id="sweep-pairs",
+    ),
+    pytest.param(
+        "sweep pairs --degree 4 --budget 20000 --orbits",
+        1, "d8f6f6fa96707b9c1aa567b7fb23e165068dce092c1c8ac0d73fcb12f1f53aee",
+        id="sweep-pairs-orbits",
+    ),
+    pytest.param(
+        "sweep moduli --sigma 1,2,3,2 --budget 500",
+        1, "feb023dc7c3dfcdb2bb4ce312cd871d1b4102bcd1cb994d41cf06c154343e4a2",
+        id="sweep-moduli",
+    ),
+    pytest.param(
+        "search gaps --degree 6 --class L-R+ --n 100000 --seed 3",
+        0, "d574880b9655c4a931168471fe9a6080f320a070640eb233f274947b955fd869",
+        id="search-gaps",
+    ),
+    pytest.param(
+        "search moduli --sigma 1,2,3,2 --order [1,1,2,0] --strategy mixture "
+        "--narrow-scale 0.05 --seed 2024 --n 1000",
+        0, "0cca477f57c6db228c2bed7020fc258453726eeb9e79527b9becd4b76e686839",
+        id="search-moduli-mixture",
+    ),
+    pytest.param(
+        "search pair --sigma 1,3,2 --pos 0 --neg 3 --strategy multiplicity "
+        "--seed 42 --n 20000",
+        0, "d40f6b3214f99313424c1cdc5d3c23055092a46f31a2fca7f8703122534e16c2",
+        id="search-pair-multiplicity",
+    ),
+    pytest.param(
+        "concat --left q1 --right q1",
+        0, "b2c757afdceb2c2877a840a387986f2ea571ceff30f6fbec6c77f9429a670e48",
+        id="concat",
+    ),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, digest", GOLDEN)
+def test_report_digest(tmp_path, command, exit_code, digest):
+    path = tmp_path / "report.json"
+    result = CliRunner().invoke(main, command.split() + ["--json", str(path)])
+    assert result.exit_code == exit_code, result.output
+    doc = json.loads(path.read_text())
+    if "outcome" in doc:
+        del doc["outcome"]["timing"]["seconds"]
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -1,4 +1,8 @@
-"""Static checks on the package source: no module keeps an import it never uses."""
+"""Static checks on the package source.
+
+No module keeps an import it never uses, and no module states an invariant
+as an `assert`, which `python -O` strips: invariants are explicit checks.
+"""
 
 import ast
 from pathlib import Path
@@ -31,3 +35,10 @@ def test_module_imports_are_used(path):
     }
     unused = [name for name in _imported_names(tree) if name not in loaded]
     assert unused == [], f"{path.name} never uses its imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_module_has_no_assert(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert lines == [], f"{path.name} has assert statements at lines {lines}"
