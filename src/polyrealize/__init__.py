@@ -46,7 +46,6 @@ from .signpatterns import (
     SignPattern,
     act_g1,
     act_g2,
-    canonical_representative,
     compatible_pairs,
     descartes_pair,
     from_runs,

@@ -102,7 +102,8 @@ def _search_options(fn):
                      help="Mixture narrow interval width (default ell/100)."),
         click.option("--narrow-fraction", type=float, default=0.5, show_default=True),
         click.option("--dup-prob", type=float, default=0.5, show_default=True),
-        click.option("--digits", type=int, default=12, show_default=True,
+        click.option("--digits", type=int, default=certifier.DEFAULT_DIGITS,
+                     show_default=True,
                      help="Significant digits kept by the exact certifier."),
         click.option("--json", "json_path", type=click.Path(), default=None),
     ]
@@ -268,17 +269,7 @@ def concat_cmd(left, right, json_path):
                f"({result.steps} halvings)")
     click.echo("coefficients: " + ", ".join(repr(c) for c in result.poly.coeffs))
     if json_path:
-        doc = {
-            "schema_version": report.SCHEMA_VERSION,
-            "command": "concat",
-            "query": {"left": left, "right": right},
-            "scale": fraction_str(result.scale),
-            "steps": result.steps,
-            "couple": report.couple_json(result.couple),
-            "roots": report.roots_json(result.spec),
-            "certificate": report.certificate_json(result.certificate),
-        }
-        report.write_json(json_path, doc)
+        report.write_json(json_path, report.concat_report(left, right, result))
     return EXIT_FOUND
 
 

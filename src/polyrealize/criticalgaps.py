@@ -10,7 +10,9 @@ recording which side of the chain
 
 holds strictly (+) or fails (-) on the left (L) and right (R).  gap_report
 refines every critical point in full; match, the search's test, refines in
-stages and stops as soon as the target class is ruled out.  xi_gap_bounds
+stages and stops as soon as the target class is ruled out.  match runs on the
+engine's sorted, distinct draws and does not re-check them; gap_report,
+critical_points and midpoints validate their input.  xi_gap_bounds
 turns brackets on the critical points into bounds on the critical gaps, for
 floats here and for integers in the certifier.
 """
@@ -207,8 +209,13 @@ def gap_report(x: Sequence[float]) -> GapReport:
     return _report(x, _midpoints(x), lo, hi)
 
 
-def match(x: Sequence[float], target: str) -> GapReport | None:
+def match(x: list[float], target: str) -> GapReport | None:
     """gap_report(x) when its class is `target`; None otherwise.
+
+    This is the search's per-attempt kernel, and it checks nothing: x must be
+    a list of at least three strictly increasing floats and target one of
+    GAP_CLASSES, as search_gap_class guarantees for every attempt.  Input
+    from anywhere else goes through gap_report, which validates it.
 
     None also stands for the inputs gap_report rejects with
     DegenerateMarginError.  The brackets start as the root intervals and are
@@ -221,12 +228,8 @@ def match(x: Sequence[float], target: str) -> GapReport | None:
     refinement, and the report is built from those brackets exactly as
     gap_report builds it.
     """
-    if target not in GAP_CLASSES:
-        raise ValueError(f"target class must be one of {GAP_CLASSES}")
     want_left = 1 if target[1] == "+" else -1
     want_right = 1 if target[3] == "+" else -1
-    x = [float(v) for v in x]
-    _check_sorted(x, 3)
     lo, hi = x[:-1], x[1:]
     z = _midpoints(x)
     z_gaps = [b - a for a, b in zip(z, z[1:])]

@@ -178,12 +178,10 @@ def forcing_test(sigma: SignPattern, order: ModuliOrder) -> ForcedConflict | Non
     positive roots).  If every positive root is matched injectively to a
     strictly larger negative modulus the coefficient is forced positive;
     symmetrically for the other direction.  A conflict with sigma's second
-    sign proves non-realizability; None proves nothing.
+    sign proves non-realizability; None proves nothing.  An order that is
+    not compatible with sigma raises ModuliCouple's IncompatibleCoupleError.
     """
-    if not is_compatible(sigma, order):
-        raise IncompatibleCoupleError(
-            f"order {order.word} incompatible with pattern {sigma.word}"
-        )
+    ModuliCouple(sigma, order)
     required = sigma.signs[1]
 
     m = _dominating_matching(order.word, "P", "N")

@@ -13,10 +13,11 @@ from pathlib import Path
 from typing import Union
 
 from .certifier import Certificate, fraction_str
+from .concatenation import ConcatResult
 from .criticalgaps import GapReport
 from .moduliorders import ModuliCouple
 from .polycore import RootSpec
-from .sampler import Mixture, MultiplicityBias, SearchConfig, SearchOutcome, Uniform
+from .sampler import Mixture, SearchConfig, SearchOutcome, Uniform
 from .signpatterns import PairCouple
 from .sweeps import SweepReport
 
@@ -33,9 +34,7 @@ def _strategy_json(cfg: SearchConfig) -> dict:
             "narrow_scale": cfg.narrow_scale,
             "narrow_fraction": s.narrow_fraction,
         }
-    if isinstance(s, MultiplicityBias):
-        return {"kind": "multiplicity", "dup_probability": s.dup_probability}
-    raise TypeError(f"unknown strategy {s!r}")
+    return {"kind": "multiplicity", "dup_probability": s.dup_probability}  # MultiplicityBias
 
 
 def config_json(cfg: SearchConfig) -> dict:
@@ -63,14 +62,10 @@ def couple_json(couple: Union[PairCouple, ModuliCouple]) -> dict:
     }
 
 
-def _num(v) -> float:
-    return float(v)
-
-
 def roots_json(spec: RootSpec) -> dict:
     return {
-        "real": [_num(r) for r in spec.real_roots],
-        "complex_pairs": [[_num(re), _num(im)] for re, im in spec.complex_pairs],
+        "real": [float(r) for r in spec.real_roots],
+        "complex_pairs": [[float(re), float(im)] for re, im in spec.complex_pairs],
     }
 
 
@@ -123,6 +118,19 @@ def search_report(command: str, cfg: SearchConfig, query: dict,
         "config": config_json(cfg),
         "query": query,
         "outcome": outcome_json(outcome),
+    }
+
+
+def concat_report(left: str, right: str, result: ConcatResult) -> dict:
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "command": "concat",
+        "query": {"left": left, "right": right},
+        "scale": fraction_str(result.scale),
+        "steps": result.steps,
+        "couple": couple_json(result.couple),
+        "roots": roots_json(result.spec),
+        "certificate": certificate_json(result.certificate),
     }
 
 

@@ -167,6 +167,9 @@ class SearchConfig:
             raise ValueError("ell must be positive and finite")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
+        if not isinstance(self.strategy, (Uniform, Mixture, MultiplicityBias)):
+            raise ValueError(f"strategy must be Uniform, Mixture or MultiplicityBias, "
+                             f"not {self.strategy!r}")
         if isinstance(self.strategy, Mixture):
             s = self.strategy.narrow_scale
             if s is not None and not 0 < s < self.ell:
@@ -262,6 +265,8 @@ def draw_rootspec_pair(
 ) -> RootSpec:
     """The RootSpec examined at `attempt_index`; bit-for-bit reproducible."""
     pos, neg = pair
+    if pos < 0 or neg < 0:
+        raise ValueError(f"root counts must be >= 0: pos={pos}, neg={neg}")
     rest = d - pos - neg
     if rest < 0:
         raise ValueError(f"pos + neg exceeds degree {d}")

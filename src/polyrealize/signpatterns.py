@@ -193,8 +193,3 @@ def orbit(couple: PairCouple) -> tuple[PairCouple, ...]:
     """
     g1c = act_g1(couple)
     return tuple(sorted({couple, g1c, act_g2(couple), act_g2(g1c)}, key=_couple_key))
-
-
-def canonical_representative(couple: PairCouple) -> PairCouple:
-    """Lexicographically least member of the couple's orbit."""
-    return orbit(couple)[0]

@@ -25,7 +25,6 @@ from .signpatterns import (
     SignPattern,
     act_g1,
     act_g2,
-    canonical_representative,
     compatible_pairs,
     descartes_pair,
     orbit,
@@ -68,21 +67,15 @@ class SweepReport:
         return out
 
 
-def enumerate_couples(d: int, orbits: bool = False) -> list[PairCouple]:
-    """Every (pattern, compatible pair) couple of degree d, deterministic order.
-
-    With orbits=True only canonical orbit representatives are returned.
-    """
+def enumerate_couples(d: int) -> list[PairCouple]:
+    """Every (pattern, compatible pair) couple of degree d, deterministic order."""
     if d < 1:
         raise ValueError("degree must be >= 1")
     out = []
     for bits in product((1, -1), repeat=d):
         sigma = SignPattern((1,) + bits)
         for pair in compatible_pairs(sigma):
-            couple = PairCouple(sigma, pair)
-            if orbits and canonical_representative(couple) != couple:
-                continue
-            out.append(couple)
+            out.append(PairCouple(sigma, pair))
     return out
 
 

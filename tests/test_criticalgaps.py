@@ -367,9 +367,3 @@ class TestMatch:
     def test_found_report_is_gap_report(self):
         assert match(GAP_D6_ROOTS, "L-R+") == gap_report(GAP_D6_ROOTS)
         assert match(GAP_D6_ROOTS, "L+R+") is None
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            match(GAP_D6_ROOTS, "L*R+")
-        with pytest.raises(UnsortedRootsError):
-            match([1.0, 0.0, 2.0], "L+R-")

@@ -84,6 +84,11 @@ class TestDrawRootspecPair:
         with pytest.raises(ParityMismatchError):
             draw_rootspec_pair(4, RootCountPair(1, 2), cfg, 1)
 
+    @pytest.mark.parametrize("d, pair", [(4, (-2, 2)), (4, (5, -1)), (3, (-1, 0))])
+    def test_negative_counts_rejected(self, d, pair):
+        with pytest.raises(ValueError, match="root counts must be >= 0"):
+            draw_rootspec_pair(d, RootCountPair(*pair), SearchConfig(n=1), 1)
+
     def test_ranges_respect_ell(self):
         cfg = SearchConfig(n=1, seed=8, ell=2.5)
         spec = draw_rootspec_pair(8, RootCountPair(2, 2), cfg, 5)
@@ -106,6 +111,8 @@ class TestConfigValidation:
             dict(n=10, strategy=Mixture(narrow_fraction=1.5)),
             dict(n=10, strategy=MultiplicityBias(dup_probability=-0.1)),
             dict(n=10, ell=float("inf")),
+            dict(n=10, strategy=None),
+            dict(n=10, strategy=Uniform),
         ],
     )
     def test_rejects(self, kwargs):
