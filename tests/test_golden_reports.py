@@ -53,6 +53,26 @@ GOLDEN = [
         0, "b2c757afdceb2c2877a840a387986f2ea571ceff30f6fbec6c77f9429a670e48",
         id="concat",
     ),
+    pytest.param(
+        "search pair --sigma +---+ --pos 0 --neg 2 --n 200",
+        1, "7603aeeb71aa03ae5f52706aa15bd1d26ca3af788855c86cc09d3675515b0bfc",
+        id="search-pair-exhausted",
+    ),
+    pytest.param(
+        "search pair --sigma ++-++- --pos 3 --neg 0 --strategy mixture --seed 3 --n 1000",
+        0, "d35cb24845b5396042981ed4c65a9c4d79a9693a42949753316ab335e90b173a",
+        id="search-pair-mixture",
+    ),
+    pytest.param(
+        "search gaps --degree 6 --class L-R+ --strategy mixture --seed 1 --n 1000",
+        0, "9fe796e913b98603bf388acd58a7bbfae4ea7fee798dfcb77c9b668d4cedd175",
+        id="search-gaps-mixture",
+    ),
+    pytest.param(
+        "search moduli --sigma 3,4,1 --order [0,0,5] --seed 5 --n 1000",
+        0, "95cfae850b3ae05d9b887467df81a6eeeba9e770dec5d712a8c78fb2753a07ba",
+        id="search-moduli-uniform",
+    ),
 ]
 
 

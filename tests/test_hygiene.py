@@ -1,10 +1,12 @@
 """Static checks on the package source.
 
-No module keeps an import it never uses, and no module states an invariant
-as an `assert`, which `python -O` strips: invariants are explicit checks.
+No module keeps an import it never uses or a private module-level name
+that nothing in the package loads, and no module states an invariant as an
+`assert`, which `python -O` strips: invariants are explicit checks.
 """
 
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -35,6 +37,43 @@ def test_module_imports_are_used(path):
     }
     unused = [name for name in _imported_names(tree) if name not in loaded]
     assert unused == [], f"{path.name} never uses its imports {unused}"
+
+
+@lru_cache(maxsize=1)
+def _loaded_anywhere() -> set[str]:
+    """Every name the package loads: bare names, attributes and imported names."""
+    names = set()
+    for path in Path(polyrealize.__file__).parent.glob("*.py"):
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                names.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                names.update(alias.name for alias in n.names)
+    return names
+
+
+def _private_definitions(tree: ast.Module):
+    """Module-level functions, classes and assigned names that start with one underscore."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Assign):
+            names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names = [node.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.startswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)
+def test_private_names_are_used(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    loaded = _loaded_anywhere()
+    unused = [name for name in _private_definitions(tree) if name not in loaded]
+    assert unused == [], f"{path.name} defines private names nothing loads: {unused}"
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.stem)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -88,6 +89,21 @@ class TestDrawRootspecPair:
     def test_negative_counts_rejected(self, d, pair):
         with pytest.raises(ValueError, match="root counts must be >= 0"):
             draw_rootspec_pair(d, RootCountPair(*pair), SearchConfig(n=1), 1)
+
+    def test_draws_pinned(self):
+        # one digest over 30 000 specs: strategies x ell x attempts cycling through shapes
+        strategies = (Uniform(), Mixture(), Mixture(narrow_fraction=0.2), MultiplicityBias(),
+                      MultiplicityBias(dup_probability=0.9))
+        shapes = ((1, (1, 0)), (1, (0, 1)), (2, (0, 0)), (3, (2, 1)), (4, (2, 2)),
+                  (4, (0, 2)), (5, (1, 2)), (6, (3, 1)), (6, (0, 0)), (7, (4, 3)))
+        h = hashlib.sha256()
+        for strategy in strategies:
+            for ell in (2.0**-30, 1.0, 5.0):
+                cfg = SearchConfig(n=1, ell=ell, seed=2024, strategy=strategy)
+                for i in range(1, 2001):
+                    d, pair = shapes[i % len(shapes)]
+                    h.update(repr(draw_rootspec_pair(d, RootCountPair(*pair), cfg, i)).encode())
+        assert h.hexdigest() == "e82e91ff6a7dd25cbbea099f8d3986048b3f571cd0a480d695978c0b8d9fdb2f"
 
     def test_ranges_respect_ell(self):
         cfg = SearchConfig(n=1, seed=8, ell=2.5)
