@@ -163,47 +163,28 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
         actual = exact_sign_pattern(A)  # D > 0: A_j has the sign of a_j
     except ZeroCoefficientError as exc:
         return Mismatch("sign_vector", str(exc), actual_pair=(pos, neg))
+    facts = dict(actual_pattern=actual, actual_pair=(pos, neg))  # every Mismatch below
     if actual != claim.pattern:
-        return Mismatch(
-            "sign_vector",
-            f"expansion has sign word {actual.word}, claim is {claim.pattern.word}",
-            actual_pattern=actual,
-            actual_pair=(pos, neg),
-        )
+        detail = f"expansion has sign word {actual.word}, claim is {claim.pattern.word}"
+        return Mismatch("sign_vector", detail, **facts)
     checks.append(("sign_vector", actual.word))
 
     if isinstance(claim, PairCouple):
         if (pos, neg) != tuple(claim.pair):
-            return Mismatch(
-                "root_counts",
-                f"spec has (pos, neg) = ({pos}, {neg}), claim is {tuple(claim.pair)}",
-                actual_pattern=actual,
-                actual_pair=(pos, neg),
-            )
+            detail = f"spec has (pos, neg) = ({pos}, {neg}), claim is {tuple(claim.pair)}"
+            return Mismatch("root_counts", detail, **facts)
         checks.append(("root_counts", f"({pos},{neg})"))
     else:
         if spec.complex_pairs:
-            return Mismatch(
-                "hyperbolic",
-                "moduli claims need all roots real",
-                actual_pattern=actual,
-                actual_pair=(pos, neg),
-            )
+            return Mismatch("hyperbolic", "moduli claims need all roots real", **facts)
         checks.append(("hyperbolic", "all roots real"))
         try:
             order = order_from_roots(spec.real_roots)
         except TiedModuliError as exc:
-            return Mismatch(
-                "moduli_order", str(exc), actual_pattern=actual, actual_pair=(pos, neg)
-            )
+            return Mismatch("moduli_order", str(exc), **facts)
         if order != claim.order:
-            return Mismatch(
-                "moduli_order",
-                f"roots give order {order.word}, claim is {claim.order.word}",
-                actual_pattern=actual,
-                actual_pair=(pos, neg),
-                actual_order=order,
-            )
+            detail = f"roots give order {order.word}, claim is {claim.order.word}"
+            return Mismatch("moduli_order", detail, actual_order=order, **facts)
         checks.append(("moduli_order", order.word))
 
     # internal identity: subdominant coefficient is minus the exact root sum

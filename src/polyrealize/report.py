@@ -103,8 +103,7 @@ def outcome_json(outcome: SearchOutcome) -> dict:
         doc["attempt_index"] = outcome.attempt_index
         doc["polynomial"] = {"coefficients": [repr(c) for c in outcome.poly.coeffs]}
         doc["roots"] = roots_json(outcome.spec)
-        if outcome.certificate is not None:
-            doc["certificate"] = certificate_json(outcome.certificate)
+        doc["certificate"] = certificate_json(outcome.certificate)
         if outcome.gap is not None:
             doc["gap_report"] = gap_report_json(outcome.gap)
     return doc

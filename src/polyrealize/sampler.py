@@ -16,11 +16,14 @@ test their critical-point gaps against the target class, which stops
 refining once that class is ruled out).  A hit is reported only with an exact
 Certificate; a floating hit whose rationalized form yields a Mismatch is
 counted as a failed attempt and the scan goes on.
+
+An attempt is a pure function of its unit draws: it returns None, or a
+certified hit as (spec, certificate) or (spec, certificate, gap_report).
+Only `_scan` knows attempt indices and builds the SearchOutcome.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import struct
 import time
@@ -196,13 +199,17 @@ class SearchOutcome:
     seconds: float
     attempt_index: Optional[int] = None
     spec: Optional[RootSpec] = None
-    poly: Optional[RealPolynomial] = None
     certificate: Optional[Certificate] = None
     gap: Optional[GapReport] = None
 
     @property
     def found(self) -> bool:
         return self.status == "found"
+
+    @property
+    def poly(self) -> Optional[RealPolynomial]:
+        """The witness expanded in floats, or None when exhausted."""
+        return None if self.spec is None else expand_from_roots(self.spec)
 
 
 # --- per-attempt draws ------------------------------------------------------
@@ -216,47 +223,41 @@ def _pair_draw_count(pos: int, neg: int, npairs: int, strategy: Strategy) -> int
 
 
 def _pair_roots(pos, neg, npairs, cfg: SearchConfig, u: list[float]):
-    """Raw (reals, pairs) lists for one pair-search attempt with unit draws u."""
+    """Raw (reals, pairs) lists for one pair-search attempt with unit draws u.
+
+    A real root takes one draw (its position) under Uniform and two under the
+    other strategies: a choice, narrow/wide or repeat/fresh, then the
+    position.  A pair takes two draws, after a narrow/wide choice under Mixture.
+    """
     strategy = cfg.strategy
     ell = cfg.ell
+    mixture = isinstance(strategy, Mixture)
+    bias = isinstance(strategy, MultiplicityBias)
+    step = 2 if mixture or bias else 1  # unit draws per real root
+    if mixture:
+        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
+    if bias:
+        dup = strategy.dup_probability
     reals: list[float] = []
     pairs: list[tuple[float, float]] = []
     t = 0
-    if isinstance(strategy, Uniform):
-        for _ in range(pos):
-            reals.append(ell * (1.0 - u[t]))
-            t += 1
-        for _ in range(neg):
-            reals.append(-ell * (1.0 - u[t]))
-            t += 1
-        for _ in range(npairs):
-            pairs.append((ell * (2.0 * u[t] - 1.0), ell * (1.0 - u[t + 1])))
-            t += 2
-    elif isinstance(strategy, Mixture):
-        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
-        for sign, count in ((1.0, pos), (-1.0, neg)):
-            for _ in range(count):
-                scale = ns if u[t] < frac else ell
-                reals.append(sign * scale * (1.0 - u[t + 1]))
-                t += 2
-        for _ in range(npairs):
+    for sign, count in ((1.0, pos), (-1.0, neg)):
+        prev = None
+        for _ in range(count):
+            x = 1.0 - u[t + step - 1]
+            if mixture:
+                prev = sign * (ns if u[t] < frac else ell) * x
+            elif not bias or prev is None or u[t] >= dup:  # else repeat the previous root
+                prev = sign * ell * x
+            reals.append(prev)
+            t += step
+    for _ in range(npairs):
+        scale = ell
+        if mixture:
             scale = ns if u[t] < frac else ell
-            pairs.append((scale * (2.0 * u[t + 1] - 1.0), scale * (1.0 - u[t + 2])))
-            t += 3
-    else:  # MultiplicityBias
-        dup = strategy.dup_probability
-        for sign, count in ((1.0, pos), (-1.0, neg)):
-            prev = None
-            for _ in range(count):
-                if prev is not None and u[t] < dup:
-                    reals.append(prev)
-                else:
-                    prev = sign * ell * (1.0 - u[t + 1])
-                    reals.append(prev)
-                t += 2
-        for _ in range(npairs):
-            pairs.append((ell * (2.0 * u[t] - 1.0), ell * (1.0 - u[t + 1])))
-            t += 2
+            t += 1
+        pairs.append((scale * (2.0 * u[t] - 1.0), scale * (1.0 - u[t + 1])))
+        t += 2
     return reals, pairs
 
 
@@ -304,12 +305,12 @@ def _values(d: int, cfg: SearchConfig, u: list[float], signed: bool) -> list[flo
 def _scan(attempt_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
     """Run attempts 1..n in order, returning the lowest-index hit.
 
-    attempt_fn(i, u) gets attempt i's `count` unit draws, equal to
-    attempt_unit_draws(cfg.seed, i, count), and returns a SearchOutcome for a
-    verified hit at attempt i, or None.  Draws come in blocks of attempts
-    that double from 1 up to _BLOCK_CAP, so a search that hits early draws at
-    most about twice what it uses.  The returned outcome carries the scan's
-    wall time.
+    attempt_fn(u) gets attempt i's `count` unit draws, equal to
+    attempt_unit_draws(cfg.seed, i, count), and returns None or a certified
+    hit: (spec, certificate) or (spec, certificate, gap_report).  Draws come
+    in blocks of attempts that double from 1 up to _BLOCK_CAP, so a search
+    that hits early draws at most about twice what it uses.  The outcome,
+    found at attempt i or exhausted after n, carries the scan's wall time.
     """
     start = time.perf_counter()
     first, size = 1, 1
@@ -317,24 +318,23 @@ def _scan(attempt_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
         b = min(size, cfg.n - first + 1)
         u = _unit_block(cfg.seed, first, b, count)
         for k in range(b):
-            hit = attempt_fn(first + k, u[k::b])
+            hit = attempt_fn(u[k::b])
             if hit is not None:
-                return dataclasses.replace(hit, seconds=time.perf_counter() - start)
+                i = first + k
+                return SearchOutcome("found", i, time.perf_counter() - start, i, *hit)
         first += b
         size = min(2 * size, _BLOCK_CAP)
     return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
 
 
-def _certified_hit(i: int, spec: RootSpec, coeffs: list[float], claim, cfg: SearchConfig):
-    """Found outcome for a float hit at attempt i, or None when certification rejects it.
+def _certified_hit(spec: RootSpec, claim, cfg: SearchConfig):
+    """(spec, certificate) for a float hit, or None when certification rejects it.
 
     The spec is rationalized and certified exactly; a Mismatch marks a
     borderline sample, and the scan goes on.
     """
     cert = certifier.certify_couple(certifier.rationalize(spec, cfg.digits), claim)
-    if not isinstance(cert, Certificate):
-        return None
-    return SearchOutcome("found", i, 0.0, i, spec, RealPolynomial(tuple(coeffs[1:])), cert)
+    return (spec, cert) if isinstance(cert, Certificate) else None
 
 
 # --- engines ----------------------------------------------------------------
@@ -350,13 +350,12 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
     target = sigma.signs
     tau = cfg.tau
 
-    def attempt(i: int, u: list[float]):
+    def attempt(u: list[float]):
         reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
-        coeffs = expand(reals, cpairs, 1.0)
-        if sign_tuple(coeffs, tau) != target:
+        if sign_tuple(expand(reals, cpairs, 1.0), tau) != target:
             return None
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
-        return _certified_hit(i, spec, coeffs, claim, cfg)
+        return _certified_hit(spec, claim, cfg)
 
     return _scan(attempt, _pair_draw_count(pos, neg, npairs, cfg.strategy), cfg)
 
@@ -369,16 +368,15 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     letters = order.word
     tau = cfg.tau
 
-    def attempt(i: int, u: list[float]):
+    def attempt(u: list[float]):
         mods = _values(d, cfg, u, signed=False)
         if len(set(mods)) < d:  # tied moduli: rejected, index consumed
             return None
         mods.sort()
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
-        coeffs = expand(roots, (), 1.0)
-        if sign_tuple(coeffs, tau) != target:
+        if sign_tuple(expand(roots, (), 1.0), tau) != target:
             return None
-        return _certified_hit(i, RootSpec(real_roots=tuple(roots)), coeffs, claim, cfg)
+        return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
 
     return _scan(attempt, _value_draw_count(d, cfg.strategy), cfg)
 
@@ -390,7 +388,7 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
 
-    def attempt(i: int, u: list[float]):
+    def attempt(u: list[float]):
         xs = _values(d, cfg, u, signed=True)
         if 0.0 in xs or len(set(xs)) < d:
             return None
@@ -403,9 +401,6 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
         )
         if not isinstance(cert, Certificate) or cert.claim != target:
             return None
-        spec = RootSpec(real_roots=tuple(xs))
-        return SearchOutcome(
-            "found", i, 0.0, i, spec, expand_from_roots(spec), cert, gap=report
-        )
+        return RootSpec(real_roots=tuple(xs)), cert, report
 
     return _scan(attempt, _value_draw_count(d, cfg.strategy), cfg)

@@ -23,7 +23,6 @@ from polyrealize.sampler import (
     MultiplicityBias,
     ParityMismatchError,
     SearchConfig,
-    SearchOutcome,
     Uniform,
     _scan,
     _unit_block,
@@ -365,20 +364,20 @@ class TestBlockSchedule:
     @pytest.mark.parametrize("n", BOUNDARY_BUDGETS)
     def test_each_attempt_gets_its_own_draws(self, n):
         seen = []
-        out = _scan(lambda i, u: seen.append((i, u)), 3, SearchConfig(n=n, seed=77))
+        out = _scan(seen.append, 3, SearchConfig(n=n, seed=77))
         assert out.status == "exhausted" and out.attempts == n
-        assert [i for i, _ in seen] == list(range(1, n + 1))
-        assert all(u == attempt_unit_draws(77, i, 3) for i, u in seen)
+        assert seen == [attempt_unit_draws(77, i, 3) for i in range(1, n + 1)]
 
     def test_hit_stops_mid_block(self):
         seen = []
 
-        def attempt(i, u):
-            seen.append(i)
-            return SearchOutcome("found", i, 0.0, i) if i == 6 else None
+        def attempt(u):
+            seen.append(u)
+            return (None, None) if len(seen) == 6 else None
 
         out = _scan(attempt, 2, SearchConfig(n=100, seed=1))  # attempt 6 lies in block 4..7
-        assert out.attempt_index == 6 and seen == list(range(1, 7))
+        assert out.attempt_index == 6
+        assert seen == [attempt_unit_draws(1, i, 2) for i in range(1, 7)]
 
 
 def reference_values(d, cfg, i, signed):
