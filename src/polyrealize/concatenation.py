@@ -118,10 +118,14 @@ def concat_pairs(left: Realizer, right: Realizer) -> ConcatResult:
     return _ladder(target, spec_at, Fraction(1, 2), Fraction(1, 2))
 
 
-def _moduli_of(spec: RootSpec) -> list[Fraction]:
-    if spec.complex_pairs:
-        raise InvalidRealizerError("moduli extension needs a hyperbolic witness")
-    return [abs(Fraction(r)) for r in spec.real_roots]
+def _moduli_of(v: Realizer, letter: str) -> list[Fraction]:
+    """Moduli of the roots of v, once v is checked to realize its moduli couple."""
+    if letter not in ("P", "N"):
+        raise ValueError("letter must be 'P' or 'N'")
+    if not isinstance(v.couple, ModuliCouple):
+        raise InvalidRealizerError(f"moduli extension needs a moduli couple, not {v.couple}")
+    v.verify()  # fails a spec with complex roots at the hyperbolic check
+    return [abs(Fraction(r)) for r in v.spec.real_roots]
 
 
 def extend_small(v: Realizer, letter: str) -> ConcatResult:
@@ -131,9 +135,7 @@ def extend_small(v: Realizer, letter: str) -> ConcatResult:
     (x + eps) (letter N) repeats it.  eps starts at half the smallest modulus
     and halves until the exact expansion certifies.
     """
-    if letter not in ("P", "N"):
-        raise ValueError("letter must be 'P' or 'N'")
-    v.verify()
+    eps = min(_moduli_of(v, letter)) / 2
     target = ModuliCouple(
         SignPattern(
             v.couple.pattern.signs
@@ -141,7 +143,6 @@ def extend_small(v: Realizer, letter: str) -> ConcatResult:
         ),
         ModuliOrder(letter + v.couple.order.word),
     )
-    eps = min(_moduli_of(v.spec)) / 2
     return _extend(v, letter, target, eps, Fraction(1, 2))
 
 
@@ -152,16 +153,13 @@ def extend_large(v: Realizer, letter: str) -> ConcatResult:
     flipped (letter P) or repeated (letter N).  delta starts at twice the
     largest modulus and doubles until the exact expansion certifies.
     """
-    if letter not in ("P", "N"):
-        raise ValueError("letter must be 'P' or 'N'")
-    v.verify()
+    delta = max(_moduli_of(v, letter)) * 2
     signs = v.couple.pattern.signs
     flipped = tuple(-s for s in signs) if letter == "P" else signs
     target = ModuliCouple(
         SignPattern((1,) + flipped),
         ModuliOrder(v.couple.order.word + letter),
     )
-    delta = max(_moduli_of(v.spec)) * 2
     return _extend(v, letter, target, delta, Fraction(2))
 
 

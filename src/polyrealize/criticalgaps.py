@@ -90,10 +90,20 @@ def _midpoints(x: Sequence[float]) -> list[float]:
     return [(x[k] + x[k + 1]) * 0.5 for k in range(len(x) - 1)]
 
 
+def _finite(values: list[float], what: str) -> list[float]:
+    """values, or ValueError when one is inf or NaN (NaN input, or overflow)."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{what} are not finite: {values!r}")
+    return values
+
+
 def midpoints(x: Sequence[float]) -> list[float]:
-    """Midpoints of consecutive roots; needs at least two strictly increasing roots."""
+    """Midpoints of consecutive roots; needs at least two strictly increasing roots.
+
+    Raises ValueError when a midpoint is not finite.
+    """
     _check_sorted(x, 2)
-    return _midpoints(x)
+    return _finite(_midpoints(x), "midpoints")
 
 
 def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> None:
@@ -152,11 +162,12 @@ def critical_points(x: Sequence[float]) -> list[float]:
     half-width at most 1e-12 * (x_n - x_1); interlacing guarantees exactly
     one critical point per interval, so the root intervals themselves are
     the initial brackets and no derivative is evaluated at their ends.
+    Raises ValueError when a critical point comes out inf or NaN.
     """
     _check_sorted(x, 2)
     lo, hi = list(x[:-1]), list(x[1:])
     _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
-    return [0.5 * (a + b) for a, b in zip(lo, hi)]
+    return _finite([0.5 * (a + b) for a, b in zip(lo, hi)], "critical points")
 
 
 def _report(x: list[float], z: list[float], lo: list[float], hi: list[float]) -> GapReport:

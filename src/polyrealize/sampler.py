@@ -164,6 +164,10 @@ class SearchConfig:
     digits: int = certifier.DEFAULT_DIGITS
 
     def __post_init__(self):
+        for name in ("n", "seed", "digits"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if not 0 < self.ell < math.inf:

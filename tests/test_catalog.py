@@ -4,6 +4,7 @@ import pytest
 
 from polyrealize.catalog import (
     CatalogEntry,
+    _pairs,
     UnknownIdError,
     catalog_ids,
     catalog_lookup,
@@ -19,6 +20,11 @@ class TestLookup:
         for entry_id in ("grabiner-d4", "gap-d6-LmRp", "sigma1232-table",
                          "q1", "c1", "c2", "c3", "sigma341-witness"):
             assert isinstance(catalog_lookup(entry_id), CatalogEntry)
+
+    def test_quadratic_with_real_roots_rejected(self):
+        # x^2 - 2x + 1 has the double root 1, so it stands for no conjugate pair
+        with pytest.raises(ValueError, match="has real roots"):
+            _pairs((2.0, 1.0))
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIdError):

@@ -192,6 +192,14 @@ class TestVerifyCommand:
         assert result.exit_code == 1
         assert f"mismatch at {check}" in result.output
 
+    def test_pos_without_neg_rejected(self, runner, tmp_path):
+        path = tmp_path / "roots.txt"
+        path.write_text(Q1_FILE)
+        result = runner.invoke(main, ["verify", "--roots", str(path),
+                                      "--sigma", "1,3,2", "--pos", "0"])
+        assert result.exit_code == 2
+        assert "--pos and --neg go together" in result.output
+
     def test_both_claims_rejected(self, runner, tmp_path):
         path = tmp_path / "roots.txt"
         path.write_text(Q1_FILE)
@@ -276,6 +284,11 @@ class TestConcatCommand:
         result = runner.invoke(main, ["concat", "--left", "nope", "--right", "q1"])
         assert result.exit_code == 2
 
+    def test_entry_without_root_spec(self, runner):
+        result = runner.invoke(main, ["concat", "--left", "gap-d6-LmRp", "--right", "q1"])
+        assert result.exit_code == 2
+        assert "carries no root spec" in result.output
+
 
 class TestCatalogCommands:
     def test_list(self, runner):
@@ -288,6 +301,17 @@ class TestCatalogCommands:
         result = runner.invoke(main, ["catalog", "show", "grabiner-d4"])
         assert result.exit_code == 0
         assert "+---+" in result.output
+
+    def test_show_root_spec(self, runner):
+        result = runner.invoke(main, ["catalog", "show", "q1"])
+        assert result.exit_code == 0
+        assert "spec: real=[-0.723, -0.59, -0.48] complex=[(0.985, " in result.output
+
+    def test_show_table(self, runner):
+        result = runner.invoke(main, ["catalog", "show", "sigma1232-table"])
+        assert result.exit_code == 0
+        assert "runs: (1, 2, 3, 2)" in result.output
+        assert "rigid: (1, 1, 1, 1)" in result.output
 
     def test_show_unknown(self, runner):
         result = runner.invoke(main, ["catalog", "show", "nope"])

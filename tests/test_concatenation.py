@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from polyrealize import concatenation
+from polyrealize.catalog import catalog_lookup
 from polyrealize.certifier import Certificate, certify_couple, exact_expand, rationalize
 from polyrealize.concatenation import (
     InvalidRealizerError,
     Realizer,
+    ScaleNotFoundError,
     concat_pairs,
     extend_large,
     extend_small,
@@ -59,6 +62,11 @@ class TestConcatPairs:
         result = concat_pairs(X_PLUS_1, X_MINUS_1)
         assert isinstance(result.certificate, Certificate)
         assert isinstance(certify_couple(result.spec, result.couple), Certificate)
+
+    def test_empty_ladder_raises(self, monkeypatch):
+        monkeypatch.setattr(concatenation, "MAX_SCALE_STEPS", 0)
+        with pytest.raises(ScaleNotFoundError):
+            concat_pairs(X_PLUS_1, X_MINUS_1)
 
     def test_root_bookkeeping(self):
         result = concat_pairs(X_PLUS_1, X_MINUS_1)
@@ -130,6 +138,24 @@ class TestExtendSmall:
     def test_letter_validation(self):
         with pytest.raises(ValueError):
             extend_small(V_REALIZER, "Q")
+
+    def test_hyperbolic_input_required(self):
+        # (x-1)(x^2-2x+2) has sign word +-+- but carries a complex pair
+        bad = Realizer(
+            RootSpec(real_roots=(Fraction(1),), complex_pairs=((Fraction(1), Fraction(1)),)),
+            ModuliCouple(parse_pattern("+-+-"), parse_order("PPP")),
+        )
+        with pytest.raises(InvalidRealizerError, match="hyperbolic"):
+            extend_small(bad, "P")
+
+
+@pytest.mark.parametrize("extend", [extend_small, extend_large])
+def test_extension_needs_a_moduli_couple(extend):
+    q1 = catalog_lookup("q1").payload
+    pair_realizer = Realizer(rationalize(q1["spec"]), q1["couple"])
+    pair_realizer.verify()  # a valid realizer, of the wrong kind of couple
+    with pytest.raises(InvalidRealizerError, match="needs a moduli couple"):
+        extend(pair_realizer, "P")
 
 
 class TestExtendLarge:

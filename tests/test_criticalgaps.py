@@ -45,6 +45,10 @@ class TestMidpoints:
             midpoints([1.0, 1.0])
         with pytest.raises(ValueError):
             midpoints([1.0])
+        with pytest.raises(ValueError, match="midpoints are not finite"):
+            midpoints([0.0, math.nan, 1.0])
+        with pytest.raises(ValueError, match="midpoints are not finite"):
+            midpoints(HUGE_ROOTS)
 
 
 class TestCriticalPoints:
@@ -70,6 +74,9 @@ class TestCriticalPoints:
             critical_points([1.0, 0.0])
         with pytest.raises(ValueError):
             critical_points([1.0])
+        for bad in (HUGE_ROOTS, [-1.7e308, -1.5e308, 1e308], [0.0, math.nan, 1.0]):
+            with pytest.raises(ValueError, match="critical points are not finite"):
+                critical_points(bad)
 
     def test_tiny_roots_scale_the_critical_points(self):
         # P'(1e-200) = (1e-200 - 2e-200)(1e-200 - 3e-200) = 2e-400 underflows to 0,

@@ -76,6 +76,10 @@ class TestBracketForm:
         with pytest.raises(ValueError):
             parse_order(bad)
 
+    def test_negative_bracket_entry_rejected(self):
+        with pytest.raises(ValueError, match="bracket entries must be >= 0"):
+            ModuliOrder.from_bracket((1, -1))
+
     @given(st.integers(0, 4), st.integers(0, 5))
     def test_word_bracket_round_trip(self, c, p):
         if c + p == 0:
@@ -91,6 +95,10 @@ class TestEnumerateOrders:
         assert len(enumerate_orders(3, 4)) == 35
         assert len(enumerate_orders(2, 4)) == 15
         assert enumerate_orders(0, 4) == [ModuliOrder("NNNN")]
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            enumerate_orders(-1, 2)
 
     @given(st.integers(0, 5), st.integers(0, 5))
     def test_count_formula_distinct(self, c, p):

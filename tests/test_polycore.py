@@ -60,6 +60,10 @@ class TestExpandFromRoots:
         with pytest.raises(ZeroRootError):
             RootSpec(real_roots=(0.0, 1.0))
 
+    def test_real_complex_pair_rejected(self):
+        with pytest.raises(ValueError, match="complex pair needs im > 0"):
+            RootSpec(complex_pairs=((0.1, 0.0),))
+
     def test_empty_spec_rejected(self):
         with pytest.raises(ValueError):
             expand_from_roots(RootSpec())

@@ -79,6 +79,10 @@ class TestDrawRootspecPair:
         b = draw_rootspec_pair(7, RootCountPair(2, 1), cfg, 42)
         assert a == b
 
+    def test_counts_exceed_degree(self):
+        with pytest.raises(ValueError, match="exceeds degree 3"):
+            draw_rootspec_pair(3, RootCountPair(2, 2), SearchConfig(n=1), 1)
+
     def test_parity_mismatch(self):
         cfg = SearchConfig(n=1)
         with pytest.raises(ParityMismatchError):
@@ -128,6 +132,12 @@ class TestConfigValidation:
             dict(n=10, ell=float("inf")),
             dict(n=10, strategy=None),
             dict(n=10, strategy=Uniform),
+            dict(n=2.5),
+            dict(n=True),
+            dict(n=10, seed=1.5),
+            dict(n=10, seed=False),
+            dict(n=10, digits=2.5),
+            dict(n=10, digits=True),
         ],
     )
     def test_rejects(self, kwargs):
@@ -439,6 +449,8 @@ SCHEDULE_CASES = [
     ("gap", (6, "L-R+"), Uniform(), 3, 2),
     ("gap", (6, "L-R+"), Mixture(), 1, 138),
     ("gap", (5, "L-R+"), Uniform(), 1, None),
+    ("moduli", (parse_pattern("++---+"), ModuliOrder("NPPNN")), MultiplicityBias(), 1, 351),
+    ("gap", (6, "L-R+"), MultiplicityBias(), 3, 2),
 ]
 
 

@@ -68,6 +68,15 @@ class TestParse:
         with pytest.raises(ValueError):
             SignPattern((-1, 1))
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SignPattern(()), "empty sign pattern"),
+        (lambda: SignPattern((1, 0)), "signs must be"),
+        (lambda: SignPattern.from_word("+x"), "not a sign word"),
+    ], ids=["empty", "zero-sign", "bad-letter"])
+    def test_constructors_reject(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
 
 class TestDescartesPair:
     def test_examples(self):
