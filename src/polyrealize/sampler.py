@@ -237,24 +237,23 @@ def _pair_roots(pos, neg, npairs, cfg: SearchConfig, u: list[float]):
     ell = cfg.ell
     mixture = isinstance(strategy, Mixture)
     bias = isinstance(strategy, MultiplicityBias)
-    step = 2 if mixture or bias else 1  # unit draws per real root
     if mixture:
         ns, frac = cfg.narrow_scale, strategy.narrow_fraction
     if bias:
         dup = strategy.dup_probability
+    step = 2 if mixture or bias else 1  # unit draws per real root, its position last
     reals: list[float] = []
     pairs: list[tuple[float, float]] = []
     t = 0
-    for sign, count in ((1.0, pos), (-1.0, neg)):
-        prev = None
-        for _ in range(count):
-            x = 1.0 - u[t + step - 1]
-            if mixture:
-                prev = sign * (ns if u[t] < frac else ell) * x
-            elif not bias or prev is None or u[t] >= dup:  # else repeat the previous root
-                prev = sign * ell * x
-            reals.append(prev)
-            t += step
+    for k in range(pos + neg):  # the positive roots, then the negative ones
+        sign = 1.0 if k < pos else -1.0
+        x = 1.0 - u[t + step - 1]
+        if mixture:
+            prev = sign * (ns if u[t] < frac else ell) * x
+        elif not bias or k == 0 or k == pos or u[t] >= dup:  # else repeat the last root of this sign
+            prev = sign * ell * x
+        reals.append(prev)
+        t += step
     for _ in range(npairs):
         scale = ell
         if mixture:
