@@ -73,6 +73,21 @@ GOLDEN = [
         0, "95cfae850b3ae05d9b887467df81a6eeeba9e770dec5d712a8c78fb2753a07ba",
         id="search-moduli-uniform",
     ),
+    pytest.param(
+        "sweep pairs --degree 5 --budget 3000",
+        1, "b28bf074dc5a7e895f482c67191b858fc05b0933b696ec403eb18c221a256582",
+        id="sweep-pairs-degree5",
+    ),
+    pytest.param(
+        "sweep pairs --degree 3 --budget 500",
+        0, "22293d364e5c3db93ceff1dfc8ac3414086f5d6c9678f5eee97cd4629d506668",
+        id="sweep-pairs-degree3",
+    ),
+    pytest.param(
+        "sweep moduli --sigma 3,4,1 --budget 2000",
+        1, "67989388aa12f34681181941eda4226acdb56a82edc745d8e19588ccaf52c06d",
+        id="sweep-moduli-341",
+    ),
 ]
 
 
