@@ -9,13 +9,15 @@ or block size, and the outcome is always the lowest-index hit: a search
 with budget n returns what the first n attempts of any larger budget return.
 
 Three engines share the machinery: pair search (draw the prescribed numbers
-of positive/negative roots plus conjugate complex pairs, expand, compare the
-coefficient sign word), moduli search (draw d positives, sort, negate where
-the target order says N), and gap-class search (draw d distinct reals and
-test their critical-point gaps against the target class, which stops
-refining once that class is ruled out).  A hit is reported only with an exact
-Certificate; a floating hit whose rationalized form yields a Mismatch is
-counted as a failed attempt and the scan goes on.
+of positive/negative roots plus conjugate complex pairs), moduli search (draw
+d positives, sort, negate where the target order says N), and gap-class
+search (draw d distinct reals and test their critical-point gaps against the
+target class, which stops refining once that class is ruled out).  The pair
+and moduli engines test the coefficient sign word with
+`polycore.has_sign_word`: it rejects on the sign of a_1 before expanding and
+stops at the first coefficient that misses the target.  A hit is reported
+only with an exact Certificate; a floating hit whose rationalized form
+yields a Mismatch is counted as a failed attempt and the scan goes on.
 
 An attempt is a pure function of its unit draws: it returns None, or a
 certified hit as (spec, certificate) or (spec, certificate, gap_report).
@@ -35,7 +37,7 @@ from . import certifier, polycore
 from .certifier import Certificate
 from .criticalgaps import GAP_CLASSES, GapReport, match
 from .moduliorders import ModuliCouple, ModuliOrder
-from .polycore import RealPolynomial, RootSpec, expand, expand_from_roots, sign_tuple
+from .polycore import RealPolynomial, RootSpec, expand_from_roots, has_sign_word
 from .signpatterns import PairCouple, RootCountPair, SignPattern
 
 _MASK64 = (1 << 64) - 1
@@ -355,7 +357,7 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
 
     def attempt(u: list[float]):
         reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
-        if sign_tuple(expand(reals, cpairs, 1.0), tau) != target:
+        if not has_sign_word(reals, cpairs, target, tau):
             return None
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
         return _certified_hit(spec, claim, cfg)
@@ -377,7 +379,8 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
             return None
         mods.sort()
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
-        if sign_tuple(expand(roots, (), 1.0), tau) != target:
+        # a_1 = sum of N-moduli - sum of P-moduli, the quantity forcing_test reasons about
+        if not has_sign_word(roots, (), target, tau):
             return None
         return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import struct
 from fractions import Fraction
@@ -16,6 +17,7 @@ from polyrealize.polycore import (
     expand,
     expand_from_roots,
     expand_real,
+    has_sign_word,
     horner,
     sign_tuple,
 )
@@ -24,6 +26,11 @@ from polyrealize.sampler import (
     MultiplicityBias,
     SearchConfig,
     Uniform,
+    _pair_draw_count,
+    _pair_roots,
+    _value_draw_count,
+    _values,
+    attempt_unit_draws,
     draw_rootspec_pair,
 )
 from polyrealize.signpatterns import SignPattern
@@ -224,3 +231,114 @@ class TestSignVector:
         p = expand_from_roots(RootSpec(real_roots=(r, -2 * r)))
         sv = sign_tuple(p.coeffs)
         assert sv is not None and sv[0] == 1
+
+
+def all_words(degree):
+    """Every sign word of length degree + 1, leading sign included."""
+    return list(itertools.product((1, -1), repeat=degree + 1))
+
+
+def a1_sum(reals, pairs):
+    """a_1 summed as `has_sign_word` sums it: the reals, then 2*re per pair."""
+    a1 = 0.0
+    for r in reals:
+        a1 -= r
+    for re, _ in pairs:
+        a1 -= 2 * re
+    return a1
+
+
+def assert_matches_reference(reals, pairs, targets, tau=1e-9):
+    ref = sign_tuple(expand(reals, pairs, 1.0), tau)
+    for t in targets:
+        assert has_sign_word(reals, pairs, t, tau) == (ref == t), (reals, pairs, t)
+
+
+INF = math.inf
+
+# (reals, pairs) chosen so that a_1 or a later coefficient sits on the threshold
+CRAFTED = {
+    "a1-zero": ([1.0, 2.0, -3.0], []),
+    "a1-zero-real-and-pair": ([1.0], [(-0.5, 1.0)]),
+    "opposite-roots": ([0.5, -0.5, 2.0], []),
+    "a1-inside-threshold": ([1.0, -1.0 + 1e-12], []),
+    "a1-negative-inside-threshold": ([1.0, -1.0 - 1e-12], []),
+    "a1-just-outside-threshold": ([1.0, -1.0 - 1e-7], []),
+    "a1-inside-relative-threshold": ([1e6, -1e6 + 1e-3], []),
+    "a2-zero": ([1.0, 1.0, -0.5], []),
+    "a2-inside-threshold": ([1.0, 1.0, -0.5 + 1e-13], []),
+    "a0-inside-threshold": ([1e-12, 2.0, -3.5], []),
+    "overflow": ([1e308, 1e308, -1.0], []),
+    "a1-nan": ([INF, -INF, 1.0], []),
+    "inf-root": ([INF, 1.0], []),
+    "huge-and-tiny": ([1e308, -1e-300, 1e-300], [(1e-300, 1e308)]),
+    "tiny": ([1e-300, -1e-300], [(-1e-300, 1e-300)]),
+    "nan-root": ([math.nan, 1.0], []),
+    "degree-1-positive": ([0.5], []),
+    "degree-1-negative": ([-0.5], []),
+    "degree-1-zero": ([0.0], []),
+    "degree-1-negative-zero": ([-0.0], []),
+    "degree-1-inside-threshold": ([1e-12], []),
+    "degree-1-on-threshold": ([1e-9], []),
+    "pair-only": ([], [(0.3, 0.4)]),
+    "pair-only-zero-re": ([], [(0.0, 1.0)]),
+    "pair-only-negative-zero-re": ([], [(-0.0, 1.0)]),
+    "pairs-cancelling": ([], [(0.5, 0.1), (-0.5, 2.0)]),
+    "pairs-overflow": ([], [(1e308, 1e308), (1.0, 1.0)]),
+}
+
+SEARCH_STRATEGIES = [
+    Uniform(),
+    Mixture(),
+    Mixture(narrow_scale=None, narrow_fraction=0.9),
+    MultiplicityBias(),
+]
+ELLS = [2.0**-30, 1.0, 2.0**30]
+
+
+class TestHasSignWord:
+    @pytest.mark.parametrize("name", list(CRAFTED))
+    def test_crafted_inputs_match_reference(self, name):
+        reals, pairs = CRAFTED[name]
+        assert_matches_reference(reals, pairs, all_words(len(reals) + 2 * len(pairs)))
+
+    def test_crafted_hits(self):
+        # the reference word itself is accepted where one exists
+        assert has_sign_word([1.0, 2.0, 3.0], [], (1, -1, 1, -1), 1e-9)
+        assert has_sign_word([], [(0.3, 0.4)], (1, -1, 1), 1e-9)
+        assert not has_sign_word([1.0, 2.0, -3.0], [], (1, 1, -1, 1), 1e-9)
+        assert not has_sign_word([1.0, 2.0, -3.0], [], (1, -1, -1, 1), 1e-9)
+
+    @pytest.mark.parametrize("name", list(CRAFTED))
+    def test_a1_is_bit_for_bit_expansion(self, name):
+        reals, pairs = CRAFTED[name]
+        got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("reals, pairs", [
+        ([0.0], []), ([-0.0], []), ([0.0, -0.0], []), ([-0.0, -0.0], []),
+        ([], [(-0.0, 1.0)]), ([-0.0], [(-0.0, 1.0)]), ([1.0, -1.0], [(0.0, 2.0)]),
+    ])
+    def test_a1_signed_zeros(self, reals, pairs):
+        got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
+        assert got == want == 0.0
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+
+    @pytest.mark.parametrize("ell", ELLS)
+    @pytest.mark.parametrize("strategy", SEARCH_STRATEGIES, ids=repr)
+    def test_census_over_search_draws(self, strategy, ell):
+        # pair-search and moduli-search draws, every sign word of their degree
+        cfg = SearchConfig(n=1, ell=ell, seed=12, strategy=strategy)
+        for attempt in range(1, 151):
+            pos, neg, npairs = SHAPES[attempt % 4]
+            u = attempt_unit_draws(cfg.seed, attempt, _pair_draw_count(pos, neg, npairs, strategy))
+            reals, pairs = _pair_roots(pos, neg, npairs, cfg, u)
+            assert a1_sum(reals, pairs) == expand(reals, pairs, 1.0)[1]
+            assert_matches_reference(reals, pairs, all_words(pos + neg + 2 * npairs))
+            d = 3 + attempt % 3
+            u = attempt_unit_draws(cfg.seed, attempt, _value_draw_count(d, strategy))
+            mods = sorted(_values(d, cfg, u, signed=False))
+            roots = [m if (attempt >> j) & 1 else -m for j, m in enumerate(mods)]
+            assert a1_sum(roots, ()) == expand(roots, (), 1.0)[1]
+            assert_matches_reference(roots, (), all_words(d))
