@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import ClassVar, Optional, Union
 
@@ -154,6 +154,16 @@ class MultiplicityBias:
 Strategy = Union[Uniform, Mixture, MultiplicityBias]
 
 
+def _as_float(name: str, value):
+    """A real parameter as it is stored: an int becomes its float, a bool is refused.
+
+    2 and 2.0 run the same search, so they must also give the same report.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be a number, not {value!r}")
+    return float(value) if isinstance(value, int) else value
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Reproducible sampling parameters shared by all engines."""
@@ -172,6 +182,7 @@ class SearchConfig:
                 raise ValueError(f"{name} must be an int, not {value!r}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        object.__setattr__(self, "ell", _as_float("ell", self.ell))
         if not 0 < self.ell < math.inf:
             raise ValueError("ell must be positive and finite")
         if self.digits < 1:
@@ -179,6 +190,9 @@ class SearchConfig:
         if not isinstance(self.strategy, (Uniform, Mixture, MultiplicityBias)):
             raise ValueError(f"strategy must be Uniform, Mixture or MultiplicityBias, "
                              f"not {self.strategy!r}")
+        params = {f.name: getattr(self.strategy, f.name) for f in fields(self.strategy)}
+        object.__setattr__(self, "strategy", type(self.strategy)(
+            **{name: _as_float(name, value) for name, value in params.items()}))
         if isinstance(self.strategy, Mixture):
             s = self.strategy.narrow_scale
             if s is not None and not 0 < s < self.ell:

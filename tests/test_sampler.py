@@ -1,4 +1,5 @@
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from polyrealize.certifier import (
 from polyrealize.criticalgaps import gap_report, match
 from polyrealize.moduliorders import ModuliCouple, ModuliOrder, order_from_roots, parse_order
 from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
+from polyrealize.report import config_json
 from polyrealize.sampler import (
     Mixture,
     MultiplicityBias,
@@ -138,11 +140,32 @@ class TestConfigValidation:
             dict(n=10, seed=False),
             dict(n=10, digits=2.5),
             dict(n=10, digits=True),
+            dict(n=10, ell=True),
+            dict(n=10, ell=2.0, strategy=Mixture(narrow_scale=True)),
+            dict(n=10, strategy=Mixture(narrow_fraction=True)),
+            dict(n=10, strategy=MultiplicityBias(dup_probability=False)),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "ints, floats",
+        [
+            (dict(ell=2), dict(ell=2.0)),
+            (dict(ell=2, strategy=Mixture(narrow_scale=1, narrow_fraction=1)),
+             dict(ell=2.0, strategy=Mixture(narrow_scale=1.0, narrow_fraction=1.0))),
+            (dict(strategy=MultiplicityBias(dup_probability=1)),
+             dict(strategy=MultiplicityBias(dup_probability=1.0))),
+        ],
+    )
+    def test_int_parameters_report_as_floats(self, ints, floats):
+        # an int runs the search of its float, so the report has the same bytes
+        def text(kwargs):
+            return json.dumps(config_json(SearchConfig(n=3, **kwargs)))
+
+        assert text(ints) == text(floats)
 
     def test_narrow_scale_default(self):
         cfg = SearchConfig(n=10, ell=2.0, strategy=Mixture())
