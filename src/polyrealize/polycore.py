@@ -162,7 +162,8 @@ def has_sign_word(reals: Sequence[float], pairs: Sequence, target: Sequence[int]
                   tau: float) -> bool:
     """``sign_tuple(expand(reals, pairs, 1.0), tau) == target``, stopping early.
 
-    `target` is a sign word of length degree + 1 (so degree >= 1).
+    `target` is a sign word of length degree + 1, and degree >= 1.
+
     a_1 is summed first, with the operations `expand` applies to coeffs[1] in
     the same order, so it is bit for bit expand(...)[1].  A wrong-signed, zero
     or NaN a_1 rejects before the O(d^2) expansion: `sign_tuple` would give

@@ -190,9 +190,10 @@ class SearchConfig:
         if not isinstance(self.strategy, (Uniform, Mixture, MultiplicityBias)):
             raise ValueError(f"strategy must be Uniform, Mixture or MultiplicityBias, "
                              f"not {self.strategy!r}")
-        params = {f.name: getattr(self.strategy, f.name) for f in fields(self.strategy)}
-        object.__setattr__(self, "strategy", type(self.strategy)(
-            **{name: _as_float(name, value) for name, value in params.items()}))
+        strategy = self.strategy
+        object.__setattr__(self, "strategy", type(strategy)(**{
+            f.name: _as_float(f.name, getattr(strategy, f.name)) for f in fields(strategy)
+        }))
         if isinstance(self.strategy, Mixture):
             s = self.strategy.narrow_scale
             if s is not None and not 0 < s < self.ell:

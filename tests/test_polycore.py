@@ -256,7 +256,8 @@ def assert_matches_reference(reals, pairs, targets, tau=1e-9):
 
 INF = math.inf
 
-# (reals, pairs) chosen so that a_1 or a later coefficient sits on the threshold
+# (reals, pairs) that put a_1 or a later coefficient at zero, near or on the
+# threshold, or out of range (inf, NaN)
 CRAFTED = {
     "a1-zero": ([1.0, 2.0, -3.0], []),
     "a1-zero-real-and-pair": ([1.0], [(-0.5, 1.0)]),
@@ -283,6 +284,9 @@ CRAFTED = {
     "pair-only": ([], [(0.3, 0.4)]),
     "pair-only-zero-re": ([], [(0.0, 1.0)]),
     "pair-only-negative-zero-re": ([], [(-0.0, 1.0)]),
+    "signed-zeros": ([0.0, -0.0], []),
+    "negative-zeros": ([-0.0, -0.0], [(-0.0, 1.0)]),
+    "zero-sum-with-pair": ([1.0, -1.0], [(0.0, 2.0)]),
     "pairs-cancelling": ([], [(0.5, 0.1), (-0.5, 2.0)]),
     "pairs-overflow": ([], [(1e308, 1e308), (1.0, 1.0)]),
 }
@@ -302,27 +306,12 @@ class TestHasSignWord:
         reals, pairs = CRAFTED[name]
         assert_matches_reference(reals, pairs, all_words(len(reals) + 2 * len(pairs)))
 
-    def test_crafted_hits(self):
-        # the reference word itself is accepted where one exists
-        assert has_sign_word([1.0, 2.0, 3.0], [], (1, -1, 1, -1), 1e-9)
-        assert has_sign_word([], [(0.3, 0.4)], (1, -1, 1), 1e-9)
-        assert not has_sign_word([1.0, 2.0, -3.0], [], (1, 1, -1, 1), 1e-9)
-        assert not has_sign_word([1.0, 2.0, -3.0], [], (1, -1, -1, 1), 1e-9)
-
     @pytest.mark.parametrize("name", list(CRAFTED))
-    def test_a1_is_bit_for_bit_expansion(self, name):
+    def test_expand_a1_is_the_running_sum(self, name):
+        # the pre-test relies on expand(...)[1] being this sum, signed zeros included
         reals, pairs = CRAFTED[name]
         got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
         assert got == want or (math.isnan(got) and math.isnan(want))
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-
-    @pytest.mark.parametrize("reals, pairs", [
-        ([0.0], []), ([-0.0], []), ([0.0, -0.0], []), ([-0.0, -0.0], []),
-        ([], [(-0.0, 1.0)]), ([-0.0], [(-0.0, 1.0)]), ([1.0, -1.0], [(0.0, 2.0)]),
-    ])
-    def test_a1_signed_zeros(self, reals, pairs):
-        got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
-        assert got == want == 0.0
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
 
     @pytest.mark.parametrize("ell", ELLS)
