@@ -8,13 +8,17 @@ recording which side of the chain
 
     min consecutive-midpoint gap  <  critical-point gap  <  max midpoint gap
 
-holds strictly (+) or fails (-) on the left (L) and right (R).  gap_report
-refines every critical point in full; match, the search's test, refines in
-stages and stops as soon as the target class is ruled out.  match runs on the
-engine's sorted, distinct draws and does not re-check them; gap_report,
-critical_points and midpoints validate their input.  xi_gap_bounds
-turns brackets on the critical points into bounds on the critical gaps, for
-floats here and for integers in the certifier.
+holds strictly (+) or fails (-) on the left (L) and right (R).  One float
+bisection routine, _refine, halves the brackets on the critical points and,
+in the same pass, bounds the min and max critical gap.  gap_report refines
+every critical point in full.  match, the search's test, refines in stages
+whose tolerance falls by 4 from (x_n - x_1)/16; it stops as soon as the
+bounds rule the target class out, and jumps to the full refinement as soon
+as they decide it.  Every schedule visits the same midpoints, so a report
+that match returns is gap_report's.  match runs on the engine's sorted,
+distinct draws and does not re-check them; gap_report, critical_points and
+midpoints validate their input.  xi_gap_bounds states the bracket-to-bounds
+rule for any ordered number type; the certifier's integer bisection uses it.
 """
 
 from __future__ import annotations
@@ -26,8 +30,9 @@ from typing import Sequence
 # below this absolute margin a strict comparison is not trusted in floats
 MARGIN_EPS = 1e-10
 BISECTION_REL_TOL = 1e-12
-# match() refines in stages of tolerance (x_n - x_1) / 16**j, j = 1, 2, ...
-_STAGE_FACTOR = 16.0
+# match() refines in stages of tolerance (x_n - x_1) / (16 * 4**j), j = 0, 1, ...
+_FIRST_STAGE = 16.0
+_STAGE_FACTOR = 4.0
 
 GAP_CLASSES = ("L+R+", "L+R-", "L-R+", "L-R-")
 _SIGN = {1: "+", -1: "-"}
@@ -106,18 +111,26 @@ def midpoints(x: Sequence[float]) -> list[float]:
     return _finite(_midpoints(x), "midpoints")
 
 
-def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> None:
+def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> tuple:
     """Halve every bracket [lo[k], hi[k]] in place until it is at most 2*tol wide.
 
     On a root interval P'/P = sum 1/(t - r) falls strictly from +inf to -inf
     while the sign of P is fixed, so the sign of that sum alone says which
     half holds the critical point.  A bracket stops early when its ends are
     adjacent floats, and collapses onto a midpoint where the sum is exactly
-    zero (or NaN, which takes subnormal root gaps).  Refining to tol and
+    zero (or NaN, which takes subnormal root gaps).  A bracket's midpoints
+    depend only on x and where the bracket starts, so refining to tol and
     then to a smaller tol visits the same midpoints as refining to the
     smaller tol at once.
+
+    Returns xi_gap_bounds(lo, hi) of the refined brackets, bit for bit,
+    computed in the same pass: (m_lo, m_hi, M_lo, M_hi), or four Nones for a
+    single bracket.  A running bound is replaced only on a strict < or >,
+    as min() and max() replace theirs, so a NaN gap bound is kept exactly
+    where they keep it.
     """
     width = 2.0 * tol
+    m_lo = m_hi = M_lo = M_hi = None
     for k in range(len(lo)):
         a, b = lo[k], hi[k]
         while b - a > width:
@@ -134,6 +147,21 @@ def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) ->
             else:
                 a = b = mid
         lo[k], hi[k] = a, b
+        if k > 1:
+            inner, outer = a - prev_b, b - prev_a
+            if inner < m_lo:
+                m_lo = inner
+            if inner > M_lo:
+                M_lo = inner
+            if outer < m_hi:
+                m_hi = outer
+            if outer > M_hi:
+                M_hi = outer
+        elif k:
+            m_lo = M_lo = a - prev_b
+            m_hi = M_hi = b - prev_a
+        prev_a, prev_b = a, b
+    return m_lo, m_hi, M_lo, M_hi
 
 
 def _margin_sign(m: float) -> int:
@@ -230,31 +258,50 @@ def match(x: list[float], target: str) -> GapReport | None:
 
     None also stands for the inputs gap_report rejects with
     DegenerateMarginError.  The brackets start as the root intervals and are
-    refined in stages whose tolerance falls by _STAGE_FACTOR from
-    (x_n - x_1) / _STAGE_FACTOR.  After each stage xi_gap_bounds bounds the
-    min and max critical gap, and so both margins: float subtraction and
-    min/max are monotone, so the bounds hold the margins that full
-    refinement computes.  Once the bounds rule out the target side of a
-    margin the search stops.  Otherwise the last stage is the full
-    refinement, and the report is built from those brackets exactly as
-    gap_report builds it.
+    refined in stages of tolerance (x_n - x_1) / _FIRST_STAGE, then a factor
+    _STAGE_FACTOR smaller each stage.  Each stage's _refine returns bounds on
+    the min and max critical gap, and so on both margins: float subtraction
+    and min/max are monotone, so the bounds hold the margins that full
+    refinement computes.  Each side then costs two comparisons of its
+    margin's bounds with MARGIN_EPS, under _margin_sign's rule (NaN fails
+    both): when the bound nearer the target's side fails, the target is
+    ruled out and the search stops; when the farther bound passes too, that
+    side is decided.  Once both sides are decided, or the stages run out,
+    the brackets go straight to the full refinement, which visits the same
+    midpoints whatever the schedule, and the report is built from them
+    exactly as gap_report builds it.
     """
-    want_left = 1 if target[1] == "+" else -1
-    want_right = 1 if target[3] == "+" else -1
+    left_plus = target[1] == "+"
+    right_plus = target[3] == "+"
     lo, hi = x[:-1], x[1:]
     z = _midpoints(x)
     z_gaps = [b - a for a, b in zip(z, z[1:])]
     m_tilde, M_tilde = min(z_gaps), max(z_gaps)
     span = x[-1] - x[0]
     full = BISECTION_REL_TOL * span
-    tol = span / _STAGE_FACTOR
+    tol = span / _FIRST_STAGE
     while tol > full:
-        _refine(x, lo, hi, tol)
-        m_lo, m_hi, M_lo, M_hi = xi_gap_bounds(lo, hi)
-        if not _margin_sign(m_lo - m_tilde) <= want_left <= _margin_sign(m_hi - m_tilde):
-            return None
-        if not _margin_sign(M_tilde - M_hi) <= want_right <= _margin_sign(M_tilde - M_lo):
-            return None
+        m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)
+        # margins: left in [m_lo - m_tilde, m_hi - m_tilde], right in
+        # [M_tilde - M_hi, M_tilde - M_lo]
+        if left_plus:
+            if not m_hi - m_tilde >= MARGIN_EPS:
+                return None
+            decided = m_lo - m_tilde >= MARGIN_EPS
+        else:
+            if not m_lo - m_tilde <= -MARGIN_EPS:
+                return None
+            decided = m_hi - m_tilde <= -MARGIN_EPS
+        if right_plus:
+            if not M_tilde - M_lo >= MARGIN_EPS:
+                return None
+            decided = decided and M_tilde - M_hi >= MARGIN_EPS
+        else:
+            if not M_tilde - M_hi <= -MARGIN_EPS:
+                return None
+            decided = decided and M_tilde - M_lo <= -MARGIN_EPS
+        if decided:
+            break
         tol /= _STAGE_FACTOR
     _refine(x, lo, hi, full)
     try:

@@ -154,14 +154,22 @@ class MultiplicityBias:
 Strategy = Union[Uniform, Mixture, MultiplicityBias]
 
 
-def _as_float(name: str, value):
-    """A real parameter as it is stored: an int becomes its float, a bool is refused.
+def _as_float(name: str, value, optional: bool = False) -> Optional[float]:
+    """A real parameter as it is stored: an int or a float becomes a float.
 
     2 and 2.0 run the same search, so they must also give the same report.
+    Anything else (a bool, a str, a Fraction, a Decimal, an int too large
+    for a float) raises ValueError naming the parameter; None passes only
+    when `optional`.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be a number, not {value!r}")
-    return float(value) if isinstance(value, int) else value
+    if value is None and optional:
+        return None
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{name} must be an int or a float, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +200,8 @@ class SearchConfig:
                              f"not {self.strategy!r}")
         strategy = self.strategy
         object.__setattr__(self, "strategy", type(strategy)(**{
-            f.name: _as_float(f.name, getattr(strategy, f.name)) for f in fields(strategy)
+            f.name: _as_float(f.name, getattr(strategy, f.name), optional=f.default is None)
+            for f in fields(strategy)
         }))
         if isinstance(self.strategy, Mixture):
             s = self.strategy.narrow_scale

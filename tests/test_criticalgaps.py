@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_distinct_sorted
+from conftest import random_distinct_sorted, unit_draws
 from polyrealize import criticalgaps
 from polyrealize.criticalgaps import (
     BISECTION_REL_TOL,
@@ -280,6 +280,52 @@ class TestSignOnlyKernel:
                     assert _bits(got_xi) == _bits(want_xi), (d, ell, case)
                     assert _bits(got_w) == _bits(want_w), (d, ell, case)
 
+    @pytest.mark.parametrize("draws", [300, pytest.param(10_000, marks=pytest.mark.slow)])
+    def test_refine_returns_xi_gap_bounds(self, draws):
+        # at match's first stage, then refined on to gap_report's tolerance
+        for d in range(3, 13):
+            for ell in ELLS:
+                for case in range(draws):
+                    xs = random_distinct_sorted(500 + d, case, d, spread=ell)
+                    lo, hi = xs[:-1], xs[1:]
+                    span = xs[-1] - xs[0]
+                    for tol in (span / 16, BISECTION_REL_TOL * span):
+                        got = criticalgaps._refine(xs, lo, hi, tol)
+                        assert _bits(got) == _bits(xi_gap_bounds(lo, hi)), (d, ell, case, tol)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            HUGE_ROOTS,  # no midpoint is finite, so no bracket moves
+            [0.0, math.nan, 1.0],  # NaN inner bound first
+            [0.0, 1.0, math.nan, 2.0, 3.0],  # NaN outer bound first, NaN inner bound later
+            [0.0, 1.0, 2.0, math.nan, 3.0],  # NaN bounds after finite ones
+            [-math.inf, 0.0, 1.0, 2.0],  # an infinite outer bound
+        ],
+        ids=["huge", "nan-first", "nan-mixed", "nan-last", "inf"],
+    )
+    def test_refine_bounds_keep_min_and_max_nan_rule(self, xs):
+        lo, hi = xs[:-1], xs[1:]
+        got = criticalgaps._refine(xs, lo, hi, 1e-3)
+        assert _bits(got) == _bits(xi_gap_bounds(lo, hi))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([0.0, 0.0, -0.0], [0.0, 0.0, -0.0]), ([0.0, -0.0, 0.0], [0.0, -0.0, 0.0])],
+        ids=["zero-then-negative-zero", "negative-zero-then-zero"],
+    )
+    def test_refine_bounds_keep_the_first_of_equal_gaps(self, lo, hi):
+        # gap bounds 0.0 and -0.0 are equal; min() and max() keep whichever
+        # comes first, so a bound may be replaced only on a strict < or >
+        want = xi_gap_bounds(lo, hi)
+        got = criticalgaps._refine([0.0] * 4, lo, hi, math.inf)  # no bracket moves
+        assert _bits(got) == _bits(want)
+
+    def test_refine_single_bracket_has_no_bounds(self):
+        lo, hi = [0.0], [1.0]
+        assert criticalgaps._refine([0.0, 1.0], lo, hi, 1e-3) == (None, None, None, None)
+        assert lo == hi == [0.5]  # still refined: P'/P is exactly 0 at the midpoint
+
     def test_public_paths_share_the_kernel(self):
         xs = random_distinct_sorted(77, 0, 7)
         xi, widths = _reference_critical_points_with_widths(xs)
@@ -339,15 +385,56 @@ def _near_degenerate_roots():
     return found
 
 
+def _schedule_cases():
+    """Root sets of degree 3-12 at scales 2^-1000, 1 and 2^1000, half of them clustered.
+
+    A clustered set draws about half its roots from a 0.01-wide interval,
+    which puts the gap chain's margins near MARGIN_EPS at scale 1.
+    """
+    found = []
+    for d in range(3, 13):
+        for e in (-1000, 0, 1000):
+            for case in range(40):
+                clustered = case % 2 == 1
+                attempt = case
+                while True:
+                    u = unit_draws(900 + d, attempt, d + 1)
+                    vals = [2.0 * v - 1.0 for v in u[1:]]
+                    if clustered:
+                        c = 1.98 * u[0] - 1.0
+                        vals[: d // 2] = [c + 0.01 * v for v in u[1 : d // 2 + 1]]
+                    xs = sorted(math.ldexp(v, e) for v in vals)
+                    if all(a < b for a, b in zip(xs, xs[1:])):
+                        break
+                    attempt += 1_000_003
+                found.append(xs)
+    return found
+
+
 class TestMatch:
-    def test_equals_gap_report_then_compare(self):
+    @pytest.mark.parametrize("draws", [100, pytest.param(10_000, marks=pytest.mark.slow)])
+    def test_equals_gap_report_then_compare(self, draws):
         for d in range(3, 13):
             for ell in ELLS:
-                for case in range(100):
+                for case in range(draws):
                     xs = random_distinct_sorted(700 + d, case, d, spread=ell)
                     for target in GAP_CLASSES:
                         assert match(xs, target) == _reference_match(xs, target), (
                             d, ell, case, target)
+
+    def test_stage_schedule_does_not_change_the_result(self, monkeypatch):
+        # every schedule visits a prefix of the same bisection path, so the
+        # old one (span/16, then /16 a stage) gives the same reports
+        roots = _schedule_cases()
+        new = [[match(xs, t) for t in GAP_CLASSES] for xs in roots]
+        monkeypatch.setattr(criticalgaps, "_FIRST_STAGE", 16.0)
+        monkeypatch.setattr(criticalgaps, "_STAGE_FACTOR", 16.0)
+        old = [[match(xs, t) for t in GAP_CLASSES] for xs in roots]
+        for xs, got, want in zip(roots, new, old):
+            assert got == want, xs
+            assert got == [_reference_match(xs, t) for t in GAP_CLASSES], xs
+        hits = {t: sum(row[i] is not None for row in new) for i, t in enumerate(GAP_CLASSES)}
+        assert min(hits.values()) > 0, hits
 
     def test_near_degenerate_margins(self):
         roots = _near_degenerate_roots()

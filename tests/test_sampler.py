@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -144,11 +145,35 @@ class TestConfigValidation:
             dict(n=10, ell=2.0, strategy=Mixture(narrow_scale=True)),
             dict(n=10, strategy=Mixture(narrow_fraction=True)),
             dict(n=10, strategy=MultiplicityBias(dup_probability=False)),
+            dict(n=10, ell=Fraction(1, 2)),
+            dict(n=10, ell="1.0"),
+            dict(n=10, ell=Decimal("0.5")),
+            dict(n=10, ell=None),
+            dict(n=10, ell=10**400),
+            dict(n=10, ell=2.0, strategy=Mixture(narrow_scale=Fraction(1, 100))),
+            dict(n=10, strategy=Mixture(narrow_fraction="0.5")),
+            dict(n=10, strategy=Mixture(narrow_fraction=None)),
+            dict(n=10, strategy=MultiplicityBias(dup_probability=Decimal("0.5"))),
         ],
     )
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
             SearchConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("ell", dict(ell=Fraction(1, 2))),
+            ("ell", dict(ell="1.0")),
+            ("narrow_scale", dict(strategy=Mixture(narrow_scale=Decimal("0.01")))),
+            ("narrow_fraction", dict(strategy=Mixture(narrow_fraction=None))),
+            ("dup_probability", dict(strategy=MultiplicityBias(dup_probability=Fraction(1, 2)))),
+        ],
+    )
+    def test_non_numbers_name_the_parameter(self, name, kwargs):
+        # a Fraction or Decimal would be stored as given and break json.dumps of the report
+        with pytest.raises(ValueError, match=rf"^{name} must be an int or a float"):
+            SearchConfig(n=3, **kwargs)
 
     @pytest.mark.parametrize(
         "ints, floats",
