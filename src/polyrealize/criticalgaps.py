@@ -126,8 +126,8 @@ def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) ->
     Returns xi_gap_bounds(lo, hi) of the refined brackets, bit for bit,
     computed in the same pass: (m_lo, m_hi, M_lo, M_hi), or four Nones for a
     single bracket.  A running bound is replaced only on a strict < or >,
-    as min() and max() replace theirs, so a NaN gap bound is kept exactly
-    where they keep it.
+    as min() and max() replace theirs, so NaN gap bounds and ties between
+    0.0 and -0.0 come out as theirs do.
     """
     width = 2.0 * tol
     m_lo = m_hi = M_lo = M_hi = None
