@@ -14,11 +14,14 @@ in the same pass, bounds the min and max critical gap.  gap_report refines
 every critical point in full.  match, the search's test, refines in stages
 whose tolerance falls by 4 from (x_n - x_1)/16; it stops as soon as the
 bounds rule the target class out, and jumps to the full refinement as soon
-as they decide it.  Every schedule visits the same midpoints, so a report
-that match returns is gap_report's.  match runs on the engine's sorted,
-distinct draws and does not re-check them; gap_report, critical_points and
-midpoints validate their input.  xi_gap_bounds states the bracket-to-bounds
-rule for any ordered number type; the certifier's integer bisection uses it.
+as they decide it.  A margin counts only at MARGIN_EPS or more: _margin_sign
+states that rule for gap_report, and match applies it once per bound, to
+the margin oriented toward the target's sign.  Every schedule visits the
+same midpoints, so a report that match returns is gap_report's.  match runs
+on the engine's sorted, distinct draws and does not re-check them;
+gap_report, critical_points and midpoints validate their input.
+xi_gap_bounds states the bracket-to-bounds rule for any ordered number type;
+the certifier's integer bisection uses it.
 """
 
 from __future__ import annotations
@@ -262,17 +265,23 @@ def match(x: list[float], target: str) -> GapReport | None:
     _STAGE_FACTOR smaller each stage.  Each stage's _refine returns bounds on
     the min and max critical gap, and so on both margins: float subtraction
     and min/max are monotone, so the bounds hold the margins that full
-    refinement computes.  Each side then costs two comparisons of its
-    margin's bounds with MARGIN_EPS, under _margin_sign's rule (NaN fails
-    both): when the bound nearer the target's side fails, the target is
-    ruled out and the search stops; when the farther bound passes too, that
-    side is decided.  Once both sides are decided, or the stages run out,
-    the brackets go straight to the full refinement, which visits the same
-    midpoints whatever the schedule, and the report is built from them
-    exactly as gap_report builds it.
+    refinement computes.  Each margin is oriented toward the target's sign,
+    s * margin with s = +1 or -1, an exact flip: a side is the target's when
+    s * margin >= MARGIN_EPS, which is _margin_sign's rule (NaN fails it).
+    When a side's near bound, the one that favours the target most, fails
+    that test, the target is ruled out and the search stops; when its far
+    bound passes too, that side is decided.  Once both sides are decided, or
+    the stages run out, the brackets go straight to the full refinement,
+    which visits the same midpoints whatever the schedule, and the report is
+    built from them exactly as gap_report builds it.
     """
-    left_plus = target[1] == "+"
-    right_plus = target[3] == "+"
+    # the left margin lies in [m_lo - m_tilde, m_hi - m_tilde] and the right
+    # in [M_tilde - M_hi, M_tilde - M_lo]; indices into _refine's
+    # (m_lo, m_hi, M_lo, M_hi) of each side's near and far bound
+    sl = 1.0 if target[1] == "+" else -1.0
+    sr = 1.0 if target[3] == "+" else -1.0
+    l_near, l_far = (1, 0) if sl > 0 else (0, 1)
+    r_near, r_far = (2, 3) if sr > 0 else (3, 2)
     lo, hi = x[:-1], x[1:]
     z = _midpoints(x)
     z_gaps = [b - a for a, b in zip(z, z[1:])]
@@ -281,26 +290,12 @@ def match(x: list[float], target: str) -> GapReport | None:
     full = BISECTION_REL_TOL * span
     tol = span / _FIRST_STAGE
     while tol > full:
-        m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)
-        # margins: left in [m_lo - m_tilde, m_hi - m_tilde], right in
-        # [M_tilde - M_hi, M_tilde - M_lo]
-        if left_plus:
-            if not m_hi - m_tilde >= MARGIN_EPS:
-                return None
-            decided = m_lo - m_tilde >= MARGIN_EPS
-        else:
-            if not m_lo - m_tilde <= -MARGIN_EPS:
-                return None
-            decided = m_hi - m_tilde <= -MARGIN_EPS
-        if right_plus:
-            if not M_tilde - M_lo >= MARGIN_EPS:
-                return None
-            decided = decided and M_tilde - M_hi >= MARGIN_EPS
-        else:
-            if not M_tilde - M_hi <= -MARGIN_EPS:
-                return None
-            decided = decided and M_tilde - M_lo <= -MARGIN_EPS
-        if decided:
+        bounds = _refine(x, lo, hi, tol)
+        if not (sl * (bounds[l_near] - m_tilde) >= MARGIN_EPS
+                and sr * (M_tilde - bounds[r_near]) >= MARGIN_EPS):
+            return None
+        if (sl * (bounds[l_far] - m_tilde) >= MARGIN_EPS
+                and sr * (M_tilde - bounds[r_far]) >= MARGIN_EPS):
             break
         tol /= _STAGE_FACTOR
     _refine(x, lo, hi, full)

@@ -1,9 +1,11 @@
 """Monic real polynomials in double precision.
 
 Construction from explicit roots, Horner evaluation, derivative, and
-tolerance-aware extraction of the coefficient sign word (`sign_tuple`).
-`has_sign_word` tests roots against one target word and stops as soon as
-the answer is known; the pair and moduli searches run it on every attempt.
+tolerance-aware extraction of the coefficient sign word (`sign_tuple`), the
+one place the float sign threshold is stated.  `has_sign_word` tests roots
+against one target word: it rejects on the sign of a_1 before expanding and
+otherwise defers to `sign_tuple`; the pair and moduli searches run it on
+every attempt.
 The expansion, Horner and derivative kernels are generic over the number
 type: the search loops expand in floats (unit 1.0), and
 :mod:`polyrealize.certifier` runs all three on Python ints (unit 1) for its
@@ -138,8 +140,7 @@ def derivative_coeffs(coeffs: Sequence) -> tuple:
 def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):
     """Signs (+1/-1) of the coefficients, or None when any is too small to call.
 
-    A coefficient is ambiguous when |a_j| <= tau * max(1, max_k |a_k|).  This
-    is the reference that `has_sign_word` must equal.
+    A coefficient is ambiguous when |a_j| <= tau * max(1, max_k |a_k|).
     """
     m = 1.0
     for c in coeffs:
@@ -158,18 +159,16 @@ def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):
     return tuple(out)
 
 
-def has_sign_word(reals: Sequence[float], pairs: Sequence, target: Sequence[int],
-                  tau: float) -> bool:
-    """``sign_tuple(expand(reals, pairs, 1.0), tau) == target``, stopping early.
+def has_sign_word(reals: Sequence[float], pairs: Sequence, target: tuple[int, ...]) -> bool:
+    """``sign_tuple(expand(reals, pairs, 1.0)) == target``, rejecting early on a_1.
 
-    `target` is a sign word of length degree + 1, and degree >= 1.
+    `target` is a sign word of length degree + 1, a tuple as
+    `SignPattern.signs` is, and degree >= 1.
 
     a_1 is summed first, with the operations `expand` applies to coeffs[1] in
     the same order, so it is bit for bit expand(...)[1].  A wrong-signed, zero
     or NaN a_1 rejects before the O(d^2) expansion: `sign_tuple` would give
-    None or another word.  Otherwise the expansion is compared with the target
-    under the same threshold, up to the first coefficient that misses it;
-    multiplying by s = +/-1 is exact, so c * s > thr is c > thr or c < -thr.
+    None or another word.
     """
     a1 = 0.0
     for r in reals:
@@ -178,14 +177,4 @@ def has_sign_word(reals: Sequence[float], pairs: Sequence, target: Sequence[int]
         a1 -= 2 * re
     if not a1 * target[1] > 0.0:
         return False
-    coeffs = expand(reals, pairs, 1.0)
-    m = 1.0
-    for c in coeffs:
-        a = abs(c)
-        if a > m:
-            m = a
-    thr = tau * m
-    for c, s in zip(coeffs, target):
-        if not c * s > thr:
-            return False
-    return True
+    return sign_tuple(expand(reals, pairs, 1.0)) == target

@@ -8,7 +8,6 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from pathlib import Path
 from typing import Union
 
@@ -72,7 +71,7 @@ def roots_json(spec: RootSpec) -> dict:
 def certificate_json(cert: Certificate) -> dict:
     claim = cert.claim
     return {
-        "rational_coefficients": [fraction_str(Fraction(c)) for c in cert.coeffs],
+        "rational_coefficients": [fraction_str(c) for c in cert.coeffs],
         "claim": couple_json(claim) if not isinstance(claim, str) else claim,
         "checks": [{"name": name, "detail": detail} for name, detail in cert.checks],
     }

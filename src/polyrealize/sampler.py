@@ -15,9 +15,10 @@ search (draw d distinct reals and test their critical-point gaps against the
 target class, which stops refining once that class is ruled out).  The pair
 and moduli engines test the coefficient sign word with
 `polycore.has_sign_word`: it rejects on the sign of a_1 before expanding and
-stops at the first coefficient that misses the target.  A hit is reported
-only with an exact Certificate; a floating hit whose rationalized form
-yields a Mismatch is counted as a failed attempt and the scan goes on.
+otherwise compares `polycore.sign_tuple` of the expansion with the target.
+A hit is reported only with an exact Certificate; a floating hit whose
+rationalized form yields a Mismatch is counted as a failed attempt and the
+scan goes on.
 
 An attempt is a pure function of its unit draws: it returns None, or a
 certified hit as (spec, certificate) or (spec, certificate, gap_report).
@@ -377,11 +378,10 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
     pos, neg = claim.pair
     npairs = (d - pos - neg) // 2
     target = sigma.signs
-    tau = cfg.tau
 
     def attempt(u: list[float]):
         reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
-        if not has_sign_word(reals, cpairs, target, tau):
+        if not has_sign_word(reals, cpairs, target):
             return None
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
         return _certified_hit(spec, claim, cfg)
@@ -395,7 +395,6 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     d = order.degree
     target = sigma.signs
     letters = order.word
-    tau = cfg.tau
 
     def attempt(u: list[float]):
         mods = _values(d, cfg, u, signed=False)
@@ -404,7 +403,7 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
         mods.sort()
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
         # a_1 = sum of N-moduli - sum of P-moduli, the quantity forcing_test reasons about
-        if not has_sign_word(roots, (), target, tau):
+        if not has_sign_word(roots, (), target):
             return None
         return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
 

@@ -411,6 +411,42 @@ def _schedule_cases():
     return found
 
 
+class _NextStage(Exception):
+    """Raised by a stubbed _refine on match's second call, carrying its tolerance."""
+
+    def __init__(self, tol):
+        super().__init__(tol)
+        self.tol = tol
+
+
+def _stage_action(stage_bounds, target):
+    """What match does after a first stage whose _refine returns stage_bounds.
+
+    "ruled out" (it returns None at once), "decided" (its next _refine is the
+    full refinement) or "refine" (its next _refine is the next stage).  The
+    roots 0, 1, 2, 3 give m_tilde = M_tilde = 1.0.
+    """
+    xs = [0.0, 1.0, 2.0, 3.0]
+    calls = []
+
+    def fake_refine(x, lo, hi, tol):
+        calls.append(tol)
+        if len(calls) > 1:
+            raise _NextStage(tol)
+        return stage_bounds
+
+    saved = criticalgaps._refine
+    criticalgaps._refine = fake_refine
+    try:
+        got = match(xs, target)
+    except _NextStage as stage:
+        return "decided" if stage.tol == BISECTION_REL_TOL * 3.0 else "refine"
+    finally:
+        criticalgaps._refine = saved
+    assert got is None and len(calls) == 1
+    return "ruled out"
+
+
 class TestMatch:
     @pytest.mark.parametrize("draws", [100, pytest.param(10_000, marks=pytest.mark.slow)])
     def test_equals_gap_report_then_compare(self, draws):
@@ -447,6 +483,44 @@ class TestMatch:
             for target in GAP_CLASSES:
                 assert match(xs, target) == _reference_match(xs, target), (xs, target)
         assert min(sides.values()) > 0, sides
+
+    def test_stage_margins_on_the_eps_boundary_follow_margin_sign(self, monkeypatch):
+        # with a dyadic MARGIN_EPS, bounds at 1.0 +- eps and one ulp either
+        # side put each margin exactly on the boundary, one ulp inside and one
+        # outside; a side stays possible iff _margin_sign of its bound nearer
+        # the target is the target's sign, and is decided iff that of the
+        # farther bound is too
+        eps = 2.0**-20
+        monkeypatch.setattr(criticalgaps, "MARGIN_EPS", eps)
+        values = [0.5, 1.0, 1.5]
+        for v in (1.0 + eps, 1.0 - eps):
+            values += [v, math.nextafter(v, 0.0), math.nextafter(v, 2.0)]
+        pairs = [(a, b) for a in values for b in values if a <= b] + [(math.nan, math.nan)]
+        assert {abs(b - 1.0) for _, b in pairs} >= {eps, eps - 2.0**-52, eps + 2.0**-53}
+        seen = set()
+        for target in GAP_CLASSES:
+            sl = 1 if target[1] == "+" else -1
+            sr = 1 if target[3] == "+" else -1
+            for m_lo, m_hi in pairs:
+                # left margin in [m_lo - 1, m_hi - 1]
+                l_near, l_far = (m_hi, m_lo) if sl > 0 else (m_lo, m_hi)
+                left = (criticalgaps._margin_sign(l_near - 1.0) == sl,
+                        criticalgaps._margin_sign(l_far - 1.0) == sl)
+                for M_lo, M_hi in pairs:
+                    # right margin in [1 - M_hi, 1 - M_lo]
+                    r_near, r_far = (M_lo, M_hi) if sr > 0 else (M_hi, M_lo)
+                    right = (criticalgaps._margin_sign(1.0 - r_near) == sr,
+                             criticalgaps._margin_sign(1.0 - r_far) == sr)
+                    if not (left[0] and right[0]):
+                        want = "ruled out"
+                    elif left[1] and right[1]:
+                        want = "decided"
+                    else:
+                        want = "refine"
+                    got = _stage_action((m_lo, m_hi, M_lo, M_hi), target)
+                    assert got == want, (target, m_lo, m_hi, M_lo, M_hi)
+                    seen.add(want)
+        assert seen == {"ruled out", "decided", "refine"}
 
     def test_degenerate_inputs_are_none(self):
         b = 1.0 - 2e-5

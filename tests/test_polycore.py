@@ -248,10 +248,10 @@ def a1_sum(reals, pairs):
     return a1
 
 
-def assert_matches_reference(reals, pairs, targets, tau=1e-9):
-    ref = sign_tuple(expand(reals, pairs, 1.0), tau)
+def assert_matches_reference(reals, pairs, targets):
+    ref = sign_tuple(expand(reals, pairs, 1.0))
     for t in targets:
-        assert has_sign_word(reals, pairs, t, tau) == (ref == t), (reals, pairs, t)
+        assert has_sign_word(reals, pairs, t) == (ref == t), (reals, pairs, t)
 
 
 INF = math.inf
