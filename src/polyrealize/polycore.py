@@ -6,8 +6,11 @@ one place the float sign threshold is stated.  `has_sign_word` tests roots
 against one target word: it rejects on the sign of a_1 before expanding and
 otherwise defers to `sign_tuple`; the pair and moduli searches run it on
 every attempt.
+`sign_word_lanes` is its block form: it tests many attempts at once, one
+float lane per attempt, and returns the lanes whose word is the target.
 The expansion, Horner and derivative kernels are generic over the number
-type: the search loops expand in floats (unit 1.0), and
+type: the search loops expand in floats (unit 1.0) and in float lanes
+(`_Lanes`, one float per attempt of a block), and
 :mod:`polyrealize.certifier` runs all three on Python ints (unit 1) for its
 exact re-verification, over roots scaled to a common denominator.
 """
@@ -15,6 +18,8 @@ exact re-verification, over roots scaled to a common denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, count, repeat
+from operator import add, gt, itemgetter, mul, sub
 from typing import Sequence
 
 DEFAULT_SIGN_TOLERANCE = 1e-9
@@ -83,7 +88,9 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
 
     Sequential convolution, real factors first, then one quadratic per
     (re, im) pair.  Generic over the number type: `one` is the unit of the
-    arithmetic (1.0 or int 1) and the entries must already be of it.
+    arithmetic (1.0, int 1, or a `_Lanes` of 1.0) and the entries must
+    already be of it.  On lanes every lane gets the float expansion of its
+    own roots, bit for bit.
     """
     zero = one - one
     coeffs = [one]
@@ -178,3 +185,63 @@ def has_sign_word(reals: Sequence[float], pairs: Sequence, target: tuple[int, ..
     if not a1 * target[1] > 0.0:
         return False
     return sign_tuple(expand(reals, pairs, 1.0)) == target
+
+
+class _Lanes(list):
+    """Floats of many attempts, one per lane; arithmetic acts lane by lane.
+
+    `+`, `-` and `*` take another `_Lanes` of the same length, and
+    `int * lanes` scales every lane; each result is a new `_Lanes` whose
+    lane k is the float operation on lane k.  list's `+=` would extend in
+    place, and list's `int * list` would repeat, so both are overridden;
+    `-=` falls back to `-`.  Results are never written in place: `expand`
+    shares one coefficient object between lists.
+    """
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Lanes(map(add, self, other))
+
+    def __sub__(self, other):
+        return _Lanes(map(sub, self, other))
+
+    def __mul__(self, other):
+        return _Lanes(map(mul, self, other))
+
+    def __rmul__(self, other):
+        return _Lanes(map(mul, repeat(other, len(self)), self))
+
+    __iadd__ = __add__
+
+
+def sign_word_lanes(reals: Sequence, pairs: Sequence, target: tuple[int, ...]) -> list[int]:
+    """The ascending lanes k whose roots pass `has_sign_word(..., target)`.
+
+    Column form of `has_sign_word` over a block of attempts: ``reals[j][k]``
+    is real root j of lane k and ``pairs[j] = (re, im)`` holds pair j's
+    parts of every lane; there is at least one column.  a_1 is summed lane
+    by lane in `has_sign_word`'s order and rejects as there.  The lanes left
+    expand together through `expand` on `_Lanes`.  A lane drops at the first
+    coefficient whose sign is not strictly the target's, which `sign_tuple`
+    could never call the target's (its threshold is positive).  `sign_tuple`
+    decides the lanes that remain.
+    """
+    a1 = repeat(0.0, len(reals[0] if reals else pairs[0][0]))
+    for r in reals:
+        a1 = map(sub, a1, r)
+    for re, _ in pairs:
+        a1 = map(sub, a1, map(mul, repeat(2), re))
+    keep = list(compress(count(), map(gt, map(mul, a1, repeat(target[1])), repeat(0.0))))
+    if not keep:
+        return []
+    pick = itemgetter(*keep) if len(keep) > 1 else lambda col: (col[keep[0]],)
+    coeffs = expand(
+        [_Lanes(pick(r)) for r in reals],
+        [(_Lanes(pick(re)), _Lanes(pick(im))) for re, im in pairs],
+        _Lanes(repeat(1.0, len(keep))),
+    )
+    lanes = range(len(keep))
+    for c, t in zip(coeffs[2:], target[2:]):  # c[p] * t > 0.0, as one comparison
+        lanes = [p for p in lanes if c[p] > 0.0] if t > 0 else [p for p in lanes if c[p] < 0.0]
+    return [keep[p] for p in lanes if sign_tuple([c[p] for c in coeffs]) == target]

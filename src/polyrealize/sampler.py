@@ -16,13 +16,20 @@ target class, which stops refining once that class is ruled out).  The pair
 and moduli engines test the coefficient sign word with
 `polycore.has_sign_word`: it rejects on the sign of a_1 before expanding and
 otherwise compares `polycore.sign_tuple` of the expansion with the target.
+A pair-search block of at least _LANE_MIN attempts is tested as lanes
+instead: `_pair_columns` draws the roots of every attempt of the block at
+once, and `polycore.sign_word_lanes` returns the attempts whose word is the
+target, the same ones `has_sign_word` accepts.  Smaller blocks, and so
+searches that hit early, keep the per-attempt test.
 A hit is reported only with an exact Certificate; a floating hit whose
 rationalized form yields a Mismatch is counted as a failed attempt and the
 scan goes on.
 
-An attempt is a pure function of its unit draws: it returns None, or a
-certified hit as (spec, certificate) or (spec, certificate, gap_report).
-Only `_scan` knows attempt indices and builds the SearchOutcome.
+An engine is a pure function of one block's unit draws: it returns None, or
+the lowest lane k of the block with a certified hit and that hit,
+(spec, certificate) or (spec, certificate, gap_report).  The moduli and gap
+engines test one attempt at a time (`_each_attempt`).  Only `_scan` knows
+attempt indices and builds the SearchOutcome.
 """
 
 from __future__ import annotations
@@ -32,19 +39,28 @@ import struct
 import time
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from itertools import repeat
+from operator import mul, sub
 from typing import ClassVar, Optional, Union
 
 from . import certifier, polycore
 from .certifier import Certificate
 from .criticalgaps import GAP_CLASSES, GapReport, match
 from .moduliorders import ModuliCouple, ModuliOrder
-from .polycore import RealPolynomial, RootSpec, expand_from_roots, has_sign_word
+from .polycore import (
+    RealPolynomial,
+    RootSpec,
+    expand_from_roots,
+    has_sign_word,
+    sign_word_lanes,
+)
 from .signpatterns import PairCouple, RootCountPair, SignPattern
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
 _BLOCK_CAP = 256  # attempts drawn together at most
+_LANE_MIN = 64  # pair-search blocks at least this large test their sign words as lanes
 _UNIT = (2.0**-53).__mul__
 
 
@@ -291,6 +307,54 @@ def _pair_roots(pos, neg, npairs, cfg: SearchConfig, u: list[float]):
     return reals, pairs
 
 
+def _pair_columns(pos, neg, npairs, cfg: SearchConfig, u: list[float], b: int):
+    """Column form of `_pair_roots` for a block of b attempts with unit draws u.
+
+    Attempt k's draws are u[k::b], so draw t of every attempt is the column
+    u[t*b:(t+1)*b].  Returns (reals, pairs) with reals[j][k] and
+    pairs[j] = (re, im), re[k] and im[k], equal bit for bit to what
+    `_pair_roots(pos, neg, npairs, cfg, u[k::b])` puts at real root j and
+    pair j: each lane takes the same float operations in the same order.
+    """
+    strategy = cfg.strategy
+    ell = cfg.ell
+    mixture = isinstance(strategy, Mixture)
+    bias = isinstance(strategy, MultiplicityBias)
+    if mixture:
+        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
+    if bias:
+        dup = strategy.dup_probability
+    step = 2 if mixture or bias else 1
+    col = [u[t:t + b] for t in range(0, len(u), b)]
+    reals: list[list[float]] = []
+    pairs: list[tuple[list[float], list[float]]] = []
+    t = 0
+    for k in range(pos + neg):
+        sign = 1.0 if k < pos else -1.0
+        x = map(sub, repeat(1.0, b), col[t + step - 1])
+        if mixture:  # sign * scale * x, with sign * scale taken from the two products
+            wide, narrow = sign * ell, sign * ns
+            prev = list(map(mul, [narrow if c < frac else wide for c in col[t]], x))
+        else:
+            fresh = list(map(mul, repeat(sign * ell, b), x))
+            if not bias or k == 0 or k == pos:
+                prev = fresh
+            else:  # a lane repeats its last root of this sign unless its draw is >= dup
+                prev = [f if c >= dup else p for f, c, p in zip(fresh, col[t], prev)]
+        reals.append(prev)
+        t += step
+    for _ in range(npairs):
+        scale = [ell] * b
+        if mixture:
+            scale = [ns if c < frac else ell for c in col[t]]
+            t += 1
+        re = list(map(mul, scale, map(sub, map(mul, repeat(2.0, b), col[t]), repeat(1.0, b))))
+        im = list(map(mul, scale, map(sub, repeat(1.0, b), col[t + 1])))
+        pairs.append((re, im))
+        t += 2
+    return reals, pairs
+
+
 def draw_rootspec_pair(
     d: int, pair: RootCountPair, cfg: SearchConfig, attempt_index: int
 ) -> RootSpec:
@@ -332,29 +396,44 @@ def _values(d: int, cfg: SearchConfig, u: list[float], signed: bool) -> list[flo
 
 # --- the scan loop ----------------------------------------------------------
 
-def _scan(attempt_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
+def _scan(block_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
     """Run attempts 1..n in order, returning the lowest-index hit.
 
-    attempt_fn(u) gets attempt i's `count` unit draws, equal to
-    attempt_unit_draws(cfg.seed, i, count), and returns None or a certified
-    hit: (spec, certificate) or (spec, certificate, gap_report).  Draws come
-    in blocks of attempts that double from 1 up to _BLOCK_CAP, so a search
-    that hits early draws at most about twice what it uses.  The outcome,
-    found at attempt i or exhausted after n, carries the scan's wall time.
+    Draws come in blocks of attempts that double from 1 up to _BLOCK_CAP, so
+    a search that hits early draws at most about twice what it uses.
+    block_fn(u, b) gets the `count` unit draws of the block's b attempts,
+    lane k's being u[k::b], equal to attempt_unit_draws(cfg.seed, first + k,
+    count).  It returns None, or (k, hit) for the lowest lane k with a
+    certified hit: (spec, certificate) or (spec, certificate, gap_report).
+    The outcome, found at attempt first + k or exhausted after n, carries
+    the scan's wall time.
     """
     start = time.perf_counter()
     first, size = 1, 1
     while first <= cfg.n:
         b = min(size, cfg.n - first + 1)
-        u = _unit_block(cfg.seed, first, b, count)
-        for k in range(b):
-            hit = attempt_fn(u[k::b])
-            if hit is not None:
-                i = first + k
-                return SearchOutcome("found", i, time.perf_counter() - start, i, *hit)
+        found = block_fn(_unit_block(cfg.seed, first, b, count), b)
+        if found is not None:
+            i = first + found[0]
+            return SearchOutcome("found", i, time.perf_counter() - start, i, *found[1])
         first += b
         size = min(2 * size, _BLOCK_CAP)
     return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
+
+
+def _each_attempt(attempt_fn):
+    """A block function for `_scan` that runs attempt_fn(u[k::b]) for k = 0, 1, ...
+
+    attempt_fn takes one attempt's unit draws and returns None or its hit.
+    """
+    def block(u: list[float], b: int):
+        for k in range(b):
+            hit = attempt_fn(u[k::b])
+            if hit is not None:
+                return k, hit
+        return None
+
+    return block
 
 
 def _certified_hit(spec: RootSpec, claim, cfg: SearchConfig):
@@ -386,7 +465,21 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
         return _certified_hit(spec, claim, cfg)
 
-    return _scan(attempt, _pair_draw_count(pos, neg, npairs, cfg.strategy), cfg)
+    each = _each_attempt(attempt)
+
+    def block(u: list[float], b: int):
+        if b < _LANE_MIN:
+            return each(u, b)
+        reals, cpairs = _pair_columns(pos, neg, npairs, cfg, u, b)
+        for k in sign_word_lanes(reals, cpairs, target):
+            spec = RootSpec(real_roots=tuple(r[k] for r in reals),
+                            complex_pairs=tuple((re[k], im[k]) for re, im in cpairs))
+            hit = _certified_hit(spec, claim, cfg)
+            if hit is not None:
+                return k, hit
+        return None
+
+    return _scan(block, _pair_draw_count(pos, neg, npairs, cfg.strategy), cfg)
 
 
 def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> SearchOutcome:
@@ -407,7 +500,7 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
             return None
         return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
 
-    return _scan(attempt, _value_draw_count(d, cfg.strategy), cfg)
+    return _scan(_each_attempt(attempt), _value_draw_count(d, cfg.strategy), cfg)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
@@ -432,4 +525,4 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             return None
         return RootSpec(real_roots=tuple(xs)), cert, report
 
-    return _scan(attempt, _value_draw_count(d, cfg.strategy), cfg)
+    return _scan(_each_attempt(attempt), _value_draw_count(d, cfg.strategy), cfg)

@@ -5,10 +5,12 @@ the layers' public functions and rejects a run whose hits differ from the
 engine's.  It imports names from the package and reads config fields that
 no engine needs, so this runs one short witness search per engine through
 the benchmark's Recorder and Replayer, with perfbench/ on sys.path as it is
-for perfbench/run.py.
+for perfbench/run.py.  The slow test runs the benchmark's own smoke check,
+which also compares every workload's outputs with perfbench/pins.json.
 """
 
 import importlib
+import subprocess
 import sys
 from pathlib import Path
 
@@ -47,3 +49,12 @@ def test_replay_agrees_with_engine(bench, kind):
     assert workloads.check_call(call) == []
     assert replayer.mismatches == []
     assert tracer.counts["attempts"] == call.attempts
+
+
+@pytest.mark.slow
+def test_benchmark_smoke():
+    # one cycle of every workload, untraced and traced, checked against pins.json
+    out = subprocess.run([sys.executable, str(PERFBENCH / "run.py"), "--smoke"],
+                         cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "smoke ok" in out.stdout.splitlines()

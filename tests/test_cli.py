@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -172,6 +176,24 @@ class TestVerifyCommand:
                                       "--sigma", "1,3,2", "--pos", "2", "--neg", "1"])
         assert result.exit_code == 1
         assert "mismatch at root_counts" in result.output
+
+    @pytest.mark.parametrize("pair, code, word", [
+        (["--pos", "0", "--neg", "3"], 0, "verified"),
+        (["--pos", "2", "--neg", "1"], 1, "mismatch at root_counts"),
+    ], ids=["verified", "mismatch"])
+    def test_python_dash_m(self, runner, tmp_path, pair, code, word):
+        # `python -m polyrealize` is the `poly` command: same output, same exit code
+        path = tmp_path / "roots.txt"
+        path.write_text(Q1_FILE)
+        args = ["verify", "--roots", str(path), "--sigma", "1,3,2", *pair]
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-m", "polyrealize", *args],
+                             capture_output=True, text=True, env=env, timeout=120)
+        result = runner.invoke(main, args)
+        assert out.returncode == result.exit_code == code, out.stderr
+        assert word in out.stdout
+        assert out.stdout == result.output
 
     def test_order_claim(self, runner, tmp_path):
         path = tmp_path / "roots.txt"

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -8,8 +9,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_rootspec
+from polyrealize import polycore
 from polyrealize.certifier import exact_expand, rationalize
 from polyrealize.polycore import (
+    DEFAULT_SIGN_TOLERANCE,
     RealPolynomial,
     RootSpec,
     ZeroRootError,
@@ -20,14 +23,17 @@ from polyrealize.polycore import (
     has_sign_word,
     horner,
     sign_tuple,
+    sign_word_lanes,
 )
 from polyrealize.sampler import (
     Mixture,
     MultiplicityBias,
     SearchConfig,
     Uniform,
+    _pair_columns,
     _pair_draw_count,
     _pair_roots,
+    _unit_block,
     _value_draw_count,
     _values,
     attempt_unit_draws,
@@ -331,3 +337,132 @@ class TestHasSignWord:
             roots = [m if (attempt >> j) & 1 else -m for j, m in enumerate(mods)]
             assert a1_sum(roots, ()) == expand(roots, (), 1.0)[1]
             assert_matches_reference(roots, (), all_words(d))
+
+
+# --- the block form: one float lane per attempt ------------------------------
+
+Lanes = polycore._Lanes
+LANE_VALUES = [0.0, -0.0, 1.0, -1.5, 0.1, 3.0, 1e308, -1e308, 5e-324, INF, -INF, math.nan]
+
+
+def lane_pairs():
+    """Every (x, y) of LANE_VALUES, as two lane vectors."""
+    xs, ys = zip(*itertools.product(LANE_VALUES, repeat=2))
+    return list(xs), list(ys)
+
+
+def columns(lanes):
+    """Block columns of lanes that share a shape: lanes[k] = (reals, pairs)."""
+    reals = [list(c) for c in zip(*(r for r, _ in lanes))]
+    pairs = [(list(re), list(im)) for re, im in
+             (zip(*col) for col in zip(*(p for _, p in lanes)))]
+    return reals, pairs
+
+
+def reference_lanes(lanes, target):
+    return [k for k, (reals, pairs) in enumerate(lanes) if has_sign_word(reals, pairs, target)]
+
+
+def fillers(reals, pairs, count, seed):
+    """`count` ordinary lanes with the shape of (reals, pairs)."""
+    rng = random.Random(seed)
+    return [([rng.choice((1, -1)) * rng.uniform(0.1, 2.0) for _ in reals],
+             [(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)) for _ in pairs])
+            for _ in range(count)]
+
+
+def threshold_lanes():
+    """Degree-2 lanes whose a_2 is tau exactly, one ulp inside and one ulp outside.
+
+    (x - t)(x + 1/2) has a_1 = 1/2 - t and a_2 = -t/2, halved exactly, so
+    max(1, max|a|) is 1 and the threshold is tau itself; -t gives +t/2.
+    """
+    t = 2 * DEFAULT_SIGN_TOLERANCE
+    out = {}
+    for name, v in (("on", t), ("inside", math.nextafter(t, 0.0)),
+                    ("outside", math.nextafter(t, INF))):
+        out[f"a2-minus-tau-{name}"] = ([v, -0.5], [])
+        out[f"a2-plus-tau-{name}"] = ([-v, -0.5], [])
+    return out
+
+
+class TestSignWordLanes:
+    @pytest.mark.parametrize("op", ["+", "-", "*", "+=", "-="])
+    def test_lane_arithmetic_agrees_with_floats(self, op):
+        xs, ys = lane_pairs()
+        a, b = Lanes(xs), Lanes(ys)
+        got = a
+        if op == "+":
+            got = a + b
+        elif op == "-":
+            got = a - b
+        elif op == "*":
+            got = a * b
+        elif op == "+=":
+            got += b
+        else:
+            got -= b
+        want = [{"+": x + y, "-": x - y, "*": x * y, "+=": x + y, "-=": x - y}[op]
+                for x, y in zip(xs, ys)]
+        assert type(got) is Lanes and got is not a
+        assert bits(got) == bits(want)
+        assert bits(a) == bits(xs)  # in place forms leave the operand as it was
+
+    @pytest.mark.parametrize("k", [2, 1, -1, 0, 3])
+    def test_int_times_lanes_agrees_with_floats(self, k):
+        a = Lanes(LANE_VALUES)
+        got = k * a
+        assert type(got) is Lanes and len(got) == len(LANE_VALUES)
+        assert bits(got) == bits(k * x for x in LANE_VALUES)
+
+    @pytest.mark.parametrize("shape", SHAPES, ids=str)
+    def test_expand_on_lanes_is_the_float_expansion(self, shape):
+        pos, neg, npairs = shape
+        cfg = SearchConfig(n=1, seed=5, strategy=Mixture())
+        b = 64
+        u = _unit_block(cfg.seed, 1, b, _pair_draw_count(pos, neg, npairs, cfg.strategy))
+        reals, pairs = _pair_columns(pos, neg, npairs, cfg, u, b)
+        got = expand([Lanes(r) for r in reals],
+                     [(Lanes(re), Lanes(im)) for re, im in pairs], Lanes([1.0] * b))
+        for k in range(b):
+            lane = expand([r[k] for r in reals], [(re[k], im[k]) for re, im in pairs], 1.0)
+            assert bits(c[k] for c in got) == bits(lane)
+
+    @pytest.mark.parametrize("strategy", [Uniform(), Mixture(), MultiplicityBias()],
+                             ids=lambda s: type(s).__name__)
+    def test_census_over_engine_draws(self, strategy):
+        # every word a lane has, and every word at degree <= 4, over 8 shapes x 3 block sizes
+        cfg = SearchConfig(n=1, seed=41, strategy=strategy)
+        for pos, neg, npairs in SHAPES:
+            d = pos + neg + 2 * npairs
+            count = _pair_draw_count(pos, neg, npairs, strategy)
+            for first, b in ((64, 64), (256, 256), (3, 3)):
+                u = _unit_block(cfg.seed, first, b, count)
+                reals, pairs = _pair_columns(pos, neg, npairs, cfg, u, b)
+                lanes = [_pair_roots(pos, neg, npairs, cfg, u[k::b]) for k in range(b)]
+                words = {sign_tuple(expand(r, p, 1.0)) for r, p in lanes} - {None}
+                for t in sorted(words | (set(all_words(d)) if d <= 4 else set())):
+                    assert sign_word_lanes(reals, pairs, t) == reference_lanes(lanes, t), t
+
+    @pytest.mark.parametrize("name", list(CRAFTED) + list(threshold_lanes()))
+    def test_crafted_lanes_match_has_sign_word(self, name):
+        # the crafted lane alone, then at lanes 0, 3 and 9 of a block of ordinary lanes
+        reals, pairs = {**CRAFTED, **threshold_lanes()}[name]
+        block = fillers(reals, pairs, 12, seed=len(name))
+        for k in (0, 3, 9):
+            block[k] = (reals, pairs)
+        for lanes in ([(reals, pairs)], block):
+            cols = columns(lanes)
+            for t in all_words(len(reals) + 2 * len(pairs)):
+                assert sign_word_lanes(*cols, t) == reference_lanes(lanes, t), t
+
+    def test_threshold_lanes_sit_on_tau(self):
+        for name, (reals, pairs) in threshold_lanes().items():
+            coeffs = expand(reals, pairs, 1.0)
+            assert max(1.0, *map(abs, coeffs)) == 1.0
+            a2 = abs(coeffs[2])
+            where = name.rsplit("-", 1)[1]
+            tau = DEFAULT_SIGN_TOLERANCE
+            assert a2 == {"on": tau, "inside": math.nextafter(tau, 0.0),
+                          "outside": math.nextafter(tau, INF)}[where]
+            assert (sign_tuple(coeffs) is None) == (where != "outside")

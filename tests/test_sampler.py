@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 from decimal import Decimal
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrealize import certifier
+from polyrealize import certifier, polycore, sampler
 from polyrealize.certifier import (
     Certificate,
     certify_couple,
@@ -19,7 +20,7 @@ from polyrealize.certifier import (
 )
 from polyrealize.criticalgaps import gap_report, match
 from polyrealize.moduliorders import ModuliCouple, ModuliOrder, order_from_roots, parse_order
-from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
+from polyrealize.polycore import RootSpec, expand_from_roots, has_sign_word, sign_tuple
 from polyrealize.report import config_json
 from polyrealize.sampler import (
     Mixture,
@@ -27,6 +28,10 @@ from polyrealize.sampler import (
     ParityMismatchError,
     SearchConfig,
     Uniform,
+    _each_attempt,
+    _pair_columns,
+    _pair_draw_count,
+    _pair_roots,
     _scan,
     _unit_block,
     attempt_unit_draws,
@@ -422,7 +427,7 @@ class TestBlockSchedule:
     @pytest.mark.parametrize("n", BOUNDARY_BUDGETS)
     def test_each_attempt_gets_its_own_draws(self, n):
         seen = []
-        out = _scan(seen.append, 3, SearchConfig(n=n, seed=77))
+        out = _scan(_each_attempt(seen.append), 3, SearchConfig(n=n, seed=77))
         assert out.status == "exhausted" and out.attempts == n
         assert seen == [attempt_unit_draws(77, i, 3) for i in range(1, n + 1)]
 
@@ -433,9 +438,45 @@ class TestBlockSchedule:
             seen.append(u)
             return (None, None) if len(seen) == 6 else None
 
-        out = _scan(attempt, 2, SearchConfig(n=100, seed=1))  # attempt 6 lies in block 4..7
+        out = _scan(_each_attempt(attempt), 2, SearchConfig(n=100, seed=1))  # attempt 6 lies in block 4..7
         assert out.attempt_index == 6
         assert seen == [attempt_unit_draws(1, i, 2) for i in range(1, 7)]
+
+
+def bits(values):
+    return [struct.pack("d", v) for v in values]
+
+
+# (pos, neg, npairs) at degrees 1-8: only reals, only pairs, and both
+COLUMN_SHAPES = [(pos, neg, (d - pos - neg) // 2)
+                 for d in range(1, 9) for pos in range(d + 1) for neg in range(d + 1 - pos)
+                 if (d - pos - neg) % 2 == 0]
+
+
+class TestPairColumns:
+    @pytest.mark.parametrize("strategy", [
+        Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3),
+        MultiplicityBias(), MultiplicityBias(dup_probability=0.9),
+    ], ids=repr)
+    def test_equals_pair_roots_at_every_attempt(self, strategy):
+        cfg = SearchConfig(n=1, seed=31, strategy=strategy)
+        chains = 0  # lanes where a root repeats the root two places before it
+        for pos, neg, npairs in COLUMN_SHAPES:
+            count = _pair_draw_count(pos, neg, npairs, strategy)
+            for b in BLOCK_SIZES:
+                u = _unit_block(cfg.seed, 1 + pos + 10 * neg + 100 * npairs, b, count)
+                reals, pairs = _pair_columns(pos, neg, npairs, cfg, u, b)
+                assert len(reals) == pos + neg and len(pairs) == npairs
+                assert all(len(r) == b for r in reals)
+                assert all(len(re) == len(im) == b for re, im in pairs)
+                for k in range(b):
+                    want_reals, want_pairs = _pair_roots(pos, neg, npairs, cfg, u[k::b])
+                    assert bits(r[k] for r in reals) == bits(want_reals)
+                    assert bits(v for re, im in pairs for v in (re[k], im[k])) == bits(
+                        v for pair in want_pairs for v in pair)
+                    chains += sum(want_reals[j] == want_reals[j - 2]
+                                  for j in range(2, pos + neg) if j not in (pos, pos + 1))
+        assert (chains > 0) == isinstance(strategy, MultiplicityBias)
 
 
 def reference_values(d, cfg, i, signed):
@@ -499,6 +540,11 @@ SCHEDULE_CASES = [
     ("gap", (5, "L-R+"), Uniform(), 1, None),
     ("moduli", (parse_pattern("++---+"), ModuliOrder("NPPNN")), MultiplicityBias(), 1, 351),
     ("gap", (6, "L-R+"), MultiplicityBias(), 3, 2),
+    # pair hits inside a block tested as lanes (64..127, 256..511), not at its first lane
+    ("pair", (parse_pattern("++++-++"), RootCountPair(0, 0)), Uniform(), 1, 382),
+    ("pair", (parse_pattern("+++-+-"), RootCountPair(1, 2)), Mixture(), 1, 107),
+    ("pair", (parse_pattern("+++-++"), RootCountPair(0, 3)), MultiplicityBias(), 2, 290),
+    ("pair", (parse_pattern("++-+-++"), RootCountPair(0, 2)), Mixture(), 4, None),
 ]
 
 
@@ -519,6 +565,24 @@ def test_block_schedule_matches_attempt_by_attempt_scan(kind, args, strategy, se
         else:
             assert (out.status, out.attempts, out.attempt_index) == ("exhausted", n, None)
             assert out.spec is None and out.certificate is None
+
+
+def test_pair_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
+    # an exhaustion of 513 attempts: blocks 1, 2, 4, ..., 32 one attempt at a time,
+    # blocks 64..127, 128..255 and 256..511 as lanes, the last two attempts one at a time
+    sizes = []
+
+    def counted(reals, pairs, target):
+        sizes.append(len(reals[0] if reals else pairs[0][0]))
+        return polycore.sign_word_lanes(reals, pairs, target)
+
+    monkeypatch.setattr(sampler, "sign_word_lanes", counted)
+    calls = []
+    monkeypatch.setattr(sampler, "has_sign_word", lambda *a: calls.append(a) or has_sign_word(*a))
+    out = search_pair(parse_pattern("+---+"), RootCountPair(0, 2), SearchConfig(n=513, seed=3))
+    assert out.status == "exhausted" and out.attempts == 513
+    assert sizes == [64, 128, 256]
+    assert len(calls) == 63 + 2
 
 
 def test_searches_do_not_import_numpy():
