@@ -332,7 +332,7 @@ def _pair_columns(pos, neg, npairs, cfg: SearchConfig, u: list[float], b: int):
     for k in range(pos + neg):
         sign = 1.0 if k < pos else -1.0
         x = map(sub, repeat(1.0, b), col[t + step - 1])
-        if mixture:  # sign * scale * x, with sign * scale taken from the two products
+        if mixture:  # (sign * scale) * x, as in _pair_roots, with sign * scale precomputed
             wide, narrow = sign * ell, sign * ns
             prev = list(map(mul, [narrow if c < frac else wide for c in col[t]], x))
         else:
