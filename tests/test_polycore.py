@@ -1,5 +1,6 @@
 import itertools
 import math
+import operator
 import random
 import struct
 from fractions import Fraction
@@ -387,26 +388,15 @@ def threshold_lanes():
 
 
 class TestSignWordLanes:
-    @pytest.mark.parametrize("op", ["+", "-", "*", "+=", "-="])
+    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                    operator.iadd, operator.isub], ids=lambda f: f.__name__)
     def test_lane_arithmetic_agrees_with_floats(self, op):
         xs, ys = lane_pairs()
         a, b = Lanes(xs), Lanes(ys)
-        got = a
-        if op == "+":
-            got = a + b
-        elif op == "-":
-            got = a - b
-        elif op == "*":
-            got = a * b
-        elif op == "+=":
-            got += b
-        else:
-            got -= b
-        want = [{"+": x + y, "-": x - y, "*": x * y, "+=": x + y, "-=": x - y}[op]
-                for x, y in zip(xs, ys)]
+        got = op(a, b)
         assert type(got) is Lanes and got is not a
-        assert bits(got) == bits(want)
-        assert bits(a) == bits(xs)  # in place forms leave the operand as it was
+        assert bits(got) == bits(map(op, xs, ys))
+        assert bits(a) == bits(xs)  # the in-place forms leave the operand as it was
 
     @pytest.mark.parametrize("k", [2, 1, -1, 0, 3])
     def test_int_times_lanes_agrees_with_floats(self, k):
