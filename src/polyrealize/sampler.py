@@ -16,20 +16,32 @@ target class, which stops refining once that class is ruled out).  The pair
 and moduli engines test the coefficient sign word with
 `polycore.has_sign_word`: it rejects on the sign of a_1 before expanding and
 otherwise compares `polycore.sign_tuple` of the expansion with the target.
-A pair-search block of at least _LANE_MIN attempts is tested as lanes
-instead: `_pair_columns` draws the roots of every attempt of the block at
-once, and `polycore.sign_word_lanes` returns the attempts whose word is the
-target, the same ones `has_sign_word` accepts.  Smaller blocks, and so
-searches that hit early, keep the per-attempt test.
+A pair- or moduli-search block of at least _LANE_MIN attempts is tested as
+lanes instead, and `polycore.sign_word_lanes` returns the attempts whose
+word is the target, the same ones `has_sign_word` accepts.  A pair block
+draws the roots of all its attempts at once (`_pair_columns`).  A moduli
+block is split in two: its front (`_moduli_front`: the column form of
+`_values`, the per-lane tie test and the per-lane sort) does not depend on
+the target order, and the per-order stage negates the N columns and tests
+the lanes.  Smaller blocks, and so searches that hit early, keep the
+per-attempt test.
 A hit is reported only with an exact Certificate; a floating hit whose
 rationalized form yields a Mismatch is counted as a failed attempt and the
 scan goes on.
 
 An engine is a pure function of one block's unit draws: it returns None, or
 the lowest lane k of the block with a certified hit and that hit,
-(spec, certificate) or (spec, certificate, gap_report).  The moduli and gap
-engines test one attempt at a time (`_each_attempt`).  Only `_scan` knows
-attempt indices and builds the SearchOutcome.
+(spec, certificate) or (spec, certificate, gap_report).  The gap engine,
+and the others below _LANE_MIN, test one attempt at a time
+(`_each_attempt`).  Only `_scan` knows attempt indices and builds the
+SearchOutcome.
+
+A moduli sweep runs every order of one pattern under one config, and attempt
+i draws the same moduli for all of them.  Inside `_shared_blocks`, which
+`sweeps.sweep_moduli` opens around its orders, `_scan` keeps each block's
+front, or its unit draws below _LANE_MIN, for the later orders.  Only blocks
+starting at or before _SHARE_CAP are kept, which bounds the store's memory
+at large budgets; the store is dropped when the sweep ends.
 """
 
 from __future__ import annotations
@@ -37,10 +49,13 @@ from __future__ import annotations
 import math
 import struct
 import time
+from array import array
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from functools import lru_cache
-from itertools import repeat
-from operator import mul, sub
+from functools import lru_cache, partial
+from itertools import chain, compress, repeat
+from operator import mul, neg, sub
 from typing import ClassVar, Optional, Union
 
 from . import certifier, polycore
@@ -394,9 +409,56 @@ def _values(d: int, cfg: SearchConfig, u: list[float], signed: bool) -> list[flo
     return [s * (1.0 - x) for s, x in zip(scales, u)]
 
 
+def _value_columns(d: int, cfg: SearchConfig, u: list[float], b: int, signed: bool):
+    """Column form of `_values` for a block of b attempts with unit draws u.
+
+    Returns d columns; column j's lane k equals `_values(d, cfg, u[k::b],
+    signed)[j]` bit for bit: each lane takes the same float operations in
+    the same order.
+    """
+    col = [u[t:t + b] for t in range(0, len(u), b)]
+    strategy = cfg.strategy
+    if isinstance(strategy, Mixture):
+        ns, frac, ell = cfg.narrow_scale, strategy.narrow_fraction, cfg.ell
+        scales = [[ns if c < frac else ell for c in col[2 * j]] for j in range(d)]
+        col = col[1::2]
+    else:
+        scales = [[cfg.ell] * b] * d
+    if signed:
+        return [list(map(mul, s, map(sub, map(mul, repeat(2.0, b), x), repeat(1.0, b))))
+                for s, x in zip(scales, col)]
+    return [list(map(mul, s, map(sub, repeat(1.0, b), x))) for s, x in zip(scales, col)]
+
+
 # --- the scan loop ----------------------------------------------------------
 
-def _scan(block_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
+# Blocks a sweep's searches share: None outside `_shared_blocks`, else a dict
+# from (cfg, d, count, first, b) to that block's front or unit draws.
+_SHARED: ContextVar[Optional[dict]] = ContextVar("polyrealize_shared_blocks", default=None)
+# Only blocks whose first attempt is at most this are shared, so the store holds
+# about 2**15 attempts at most (2 MB of fronts at degree 7).  Uncapped, the
+# criterion-4 sweep (budget 10**6, degree 7) stored fronts up to attempt 223 664
+# and peaked at 35 MB instead of 23 MB.
+_SHARE_CAP = 2**15
+
+
+@contextmanager
+def _shared_blocks():
+    """Share the order-independent work of a moduli sweep between its searches.
+
+    Within the `with` statement, a scan with a front (`_scan`) computes each
+    block's front, or its unit draws under _LANE_MIN, once and reuses it in
+    every later scan with the same key.  The store is dropped on exit, also when
+    a search raises.
+    """
+    token = _SHARED.set({})
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _scan(block_fn, count: int, cfg: SearchConfig, front=None) -> SearchOutcome:
     """Run attempts 1..n in order, returning the lowest-index hit.
 
     Draws come in blocks of attempts that double from 1 up to _BLOCK_CAP, so
@@ -407,12 +469,32 @@ def _scan(block_fn, count: int, cfg: SearchConfig) -> SearchOutcome:
     certified hit: (spec, certificate) or (spec, certificate, gap_report).
     The outcome, found at attempt first + k or exhausted after n, carries
     the scan's wall time.
+
+    front, when given, is (d, front_fn) for an engine of degree d: a block
+    of at least _LANE_MIN attempts passes block_fn front_fn(u, b), the part
+    of its work that does not depend on the search's target, in place of u.
+    Inside `_shared_blocks`, such a scan memoizes each block's front, or its
+    unit draws when the block is smaller, under (cfg, d, count, first, b),
+    so the other searches of a sweep draw and sort that block no more.  Only
+    blocks whose first attempt is at most _SHARE_CAP are stored, to bound
+    the store's memory at large budgets.
     """
     start = time.perf_counter()
+    shared = None if front is None else _SHARED.get()
     first, size = 1, 1
     while first <= cfg.n:
         b = min(size, cfg.n - first + 1)
-        found = block_fn(_unit_block(cfg.seed, first, b, count), b)
+        key = None
+        if shared is not None and first <= _SHARE_CAP:
+            key = (cfg, front[0], count, first, b)
+        data = shared.get(key) if key else None
+        if data is None:
+            data = _unit_block(cfg.seed, first, b, count)
+            if front is not None and b >= _LANE_MIN:
+                data = front[1](data, b)
+            if key:
+                shared[key] = data
+        found = block_fn(data, b)
         if found is not None:
             i = first + found[0]
             return SearchOutcome("found", i, time.perf_counter() - start, i, *found[1])
@@ -482,6 +564,19 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
     return _scan(block, _pair_draw_count(pos, neg, npairs, cfg.strategy), cfg)
 
 
+def _moduli_front(d: int, cfg: SearchConfig, u: list[float], b: int) -> array:
+    """The order-independent part of a moduli-search block of b attempts.
+
+    Each lane's d moduli are drawn as `_values` draws them, lanes with tied
+    moduli are dropped, and the rest are sorted.  With m lanes kept, the
+    result holds their lane indices, then column j of the sorted moduli for
+    j = 0 .. d-1, each m long.
+    """
+    rows = list(zip(*_value_columns(d, cfg, u, b, signed=False)))
+    kept = list(compress(range(b), map(d.__eq__, map(len, map(set, rows)))))
+    return array("d", chain(kept, *zip(*map(sorted, map(rows.__getitem__, kept)))))
+
+
 def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> SearchOutcome:
     """Hunt a hyperbolic polynomial realizing sigma with the given modulus order."""
     claim = ModuliCouple(sigma, order)
@@ -500,7 +595,22 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
             return None
         return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
 
-    return _scan(_each_attempt(attempt), _value_draw_count(d, cfg.strategy), cfg)
+    each = _each_attempt(attempt)
+
+    def block(data, b: int):
+        if b < _LANE_MIN:
+            return each(data, b)
+        m = len(data) // (d + 1)  # data is _moduli_front's: lanes, then the sorted columns
+        cols = [data[j * m:(j + 1) * m].tolist() for j in range(1, d + 1)]
+        roots = [c if p == "P" else list(map(neg, c)) for p, c in zip(letters, cols)]
+        for k in sign_word_lanes(roots, (), target):
+            hit = _certified_hit(RootSpec(real_roots=tuple(r[k] for r in roots)), claim, cfg)
+            if hit is not None:
+                return int(data[k]), hit
+        return None
+
+    front = (d, partial(_moduli_front, d, cfg))
+    return _scan(block, _value_draw_count(d, cfg.strategy), cfg, front)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:

@@ -2,7 +2,13 @@
 
 A sweep runs the corresponding search per couple under one budget and
 aggregates rows.  Moduli sweeps run the forcing test first so provably dead
-couples never burn attempts.  Pair sweeps collect each g1/g2 orbit once, at its
+couples never burn attempts.  Their searches share one config, so attempt i
+draws and sorts the same moduli for every order: the order loop runs inside
+`sampler._shared_blocks`, where each block's order-independent front (or,
+below the lane threshold, its unit draws) is computed once for all orders.
+Only blocks starting at or before `sampler._SHARE_CAP` are kept, which
+bounds the store at large budgets, and the store is dropped when the sweep
+returns or raises.  Pair sweeps collect each g1/g2 orbit once, at its
 first member; with orbit deduplication only its canonical representative is
 searched and witnesses for the other members are derived by the two root
 transforms (negation, inversion) and re-certified.
@@ -166,20 +172,21 @@ def sweep_moduli(sigma: SignPattern, cfg: SearchConfig) -> SweepReport:
         raise ValueError("degree must be >= 1")
     c, p = descartes_pair(sigma)
     rows: list[SweepRow] = []
-    for order in enumerate_orders(c, p):
-        verdict = forcing_test(sigma, order)
-        couple = ModuliCouple(sigma, order)
-        if isinstance(verdict, ForcedConflict):
-            rows.append(
-                SweepRow(
-                    couple=couple,
-                    status=FORCED,
-                    attempts=0,
-                    forced_direction=verdict.direction,
+    with sampler._shared_blocks():
+        for order in enumerate_orders(c, p):
+            verdict = forcing_test(sigma, order)
+            couple = ModuliCouple(sigma, order)
+            if isinstance(verdict, ForcedConflict):
+                rows.append(
+                    SweepRow(
+                        couple=couple,
+                        status=FORCED,
+                        attempts=0,
+                        forced_direction=verdict.direction,
+                    )
                 )
-            )
-            continue
-        rows.append(_row(couple, sampler.search_moduli(sigma, order, cfg)))
+                continue
+            rows.append(_row(couple, sampler.search_moduli(sigma, order, cfg)))
     return SweepReport(
         kind="moduli", query=f"sigma={sigma.word}", config=cfg, rows=tuple(rows)
     )

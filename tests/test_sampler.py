@@ -29,11 +29,15 @@ from polyrealize.sampler import (
     SearchConfig,
     Uniform,
     _each_attempt,
+    _moduli_front,
     _pair_columns,
     _pair_draw_count,
     _pair_roots,
     _scan,
     _unit_block,
+    _value_columns,
+    _value_draw_count,
+    _values,
     attempt_unit_draws,
     draw_rootspec_pair,
     search_gap_class,
@@ -479,6 +483,23 @@ class TestPairColumns:
         assert (chains > 0) == isinstance(strategy, MultiplicityBias)
 
 
+class TestValueColumns:
+    @pytest.mark.parametrize("strategy", [
+        Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3), MultiplicityBias(),
+    ], ids=repr)
+    @pytest.mark.parametrize("signed", [False, True])
+    def test_equals_values_at_every_attempt(self, strategy, signed):
+        cfg = SearchConfig(n=1, seed=37, strategy=strategy)
+        for d in range(1, 9):
+            count = _value_draw_count(d, strategy)
+            for b in BLOCK_SIZES:
+                u = _unit_block(cfg.seed, 1 + 10 * d, b, count)
+                cols = _value_columns(d, cfg, u, b, signed)
+                assert len(cols) == d and all(len(c) == b for c in cols)
+                for k in range(b):
+                    assert bits(c[k] for c in cols) == bits(_values(d, cfg, u[k::b], signed))
+
+
 def reference_values(d, cfg, i, signed):
     strategy = cfg.strategy
     if isinstance(strategy, Mixture):
@@ -545,6 +566,9 @@ SCHEDULE_CASES = [
     ("pair", (parse_pattern("+++-+-"), RootCountPair(1, 2)), Mixture(), 1, 107),
     ("pair", (parse_pattern("+++-++"), RootCountPair(0, 3)), MultiplicityBias(), 2, 290),
     ("pair", (parse_pattern("++-+-++"), RootCountPair(0, 2)), Mixture(), 4, None),
+    # a moduli exhaustion, its blocks from 64 on tested as lanes
+    ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN")), Mixture(narrow_scale=0.05), 2024,
+     None),
 ]
 
 
@@ -583,6 +607,60 @@ def test_pair_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
     assert out.status == "exhausted" and out.attempts == 513
     assert sizes == [64, 128, 256]
     assert len(calls) == 63 + 2
+
+
+def test_moduli_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
+    # as for pairs: blocks 64..127, 128..255 and 256..511 as lanes, the rest one at a
+    # time; a lane block passes on its untied lanes, all of them here
+    sizes = []
+
+    def counted(reals, pairs, target):
+        sizes.append(len(reals[0]))
+        return polycore.sign_word_lanes(reals, pairs, target)
+
+    monkeypatch.setattr(sampler, "sign_word_lanes", counted)
+    calls = []
+    monkeypatch.setattr(sampler, "has_sign_word", lambda *a: calls.append(a) or has_sign_word(*a))
+    out = search_moduli(from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN"),
+                        SearchConfig(n=513, seed=2024, strategy=Mixture(narrow_scale=0.05)))
+    assert out.status == "exhausted" and out.attempts == 513
+    assert sizes == [64, 128, 256]
+    assert len(calls) == 63 + 2
+
+
+def tie_every_third_attempt(unit_block):
+    """_unit_block with the first two draws of attempts 0, 3, 6, ... of each block equal."""
+    def tied(seed, first, b, count):
+        u = unit_block(seed, first, b, count)
+        for k in range(0, b, 3):
+            u[b + k] = u[k]
+        return u
+
+    return tied
+
+
+def test_moduli_front_keeps_untied_lanes_sorted():
+    cfg = SearchConfig(n=1, seed=5)
+    for d in (2, 5, 7):
+        u = tie_every_third_attempt(_unit_block)(cfg.seed, 64, 100, d)
+        front = _moduli_front(d, cfg, u, 100)
+        kept = [k for k in range(100) if k % 3]
+        m = len(kept)
+        assert len(front) == (d + 1) * m and front[:m].tolist() == kept
+        for p, k in enumerate(kept):
+            want = sorted(_values(d, cfg, u[k::100], signed=False))
+            assert bits(front[j * m + p] for j in range(1, d + 1)) == bits(want)
+
+
+def test_moduli_lanes_reject_tied_attempts_as_the_per_attempt_path_does(monkeypatch):
+    monkeypatch.setattr(sampler, "_unit_block", tie_every_third_attempt(_unit_block))
+    args = (parse_pattern("++---+"), ModuliOrder("NPPNN"), SearchConfig(n=600, seed=1))
+    lanes = search_moduli(*args)
+    monkeypatch.setattr(sampler, "_LANE_MIN", max(BOUNDARY_BUDGETS) + 1)
+    each = search_moduli(*args)
+    assert lanes.found and lanes.attempt_index > 256  # inside a block with tied lanes
+    assert (lanes.status, lanes.attempts, lanes.attempt_index, lanes.spec, lanes.certificate) == (
+        each.status, each.attempts, each.attempt_index, each.spec, each.certificate)
 
 
 def test_searches_do_not_import_numpy():

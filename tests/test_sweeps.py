@@ -2,9 +2,9 @@ from math import comb
 
 import pytest
 
-from polyrealize import report
+from polyrealize import report, sampler
 from polyrealize.certifier import Certificate
-from polyrealize.sampler import SearchConfig
+from polyrealize.sampler import Mixture, SearchConfig, search_moduli
 from polyrealize.signpatterns import (
     is_compatible_pair,
     orbit,
@@ -115,3 +115,87 @@ class TestSweepModuli:
         assert len(forced) == 14
         assert all(row.forced_direction == "+" for row in forced)
         assert all(row.attempts == 0 for row in forced)
+
+
+SHARED_SIGMA = from_runs((1, 2, 3, 2))
+SHARED_CFG = SearchConfig(n=600, seed=2024, strategy=Mixture(narrow_scale=0.05))
+
+
+class TestSharedBlocks:
+    """A moduli sweep draws and sorts each block once for all of its orders."""
+
+    @pytest.fixture
+    def stores(self, monkeypatch):
+        """(store, its keys before the search) for every search a sweep runs."""
+        seen = []
+        search = sampler.search_moduli
+
+        def recorded(sigma, order, cfg):
+            store = sampler._SHARED.get()
+            seen.append((store, set(store)))
+            return search(sigma, order, cfg)
+
+        monkeypatch.setattr(sampler, "search_moduli", recorded)
+        return seen
+
+    def test_rows_equal_standalone_searches(self):
+        rpt = sweep_moduli(SHARED_SIGMA, SHARED_CFG)
+        searched = [row for row in rpt.rows if row.status != FORCED]
+        assert len(searched) == 21
+        for row in searched:
+            out = search_moduli(SHARED_SIGMA, row.couple.order, SHARED_CFG)
+            assert row.status == (REALIZED if out.found else UNRESOLVED)
+            assert (row.attempts, row.attempt_index, row.spec, row.certificate) == (
+                out.attempts, out.attempt_index, out.spec, out.certificate)
+        # hits before and inside the lane blocks, and exhaustions through all of them
+        hits = [row.attempt_index for row in searched if row.status == REALIZED]
+        assert min(hits) < 64 <= max(hits)
+        assert any(row.status == UNRESOLVED for row in searched)
+
+    def test_each_block_is_drawn_and_sorted_once(self, monkeypatch):
+        drawn, fronts = [], []
+        unit_block, moduli_front = sampler._unit_block, sampler._moduli_front
+        monkeypatch.setattr(sampler, "_unit_block",
+                            lambda seed, first, b, count: drawn.append((first, b))
+                            or unit_block(seed, first, b, count))
+        monkeypatch.setattr(sampler, "_moduli_front",
+                            lambda d, cfg, u, b: fronts.append(b) or moduli_front(d, cfg, u, b))
+        sweep_moduli(SHARED_SIGMA, SHARED_CFG)
+        assert sorted(drawn) == [(2**i, 2**i) for i in range(9)] + [(512, 89)]
+        assert fronts == [64, 128, 256, 89]
+
+    def test_store_is_open_only_during_a_sweep(self, stores):
+        assert sampler._SHARED.get() is None
+        sweep_moduli(SHARED_SIGMA, SHARED_CFG)
+        assert sampler._SHARED.get() is None
+        first_store, keys = stores[0]
+        assert keys == set() and all(store is first_store for store, _ in stores)
+        assert len(first_store) == 10  # the blocks 1, 2, ..., 256 and 512..600
+        stores.clear()
+        sweep_moduli(SHARED_SIGMA, SHARED_CFG)  # a second sweep starts from an empty store
+        assert stores[0][0] is not first_store and stores[0][1] == set()
+        assert sampler._SHARED.get() is None
+
+    def test_store_is_dropped_when_a_search_raises(self, monkeypatch):
+        search = sampler.search_moduli
+        calls = []
+
+        def failing(sigma, order, cfg):
+            calls.append(order)
+            if len(calls) == 3:
+                raise RuntimeError("search failed")
+            return search(sigma, order, cfg)
+
+        monkeypatch.setattr(sampler, "search_moduli", failing)
+        with pytest.raises(RuntimeError, match="search failed"):
+            sweep_moduli(SHARED_SIGMA, SHARED_CFG)
+        assert len(calls) == 3
+        assert sampler._SHARED.get() is None
+
+    def test_blocks_past_the_cap_are_not_stored(self, monkeypatch, stores):
+        monkeypatch.setattr(sampler, "_SHARE_CAP", 100)
+        rpt = sweep_moduli(SHARED_SIGMA, SHARED_CFG)
+        store = stores[0][0]
+        assert {key[3] for key in store} == {1, 2, 4, 8, 16, 32, 64}  # key[3] is the first attempt
+        monkeypatch.undo()
+        assert rpt == sweep_moduli(SHARED_SIGMA, SHARED_CFG)
