@@ -5,16 +5,16 @@ decimal digits, represented exactly) and put over one common denominator D,
 the lcm of their denominators.  The integer roots R = D*r expand by exact
 convolution over Python ints into Q(t) = D**n * P(t/D), whose coefficients
 A_j have the signs of the a_j = A_j / D**j.  Couple checks read the sign
-word and the root-sum identity from the integers A_j, and the claimed root
-counts or modulus order from the roots; Fractions are built only for the
-coefficients a Certificate stores and for what exact_expand returns.  Gap
-classes are certified by exact-sign bisection on the derivative in the
-integer variable t = D*x: all brackets share one dyadic scale 2**s, the
-sign of the derivative at a midpoint is that of a homogenized integer
-Horner sum, and bisection goes on until every strict comparison is decided
-by interval separation, compared in integers on the common scale (the
-setting of the Descartes method for real-root isolation, Collins & Akritas
-1976).
+word and the root-sum identity from the integers A_j, the claimed root
+counts from the integer roots R, and the modulus order from the roots;
+Fractions are built only for the coefficients a Certificate stores and for
+what exact_expand returns.  Gap classes are certified by exact-sign
+bisection on the derivative in the integer variable t = D*x: all brackets
+share one dyadic scale 2**s, the sign of the derivative at a midpoint is
+that of a homogenized integer Horner sum, and bisection goes on until every
+strict comparison is decided by interval separation, compared in integers
+on the common scale (the setting of the Descartes method for real-root
+isolation, Collins & Akritas 1976).
 
 Every check returns a Certificate or a Mismatch naming the first check that
 failed; a property of the sample (a vanishing coefficient, tied moduli, tied
@@ -109,12 +109,13 @@ def _descaled(coeffs, D: int) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, D**j) for j, c in enumerate(coeffs))
 
 
-def _integer_expansion(spec: RootSpec) -> tuple[int, list[int], int]:
-    """(D, A, S): the spec over its common denominator D, expanded in integers.
+def _integer_expansion(spec: RootSpec) -> tuple[int, list[int], int, list[int]]:
+    """(D, A, S, R): the spec over its common denominator D, expanded in integers.
 
     With t = D*x, each real factor becomes t - D*r and each quadratic
     t**2 - 2*(D*re)*t + (D*re)**2 + (D*im)**2, all over Python ints; A holds
-    the coefficients of Q(t) = D**n * P(t/D) and S = D * (sum of the roots).
+    the coefficients of Q(t) = D**n * P(t/D), S = D * (sum of the roots) and
+    R the integer real roots D*r, which keep the signs of the r (D > 0).
     """
     nreal = len(spec.real_roots)
     D, ints = _over_common_denominator(
@@ -122,12 +123,12 @@ def _integer_expansion(spec: RootSpec) -> tuple[int, list[int], int]:
     )
     reals, res = ints[:nreal], ints[nreal::2]
     A = expand(reals, list(zip(res, ints[nreal + 1::2])), 1)
-    return D, A, sum(reals) + 2 * sum(res)
+    return D, A, sum(reals) + 2 * sum(res), reals
 
 
 def exact_expand(spec: RootSpec) -> tuple[Fraction, ...]:
     """Exact descending coefficients of the monic polynomial with the spec's roots."""
-    D, A, _ = _integer_expansion(spec)
+    D, A, _, _ = _integer_expansion(spec)
     return _descaled(A, D)
 
 
@@ -153,11 +154,11 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     """
     if spec.degree < 1:
         raise ValueError("need degree >= 1")
-    D, A, S = _integer_expansion(spec)
+    D, A, S, R = _integer_expansion(spec)
     checks: list[tuple[str, str]] = []
 
-    pos = spec.pos_count
-    neg = spec.neg_count
+    pos = sum(r > 0 for r in R)  # ints, so no Fraction comparisons
+    neg = sum(r < 0 for r in R)
 
     try:
         actual = exact_sign_pattern(A)  # D > 0: A_j has the sign of a_j

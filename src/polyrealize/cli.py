@@ -216,11 +216,12 @@ def _emit_sweep(command: str, rpt, json_path) -> int:
 @click.option("--budget", type=int, required=True, help="Attempts per couple.")
 @click.option("--orbits", is_flag=True, default=False,
               help="Search one representative per orbit and map witnesses.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @_exit_codes
-def sweep_pairs_cmd(degree, budget, orbits, json_path):
+def sweep_pairs_cmd(degree, budget, orbits, seed, json_path):
     """Search every (pattern, root counts) couple of DEGREE."""
-    cfg = SearchConfig(n=budget)
+    cfg = SearchConfig(n=budget, seed=seed)
     rpt = sweeps.sweep_pairs(degree, cfg, orbits=orbits)
     return _emit_sweep("sweep pairs", rpt, json_path)
 
@@ -228,14 +229,15 @@ def sweep_pairs_cmd(degree, budget, orbits, json_path):
 @sweep.command("moduli")
 @click.option("--sigma", required=True)
 @click.option("--budget", type=int, required=True, help="Attempts per order.")
+@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--json", "json_path", type=click.Path(), default=None)
 @_exit_codes
-def sweep_moduli_cmd(sigma, budget, json_path):
+def sweep_moduli_cmd(sigma, budget, seed, json_path):
     """Forcing test then search for every order compatible with SIGMA."""
     pattern = parse_pattern(sigma)
     # wide/narrow mixture: plain uniform cannot reach the orders that
     # need one root to dominate the rest
-    cfg = SearchConfig(n=budget, strategy=Mixture(narrow_scale=0.05))
+    cfg = SearchConfig(n=budget, seed=seed, strategy=Mixture(narrow_scale=0.05))
     rpt = sweeps.sweep_moduli(pattern, cfg)
     return _emit_sweep("sweep moduli", rpt, json_path)
 

@@ -36,10 +36,12 @@ and the others below _LANE_MIN, test one attempt at a time
 (`_each_attempt`).  Only `_scan` knows attempt indices and builds the
 SearchOutcome.
 
-A moduli sweep runs every order of one pattern under one config, and attempt
-i draws the same moduli for all of them.  Inside `_shared_blocks`, which
-`sweeps.sweep_moduli` opens around its orders, `_scan` keeps each block's
-front, or its unit draws below _LANE_MIN, for the later orders.  Only blocks
+A sweep runs many searches under one config, and attempt i of each draws
+the same uniforms whenever the searches draw as many per attempt: every
+couple of a Uniform pair sweep, every order of a moduli sweep.  Inside
+`_shared_blocks`, which `sweeps.sweep_pairs` and `sweeps.sweep_moduli` open
+around their searches, `_scan` keeps each block's unit draws, as an
+`array('d')`, or a moduli block's front, for the later searches.  Only blocks
 starting at or before _SHARE_CAP are kept, which bounds the store's memory
 at large budgets; the store is dropped when the sweep ends.
 """
@@ -75,7 +77,7 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
 _BLOCK_CAP = 256  # attempts drawn together at most
-_LANE_MIN = 64  # pair-search blocks at least this large test their sign words as lanes
+_LANE_MIN = 64  # pair and moduli blocks at least this large test their sign words as lanes
 _UNIT = (2.0**-53).__mul__
 
 
@@ -433,23 +435,25 @@ def _value_columns(d: int, cfg: SearchConfig, u: list[float], b: int, signed: bo
 # --- the scan loop ----------------------------------------------------------
 
 # Blocks a sweep's searches share: None outside `_shared_blocks`, else a dict
-# from (cfg, d, count, first, b) to that block's front or unit draws.
+# from (cfg, count, first, b) to that block's unit draws, and from (cfg, count,
+# first, b, d) to a degree-d engine's front of it.  Every value is an array('d').
 _SHARED: ContextVar[Optional[dict]] = ContextVar("polyrealize_shared_blocks", default=None)
 # Only blocks whose first attempt is at most this are shared, so the store holds
-# about 2**15 attempts at most (2 MB of fronts at degree 7).  Uncapped, the
-# criterion-4 sweep (budget 10**6, degree 7) stored fronts up to attempt 223 664
-# and peaked at 35 MB instead of 23 MB.
+# about 2**15 attempts at most (2 MB of fronts at degree 7, 1 MB of draws at
+# degree 4 under Uniform).  Uncapped, the criterion-4 sweep (budget 10**6,
+# degree 7) stored fronts up to attempt 223 664 and peaked at 35 MB instead of
+# 23 MB.
 _SHARE_CAP = 2**15
 
 
 @contextmanager
 def _shared_blocks():
-    """Share the order-independent work of a moduli sweep between its searches.
+    """Share the draws, and the moduli fronts, of a sweep between its searches.
 
-    Within the `with` statement, a scan with a front (`_scan`) computes each
-    block's front, or its unit draws under _LANE_MIN, once and reuses it in
-    every later scan with the same key.  The store is dropped on exit, also when
-    a search raises.
+    Within the `with` statement, a scan (`_scan`) computes each block's unit
+    draws, or its front when the scan has one, once and reuses them in every
+    later scan with the same key.  The store is dropped on exit, also when a
+    search raises.
     """
     token = _SHARED.set({})
     try:
@@ -465,35 +469,36 @@ def _scan(block_fn, count: int, cfg: SearchConfig, front=None) -> SearchOutcome:
     a search that hits early draws at most about twice what it uses.
     block_fn(u, b) gets the `count` unit draws of the block's b attempts,
     lane k's being u[k::b], equal to attempt_unit_draws(cfg.seed, first + k,
-    count).  It returns None, or (k, hit) for the lowest lane k with a
-    certified hit: (spec, certificate) or (spec, certificate, gap_report).
-    The outcome, found at attempt first + k or exhausted after n, carries
-    the scan's wall time.
+    count), as a list or an array('d').  It returns None, or (k, hit) for
+    the lowest lane k with a certified hit: (spec, certificate) or (spec,
+    certificate, gap_report).  The outcome, found at attempt first + k or
+    exhausted after n, carries the scan's wall time.
 
     front, when given, is (d, front_fn) for an engine of degree d: a block
     of at least _LANE_MIN attempts passes block_fn front_fn(u, b), the part
     of its work that does not depend on the search's target, in place of u.
-    Inside `_shared_blocks`, such a scan memoizes each block's front, or its
-    unit draws when the block is smaller, under (cfg, d, count, first, b),
-    so the other searches of a sweep draw and sort that block no more.  Only
+    Inside `_shared_blocks`, a scan memoizes each block's unit draws under
+    (cfg, count, first, b), and a front under (cfg, count, first, b, d), so
+    the other searches of a sweep draw (and sort) that block no more.  Only
     blocks whose first attempt is at most _SHARE_CAP are stored, to bound
     the store's memory at large budgets.
     """
     start = time.perf_counter()
-    shared = None if front is None else _SHARED.get()
+    shared = _SHARED.get()
     first, size = 1, 1
     while first <= cfg.n:
         b = min(size, cfg.n - first + 1)
+        lanes = front is not None and b >= _LANE_MIN
         key = None
         if shared is not None and first <= _SHARE_CAP:
-            key = (cfg, front[0], count, first, b)
+            key = (cfg, count, first, b, front[0]) if lanes else (cfg, count, first, b)
         data = shared.get(key) if key else None
         if data is None:
             data = _unit_block(cfg.seed, first, b, count)
-            if front is not None and b >= _LANE_MIN:
+            if lanes:
                 data = front[1](data, b)
             if key:
-                shared[key] = data
+                shared[key] = data if lanes else array("d", data)
         found = block_fn(data, b)
         if found is not None:
             i = first + found[0]

@@ -2,16 +2,18 @@
 
 A sweep runs the corresponding search per couple under one budget and
 aggregates rows.  Moduli sweeps run the forcing test first so provably dead
-couples never burn attempts.  Their searches share one config, so attempt i
-draws and sorts the same moduli for every order: the order loop runs inside
-`sampler._shared_blocks`, where each block's order-independent front (or,
-below the lane threshold, its unit draws) is computed once for all orders.
-Only blocks starting at or before `sampler._SHARE_CAP` are kept, which
-bounds the store at large budgets, and the store is dropped when the sweep
-returns or raises.  Pair sweeps collect each g1/g2 orbit once, at its
-first member; with orbit deduplication only its canonical representative is
-searched and witnesses for the other members are derived by the two root
-transforms (negation, inversion) and re-certified.
+couples never burn attempts.  A sweep's searches share one config, so
+attempt i draws the same uniforms in every search that draws as many per
+attempt: every order of a moduli sweep, and every couple of a Uniform pair
+sweep (d uniforms per attempt at degree d).  Both sweeps run their searches
+inside `sampler._shared_blocks`, where each block's unit draws, or a moduli
+block's order-independent front, are computed once for all the searches
+that read them.  Only blocks starting at or before `sampler._SHARE_CAP` are
+kept, which bounds the store at large budgets, and the store is dropped
+when the sweep returns or raises.  Pair sweeps collect each g1/g2 orbit
+once, at its first member; with orbit deduplication only its canonical
+representative is searched and witnesses for the other members are derived
+by the two root transforms (negation, inversion) and re-certified.
 """
 
 from __future__ import annotations
@@ -126,31 +128,38 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
             seen.update(members)
             groups.append(members)
 
-    if not orbits:
-        rows = [_row(c, sampler.search_pair(c.pattern, c.pair, cfg)) for c in couples]
-    else:
-        found: dict[PairCouple, SweepRow] = {}
-        for members in groups:
-            rep = members[0]
-            outcome = sampler.search_pair(rep.pattern, rep.pair, cfg)
-            for member in members:
-                row = replace(_row(member, outcome), derived_from=None if member == rep else rep)
-                if outcome.found:
-                    mapped = _map_witness(outcome.certificate.spec, rep, member)
-                    cert = certifier.certify_couple(mapped, member)
-                    if not isinstance(cert, Certificate):
-                        raise OrbitWitnessError(
-                            f"witness of {rep} mapped to {member} failed: {cert.detail}"
-                        )
-                    row = replace(row, spec=mapped, certificate=cert)
-                found[member] = row
-        rows = [found[c] for c in couples]
+    with sampler._shared_blocks():
+        if orbits:
+            found = _orbit_rows(groups, cfg)
+            rows = [found[c] for c in couples]
+        else:
+            rows = [_row(c, sampler.search_pair(c.pattern, c.pair, cfg)) for c in couples]
 
     index = {c: i for i, c in enumerate(couples)}
     return SweepReport(
         kind="pairs", query=f"degree={d}", config=cfg, rows=tuple(rows),
         orbits=tuple(tuple(sorted(index[m] for m in members)) for members in groups),
     )
+
+
+def _orbit_rows(groups, cfg: SearchConfig) -> dict[PairCouple, SweepRow]:
+    """A row per orbit member: each orbit's first member is searched, the others derived."""
+    found: dict[PairCouple, SweepRow] = {}
+    for members in groups:
+        rep = members[0]
+        outcome = sampler.search_pair(rep.pattern, rep.pair, cfg)
+        for member in members:
+            row = replace(_row(member, outcome), derived_from=None if member == rep else rep)
+            if outcome.found:
+                mapped = _map_witness(outcome.certificate.spec, rep, member)
+                cert = certifier.certify_couple(mapped, member)
+                if not isinstance(cert, Certificate):
+                    raise OrbitWitnessError(
+                        f"witness of {rep} mapped to {member} failed: {cert.detail}"
+                    )
+                row = replace(row, spec=mapped, certificate=cert)
+            found[member] = row
+    return found
 
 
 def _row(couple: Union[PairCouple, ModuliCouple], outcome: SearchOutcome) -> SweepRow:

@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from polyrealize import report, sweeps
 from polyrealize.cli import main, parse_roots_file
+from polyrealize.sampler import Mixture, SearchConfig
+from polyrealize.signpatterns import from_runs
 
 Q1_FILE = "-0.723\n-0.59\n-0.48\nc:0.985,0.0823104\n"
 GAP_FILE = "-0.19\n-0.18\n0.13\n0.21\n0.67\n0.96\n"
@@ -127,6 +130,21 @@ class TestSweepCommands:
         assert out1.read_bytes() == out2.read_bytes()
         doc = json.loads(out1.read_text())
         assert doc["totals"]["realized"] == len(doc["rows"]) == 6
+
+    @pytest.mark.parametrize("args, library_sweep", [
+        (["pairs", "--degree", "3", "--budget", "500"],
+         lambda: sweeps.sweep_pairs(3, SearchConfig(n=500, seed=2024))),
+        (["moduli", "--sigma", "1,2,3,2", "--budget", "300"],
+         lambda: sweeps.sweep_moduli(from_runs((1, 2, 3, 2)), SearchConfig(
+             n=300, seed=2024, strategy=Mixture(narrow_scale=0.05)))),
+    ], ids=["pairs", "moduli"])
+    def test_sweep_seed_writes_the_library_report(self, runner, tmp_path, args, library_sweep):
+        out = tmp_path / "sweep.json"
+        result = runner.invoke(main, ["sweep", *args, "--seed", "2024", "--json", str(out)])
+        assert result.exit_code in (0, 1), result.output
+        doc = report.sweep_report_json(f"sweep {args[0]}", library_sweep())
+        assert doc["config"]["seed"] == 2024
+        assert out.read_bytes() == report.dump_json(doc).encode()
 
     def test_sweep_pairs_orbits(self, runner):
         result = runner.invoke(main, ["sweep", "pairs", "--degree", "2",

@@ -26,8 +26,8 @@ _integer_expansion = certifier._integer_expansion
 
 def broken_expansion(spec):
     """Integer expansion with a doubled subdominant coefficient: same signs, wrong sum."""
-    D, A, S = _integer_expansion(spec)
-    return D, [A[0], 2 * A[1], *A[2:]], S
+    D, A, *rest = _integer_expansion(spec)
+    return (D, [A[0], 2 * A[1], *A[2:]], *rest)
 
 
 def q1_couple():

@@ -1,11 +1,16 @@
+from array import array
+from contextlib import nullcontext
+from functools import partial
 from math import comb
 
 import pytest
 
 from polyrealize import report, sampler
 from polyrealize.certifier import Certificate
-from polyrealize.sampler import Mixture, SearchConfig, search_moduli
+from polyrealize.moduliorders import parse_order
+from polyrealize.sampler import Mixture, SearchConfig, search_moduli, search_pair
 from polyrealize.signpatterns import (
+    RootCountPair,
     is_compatible_pair,
     orbit,
 )
@@ -196,6 +201,151 @@ class TestSharedBlocks:
         monkeypatch.setattr(sampler, "_SHARE_CAP", 100)
         rpt = sweep_moduli(SHARED_SIGMA, SHARED_CFG)
         store = stores[0][0]
-        assert {key[3] for key in store} == {1, 2, 4, 8, 16, 32, 64}  # key[3] is the first attempt
+        assert {key[2] for key in store} == {1, 2, 4, 8, 16, 32, 64}  # key[2] is the first attempt
         monkeypatch.undo()
         assert rpt == sweep_moduli(SHARED_SIGMA, SHARED_CFG)
+
+
+PAIR_CFG = SearchConfig(n=600, seed=2024)
+PAIR_BLOCKS = [(2**i, 2**i) for i in range(9)] + [(512, 89)]  # (first, b) up to 600
+
+
+def _search_stores(monkeypatch):
+    """(store, its keys before the search) for every pair search a sweep runs."""
+    seen = []
+    search = sampler.search_pair
+
+    def recorded(sigma, pair, cfg):
+        store = sampler._SHARED.get()
+        seen.append((store, set(store)))
+        return search(sigma, pair, cfg)
+
+    monkeypatch.setattr(sampler, "search_pair", recorded)
+    return seen
+
+
+class TestPairSweepSharedBlocks:
+    """A pair sweep draws each block once for all couples with its draw count."""
+
+    @staticmethod
+    def assert_rows_equal_standalone_searches(rpt, cfg, orbits=False):
+        """Each row against a standalone search of its couple, or of its orbit's
+        searched member; returns the attempt indices of the searches that hit.
+
+        An orbit row's witness is mapped through g1/g2, so only the rows of a
+        sweep without orbits are compared witness by witness.
+        """
+        searched = {}
+        for row in rpt.rows:
+            rep = row.derived_from or row.couple
+            if rep not in searched:
+                searched[rep] = search_pair(rep.pattern, rep.pair, cfg)
+            out = searched[rep]
+            assert row.status == (REALIZED if out.found else UNRESOLVED)
+            assert (row.attempts, row.attempt_index) == (out.attempts, out.attempt_index)
+            if not orbits:
+                assert (row.spec, row.certificate) == (out.spec, out.certificate)
+        return [out.attempt_index for out in searched.values() if out.found]
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["couples", "orbits"])
+    def test_rows_equal_standalone_searches(self, monkeypatch, orbits):
+        rpt = sweep_pairs(4, PAIR_CFG, orbits=orbits)
+        hits = self.assert_rows_equal_standalone_searches(rpt, PAIR_CFG, orbits)
+        # hits before and inside the lane blocks, and exhaustions through all of them
+        assert min(hits) < 64 <= max(hits)
+        assert rpt.totals[UNRESOLVED] == 2
+        # the whole report, mapped witnesses too, equals that of a sweep without the store
+        monkeypatch.setattr(sampler, "_shared_blocks", nullcontext)
+        assert rpt == sweep_pairs(4, PAIR_CFG, orbits=orbits)
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["couples", "orbits"])
+    def test_each_block_is_drawn_once_under_uniform(self, monkeypatch, orbits):
+        drawn = []
+        unit_block = sampler._unit_block
+        monkeypatch.setattr(sampler, "_unit_block",
+                            lambda seed, first, b, count: drawn.append((first, b, count))
+                            or unit_block(seed, first, b, count))
+        sweep_pairs(4, PAIR_CFG, orbits=orbits)
+        assert sorted(drawn) == [(first, b, 4) for first, b in PAIR_BLOCKS]
+
+    def test_mixture_couples_with_other_draw_counts_match_standalone_searches(
+            self, monkeypatch):
+        cfg = SearchConfig(n=600, seed=2024, strategy=Mixture())
+        stores = _search_stores(monkeypatch)
+        rpt = sweep_pairs(4, cfg)
+        store = stores[0][0]
+        # (pos + neg, pairs) = (4, 0), (2, 1) and (0, 2) draw 8, 7 and 6 uniforms
+        assert {key[1] for key in store} == {6, 7, 8}
+        monkeypatch.undo()
+        hits = self.assert_rows_equal_standalone_searches(rpt, cfg)
+        assert min(hits) < 64 <= max(hits)
+
+    @pytest.mark.parametrize("moduli_first", [True, False], ids=["moduli-first", "pair-first"])
+    def test_pair_draws_and_moduli_fronts_never_collide(self, moduli_first):
+        # at degree 7 under Uniform both engines draw 7 uniforms per attempt,
+        # so the two searches read and write blocks at the same (cfg, count, first, b)
+        cfg = SearchConfig(n=300, seed=1)
+        searches = [partial(search_moduli, SHARED_SIGMA, parse_order("NPPNNNP"), cfg),
+                    partial(search_pair, SHARED_SIGMA, RootCountPair(1, 0), cfg)]
+        if not moduli_first:
+            searches.reverse()
+        with sampler._shared_blocks():
+            shared = [search() for search in searches]
+            keys = set(sampler._SHARED.get())
+        assert {key[2:4] for key in keys if len(key) == 5} == {(64, 64), (128, 128)}
+        hits = []
+        for out, search in zip(shared, searches):
+            alone = search()
+            assert (out.attempt_index, out.spec, out.certificate) == (
+                alone.attempt_index, alone.spec, alone.certificate)
+            hits.append(out.attempt_index)
+        assert sorted(hits) == [149, 152]  # both in the lane block of attempts 128..255
+
+    def test_store_is_open_only_during_a_sweep(self, monkeypatch):
+        stores = _search_stores(monkeypatch)
+        assert sampler._SHARED.get() is None
+        sweep_pairs(4, PAIR_CFG)
+        assert sampler._SHARED.get() is None
+        first_store, keys = stores[0]
+        assert keys == set() and all(store is first_store for store, _ in stores)
+        assert {key[2:] for key in first_store} == set(PAIR_BLOCKS)
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["couples", "orbits"])
+    def test_store_is_dropped_when_a_search_raises(self, monkeypatch, orbits):
+        search = sampler.search_pair
+        calls = []
+
+        def failing(sigma, pair, cfg):
+            calls.append(pair)
+            if len(calls) == 3:
+                raise RuntimeError("search failed")
+            return search(sigma, pair, cfg)
+
+        monkeypatch.setattr(sampler, "search_pair", failing)
+        with pytest.raises(RuntimeError, match="search failed"):
+            sweep_pairs(4, PAIR_CFG, orbits=orbits)
+        assert len(calls) == 3
+        assert sampler._SHARED.get() is None
+
+    def test_blocks_past_the_cap_are_not_stored(self, monkeypatch):
+        stores = _search_stores(monkeypatch)
+        monkeypatch.setattr(sampler, "_SHARE_CAP", 100)
+        rpt = sweep_pairs(4, PAIR_CFG)
+        assert {key[2] for key in stores[0][0]} == {1, 2, 4, 8, 16, 32, 64}
+        monkeypatch.undo()
+        assert rpt == sweep_pairs(4, PAIR_CFG)
+
+    def test_store_holds_capped_arrays(self, monkeypatch):
+        """The store keeps arrays of at most _SHARE_CAP + _BLOCK_CAP attempts.
+
+        Kept as lists of floats, the draws of the benchmark's pair sweeps
+        raised its peak memory by 2.8 MB; as arrays, by about 0.5 MB.
+        """
+        stores = _search_stores(monkeypatch)
+        sweep_pairs(4, SearchConfig(n=10**5, seed=2024))
+        store = stores[0][0]
+        assert all(type(v) is array and v.typecode == "d" for v in store.values())
+        assert max(key[2] for key in store) > sampler._SHARE_CAP - sampler._BLOCK_CAP
+        count = 4  # uniforms per attempt of every degree-4 couple under Uniform
+        limit = (sampler._SHARE_CAP + sampler._BLOCK_CAP) * count * 8
+        assert sum(v.itemsize * len(v) for v in store.values()) <= limit
