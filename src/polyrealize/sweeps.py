@@ -142,7 +142,8 @@ def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
     )
 
 
-def _orbit_rows(groups, cfg: SearchConfig) -> dict[PairCouple, SweepRow]:
+def _orbit_rows(groups: list[tuple[PairCouple, ...]],
+                cfg: SearchConfig) -> dict[PairCouple, SweepRow]:
     """A row per orbit member: each orbit's first member is searched, the others derived."""
     found: dict[PairCouple, SweepRow] = {}
     for members in groups:

@@ -122,6 +122,20 @@ class TestSweepModuli:
         assert all(row.attempts == 0 for row in forced)
 
 
+def _search_stores(monkeypatch, name):
+    """(store, its keys before the search) for every `sampler.<name>` search a sweep runs."""
+    seen = []
+    search = getattr(sampler, name)
+
+    def recorded(sigma, target, cfg):
+        store = sampler._SHARED.get()
+        seen.append((store, set(store)))
+        return search(sigma, target, cfg)
+
+    monkeypatch.setattr(sampler, name, recorded)
+    return seen
+
+
 SHARED_SIGMA = from_runs((1, 2, 3, 2))
 SHARED_CFG = SearchConfig(n=600, seed=2024, strategy=Mixture(narrow_scale=0.05))
 
@@ -131,17 +145,7 @@ class TestSharedBlocks:
 
     @pytest.fixture
     def stores(self, monkeypatch):
-        """(store, its keys before the search) for every search a sweep runs."""
-        seen = []
-        search = sampler.search_moduli
-
-        def recorded(sigma, order, cfg):
-            store = sampler._SHARED.get()
-            seen.append((store, set(store)))
-            return search(sigma, order, cfg)
-
-        monkeypatch.setattr(sampler, "search_moduli", recorded)
-        return seen
+        return _search_stores(monkeypatch, "search_moduli")
 
     def test_rows_equal_standalone_searches(self):
         rpt = sweep_moduli(SHARED_SIGMA, SHARED_CFG)
@@ -210,20 +214,6 @@ PAIR_CFG = SearchConfig(n=600, seed=2024)
 PAIR_BLOCKS = [(2**i, 2**i) for i in range(9)] + [(512, 89)]  # (first, b) up to 600
 
 
-def _search_stores(monkeypatch):
-    """(store, its keys before the search) for every pair search a sweep runs."""
-    seen = []
-    search = sampler.search_pair
-
-    def recorded(sigma, pair, cfg):
-        store = sampler._SHARED.get()
-        seen.append((store, set(store)))
-        return search(sigma, pair, cfg)
-
-    monkeypatch.setattr(sampler, "search_pair", recorded)
-    return seen
-
-
 class TestPairSweepSharedBlocks:
     """A pair sweep draws each block once for all couples with its draw count."""
 
@@ -271,7 +261,7 @@ class TestPairSweepSharedBlocks:
     def test_mixture_couples_with_other_draw_counts_match_standalone_searches(
             self, monkeypatch):
         cfg = SearchConfig(n=600, seed=2024, strategy=Mixture())
-        stores = _search_stores(monkeypatch)
+        stores = _search_stores(monkeypatch, "search_pair")
         rpt = sweep_pairs(4, cfg)
         store = stores[0][0]
         # (pos + neg, pairs) = (4, 0), (2, 1) and (0, 2) draw 8, 7 and 6 uniforms
@@ -302,7 +292,7 @@ class TestPairSweepSharedBlocks:
         assert sorted(hits) == [149, 152]  # both in the lane block of attempts 128..255
 
     def test_store_is_open_only_during_a_sweep(self, monkeypatch):
-        stores = _search_stores(monkeypatch)
+        stores = _search_stores(monkeypatch, "search_pair")
         assert sampler._SHARED.get() is None
         sweep_pairs(4, PAIR_CFG)
         assert sampler._SHARED.get() is None
@@ -328,7 +318,7 @@ class TestPairSweepSharedBlocks:
         assert sampler._SHARED.get() is None
 
     def test_blocks_past_the_cap_are_not_stored(self, monkeypatch):
-        stores = _search_stores(monkeypatch)
+        stores = _search_stores(monkeypatch, "search_pair")
         monkeypatch.setattr(sampler, "_SHARE_CAP", 100)
         rpt = sweep_pairs(4, PAIR_CFG)
         assert {key[2] for key in stores[0][0]} == {1, 2, 4, 8, 16, 32, 64}
@@ -339,9 +329,9 @@ class TestPairSweepSharedBlocks:
         """The store keeps arrays of at most _SHARE_CAP + _BLOCK_CAP attempts.
 
         Kept as lists of floats, the draws of the benchmark's pair sweeps
-        raised its peak memory by 2.8 MB; as arrays, by about 0.5 MB.
+        raised its peak memory by 2.8 MB; as arrays, by about 0.4 MB.
         """
-        stores = _search_stores(monkeypatch)
+        stores = _search_stores(monkeypatch, "search_pair")
         sweep_pairs(4, SearchConfig(n=10**5, seed=2024))
         store = stores[0][0]
         assert all(type(v) is array and v.typecode == "d" for v in store.values())
