@@ -5,8 +5,8 @@ decimal digits, represented exactly) and put over one common denominator D,
 the lcm of their denominators.  The integer roots R = D*r expand by exact
 convolution over Python ints into Q(t) = D**n * P(t/D), whose coefficients
 A_j have the signs of the a_j = A_j / D**j.  Couple checks read the sign
-word and the root-sum identity from the integers A_j, the claimed root
-counts from the integer roots R, and the modulus order from the roots;
+word and the root-sum identity from the integers A_j, and the claimed root
+counts and the modulus order from the integer roots R;
 Fractions are built only for the coefficients a Certificate stores and for
 what exact_expand returns.  Gap classes are certified by exact-sign
 bisection on the derivative in the integer variable t = D*x: all brackets
@@ -143,6 +143,19 @@ def exact_sign_pattern(coeffs: Sequence) -> SignPattern:
     return SignPattern(tuple(signs))
 
 
+def _moduli_order(R: Sequence[int], real_roots: Sequence) -> ModuliOrder:
+    """`order_from_roots(real_roots)`, read from the integer roots R = D*r.
+
+    D > 0 keeps each root's sign and the order of the moduli, and ints sort
+    faster than Fractions.  Only a tie is read again from the roots
+    themselves, so the error names the tied modulus, not D times it.
+    """
+    try:
+        return order_from_roots(R)
+    except TiedModuliError:
+        return order_from_roots(real_roots)
+
+
 def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
     """Certificate if the exact expansion of spec realizes the claim, else Mismatch.
 
@@ -180,7 +193,7 @@ def certify_couple(spec: RootSpec, claim: Union[PairCouple, ModuliCouple]):
             return Mismatch("hyperbolic", "moduli claims need all roots real", **facts)
         checks.append(("hyperbolic", "all roots real"))
         try:
-            order = order_from_roots(spec.real_roots)
+            order = _moduli_order(R, spec.real_roots)
         except TiedModuliError as exc:
             return Mismatch("moduli_order", str(exc), **facts)
         if order != claim.order:

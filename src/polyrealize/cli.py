@@ -1,13 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 found/verified, 1 exhausted or mismatch, 2 invalid input,
-3 internal error.
+3 internal error, 141 output pipe closed by its reader (128 + SIGPIPE).
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -27,10 +28,15 @@ EXIT_FOUND = 0
 EXIT_EXHAUSTED = 1
 EXIT_INVALID = 2
 EXIT_INTERNAL = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a writer killed by it
 
 
 def _exit_codes(command):
-    """Exit with the command's return code; bad input exits 2, a crash 3."""
+    """Exit with the command's return code; bad input exits 2, a crash 3.
+
+    A reader that closes the output pipe early (`poly ... | head -1`) is not
+    bad input: the command exits 141 without a usage message.
+    """
 
     @functools.wraps(command)
     def run(*args, **kwargs) -> None:
@@ -38,6 +44,11 @@ def _exit_codes(command):
             code = command(*args, **kwargs)
         except click.ClickException:
             raise
+        except BrokenPipeError:
+            # Python flushes stdout at exit, which would fail on the closed pipe
+            # again; send what is left to devnull, as the `signal` docs advise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            sys.exit(EXIT_BROKEN_PIPE)
         except (ValueError, KeyError, OSError) as exc:
             raise click.UsageError(str(exc)) from exc
         except Exception as exc:  # pragma: no cover - defensive

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import add, gt, itemgetter, mul, sub
+from operator import add, gt, itemgetter, lt, mul, sub
 from typing import Sequence
 
 DEFAULT_SIGN_TOLERANCE = 1e-9
@@ -90,20 +90,25 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
     (re, im) pair.  Generic over the number type: `one` is the unit of the
     arithmetic (1.0, int 1, or a `_Lanes` of 1.0) and the entries must
     already be of it.  On lanes every lane gets the float expansion of its
-    own roots, bit for bit.
+    own roots, bit for bit.  The leading coefficient stays `one`, so the
+    j = 0 term of each factor skips its multiply: x * one is x exactly in
+    every arithmetic here.
     """
     zero = one - one
     coeffs = [one]
     for r in reals:
         nxt = coeffs + [zero]
-        for j in range(len(coeffs)):
+        nxt[1] -= r  # the j = 0 term, r * coeffs[0]
+        for j in range(1, len(coeffs)):
             nxt[j + 1] -= r * coeffs[j]
         coeffs = nxt
     for re, im in pairs:
         s = 2 * re
         q = re * re + im * im
         nxt = coeffs + [zero, zero]
-        for j in range(len(coeffs)):
+        nxt[1] -= s
+        nxt[2] += q
+        for j in range(1, len(coeffs)):
             nxt[j + 1] -= s * coeffs[j]
             nxt[j + 2] += q * coeffs[j]
         coeffs = nxt
@@ -173,16 +178,17 @@ def has_sign_word(reals: Sequence[float], pairs: Sequence, target: tuple[int, ..
     `SignPattern.signs` is, and degree >= 1.
 
     a_1 is summed first, with the operations `expand` applies to coeffs[1] in
-    the same order, so it is bit for bit expand(...)[1].  A wrong-signed, zero
-    or NaN a_1 rejects before the O(d^2) expansion: `sign_tuple` would give
-    None or another word.
+    the same order (re + re is 2 * re exactly), so it is bit for bit
+    expand(...)[1].  An a_1 not strictly on the target's side of 0.0 (wrong
+    sign, zero or NaN) rejects before the O(d^2) expansion: `sign_tuple`
+    would give None or another word.
     """
     a1 = 0.0
     for r in reals:
         a1 -= r
     for re, _ in pairs:
-        a1 -= 2 * re
-    if not a1 * target[1] > 0.0:
+        a1 -= re + re
+    if not (gt if target[1] > 0 else lt)(a1, 0.0):
         return False
     return sign_tuple(expand(reals, pairs, 1.0)) == target
 
@@ -191,8 +197,9 @@ class _Lanes(list):
     """Floats of many attempts, one per lane; arithmetic acts lane by lane.
 
     `+`, `-` and `*` take another `_Lanes` of the same length, and
-    `int * lanes` scales every lane; each result is a new `_Lanes` whose
-    lane k is the float operation on lane k.  list's `+=` would extend in
+    `int * lanes` scales every lane by float(int), which is what int * float
+    computes; each result is a new `_Lanes` whose lane k is the float
+    operation on lane k.  list's `+=` would extend in
     place, and list's `int * list` would repeat, so both are overridden;
     `-=` falls back to `-`.  Results are never written in place: `expand`
     shares one coefficient object between lists.
@@ -210,7 +217,7 @@ class _Lanes(list):
         return _Lanes(map(mul, self, other))
 
     def __rmul__(self, other):
-        return _Lanes(map(mul, repeat(other, len(self)), self))
+        return _Lanes(map(mul, repeat(float(other), len(self)), self))
 
     __iadd__ = __add__
 
@@ -221,18 +228,19 @@ def sign_word_lanes(reals: Sequence, pairs: Sequence, target: tuple[int, ...]) -
     Column form of `has_sign_word` over a block of attempts: ``reals[j][k]``
     is real root j of lane k and ``pairs[j] = (re, im)`` holds pair j's
     parts of every lane; there is at least one column.  a_1 is summed lane
-    by lane in `has_sign_word`'s order and rejects as there.  The lanes left
-    expand together through `expand` on `_Lanes`.  A lane drops at the first
+    by lane in `has_sign_word`'s order and compared with 0.0 as there.  The
+    lanes left expand together through `expand` on `_Lanes`.  A lane drops
+    at the first
     coefficient whose sign is not strictly the target's, which `sign_tuple`
-    could never call the target's (its threshold is positive).  `sign_tuple`
-    decides the lanes that remain.
+    could never call the target's (its threshold is positive).
+    `sign_tuple` decides the lanes that remain.
     """
     a1 = repeat(0.0, len(reals[0] if reals else pairs[0][0]))
     for r in reals:
         a1 = map(sub, a1, r)
     for re, _ in pairs:
-        a1 = map(sub, a1, map(mul, repeat(2), re))
-    keep = list(compress(count(), map(gt, map(mul, a1, repeat(target[1])), repeat(0.0))))
+        a1 = map(sub, a1, map(add, re, re))
+    keep = list(compress(count(), map(gt if target[1] > 0 else lt, a1, repeat(0.0))))
     if not keep:
         return []
     pick = itemgetter(*keep) if len(keep) > 1 else lambda col: (col[keep[0]],)

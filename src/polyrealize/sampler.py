@@ -24,17 +24,20 @@ block is split in two: its front (`_moduli_front`: the column form of
 `_values`, the per-lane tie test and the per-lane sort) does not depend on
 the target order, and the per-order stage negates the N columns and tests
 the lanes.  Smaller blocks, and so searches that hit early, keep the
-per-attempt test.
+per-attempt test.  Inside a sweep (`_shared_blocks`, below), a moduli block
+is tested as lanes from _SHARED_LANE_MIN attempts on: its front is computed
+once for all the sweep's orders, so each order pays only the lane test.
+`_scan` alone states which blocks run which way.
 A hit is reported only with an exact Certificate; a floating hit whose
 rationalized form yields a Mismatch is counted as a failed attempt and the
 scan goes on.
 
 An engine is a pure function of one block's unit draws: it returns None, or
 the lowest lane k of the block with a certified hit and that hit,
-(spec, certificate) or (spec, certificate, gap_report).  The gap engine,
-and the others below _LANE_MIN, test one attempt at a time
-(`_each_attempt`).  Only `_scan` knows attempt indices and builds the
-SearchOutcome.
+(spec, certificate) or (spec, certificate, gap_report).  Each engine has a
+per-attempt body (`_each_attempt`), and the pair and moduli engines a lane
+body too; `_scan` hands each block to one of them, and only `_scan` knows
+attempt indices and builds the SearchOutcome.
 
 A sweep runs many searches under one config, and attempt i of each draws
 the same uniforms whenever the searches draw as many per attempt: every
@@ -77,7 +80,13 @@ _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
 _BLOCK_CAP = 256  # attempts drawn together at most
-_LANE_MIN = 64  # pair and moduli blocks at least this large test their sign words as lanes
+# A pair or moduli block of at least _LANE_MIN attempts tests its sign words as
+# lanes; below it, the per-attempt body costs less.  A moduli block whose front a
+# sweep shares is computed once for all the sweep's orders, so each order pays only
+# the lane test, which costs less than the per-attempt body from _SHARED_LANE_MIN
+# attempts on.  `_scan` alone reads both.
+_LANE_MIN = 64
+_SHARED_LANE_MIN = 8
 _UNIT = (2.0**-53).__mul__
 
 
@@ -462,21 +471,27 @@ def _shared_blocks():
         _SHARED.reset(token)
 
 
-def _scan(block_fn, count: int, cfg: SearchConfig, front=None) -> SearchOutcome:
+def _scan(block_fn, count: int, cfg: SearchConfig, lane_fn=None, front=None) -> SearchOutcome:
     """Run attempts 1..n in order, returning the lowest-index hit.
 
     Draws come in blocks of attempts that double from 1 up to _BLOCK_CAP, so
     a search that hits early draws at most about twice what it uses.
-    block_fn(u, b) gets the `count` unit draws of the block's b attempts,
-    lane k's being u[k::b], equal to attempt_unit_draws(cfg.seed, first + k,
-    count), as a list or an array('d').  It returns None, or (k, hit) for
-    the lowest lane k with a certified hit: (spec, certificate) or (spec,
-    certificate, gap_report).  The outcome, found at attempt first + k or
-    exhausted after n, carries the scan's wall time.
+    block_fn(u, b), the per-attempt body, gets the `count` unit draws of the
+    block's b attempts, lane k's being u[k::b], equal to
+    attempt_unit_draws(cfg.seed, first + k, count), as a list or an
+    array('d').  It returns None, or (k, hit) for the lowest lane k with a
+    certified hit: (spec, certificate) or (spec, certificate, gap_report).
+    The outcome, found at attempt first + k or exhausted after n, carries
+    the scan's wall time.
 
-    front, when given, is (d, front_fn) for an engine of degree d: a block
-    of at least _LANE_MIN attempts passes block_fn front_fn(u, b), the part
-    of its work that does not depend on the search's target, in place of u.
+    lane_fn, when given, is the lane body: it takes a block in place of
+    block_fn, returns what block_fn would, and costs less on large blocks.
+    The rule of which body runs is stated here alone: lane_fn runs on blocks
+    of at least _LANE_MIN attempts, or of at least _SHARED_LANE_MIN when the
+    scan has a front and runs inside `_shared_blocks`, where the sweep's
+    other searches reuse that front.  front is (d, front_fn) for an engine
+    of degree d: a lane block passes lane_fn front_fn(u, b), the part of its
+    work that does not depend on the search's target, in place of u.
     Inside `_shared_blocks`, a scan memoizes each block's unit draws under
     (cfg, count, first, b), and a front under (cfg, count, first, b, d), so
     the other searches of a sweep draw (and sort) that block no more.  Only
@@ -485,21 +500,23 @@ def _scan(block_fn, count: int, cfg: SearchConfig, front=None) -> SearchOutcome:
     """
     start = time.perf_counter()
     shared = _SHARED.get()
+    lane_min = _LANE_MIN if front is None or shared is None else _SHARED_LANE_MIN
     first, size = 1, 1
     while first <= cfg.n:
         b = min(size, cfg.n - first + 1)
-        lanes = front is not None and b >= _LANE_MIN
+        lanes = lane_fn is not None and b >= lane_min
+        fronted = lanes and front is not None
         key = None
         if shared is not None and first <= _SHARE_CAP:
-            key = (cfg, count, first, b, front[0]) if lanes else (cfg, count, first, b)
+            key = (cfg, count, first, b, front[0]) if fronted else (cfg, count, first, b)
         data = shared.get(key) if key else None
         if data is None:
             data = _unit_block(cfg.seed, first, b, count)
-            if lanes:
+            if fronted:
                 data = front[1](data, b)
             if key:
-                shared[key] = data if lanes else array("d", data)
-        found = block_fn(data, b)
+                shared[key] = data if fronted else array("d", data)
+        found = (lane_fn if lanes else block_fn)(data, b)
         if found is not None:
             i = first + found[0]
             return SearchOutcome("found", i, time.perf_counter() - start, i, *found[1])
@@ -552,11 +569,7 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
         spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
         return _certified_hit(spec, claim, cfg)
 
-    each = _each_attempt(attempt)
-
-    def block(u: list[float], b: int):
-        if b < _LANE_MIN:
-            return each(u, b)
+    def lanes(u: list[float], b: int):
         reals, cpairs = _pair_columns(pos, neg, npairs, cfg, u, b)
         for k in sign_word_lanes(reals, cpairs, target):
             spec = RootSpec(real_roots=tuple(r[k] for r in reals),
@@ -566,7 +579,8 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
                 return k, hit
         return None
 
-    return _scan(block, _pair_draw_count(pos, neg, npairs, cfg.strategy), cfg)
+    count = _pair_draw_count(pos, neg, npairs, cfg.strategy)
+    return _scan(_each_attempt(attempt), count, cfg, lanes)
 
 
 def _moduli_front(d: int, cfg: SearchConfig, u: list[float], b: int) -> array:
@@ -600,11 +614,7 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
             return None
         return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
 
-    each = _each_attempt(attempt)
-
-    def block(data, b: int):
-        if b < _LANE_MIN:
-            return each(data, b)
+    def lanes(data: array, b: int):
         m = len(data) // (d + 1)  # data is _moduli_front's: lanes, then the sorted columns
         cols = [data[j * m:(j + 1) * m].tolist() for j in range(1, d + 1)]
         roots = [c if p == "P" else list(map(neg, c)) for p, c in zip(letters, cols)]
@@ -615,7 +625,7 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
         return None
 
     front = (d, partial(_moduli_front, d, cfg))
-    return _scan(block, _value_draw_count(d, cfg.strategy), cfg, front)
+    return _scan(_each_attempt(attempt), _value_draw_count(d, cfg.strategy), cfg, lanes, front)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:

@@ -495,6 +495,50 @@ def test_couple_certificates_match_fraction_reference():
                         "moduli_order"}, outcomes
 
 
+def _moduli_inputs():
+    """All-real specs for moduli claims: search draws, then moduli tied exactly."""
+    cfg = SearchConfig(n=1, seed=18, strategy=Mixture(narrow_scale=0.05))
+    for t in range(1, 121):
+        d = 2 + t % 7
+        mods = sorted(set(x for x in unit_draws(cfg.seed, t, d)))
+        signs = unit_draws(cfg.seed + 1, t, len(mods))
+        roots = [m if s < 0.5 else -m for m, s in zip(mods, signs)]
+        yield rationalize(RootSpec(real_roots=tuple(roots)), 2 + t % 11)
+    third, seventh = Fraction(1, 3), Fraction(1, 7)
+    for roots in ((third, -third, Fraction(-5, 4)), (third, -third, seventh), (-seventh, Fraction(5, 2), seventh),
+                  (third, seventh, -third, Fraction(-2, 7), Fraction(2, 7)),
+                  (Fraction(-9, 10), Fraction(9, 10), Fraction(-9, 10))):
+        yield RootSpec(real_roots=roots)
+    # tied only after rationalization
+    yield rationalize(RootSpec(real_roots=(0.3000000000001, -0.3000000000002, 0.9)))
+
+
+def test_moduli_order_from_integer_roots_matches_fraction_reference():
+    # the order is read from the integer roots D*r; every Certificate and Mismatch,
+    # the tie's detail included, is the one the Fraction roots give
+    outcomes = []
+    for spec in _moduli_inputs():
+        try:
+            signs = _reference_sign_pattern(_reference_exact_expand(spec))
+        except ZeroCoefficientError:  # fails the sign vector before the order is read
+            continue
+        try:
+            order = order_from_roots(spec.real_roots)
+            claims = [order, ModuliOrder(order.word[::-1]),
+                      ModuliOrder(order.word[1:] + order.word[0])]
+        except TiedModuliError:
+            c, p = descartes_pair(signs)
+            claims = [ModuliOrder("P" * c + "N" * p)]
+        for word in claims:
+            claim = ModuliCouple(signs, word)
+            got = certify_couple(spec, claim)
+            ref = _reference_certify_couple(spec, claim)
+            assert got == ref and repr(got) == repr(ref), (spec, claim)
+            outcomes.append(got.detail.split()[0] if isinstance(got, Mismatch) else "certificate")
+    assert {"certificate", "roots", "tied"} <= set(outcomes), outcomes
+    assert outcomes.count("tied") >= 6
+
+
 def _float_inputs():
     """Extremes, powers of ten and draws over the whole exponent range, both signs."""
     tiny, huge = 5e-324, sys.float_info.max

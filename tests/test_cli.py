@@ -146,6 +146,23 @@ class TestSweepCommands:
         assert doc["config"]["seed"] == 2024
         assert out.read_bytes() == report.dump_json(doc).encode()
 
+    def test_closed_output_pipe_exits_141(self):
+        # `poly sweep ... | head -1` once head has gone: the reader of stdout is
+        # closed before the command writes, which is no usage error
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            out = subprocess.run(
+                [sys.executable, "-m", "polyrealize", "sweep", "pairs", "--degree", "2",
+                 "--budget", "300"],
+                stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+        finally:
+            os.close(write)
+        assert out.returncode == 141, out.stderr
+        assert out.stderr == ""
+
     def test_sweep_pairs_orbits(self, runner):
         result = runner.invoke(main, ["sweep", "pairs", "--degree", "2",
                                       "--budget", "300", "--orbits"])

@@ -2,7 +2,9 @@
 
 No module keeps an import it never uses or a private module-level name
 that nothing in the package loads, and no module states an invariant as an
-`assert`, which `python -O` strips: invariants are explicit checks.
+`assert`, which `python -O` strips: invariants are explicit checks.  The
+rule of which blocks a search tests as lanes is stated in `sampler._scan`
+alone.
 """
 
 import ast
@@ -81,3 +83,29 @@ def test_module_has_no_assert(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
+
+
+LANE_THRESHOLDS = {"_LANE_MIN", "_SHARED_LANE_MIN"}
+
+
+def _reads(tree: ast.AST, names: set[str]):
+    """(line, name) of every load of one of `names`, as a bare name or an attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names:
+            yield n.lineno, n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr in names:
+            yield n.lineno, n.attr
+
+
+def test_lane_thresholds_are_read_only_in_scan():
+    scan_names = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        if path.stem == "sampler":
+            (scan,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan"]
+            inside = set(_reads(scan, LANE_THRESHOLDS))
+            scan_names |= {name for _, name in inside}
+        outside = sorted(set(_reads(tree, LANE_THRESHOLDS)) - inside)
+        assert outside == [], f"{path.name} reads a lane threshold outside sampler._scan: {outside}"
+    assert scan_names == LANE_THRESHOLDS

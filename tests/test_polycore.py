@@ -194,21 +194,29 @@ class TestExpandKernel:
         "strategy", [Uniform(), Mixture(), MultiplicityBias()], ids=lambda s: type(s).__name__
     )
     def test_bit_identical_to_reference_loop(self, strategy):
-        cfg = SearchConfig(n=1, seed=2025, strategy=strategy)
-        for attempt in range(1, 10**4 + 1):
-            pos, neg, npairs = SHAPES[attempt % len(SHAPES)]
-            spec = draw_rootspec_pair(pos + neg + 2 * npairs, (pos, neg), cfg, attempt)
-            reals, pairs = list(spec.real_roots), list(spec.complex_pairs)
-            want = bits(reference_float_expand(reals, pairs))
-            assert bits(expand(reals, pairs, 1.0)) == want
-            assert bits(expand_from_roots(spec).coeffs) == want
+        # roots near 1e-300 and 1e300 too: their products underflow to zeros, or
+        # overflow to infinities and NaNs
+        for ell, attempts in ((1.0, 10**4), (1e-300, 2000), (1e300, 2000)):
+            cfg = SearchConfig(n=1, ell=ell, seed=2025, strategy=strategy)
+            for attempt in range(1, attempts + 1):
+                pos, neg, npairs = SHAPES[attempt % len(SHAPES)]
+                spec = draw_rootspec_pair(pos + neg + 2 * npairs, (pos, neg), cfg, attempt)
+                reals, pairs = list(spec.real_roots), list(spec.complex_pairs)
+                want = bits(reference_float_expand(reals, pairs))
+                assert bits(expand(reals, pairs, 1.0)) == want
+                assert bits(expand_from_roots(spec).coeffs) == want
 
     def test_exact_path_equals_reference_loop(self):
         for case in range(1000):
             spec = rationalize(random_rootspec(31, case))
+            want = reference_exact_expand(spec)
             got = exact_expand(spec)
-            assert got == reference_exact_expand(spec)
+            assert got == want
             assert all(type(c) is Fraction for c in got)
+            # the kernel on the Fraction roots themselves, unit Fraction(1)
+            on_fractions = expand(spec.real_roots, spec.complex_pairs, Fraction(1))
+            assert tuple(on_fractions) == want
+            assert all(type(c) is Fraction for c in on_fractions)
 
     def test_horner_on_fractions(self):
         # (x - 1/2)(x + 1/3) = x^2 - x/6 - 1/6
@@ -320,6 +328,9 @@ class TestHasSignWord:
         got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
         assert got == want or (math.isnan(got) and math.isnan(want))
         assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        # the sum starts at +0.0 and x - y is -0.0 only when x is, so a zero a_1 is
+        # +0.0: "a1-zero" and "a1-nan" are the zero and NaN lanes of the pre-test
+        assert got != 0.0 or math.copysign(1.0, got) == 1.0
 
     @pytest.mark.parametrize("ell", ELLS)
     @pytest.mark.parametrize("strategy", SEARCH_STRATEGIES, ids=repr)

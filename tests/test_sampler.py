@@ -628,6 +628,47 @@ def test_moduli_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
     assert len(calls) == 63 + 2
 
 
+def count_lane_tests(monkeypatch):
+    """(lane block sizes, per-attempt calls) that the searches run from now on."""
+    sizes, calls = [], []
+
+    def counted(reals, pairs, target):
+        sizes.append(len(reals[0] if reals else pairs[0][0]))
+        return polycore.sign_word_lanes(reals, pairs, target)
+
+    monkeypatch.setattr(sampler, "sign_word_lanes", counted)
+    monkeypatch.setattr(sampler, "has_sign_word", lambda *a: calls.append(a) or has_sign_word(*a))
+    return sizes, calls
+
+
+def test_moduli_blocks_of_8_or_more_are_lanes_inside_a_sweep_store(monkeypatch):
+    # a sweep computes a moduli front once for all its orders, so inside the store the
+    # blocks 8..15, 16..31 and 32..63 are fronts and lanes too; only 1..7 and 512..513
+    # run one attempt at a time
+    args = (from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN"),
+            SearchConfig(n=513, seed=2024, strategy=Mixture(narrow_scale=0.05)))
+    alone = search_moduli(*args)
+    sizes, calls = count_lane_tests(monkeypatch)
+    with sampler._shared_blocks():
+        out = search_moduli(*args)
+        store = sampler._SHARED.get()
+    assert sizes == [8, 16, 32, 64, 128, 256]
+    assert len(calls) == 7 + 2
+    assert sorted(key[2:] for key in store if len(key) == 5) == [
+        (b, b, 7) for b in (8, 16, 32, 64, 128, 256)]
+    assert (out.status, out.attempts) == (alone.status, alone.attempts) == ("exhausted", 513)
+
+
+def test_pair_blocks_keep_64_inside_a_sweep_store(monkeypatch):
+    # a pair sweep shares draws, not columns: its blocks below 64 stay per attempt
+    sizes, calls = count_lane_tests(monkeypatch)
+    with sampler._shared_blocks():
+        out = search_pair(parse_pattern("+---+"), RootCountPair(0, 2), SearchConfig(n=513, seed=3))
+    assert out.status == "exhausted" and out.attempts == 513
+    assert sizes == [64, 128, 256]
+    assert len(calls) == 63 + 2
+
+
 def tie_every_third_attempt(unit_block):
     """_unit_block with the first two draws of attempts 0, 3, 6, ... of each block equal."""
     def tied(seed, first, b, count):

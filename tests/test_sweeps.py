@@ -171,7 +171,8 @@ class TestSharedBlocks:
                             lambda d, cfg, u, b: fronts.append(b) or moduli_front(d, cfg, u, b))
         sweep_moduli(SHARED_SIGMA, SHARED_CFG)
         assert sorted(drawn) == [(2**i, 2**i) for i in range(9)] + [(512, 89)]
-        assert fronts == [64, 128, 256, 89]
+        # inside a sweep a block is a front from _SHARED_LANE_MIN (8) attempts on
+        assert fronts == [8, 16, 32, 64, 128, 256, 89]
 
     def test_store_is_open_only_during_a_sweep(self, stores):
         assert sampler._SHARED.get() is None
@@ -282,7 +283,12 @@ class TestPairSweepSharedBlocks:
         with sampler._shared_blocks():
             shared = [search() for search in searches]
             keys = set(sampler._SHARED.get())
-        assert {key[2:4] for key in keys if len(key) == 5} == {(64, 64), (128, 128)}
+        # the moduli fronts start at _SHARED_LANE_MIN (8) attempts; the pair search
+        # keeps drawing those blocks, under the shorter draw key
+        assert {key[2:4] for key in keys if len(key) == 5} == {
+            (8, 8), (16, 16), (32, 32), (64, 64), (128, 128)}
+        assert {key[2:4] for key in keys if len(key) == 4} == {
+            (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (128, 128)}
         hits = []
         for out, search in zip(shared, searches):
             alone = search()
