@@ -12,32 +12,30 @@ Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs), moduli search (draw
 d positives, sort, negate where the target order says N), and gap-class
 search (draw d distinct reals and test their critical-point gaps against the
-target class, which stops refining once that class is ruled out).  The pair
-and moduli engines test the coefficient sign word with
+target class, which stops refining once that class is ruled out).  An engine
+hands `_scan` three stages: a per-attempt float stage, which takes one
+attempt's unit draws and returns None or a float candidate; for the pair and
+moduli engines a lane stage, which returns a whole block's candidates in
+lane order; and a certify stage, which turns a candidate into its hit,
+(spec, certificate) or (spec, certificate, gap_report), or rejects it.
+`_scan` alone loops over attempts, certifies candidates in lane order up to
+the first hit, knows attempt indices and builds the SearchOutcome.  A float
+hit whose rationalized form yields a Mismatch is counted as a failed attempt
+and the scan goes on.
+
+The pair and moduli float stages test the coefficient sign word with
 `polycore.has_sign_word`: it rejects on the sign of a_1 before expanding and
 otherwise compares `polycore.sign_tuple` of the expansion with the target.
-A pair- or moduli-search block of at least _LANE_MIN attempts is tested as
-lanes instead, and `polycore.sign_word_lanes` returns the attempts whose
-word is the target, the same ones `has_sign_word` accepts.  A pair block
-draws the roots of all its attempts at once (`_pair_columns`).  A moduli
-block is split in two: its front (`_moduli_front`: the column form of
-`_values`, the per-lane tie test and the per-lane sort) does not depend on
-the target order, and the per-order stage negates the N columns and tests
+Their lane stages run on blocks of at least _LANE_MIN attempts, where
+`polycore.sign_word_lanes` returns the attempts whose word is the target,
+the same ones `has_sign_word` accepts.  A pair block draws the roots of all
+its attempts at once (`_pair_columns`).  A moduli block is split in two: its
+front (`_moduli_front`, the column form of `_sorted_values`) does not depend
+on the target order, and the per-order stage negates the N columns and tests
 the lanes.  Smaller blocks, and so searches that hit early, keep the
-per-attempt test.  Inside a sweep (`_shared_blocks`, below), a moduli block
+per-attempt stage.  Inside a sweep (`_shared_blocks`, below), a moduli block
 is tested as lanes from _SHARED_LANE_MIN attempts on: its front is computed
 once for all the sweep's orders, so each order pays only the lane test.
-`_scan` alone states which blocks run which way.
-A hit is reported only with an exact Certificate; a floating hit whose
-rationalized form yields a Mismatch is counted as a failed attempt and the
-scan goes on.
-
-An engine is a pure function of one block's unit draws: it returns None, or
-the lowest lane k of the block with a certified hit and that hit,
-(spec, certificate) or (spec, certificate, gap_report).  Each engine has a
-per-attempt body (`_each_attempt`), and the pair and moduli engines a lane
-body too; `_scan` hands each block to one of them, and only `_scan` knows
-attempt indices and builds the SearchOutcome.
 
 A sweep runs many searches under one config, and attempt i of each draws
 the same uniforms whenever the searches draw as many per attempt: every
@@ -81,9 +79,9 @@ _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
 _BLOCK_CAP = 256  # attempts drawn together at most
 # A pair or moduli block of at least _LANE_MIN attempts tests its sign words as
-# lanes; below it, the per-attempt body costs less.  A moduli block whose front a
+# lanes; below it, the per-attempt stage costs less.  A moduli block whose front a
 # sweep shares is computed once for all the sweep's orders, so each order pays only
-# the lane test, which costs less than the per-attempt body from _SHARED_LANE_MIN
+# the lane test, which costs less than the per-attempt stage from _SHARED_LANE_MIN
 # attempts on.  `_scan` alone reads both.
 _LANE_MIN = 64
 _SHARED_LANE_MIN = 8
@@ -406,8 +404,14 @@ def _value_draw_count(d: int, strategy: Strategy) -> int:
     return 2 * d if isinstance(strategy, Mixture) else d
 
 
-def _values(d: int, cfg: SearchConfig, u: list[float], signed: bool) -> list[float]:
-    """d values on (0, ell], or on [-ell, ell) when signed; Mixture may shrink some."""
+def _sorted_values(d: int, cfg: SearchConfig, u: list[float], signed: bool):
+    """An attempt's d values in ascending order, or None when one is zero or two tie.
+
+    The values lie on (0, ell], or on [-ell, ell) when signed; a Mixture may
+    shrink some.  A rejected attempt consumes its index.  For moduli,
+    `_moduli_front` is the column form; it tests no zero, as a zero modulus
+    makes a_d zero, which the sign word rejects.
+    """
     strategy = cfg.strategy
     if isinstance(strategy, Mixture):
         ns, frac = cfg.narrow_scale, strategy.narrow_fraction
@@ -416,15 +420,22 @@ def _values(d: int, cfg: SearchConfig, u: list[float], signed: bool) -> list[flo
     else:
         scales = [cfg.ell] * d
     if signed:
-        return [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
-    return [s * (1.0 - x) for s, x in zip(scales, u)]
+        xs = [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
+    else:
+        xs = [s * (1.0 - x) for s, x in zip(scales, u)]
+    distinct = set(xs)
+    if len(distinct) < d or 0.0 in distinct:
+        return None
+    xs.sort()
+    return xs
 
 
 def _value_columns(d: int, cfg: SearchConfig, u: list[float], b: int, signed: bool):
-    """Column form of `_values` for a block of b attempts with unit draws u.
+    """The values `_sorted_values` draws, before its test and sort, in column form.
 
-    Returns d columns; column j's lane k equals `_values(d, cfg, u[k::b],
-    signed)[j]` bit for bit: each lane takes the same float operations in
+    For a block of b attempts with unit draws u, returns d columns; column
+    j's lane k is the j-th value drawn from u[k::b], bit for bit the one
+    `_sorted_values` computes: each lane takes the same float operations in
     the same order.
     """
     col = [u[t:t + b] for t in range(0, len(u), b)]
@@ -471,32 +482,33 @@ def _shared_blocks():
         _SHARED.reset(token)
 
 
-def _scan(block_fn, count: int, cfg: SearchConfig, lane_fn=None, front=None) -> SearchOutcome:
-    """Run attempts 1..n in order, returning the lowest-index hit.
+def _scan(count: int, cfg: SearchConfig, attempt, certify, lanes=None,
+          front=None) -> SearchOutcome:
+    """Run attempts 1..n in order, returning the lowest-index certified hit.
 
     Draws come in blocks of attempts that double from 1 up to _BLOCK_CAP, so
-    a search that hits early draws at most about twice what it uses.
-    block_fn(u, b), the per-attempt body, gets the `count` unit draws of the
-    block's b attempts, lane k's being u[k::b], equal to
-    attempt_unit_draws(cfg.seed, first + k, count), as a list or an
-    array('d').  It returns None, or (k, hit) for the lowest lane k with a
-    certified hit: (spec, certificate) or (spec, certificate, gap_report).
-    The outcome, found at attempt first + k or exhausted after n, carries
-    the scan's wall time.
+    a search that hits early draws at most about twice what it uses.  A
+    block's `count` unit draws come as a list or an array('d'), lane k's
+    being data[k::b], equal to attempt_unit_draws(cfg.seed, first + k, count).
+    An engine's three stages do the work: attempt(u), the per-attempt float
+    stage, returns None or a float candidate for one attempt's draws;
+    lanes(data, b), the lane stage, returns a block's candidates as
+    (k, candidate) in ascending k and costs less on large blocks; and
+    certify(candidate) returns the hit, (spec, certificate) or (spec,
+    certificate, gap_report), or None.  The scan owns the control flow: it
+    runs attempt lane by lane or lanes on the block, certifies the
+    candidates in lane order up to the first hit, and builds the outcome,
+    found at attempt first + k or exhausted after n, with its wall time.
 
-    lane_fn, when given, is the lane body: it takes a block in place of
-    block_fn, returns what block_fn would, and costs less on large blocks.
-    The rule of which body runs is stated here alone: lane_fn runs on blocks
-    of at least _LANE_MIN attempts, or of at least _SHARED_LANE_MIN when the
-    scan has a front and runs inside `_shared_blocks`, where the sweep's
-    other searches reuse that front.  front is (d, front_fn) for an engine
-    of degree d: a lane block passes lane_fn front_fn(u, b), the part of its
-    work that does not depend on the search's target, in place of u.
-    Inside `_shared_blocks`, a scan memoizes each block's unit draws under
-    (cfg, count, first, b), and a front under (cfg, count, first, b, d), so
-    the other searches of a sweep draw (and sort) that block no more.  Only
-    blocks whose first attempt is at most _SHARE_CAP are stored, to bound
-    the store's memory at large budgets.
+    The rule of which float stage runs is stated here alone: lanes runs on
+    blocks of at least _LANE_MIN attempts, or of at least _SHARED_LANE_MIN
+    when the scan has a front and runs inside `_shared_blocks`, where the
+    sweep's other searches reuse that front.  front is (d, front_fn) for an
+    engine of degree d: a lane block passes lanes front_fn(data, b), its
+    work that does not depend on the search's target, in place of the
+    draws.  Inside `_shared_blocks`, the draws of each block up to
+    _SHARE_CAP are memoized under (cfg, count, first, b), or its front under
+    (cfg, count, first, b, d), for the sweep's other searches.
     """
     start = time.perf_counter()
     shared = _SHARED.get()
@@ -504,8 +516,8 @@ def _scan(block_fn, count: int, cfg: SearchConfig, lane_fn=None, front=None) -> 
     first, size = 1, 1
     while first <= cfg.n:
         b = min(size, cfg.n - first + 1)
-        lanes = lane_fn is not None and b >= lane_min
-        fronted = lanes and front is not None
+        as_lanes = lanes is not None and b >= lane_min
+        fronted = as_lanes and front is not None
         key = None
         if shared is not None and first <= _SHARE_CAP:
             key = (cfg, count, first, b, front[0]) if fronted else (cfg, count, first, b)
@@ -516,35 +528,28 @@ def _scan(block_fn, count: int, cfg: SearchConfig, lane_fn=None, front=None) -> 
                 data = front[1](data, b)
             if key:
                 shared[key] = data if fronted else array("d", data)
-        found = (lane_fn if lanes else block_fn)(data, b)
-        if found is not None:
-            i = first + found[0]
-            return SearchOutcome("found", i, time.perf_counter() - start, i, *found[1])
+        # the block's candidates in lane order, from the lane stage or from attempt
+        # called lane by lane; a call from here costs less than one from map()
+        for item in (lanes(data, b) if as_lanes else range(b)):
+            if as_lanes:
+                k, candidate = item
+            else:
+                k, candidate = item, attempt(data[item::b])
+                if candidate is None:
+                    continue
+            hit = certify(candidate)
+            if hit is not None:
+                i = first + k
+                return SearchOutcome("found", i, time.perf_counter() - start, i, *hit)
         first += b
         size = min(2 * size, _BLOCK_CAP)
     return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
 
 
-def _each_attempt(attempt_fn):
-    """A block function for `_scan` that runs attempt_fn(u[k::b]) for k = 0, 1, ...
+def _certified_hit(claim, cfg: SearchConfig, spec: RootSpec):
+    """The pair and moduli certify stage: (spec, certificate), or None on a Mismatch.
 
-    attempt_fn takes one attempt's unit draws and returns None or its hit.
-    """
-    def block(u: list[float], b: int):
-        for k in range(b):
-            hit = attempt_fn(u[k::b])
-            if hit is not None:
-                return k, hit
-        return None
-
-    return block
-
-
-def _certified_hit(spec: RootSpec, claim, cfg: SearchConfig):
-    """(spec, certificate) for a float hit, or None when certification rejects it.
-
-    The spec is rationalized and certified exactly; a Mismatch marks a
-    borderline sample, and the scan goes on.
+    The spec is rationalized and certified exactly against the claim.
     """
     cert = certifier.certify_couple(certifier.rationalize(spec, cfg.digits), claim)
     return (spec, cert) if isinstance(cert, Certificate) else None
@@ -566,30 +571,25 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
         reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
         if not has_sign_word(reals, cpairs, target):
             return None
-        spec = RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
-        return _certified_hit(spec, claim, cfg)
+        return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
 
     def lanes(u: list[float], b: int):
         reals, cpairs = _pair_columns(pos, neg, npairs, cfg, u, b)
-        for k in sign_word_lanes(reals, cpairs, target):
-            spec = RootSpec(real_roots=tuple(r[k] for r in reals),
-                            complex_pairs=tuple((re[k], im[k]) for re, im in cpairs))
-            hit = _certified_hit(spec, claim, cfg)
-            if hit is not None:
-                return k, hit
-        return None
+        return ((k, RootSpec(real_roots=tuple(r[k] for r in reals),
+                             complex_pairs=tuple((re[k], im[k]) for re, im in cpairs)))
+                for k in sign_word_lanes(reals, cpairs, target))
 
     count = _pair_draw_count(pos, neg, npairs, cfg.strategy)
-    return _scan(_each_attempt(attempt), count, cfg, lanes)
+    return _scan(count, cfg, attempt, partial(_certified_hit, claim, cfg), lanes)
 
 
 def _moduli_front(d: int, cfg: SearchConfig, u: list[float], b: int) -> array:
     """The order-independent part of a moduli-search block of b attempts.
 
-    Each lane's d moduli are drawn as `_values` draws them, lanes with tied
-    moduli are dropped, and the rest are sorted.  With m lanes kept, the
-    result holds their lane indices, then column j of the sorted moduli for
-    j = 0 .. d-1, each m long.
+    Each lane's d moduli are drawn as `_sorted_values` draws them, lanes
+    with tied moduli are dropped, and the rest are sorted.  With m lanes
+    kept, the result holds their lane indices, then column j of the sorted
+    moduli for j = 0 .. d-1, each m long.
     """
     rows = list(zip(*_value_columns(d, cfg, u, b, signed=False)))
     kept = list(compress(range(b), map(d.__eq__, map(len, map(set, rows)))))
@@ -604,28 +604,25 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     letters = order.word
 
     def attempt(u: list[float]):
-        mods = _values(d, cfg, u, signed=False)
-        if len(set(mods)) < d:  # tied moduli: rejected, index consumed
+        mods = _sorted_values(d, cfg, u, signed=False)
+        if mods is None:
             return None
-        mods.sort()
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
         # a_1 = sum of N-moduli - sum of P-moduli, the quantity forcing_test reasons about
         if not has_sign_word(roots, (), target):
             return None
-        return _certified_hit(RootSpec(real_roots=tuple(roots)), claim, cfg)
+        return RootSpec(real_roots=tuple(roots))
 
     def lanes(data: array, b: int):
         m = len(data) // (d + 1)  # data is _moduli_front's: lanes, then the sorted columns
         cols = [data[j * m:(j + 1) * m].tolist() for j in range(1, d + 1)]
         roots = [c if p == "P" else list(map(neg, c)) for p, c in zip(letters, cols)]
-        for k in sign_word_lanes(roots, (), target):
-            hit = _certified_hit(RootSpec(real_roots=tuple(r[k] for r in roots)), claim, cfg)
-            if hit is not None:
-                return int(data[k]), hit
-        return None
+        return ((int(data[k]), RootSpec(real_roots=tuple(r[k] for r in roots)))
+                for k in sign_word_lanes(roots, (), target))
 
     front = (d, partial(_moduli_front, d, cfg))
-    return _scan(_each_attempt(attempt), _value_draw_count(d, cfg.strategy), cfg, lanes, front)
+    return _scan(_value_draw_count(d, cfg.strategy), cfg, attempt,
+                 partial(_certified_hit, claim, cfg), lanes, front)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
@@ -636,13 +633,14 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
 
     def attempt(u: list[float]):
-        xs = _values(d, cfg, u, signed=True)
-        if 0.0 in xs or len(set(xs)) < d:
+        xs = _sorted_values(d, cfg, u, signed=True)
+        if xs is None:
             return None
-        xs.sort()
         report = match(xs, target)
-        if report is None:
-            return None
+        return None if report is None else (xs, report)
+
+    def certify(candidate):
+        xs, report = candidate
         cert = certifier.certify_gap_class(
             [certifier.rationalize_value(x, cfg.digits) for x in xs]
         )
@@ -650,4 +648,4 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             return None
         return RootSpec(real_roots=tuple(xs)), cert, report
 
-    return _scan(_each_attempt(attempt), _value_draw_count(d, cfg.strategy), cfg)
+    return _scan(_value_draw_count(d, cfg.strategy), cfg, attempt, certify)

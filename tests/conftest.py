@@ -1,6 +1,19 @@
 """Shared test configuration and deterministic sample generators."""
 
+import warnings
+
 from hypothesis import HealthCheck, settings
+
+# On a failing test, hypothesis's pytest plugin imports this module, which pulls
+# in libcst and with it a DeprecationWarning that `filterwarnings = ["error"]`
+# would turn into an INTERNALERROR ending the session.  Importing it here, with
+# warnings silenced, keeps that filter for every test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 settings.register_profile(
     "default",

@@ -4,7 +4,7 @@ No module keeps an import it never uses or a private module-level name
 that nothing in the package loads, and no module states an invariant as an
 `assert`, which `python -O` strips: invariants are explicit checks.  The
 rule of which blocks a search tests as lanes is stated in `sampler._scan`
-alone.
+alone, and only `_scan` builds a `SearchOutcome`.
 """
 
 import ast
@@ -97,15 +97,42 @@ def _reads(tree: ast.AST, names: set[str]):
             yield n.lineno, n.attr
 
 
+def _scan_def(tree: ast.Module) -> ast.FunctionDef:
+    (scan,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan"]
+    return scan
+
+
 def test_lane_thresholds_are_read_only_in_scan():
     scan_names = set()
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         inside = set()
         if path.stem == "sampler":
-            (scan,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan"]
-            inside = set(_reads(scan, LANE_THRESHOLDS))
+            inside = set(_reads(_scan_def(tree), LANE_THRESHOLDS))
             scan_names |= {name for _, name in inside}
         outside = sorted(set(_reads(tree, LANE_THRESHOLDS)) - inside)
         assert outside == [], f"{path.name} reads a lane threshold outside sampler._scan: {outside}"
     assert scan_names == LANE_THRESHOLDS
+
+
+def _calls(tree: ast.AST, name: str):
+    """Line of every call of `name`, as a bare name or an attribute."""
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if (isinstance(f, ast.Name) and f.id == name
+                    or isinstance(f, ast.Attribute) and f.attr == name):
+                yield n.lineno
+
+
+def test_search_outcomes_are_built_only_in_scan():
+    in_scan = set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = set()
+        if path.stem == "sampler":
+            inside = set(_calls(_scan_def(tree), "SearchOutcome"))
+            in_scan |= inside
+        outside = sorted(set(_calls(tree, "SearchOutcome")) - inside)
+        assert outside == [], f"{path.name} builds a SearchOutcome outside sampler._scan: {outside}"
+    assert in_scan

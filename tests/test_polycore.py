@@ -34,9 +34,9 @@ from polyrealize.sampler import (
     _pair_columns,
     _pair_draw_count,
     _pair_roots,
+    _sorted_values,
     _unit_block,
     _value_draw_count,
-    _values,
     attempt_unit_draws,
     draw_rootspec_pair,
 )
@@ -345,7 +345,7 @@ class TestHasSignWord:
             assert_matches_reference(reals, pairs, all_words(pos + neg + 2 * npairs))
             d = 3 + attempt % 3
             u = attempt_unit_draws(cfg.seed, attempt, _value_draw_count(d, strategy))
-            mods = sorted(_values(d, cfg, u, signed=False))
+            mods = _sorted_values(d, cfg, u, signed=False)
             roots = [m if (attempt >> j) & 1 else -m for j, m in enumerate(mods)]
             assert a1_sum(roots, ()) == expand(roots, (), 1.0)[1]
             assert_matches_reference(roots, (), all_words(d))

@@ -1,0 +1,41 @@
+"""The suite's pytest configuration reports a failing test and runs on.
+
+`pyproject.toml` turns every warning into an error.  A failing hypothesis
+test used to end the whole session with an INTERNALERROR, because
+hypothesis imports a module that warns while it reports the failure;
+`conftest.py` imports that module up front.
+"""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+PROBE = '''\
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 0
+
+
+def test_passes():
+    pass
+'''
+
+
+def test_failing_hypothesis_test_is_reported_and_the_session_runs_on(tmp_path):
+    # the probe runs under this suite's pytest configuration and conftest
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert run.returncode == 1

@@ -28,16 +28,15 @@ from polyrealize.sampler import (
     ParityMismatchError,
     SearchConfig,
     Uniform,
-    _each_attempt,
     _moduli_front,
     _pair_columns,
     _pair_draw_count,
     _pair_roots,
     _scan,
+    _sorted_values,
     _unit_block,
     _value_columns,
     _value_draw_count,
-    _values,
     attempt_unit_draws,
     draw_rootspec_pair,
     search_gap_class,
@@ -430,8 +429,8 @@ class TestBlockKernel:
 class TestBlockSchedule:
     @pytest.mark.parametrize("n", BOUNDARY_BUDGETS)
     def test_each_attempt_gets_its_own_draws(self, n):
-        seen = []
-        out = _scan(_each_attempt(seen.append), 3, SearchConfig(n=n, seed=77))
+        seen = []  # the per-attempt stage returns no candidate, so nothing is certified
+        out = _scan(3, SearchConfig(n=n, seed=77), seen.append, certify=None)
         assert out.status == "exhausted" and out.attempts == n
         assert seen == [attempt_unit_draws(77, i, 3) for i in range(1, n + 1)]
 
@@ -440,9 +439,10 @@ class TestBlockSchedule:
 
         def attempt(u):
             seen.append(u)
-            return (None, None) if len(seen) == 6 else None
+            return "candidate" if len(seen) == 6 else None
 
-        out = _scan(_each_attempt(attempt), 2, SearchConfig(n=100, seed=1))  # attempt 6 lies in block 4..7
+        # attempt 6 lies in block 4..7
+        out = _scan(2, SearchConfig(n=100, seed=1), attempt, lambda candidate: (None, None))
         assert out.attempt_index == 6
         assert seen == [attempt_unit_draws(1, i, 2) for i in range(1, 7)]
 
@@ -493,11 +493,14 @@ class TestValueColumns:
         for d in range(1, 9):
             count = _value_draw_count(d, strategy)
             for b in BLOCK_SIZES:
-                u = _unit_block(cfg.seed, 1 + 10 * d, b, count)
+                first = 1 + 10 * d
+                u = _unit_block(cfg.seed, first, b, count)
                 cols = _value_columns(d, cfg, u, b, signed)
                 assert len(cols) == d and all(len(c) == b for c in cols)
                 for k in range(b):
-                    assert bits(c[k] for c in cols) == bits(_values(d, cfg, u[k::b], signed))
+                    lane = [c[k] for c in cols]
+                    assert bits(lane) == bits(reference_values(d, cfg, first + k, signed))
+                    assert bits(_sorted_values(d, cfg, u[k::b], signed)) == bits(sorted(lane))
 
 
 def reference_values(d, cfg, i, signed):
@@ -685,12 +688,13 @@ def test_moduli_front_keeps_untied_lanes_sorted():
     for d in (2, 5, 7):
         u = tie_every_third_attempt(_unit_block)(cfg.seed, 64, 100, d)
         front = _moduli_front(d, cfg, u, 100)
+        rows = [_sorted_values(d, cfg, u[k::100], signed=False) for k in range(100)]
         kept = [k for k in range(100) if k % 3]
+        assert kept == [k for k, row in enumerate(rows) if row is not None]
         m = len(kept)
         assert len(front) == (d + 1) * m and front[:m].tolist() == kept
         for p, k in enumerate(kept):
-            want = sorted(_values(d, cfg, u[k::100], signed=False))
-            assert bits(front[j * m + p] for j in range(1, d + 1)) == bits(want)
+            assert bits(front[j * m + p] for j in range(1, d + 1)) == bits(rows[k])
 
 
 def test_moduli_lanes_reject_tied_attempts_as_the_per_attempt_path_does(monkeypatch):
@@ -702,6 +706,76 @@ def test_moduli_lanes_reject_tied_attempts_as_the_per_attempt_path_does(monkeypa
     assert lanes.found and lanes.attempt_index > 256  # inside a block with tied lanes
     assert (lanes.status, lanes.attempts, lanes.attempt_index, lanes.spec, lanes.certificate) == (
         each.status, each.attempts, each.attempt_index, each.spec, each.certificate)
+
+
+def reference_float_hits(kind, args, cfg):
+    """(attempt, spec) of every float hit among attempts 1..n, each drawn on its own."""
+    sigma, target = args
+    hits = []
+    for i in range(1, cfg.n + 1):
+        if kind == "pair":
+            spec = draw_rootspec_pair(sigma.degree, target, cfg, i)
+        else:
+            mods = sorted(reference_values(target.degree, cfg, i, signed=False))
+            if len(set(mods)) < len(mods):
+                continue
+            spec = RootSpec(real_roots=tuple(m if c == "P" else -m
+                                             for c, m in zip(target.word, mods)))
+        if sign_tuple(expand_from_roots(spec).coeffs, cfg.tau) == sigma.signs:
+            hits.append((i, spec))
+    return hits
+
+
+def reject_first(monkeypatch, j):
+    """Make certifier.certify_couple reject its first j calls; returns the calls."""
+    calls = []
+    certify = certifier.certify_couple
+
+    def rejecting(spec, claim):
+        calls.append(spec)
+        if len(calls) <= j:
+            return certifier.Mismatch("test", "rejected by the test")
+        return certify(spec, claim)
+
+    monkeypatch.setattr(certifier, "certify_couple", rejecting)
+    return calls
+
+
+# (kind, args, seed): float hits in blocks run one attempt at a time, and several to a
+# lane block (pair: 95 and 124 in 64..127; moduli: five in 64..127, and 16, 23 and 24
+# in 16..31, a lane block inside a sweep store)
+CERTIFY_LOOP_CASES = [
+    ("pair", (parse_pattern("+--++"), RootCountPair(2, 0)), 1),
+    ("moduli", (parse_pattern("++--+"), ModuliOrder("NPPN")), 0),
+]
+
+
+@pytest.mark.parametrize("kind, args, seed", CERTIFY_LOOP_CASES, ids=["pair", "moduli"])
+def test_search_returns_the_float_hit_after_the_rejected_ones(monkeypatch, kind, args, seed):
+    # with the first j float hits rejected by the certifier, the search returns the
+    # (j+1)-th, whether its block ran one attempt at a time or as lanes
+    cfg = SearchConfig(n=300, seed=seed)
+    hits = reference_float_hits(kind, args, cfg)
+    assert len([i for i, _ in hits if 64 <= i < 128]) >= 2
+
+    def outcomes():
+        outs = []
+        for j in range(len(hits) + 1):
+            calls = reject_first(monkeypatch, j)
+            out = ENGINES[kind](*args, cfg)
+            assert len(calls) == min(j + 1, len(hits))
+            outs.append((out.status, out.attempts, out.attempt_index, out.spec, out.certificate))
+        return outs
+
+    lanes = outcomes()
+    assert [o[:4] for o in lanes] == [("found", i, i, spec) for i, spec in hits] + [
+        ("exhausted", cfg.n, None, None)]
+    assert all(isinstance(o[4], Certificate) for o in lanes[:-1])
+    if kind == "moduli":  # blocks from 8 attempts on run as lanes inside a sweep store
+        with sampler._shared_blocks():
+            assert outcomes() == lanes
+    monkeypatch.setattr(sampler, "_LANE_MIN", cfg.n + 1)
+    assert outcomes() == lanes
 
 
 def test_searches_do_not_import_numpy():
