@@ -11,15 +11,20 @@ recording which side of the chain
 holds strictly (+) or fails (-) on the left (L) and right (R).  One float
 bisection routine, _refine, halves the brackets on the critical points and,
 in the same pass, bounds the min and max critical gap.  gap_report refines
-every critical point in full.  match, the search's test, refines in stages
-whose tolerance falls by 4 from (x_n - x_1)/16; it stops as soon as the
-bounds rule the target class out, and jumps to the full refinement as soon
-as they decide it.  A margin counts only at MARGIN_EPS or more: _margin_sign
-states that rule for gap_report, and match applies it once per bound, to
-the margin oriented toward the target's sign.  Every schedule visits the
-same midpoints, so a report that match returns is gap_report's.  match runs
-on the engine's sorted, distinct draws and does not re-check them;
-gap_report, critical_points and midpoints validate their input.
+every critical point in full, to BISECTION_REL_TOL of the span x_n - x_1
+(_tolerances scales each end first when that span overflows).  match, the
+search's test, refines in stages whose tolerance falls by 4 from
+(x_n - x_1)/16; it stops as soon as the bounds rule the target class out,
+and jumps to the full refinement as soon as they decide it.  Its work
+before the first stage is one pass over x for the midpoint-gap extrema
+(_midpoint_gap_extrema, which gap_report's _report shares) and one lookup
+of the target's orientation in a table built at import (_ORIENTATION).  A
+margin counts only at MARGIN_EPS or more: _margin_sign states that rule for
+gap_report, and match applies it once per bound, to the margin oriented
+toward the target's sign.  Every schedule visits the same midpoints, so a
+report that match returns is gap_report's.  match runs on the engine's
+sorted, distinct draws and does not re-check them; gap_report,
+critical_points and midpoints validate their input.
 xi_gap_bounds states the bracket-to-bounds rule for any ordered number type;
 the certifier's integer bisection uses it.
 """
@@ -98,6 +103,28 @@ def _midpoints(x: Sequence[float]) -> list[float]:
     return [(x[k] + x[k + 1]) * 0.5 for k in range(len(x) - 1)]
 
 
+def _midpoint_gap_extrema(x: Sequence[float]) -> tuple[float, float]:
+    """(m_tilde, M_tilde): the min and max gap between consecutive midpoints of x.
+
+    One pass over x (at least three roots), keeping no list: each midpoint is
+    (x[k] + x[k+1]) * 0.5, as _midpoints computes it, and a running bound is
+    replaced only on a strict < or >, as min() and max() replace theirs, so
+    NaN gaps and ties between 0.0 and -0.0 come out as theirs do.
+    """
+    z = (x[1] + x[2]) * 0.5
+    m = M = z - (x[0] + x[1]) * 0.5
+    a = x[2]
+    for b in x[3:]:
+        c = (a + b) * 0.5
+        g = c - z
+        if g < m:
+            m = g
+        elif g > M:  # m <= M unless both are NaN, so g < m rules out g > M
+            M = g
+        a, z = b, c
+    return m, M
+
+
 def _finite(values: list[float], what: str) -> list[float]:
     """values, or ValueError when one is inf or NaN (NaN input, or overflow)."""
     if not all(map(math.isfinite, values)):
@@ -167,6 +194,21 @@ def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) ->
     return m_lo, m_hi, M_lo, M_hi
 
 
+def _tolerances(x: Sequence[float]) -> tuple[float, float]:
+    """The full and the first-stage bisection tolerance for the sorted roots x.
+
+    They are BISECTION_REL_TOL * span and span / _FIRST_STAGE, span being
+    x[-1] - x[0].  When the span overflows to inf, each end is scaled before
+    the subtraction instead (c*x[-1] - c*x[0]), which keeps both finite; an
+    inf tolerance would leave every bracket unrefined.
+    """
+    span = x[-1] - x[0]
+    if span == math.inf:
+        return (BISECTION_REL_TOL * x[-1] - BISECTION_REL_TOL * x[0],
+                x[-1] / _FIRST_STAGE - x[0] / _FIRST_STAGE)
+    return BISECTION_REL_TOL * span, span / _FIRST_STAGE
+
+
 def _margin_sign(m: float) -> int:
     """+1 or -1 for a margin decided in floats; 0 when it is within MARGIN_EPS of zero or NaN."""
     if not abs(m) >= MARGIN_EPS:
@@ -190,25 +232,25 @@ def critical_points(x: Sequence[float]) -> list[float]:
     """One derivative root per open interval between consecutive simple roots.
 
     Each enclosure is bisected on the sign of P'/P (see _refine) to absolute
-    half-width at most 1e-12 * (x_n - x_1); interlacing guarantees exactly
+    half-width at most 1e-12 * (x_n - x_1), computed as _tolerances computes
+    it when that span overflows; interlacing guarantees exactly
     one critical point per interval, so the root intervals themselves are
     the initial brackets and no derivative is evaluated at their ends.
     Raises ValueError when a critical point comes out inf or NaN.
     """
     _check_sorted(x, 2)
     lo, hi = list(x[:-1]), list(x[1:])
-    _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
+    _refine(x, lo, hi, _tolerances(x)[0])
     return _finite([0.5 * (a + b) for a, b in zip(lo, hi)], "critical points")
 
 
-def _report(x: list[float], z: list[float], lo: list[float], hi: list[float]) -> GapReport:
+def _report(x: list[float], lo: list[float], hi: list[float]) -> GapReport:
     """The GapReport whose critical points are the centres of the brackets."""
     xi = [0.5 * (a + b) for a, b in zip(lo, hi)]
     x_gaps = [b - a for a, b in zip(x, x[1:])]
-    z_gaps = [b - a for a, b in zip(z, z[1:])]
     xi_gaps = [b - a for a, b in zip(xi, xi[1:])]
 
-    m_tilde, M_tilde = min(z_gaps), max(z_gaps)
+    m_tilde, M_tilde = _midpoint_gap_extrema(x)
     m_prime, M_prime = min(xi_gaps), max(xi_gaps)
     left = m_prime - m_tilde
     right = M_tilde - M_prime
@@ -221,7 +263,7 @@ def _report(x: list[float], z: list[float], lo: list[float], hi: list[float]) ->
         )
     return GapReport(
         x=tuple(x),
-        z=tuple(z),
+        z=tuple(_midpoints(x)),
         xi=tuple(xi),
         xi_halfwidth=tuple(0.5 * (b - a) for a, b in zip(lo, hi)),
         m_p=min(x_gaps),
@@ -247,8 +289,27 @@ def gap_report(x: Sequence[float]) -> GapReport:
     x = [float(v) for v in x]
     _check_sorted(x, 3)
     lo, hi = x[:-1], x[1:]
-    _refine(x, lo, hi, BISECTION_REL_TOL * (x[-1] - x[0]))
-    return _report(x, _midpoints(x), lo, hi)
+    _refine(x, lo, hi, _tolerances(x)[0])
+    return _report(x, lo, hi)
+
+
+def _orientation(target: str) -> tuple[float, float, int, int, int, int]:
+    """(sl, sr, l_near, l_far, r_near, r_far): how match orients each margin toward target.
+
+    sl and sr are +1.0 for a "+" side and -1.0 for a "-" side.  The left
+    margin lies in [m_lo - m_tilde, m_hi - m_tilde] and the right in
+    [M_tilde - M_hi, M_tilde - M_lo]; the four indices point into _refine's
+    (m_lo, m_hi, M_lo, M_hi) at each side's near bound, the one that
+    favours the target most, and its far bound.
+    """
+    sl = 1.0 if target[1] == "+" else -1.0
+    sr = 1.0 if target[3] == "+" else -1.0
+    l_near, l_far = (1, 0) if sl > 0 else (0, 1)
+    r_near, r_far = (2, 3) if sr > 0 else (3, 2)
+    return sl, sr, l_near, l_far, r_near, r_far
+
+
+_ORIENTATION = {target: _orientation(target) for target in GAP_CLASSES}
 
 
 def match(x: list[float], target: str) -> GapReport | None:
@@ -260,9 +321,13 @@ def match(x: list[float], target: str) -> GapReport | None:
     from anywhere else goes through gap_report, which validates it.
 
     None also stands for the inputs gap_report rejects with
-    DegenerateMarginError.  The brackets start as the root intervals and are
+    DegenerateMarginError.  Before any bisection, match reads the target's
+    orientation from _ORIENTATION, built from GAP_CLASSES at import, and
+    m_tilde and M_tilde from _midpoint_gap_extrema's one pass over x, which
+    _report shares.  The brackets start as the root intervals and are
     refined in stages of tolerance (x_n - x_1) / _FIRST_STAGE, then a factor
-    _STAGE_FACTOR smaller each stage.  Each stage's _refine returns bounds on
+    _STAGE_FACTOR smaller each stage (see _tolerances for a span that
+    overflows).  Each stage's _refine returns bounds on
     the min and max critical gap, and so on both margins: float subtraction
     and min/max are monotone, so the bounds hold the margins that full
     refinement computes.  Each margin is oriented toward the target's sign,
@@ -275,20 +340,10 @@ def match(x: list[float], target: str) -> GapReport | None:
     which visits the same midpoints whatever the schedule, and the report is
     built from them exactly as gap_report builds it.
     """
-    # the left margin lies in [m_lo - m_tilde, m_hi - m_tilde] and the right
-    # in [M_tilde - M_hi, M_tilde - M_lo]; indices into _refine's
-    # (m_lo, m_hi, M_lo, M_hi) of each side's near and far bound
-    sl = 1.0 if target[1] == "+" else -1.0
-    sr = 1.0 if target[3] == "+" else -1.0
-    l_near, l_far = (1, 0) if sl > 0 else (0, 1)
-    r_near, r_far = (2, 3) if sr > 0 else (3, 2)
+    sl, sr, l_near, l_far, r_near, r_far = _ORIENTATION[target]
     lo, hi = x[:-1], x[1:]
-    z = _midpoints(x)
-    z_gaps = [b - a for a, b in zip(z, z[1:])]
-    m_tilde, M_tilde = min(z_gaps), max(z_gaps)
-    span = x[-1] - x[0]
-    full = BISECTION_REL_TOL * span
-    tol = span / _FIRST_STAGE
+    m_tilde, M_tilde = _midpoint_gap_extrema(x)
+    full, tol = _tolerances(x)
     while tol > full:
         bounds = _refine(x, lo, hi, tol)
         if not (sl * (bounds[l_near] - m_tilde) >= MARGIN_EPS
@@ -300,7 +355,7 @@ def match(x: list[float], target: str) -> GapReport | None:
         tol /= _STAGE_FACTOR
     _refine(x, lo, hi, full)
     try:
-        report = _report(x, z, lo, hi)
+        report = _report(x, lo, hi)
     except DegenerateMarginError:
         return None
     return report if report.gap_class == target else None

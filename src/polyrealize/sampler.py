@@ -407,22 +407,29 @@ def _value_draw_count(d: int, strategy: Strategy) -> int:
 def _sorted_values(d: int, cfg: SearchConfig, u: list[float], signed: bool):
     """An attempt's d values in ascending order, or None when one is zero or two tie.
 
-    The values lie on (0, ell], or on [-ell, ell) when signed; a Mixture may
-    shrink some.  A rejected attempt consumes its index.  For moduli,
-    `_moduli_front` is the column form; it tests no zero, as a zero modulus
-    makes a_d zero, which the sign word rejects.
+    The values lie on (0, ell], or on [-ell, ell) when signed: each is
+    s * (1 - v), or s * (2*v - 1), for its position draw v.  Under a Mixture
+    a choice draw per value makes s narrow_scale or ell; otherwise s is ell
+    for every value and the d draws are all position draws, scaled directly
+    with the same float operations.  A rejected attempt consumes its index.
+    For moduli, `_moduli_front` is the column form; it tests no zero, as a
+    zero modulus makes a_d zero, which the sign word rejects.
     """
     strategy = cfg.strategy
     if isinstance(strategy, Mixture):
         ns, frac = cfg.narrow_scale, strategy.narrow_fraction
         scales = [ns if u[2 * j] < frac else cfg.ell for j in range(d)]
         u = u[1::2]
+        if signed:
+            xs = [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
+        else:
+            xs = [s * (1.0 - x) for s, x in zip(scales, u)]
     else:
-        scales = [cfg.ell] * d
-    if signed:
-        xs = [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
-    else:
-        xs = [s * (1.0 - x) for s, x in zip(scales, u)]
+        ell = cfg.ell
+        if signed:
+            xs = [ell * (2.0 * x - 1.0) for x in u]
+        else:
+            xs = [ell * (1.0 - x) for x in u]
     distinct = set(xs)
     if len(distinct) < d or 0.0 in distinct:
         return None

@@ -339,6 +339,60 @@ class TestSignOnlyKernel:
             gap_report([1e-200, 2e-200, 3e-200])
 
 
+def _gap_extrema_of_midpoints(xs):
+    z = criticalgaps._midpoints(xs)
+    z_gaps = [b - a for a, b in zip(z, z[1:])]
+    return min(z_gaps), max(z_gaps)
+
+
+class TestMidpointGapExtrema:
+    def test_equals_min_and_max_of_the_midpoint_gaps(self):
+        for d in range(3, 13):
+            for ell in ELLS:
+                for case in range(300):
+                    xs = random_distinct_sorted(800 + d, case, d, spread=ell)
+                    got = criticalgaps._midpoint_gap_extrema(xs)
+                    assert _bits(got) == _bits(_gap_extrema_of_midpoints(xs)), (d, ell, case)
+
+    @pytest.mark.parametrize(
+        "xs",
+        [
+            HUGE_ROOTS,  # every midpoint is inf, so every gap is NaN
+            [0.0, 1.0, math.nan, 2.0, 3.0],  # NaN gaps first
+            [0.0, 1.0, 2.0, 3.0, math.nan],  # a NaN gap after finite ones
+            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],  # all gaps equal
+            [0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0],  # the min and max each tie
+            [1.0, math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)],
+            [0.0, 0.0, -0.0, -0.0],  # gaps 0.0 then -0.0
+            [0.0, -0.0, -0.0, -0.0],  # gaps -0.0 then 0.0
+        ],
+        ids=["huge", "nan-first", "nan-last", "equal", "ties", "adjacent-floats",
+             "zero-then-negative-zero", "negative-zero-then-zero"],
+    )
+    def test_keeps_min_and_max_nan_and_tie_rule(self, xs):
+        got = criticalgaps._midpoint_gap_extrema(xs)
+        assert _bits(got) == _bits(_gap_extrema_of_midpoints(xs))
+
+
+
+class TestOrientationTable:
+    def test_follows_the_class_strings(self):
+        # with bounds (m_lo, m_hi, M_lo, M_hi) = (1, 2, 3, 4) and m_tilde =
+        # M_tilde = 0, the left margin at index i is bounds[i] and the right
+        # one -bounds[i]; a side's near bound gives the margin most favourable
+        # to the target's sign, its far bound the least
+        bounds = (1.0, 2.0, 3.0, 4.0)
+        assert set(criticalgaps._ORIENTATION) == set(GAP_CLASSES)
+        for target in GAP_CLASSES:
+            sl = {"+": 1.0, "-": -1.0}[target[1]]
+            sr = {"+": 1.0, "-": -1.0}[target[3]]
+            l_near = max((0, 1), key=lambda i: sl * bounds[i])
+            r_near = max((2, 3), key=lambda i: sr * -bounds[i])
+            want = (sl, sr, l_near, 1 - l_near, r_near, 5 - r_near)
+            got = criticalgaps._ORIENTATION[target]
+            assert got == want and all(type(v) is type(w) for v, w in zip(got, want)), target
+
+
 def _margins(xs):
     """gap_report's two margins, also where it would call them degenerate."""
     z = midpoints(xs)
@@ -535,3 +589,56 @@ class TestMatch:
     def test_found_report_is_gap_report(self):
         assert match(GAP_D6_ROOTS, "L-R+") == gap_report(GAP_D6_ROOTS)
         assert match(GAP_D6_ROOTS, "L+R+") is None
+
+
+# finite roots and midpoints whose span x_n - x_1 overflows to inf
+SPAN_OVERFLOW_ROOTS = [-1e308, 0.5, 1e308]
+
+
+def _span_overflow_sets():
+    """Sorted sets whose span x_n - x_1 overflows to inf, four per degree, and SPAN_OVERFLOW_ROOTS.
+
+    The outer roots lie in [-1e308, -9e307] and [9e307, 1e308] and the inner
+    ones in [-1e307, 1e307], so no midpoint overflows.
+    """
+    found = [SPAN_OVERFLOW_ROOTS]
+    for d in range(3, 9):
+        for case in range(4):
+            u = unit_draws(950 + d, case, d)
+            xs = sorted([-9e307 - 1e307 * u[0], 9e307 + 1e307 * u[1]]
+                        + [1e307 * (2.0 * v - 1.0) for v in u[2:]])
+            assert all(a < b for a, b in zip(xs, xs[1:])) and xs[-1] - xs[0] == math.inf
+            found.append(xs)
+    return found
+
+
+class TestSpanOverflow:
+    def test_critical_points_are_refined(self):
+        # the span is inf; an inf tolerance would leave the brackets as the root
+        # intervals and give the midpoints -5e307 and 5e307
+        want = 1e308 / math.sqrt(3.0)
+        assert critical_points(SPAN_OVERFLOW_ROOTS) == pytest.approx([-want, want], rel=1e-12)
+
+    def test_critical_points_scale(self):
+        # scaling by 2**-2 is exact and leaves a finite span; no critical point
+        # lies an overflowing distance from a root, so P'/P keeps every term
+        for xs in _span_overflow_sets():
+            small = [math.ldexp(v, -2) for v in xs]
+            assert small[-1] - small[0] < math.inf
+            got = critical_points(xs)
+            assert all(abs(c - r) < math.inf for c in got for r in xs)
+            assert _bits(got) == _bits([4.0 * v for v in critical_points(small)]), xs
+
+    def test_gap_report_classifies(self):
+        rpt = gap_report(SPAN_OVERFLOW_ROOTS)
+        assert rpt.gap_class == "L+R-"
+        assert rpt.xi == pytest.approx([-1e308 / math.sqrt(3.0), 1e308 / math.sqrt(3.0)], rel=1e-12)
+
+    def test_match_equals_gap_report_then_compare(self):
+        found = 0
+        for xs in _span_overflow_sets():
+            for target in GAP_CLASSES:
+                got = match(xs, target)
+                assert got == _reference_match(xs, target), (xs, target)
+                found += got is not None
+        assert found > 0

@@ -483,13 +483,30 @@ class TestPairColumns:
         assert (chains > 0) == isinstance(strategy, MultiplicityBias)
 
 
+VALUE_STRATEGIES = [
+    Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3), MultiplicityBias(),
+]
+
+
 class TestValueColumns:
-    @pytest.mark.parametrize("strategy", [
-        Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3), MultiplicityBias(),
-    ], ids=repr)
+    @pytest.mark.parametrize("strategy", VALUE_STRATEGIES, ids=repr)
     @pytest.mark.parametrize("signed", [False, True])
     def test_equals_values_at_every_attempt(self, strategy, signed):
-        cfg = SearchConfig(n=1, seed=37, strategy=strategy)
+        self.check_every_attempt(strategy, signed, 1.0)
+
+    @pytest.mark.parametrize("strategy", VALUE_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("signed", [False, True])
+    @pytest.mark.parametrize("ell", [0.7, 2.0**-30, 3e5])
+    def test_equals_values_at_every_attempt_at_other_ell(self, strategy, signed, ell):
+        # a dropped or misplaced ell factor shows only at ell != 1; a set
+        # narrow_scale is 0.05 at ell = 1 and scales with ell, so it stays below it
+        if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
+            strategy = Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
+        self.check_every_attempt(strategy, signed, ell)
+
+    @staticmethod
+    def check_every_attempt(strategy, signed, ell):
+        cfg = SearchConfig(n=1, ell=ell, seed=37, strategy=strategy)
         for d in range(1, 9):
             count = _value_draw_count(d, strategy)
             for b in BLOCK_SIZES:
