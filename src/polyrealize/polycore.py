@@ -7,10 +7,12 @@ against one target word: it rejects on the sign of a_1 before expanding and
 otherwise defers to `sign_tuple`; the pair and moduli searches run it on
 every attempt.
 `sign_word_lanes` is its block form: it tests many attempts at once, one
-float lane per attempt, and returns the lanes whose word is the target.
+float lane per attempt, and returns the lanes whose word is the target.  It
+expands coefficient-major, a_1 of every lane, then a_2, and so on, with
+`expand`'s float operations in `expand`'s order, and drops a lane at its
+first coefficient of the wrong sign.
 The expansion, Horner and derivative kernels are generic over the number
-type: the search loops expand in floats (unit 1.0) and in float lanes
-(`_Lanes`, one float per attempt of a block), and
+type: the search loops expand in floats (unit 1.0), and
 :mod:`polyrealize.certifier` runs all three on Python ints (unit 1) for its
 exact re-verification, over roots scaled to a common denominator.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from operator import add, gt, itemgetter, lt, mul, sub
+from operator import add, gt, itemgetter, lt, sub
 from typing import Sequence
 
 DEFAULT_SIGN_TOLERANCE = 1e-9
@@ -88,11 +90,11 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
 
     Sequential convolution, real factors first, then one quadratic per
     (re, im) pair.  Generic over the number type: `one` is the unit of the
-    arithmetic (1.0, int 1, or a `_Lanes` of 1.0) and the entries must
-    already be of it.  On lanes every lane gets the float expansion of its
-    own roots, bit for bit.  The leading coefficient stays `one`, so the
-    j = 0 term of each factor skips its multiply: x * one is x exactly in
-    every arithmetic here.
+    arithmetic (1.0 or int 1) and the entries must already be of it.  The
+    leading coefficient stays `one`, so the j = 0 term of each factor skips
+    its multiply: x * one is x exactly in both arithmetics.
+    `sign_word_lanes` computes the same float values column by column, in
+    the same order of operations; keep the two in step.
     """
     zero = one - one
     coeffs = [one]
@@ -193,33 +195,93 @@ def has_sign_word(reals: Sequence[float], pairs: Sequence, target: tuple[int, ..
     return sign_tuple(expand(reals, pairs, 1.0)) == target
 
 
-class _Lanes(list):
-    """Floats of many attempts, one per lane; arithmetic acts lane by lane.
+def _gather(keep: list[int]):
+    """Lane gather: col -> the entries of col at the indices in keep, in order."""
+    return itemgetter(*keep) if len(keep) > 1 else lambda col: (col[keep[0]],)
 
-    `+`, `-` and `*` take another `_Lanes` of the same length, and
-    `int * lanes` scales every lane by float(int), which is what int * float
-    computes; each result is a new `_Lanes` whose lane k is the float
-    operation on lane k.  list's `+=` would extend in
-    place, and list's `int * list` would repeat, so both are overridden;
-    `-=` falls back to `-`.  Results are never written in place: `expand`
-    shares one coefficient object between lists.
+
+def _lane_coefficients(reals: Sequence, pairs: Sequence, target: tuple[int, ...]):
+    """The lanes whose a_1 .. a_d all lie strictly on the target's side of 0.0.
+
+    Returns (k, expand(lane k's reals, lane k's pairs, 1.0)) for each such
+    lane k, in ascending k.  Block layout as in `sign_word_lanes`.  a_1 is summed lane by lane in
+    `has_sign_word`'s order and compared with 0.0 as there; the lanes that
+    pass are gathered, and their expansion runs coefficient-major: column m
+    of every factor stage, m = 1 .. d, then the strict-sign test on a_m,
+    which drops a lane at its first wrong sign.  Column m of a stage reads
+    columns m, m - 1 and m - 2 of the stage before, so only those last two
+    are kept.  Each value is the one `expand` computes, with its float
+    operations in its order: the zero a new column starts from is 0.0, the
+    multiply by the leading 1 is skipped, and s = re + re equals 2 * re.
+    The survivors are gathered again only when at most half of the lanes
+    computed on pass a column; otherwise the dead ones ride along, which
+    costs less than moving every kept column.
     """
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        return _Lanes(map(add, self, other))
-
-    def __sub__(self, other):
-        return _Lanes(map(sub, self, other))
-
-    def __mul__(self, other):
-        return _Lanes(map(mul, self, other))
-
-    def __rmul__(self, other):
-        return _Lanes(map(mul, repeat(float(other), len(self)), self))
-
-    __iadd__ = __add__
+    a1 = repeat(0.0, len(reals[0] if reals else pairs[0][0]))
+    for r in reals:
+        a1 = map(sub, a1, r)
+    for re, _ in pairs:
+        a1 = map(sub, a1, map(add, re, re))
+    lane = list(compress(count(), map(gt if target[1] > 0 else lt, a1, repeat(0.0))))
+    if not lane:
+        return []
+    pick = _gather(lane)
+    rs = [pick(r) for r in reals]
+    ss, qs = [], []
+    for re, im in pairs:
+        re, im = pick(re), pick(im)
+        ss.append([x + x for x in re])
+        qs.append([x * x + y * y for x, y in zip(re, im)])
+    nr, d = len(rs), len(rs) + 2 * len(ss)
+    # h1[i] and h2[i]: columns m - 1 and m - 2 of the output stage i reads (the
+    # real stages first, then the pairs), None where that output has none
+    h1 = [None] * (nr + len(ss))
+    h2 = [None] * (nr + len(ss))
+    zeros = repeat(0.0)
+    out = []  # a_1 .. a_m
+    width = len(lane)
+    live = range(width)
+    for m in range(1, d + 1):
+        cur = None  # column m of the output the next stage reads, None while it has none
+        for i in range(m - 1, nr):  # real stage i reads an output of degree i
+            c = zeros if cur is None else cur
+            if m == 1:
+                new = [a - r for a, r in zip(c, rs[i])]
+            else:
+                new = [a - r * b for a, r, b in zip(c, rs[i], h1[i])]
+            h1[i], cur = cur, new
+        for j, (s, q) in enumerate(zip(ss, qs)):
+            i, p = nr + j, nr + 2 * j  # pair stage j reads an output of degree p
+            c = zeros if cur is None else cur
+            if m == 1:
+                new = [a - x for a, x in zip(c, s)]
+            elif m == 2 and p:
+                new = [(a + y) - x * b for a, y, x, b in zip(c, q, s, h1[i])]
+            elif m == 2:
+                new = [a + y for a, y in zip(c, q)]
+            elif m <= p + 1:
+                new = [(a + y * b2) - x * b1 for a, y, b2, x, b1 in zip(c, q, h2[i], s, h1[i])]
+            elif m == p + 2:
+                new = [a + y * b2 for a, y, b2 in zip(c, q, h2[i])]
+            else:
+                new = None
+            h2[i], h1[i], cur = h1[i], cur, new
+        out.append(cur)
+        if m == 1:  # the a_1 test ran before the expansion
+            continue
+        test = gt if target[m] > 0 else lt
+        live = list(compress(live, map(test, cur if len(live) == width
+                                       else map(cur.__getitem__, live), zeros)))
+        if not live:
+            return []
+        if m < d and 2 * len(live) <= width:
+            pick = _gather(live)
+            rs, ss, qs, out = ([pick(c) for c in cols] for cols in (rs, ss, qs, out))
+            h1, h2 = ([c if c is None else pick(c) for c in h] for h in (h1, h2))
+            lane = pick(lane)
+            width = len(live)
+            live = range(width)
+    return [(lane[k], [1.0, *(c[k] for c in out)]) for k in live]
 
 
 def sign_word_lanes(reals: Sequence, pairs: Sequence, target: tuple[int, ...]) -> list[int]:
@@ -227,29 +289,12 @@ def sign_word_lanes(reals: Sequence, pairs: Sequence, target: tuple[int, ...]) -
 
     Column form of `has_sign_word` over a block of attempts: ``reals[j][k]``
     is real root j of lane k and ``pairs[j] = (re, im)`` holds pair j's
-    parts of every lane; there is at least one column.  a_1 is summed lane
-    by lane in `has_sign_word`'s order and compared with 0.0 as there.  The
-    lanes left expand together through `expand` on `_Lanes`.  A lane drops
-    at the first
-    coefficient whose sign is not strictly the target's, which `sign_tuple`
-    could never call the target's (its threshold is positive).
-    `sign_tuple` decides the lanes that remain.
+    parts of every lane; there is at least one column.  `_lane_coefficients`
+    expands the lanes coefficient by coefficient and drops a lane at the
+    first coefficient whose sign is not strictly the target's, which
+    `sign_tuple` could never call the target's (its threshold is positive);
+    `sign_tuple` decides the lanes that remain, on `expand`'s coefficients
+    bit for bit.
     """
-    a1 = repeat(0.0, len(reals[0] if reals else pairs[0][0]))
-    for r in reals:
-        a1 = map(sub, a1, r)
-    for re, _ in pairs:
-        a1 = map(sub, a1, map(add, re, re))
-    keep = list(compress(count(), map(gt if target[1] > 0 else lt, a1, repeat(0.0))))
-    if not keep:
-        return []
-    pick = itemgetter(*keep) if len(keep) > 1 else lambda col: (col[keep[0]],)
-    coeffs = expand(
-        [_Lanes(pick(r)) for r in reals],
-        [(_Lanes(pick(re)), _Lanes(pick(im))) for re, im in pairs],
-        _Lanes(repeat(1.0, len(keep))),
-    )
-    lanes = range(len(keep))
-    for c, t in zip(coeffs[2:], target[2:]):  # c[p] * t > 0.0, as one comparison
-        lanes = [p for p in lanes if c[p] > 0.0] if t > 0 else [p for p in lanes if c[p] < 0.0]
-    return [keep[p] for p in lanes if sign_tuple([c[p] for c in coeffs]) == target]
+    return [k for k, coeffs in _lane_coefficients(reals, pairs, target)
+            if sign_tuple(coeffs) == target]

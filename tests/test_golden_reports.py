@@ -5,10 +5,17 @@ document with the digest recorded when the case was added.  Search reports
 carry the scan's wall time, so outcome.timing.seconds is dropped before
 hashing; everything else in every report is a pure function of the command
 line.  A refactor that must keep reports byte-identical keeps these digests.
+`golden_digests.py` rebuilds the search and sweep reports through the
+library alone, so the same digests can be checked under every supported
+Python without click or pytest.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -101,3 +108,14 @@ def test_report_digest(tmp_path, command, exit_code, digest):
         del doc["outcome"]["timing"]["seconds"]
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_library_script_prints_the_golden_digests():
+    script = Path(__file__).with_name("golden_digests.py")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                         env=env, timeout=600)
+    assert out.returncode == 0, out.stderr
+    printed = dict(line.split() for line in out.stdout.splitlines())
+    assert printed == {p.id: p.values[2] for p in GOLDEN if p.id != "concat"}

@@ -1,6 +1,5 @@
 import itertools
 import math
-import operator
 import random
 import struct
 from fractions import Fraction
@@ -353,14 +352,7 @@ class TestHasSignWord:
 
 # --- the block form: one float lane per attempt ------------------------------
 
-Lanes = polycore._Lanes
 LANE_VALUES = [0.0, -0.0, 1.0, -1.5, 0.1, 3.0, 1e308, -1e308, 5e-324, INF, -INF, math.nan]
-
-
-def lane_pairs():
-    """Every (x, y) of LANE_VALUES, as two lane vectors."""
-    xs, ys = zip(*itertools.product(LANE_VALUES, repeat=2))
-    return list(xs), list(ys)
 
 
 def columns(lanes):
@@ -398,36 +390,75 @@ def threshold_lanes():
     return out
 
 
+def strict_signs(coeffs):
+    """Signs of a_1 .. a_d, or None when one is zero or NaN (no strict sign)."""
+    out = []
+    for c in coeffs[1:]:
+        if c > 0.0:
+            out.append(1)
+        elif c < 0.0:
+            out.append(-1)
+        else:
+            return None
+    return tuple(out)
+
+
+def assert_lane_coefficients_are_the_float_expansion(lanes, targets):
+    # for each target, the kernel keeps exactly the lanes whose a_1 .. a_d have the
+    # target's strict signs, in lane order, each with expand's coefficients bit for bit
+    want = [expand(reals, pairs, 1.0) for reals, pairs in lanes]
+    words = {(1,) + w for w in map(strict_signs, want) if w is not None}
+    cols = columns(lanes)
+    for t in sorted(words | set(targets)):
+        got = polycore._lane_coefficients(*cols, t)
+        assert [k for k, _ in got] == [k for k, c in enumerate(want)
+                                       if strict_signs(c) == t[1:]], t
+        for k, coeffs in got:
+            assert bits(coeffs) == bits(want[k]), (k, t)
+
+
+# the shapes above, plus degree 1, pairs only and a moduli search's degree 7
+KERNEL_SHAPES = SHAPES + [(0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 2, 0), (3, 4, 0)]
+
+
+def grid_lanes(pos, neg, npairs):
+    """Ordinary lanes of the shape with two of their root parts (one, at degree 1) set
+    to every pair of LANE_VALUES, for each two parts."""
+    nreals = pos + neg
+    parts = nreals + 2 * npairs
+    lanes = []
+    for spot in itertools.combinations(range(parts), min(parts, 2)):
+        for values in itertools.product(LANE_VALUES, repeat=len(spot)):
+            reals, pairs = fillers([0.0] * nreals, [(0.0, 0.0)] * npairs, 1, seed=len(lanes))[0]
+            flat = reals + [v for pair in pairs for v in pair]
+            for i, v in zip(spot, values):
+                flat[i] = v
+            lanes.append((flat[:nreals], list(zip(flat[nreals::2], flat[nreals + 1::2]))))
+    return lanes
+
+
 class TestSignWordLanes:
-    @pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
-                                    operator.iadd, operator.isub], ids=lambda f: f.__name__)
-    def test_lane_arithmetic_agrees_with_floats(self, op):
-        xs, ys = lane_pairs()
-        a, b = Lanes(xs), Lanes(ys)
-        got = op(a, b)
-        assert type(got) is Lanes and got is not a
-        assert bits(got) == bits(map(op, xs, ys))
-        assert bits(a) == bits(xs)  # the in-place forms leave the operand as it was
-
-    @pytest.mark.parametrize("k", [2, 1, -1, 0, 3])
-    def test_int_times_lanes_agrees_with_floats(self, k):
-        a = Lanes(LANE_VALUES)
-        got = k * a
-        assert type(got) is Lanes and len(got) == len(LANE_VALUES)
-        assert bits(got) == bits(k * x for x in LANE_VALUES)
-
-    @pytest.mark.parametrize("shape", SHAPES, ids=str)
-    def test_expand_on_lanes_is_the_float_expansion(self, shape):
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
+    def test_lane_coefficients_are_the_float_expansion(self, shape):
+        # engine draws of blocks of 64 and 3 lanes, every word of degree <= 4
         pos, neg, npairs = shape
-        cfg = SearchConfig(n=1, seed=5, strategy=Mixture())
-        b = 64
-        u = _unit_block(cfg.seed, 1, b, _pair_draw_count(pos, neg, npairs, cfg.strategy))
-        reals, pairs = _pair_columns(pos, neg, npairs, cfg, u, b)
-        got = expand([Lanes(r) for r in reals],
-                     [(Lanes(re), Lanes(im)) for re, im in pairs], Lanes([1.0] * b))
-        for k in range(b):
-            lane = expand([r[k] for r in reals], [(re[k], im[k]) for re, im in pairs], 1.0)
-            assert bits(c[k] for c in got) == bits(lane)
+        d = pos + neg + 2 * npairs
+        for strategy in (Mixture(), Uniform()):
+            cfg = SearchConfig(n=1, seed=5, strategy=strategy)
+            count = _pair_draw_count(pos, neg, npairs, strategy)
+            for b in (64, 3):
+                u = _unit_block(cfg.seed, 1, b, count)
+                lanes = [_pair_roots(pos, neg, npairs, cfg, u[k::b]) for k in range(b)]
+                assert_lane_coefficients_are_the_float_expansion(
+                    lanes, all_words(d) if d <= 4 else [])
+
+    @pytest.mark.parametrize("shape", [s for s in KERNEL_SHAPES if sum(s) <= 4], ids=str)
+    def test_lane_coefficients_on_the_lane_values_grid(self, shape):
+        # +-0.0, +-inf, NaN, 5e-324 and +-1e308 in every two root parts of a lane
+        pos, neg, npairs = shape
+        d = pos + neg + 2 * npairs
+        assert_lane_coefficients_are_the_float_expansion(
+            grid_lanes(pos, neg, npairs), all_words(d) if d <= 4 else [])
 
     @pytest.mark.parametrize("strategy", [Uniform(), Mixture(), MultiplicityBias()],
                              ids=lambda s: type(s).__name__)

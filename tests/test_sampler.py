@@ -19,7 +19,13 @@ from polyrealize.certifier import (
     rationalize_value,
 )
 from polyrealize.criticalgaps import gap_report, match
-from polyrealize.moduliorders import ModuliCouple, ModuliOrder, order_from_roots, parse_order
+from polyrealize.moduliorders import (
+    ModuliCouple,
+    ModuliOrder,
+    enumerate_orders,
+    order_from_roots,
+    parse_order,
+)
 from polyrealize.polycore import RootSpec, expand_from_roots, has_sign_word, sign_tuple
 from polyrealize.report import config_json
 from polyrealize.sampler import (
@@ -723,6 +729,66 @@ def test_moduli_lanes_reject_tied_attempts_as_the_per_attempt_path_does(monkeypa
     assert lanes.found and lanes.attempt_index > 256  # inside a block with tied lanes
     assert (lanes.status, lanes.attempts, lanes.attempt_index, lanes.spec, lanes.certificate) == (
         each.status, each.attempts, each.attempt_index, each.spec, each.certificate)
+
+
+def engine_stages(search, *args):
+    """(count, cfg, attempt, lanes, front): what `search(*args)` hands `_scan`."""
+    handed = []
+
+    def capture(count, cfg, attempt, certify, lanes=None, front=None):
+        handed.append((count, cfg, attempt, lanes, front))
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampler, "_scan", capture)
+        search(*args)
+    (stages,) = handed
+    return stages
+
+
+def assert_lane_stage_is_the_attempt_stage(stages, blocks):
+    """On each (first, b) block, the lane stage's candidates are those of the
+    per-attempt stage run lane by lane; returns how many there were."""
+    count, cfg, attempt, lanes, front = stages
+    found = 0
+    for first, b in blocks:
+        u = _unit_block(cfg.seed, first, b, count)
+        want = [(k, c) for k, c in ((k, attempt(u[k::b])) for k in range(b)) if c is not None]
+        assert list(lanes(u if front is None else front[1](u, b), b)) == want, (first, b)
+        found += len(want)
+    return found
+
+
+def scan_blocks(n):
+    """The (first, b) blocks `_scan` draws for a budget of n attempts."""
+    first, size = 1, 1
+    while first <= n:
+        yield first, min(size, n - first + 1)
+        first += size
+        size = min(2 * size, sampler._BLOCK_CAP)
+
+
+# moduli fronts of 8, 16, 64 and 256 attempts, and the 245-attempt tail of a budget of 500
+MODULI_LANE_BLOCKS = [(8, 8), (16, 16), (64, 64), (256, 256), (256, 245)]
+
+
+@pytest.mark.parametrize("strategy", [Mixture(narrow_scale=0.05), Uniform()], ids=repr)
+def test_moduli_lane_stage_equals_attempt_stage_at_degree_7(strategy):
+    # every order with 3 P's and 4 N's, sigma = runs (1,2,3,2): degree-7 lanes, most of
+    # them dropped at a_1, a_2 or a_3
+    sigma = from_runs((1, 2, 3, 2))
+    cfg = SearchConfig(n=1, seed=2024, strategy=strategy)
+    found = sum(assert_lane_stage_is_the_attempt_stage(
+        engine_stages(search_moduli, sigma, order, cfg), MODULI_LANE_BLOCKS)
+        for order in enumerate_orders(3, 4))
+    assert found > 0
+
+
+@pytest.mark.parametrize("word, pair", [("+---+", (0, 2)), ("++-++", (2, 0))])
+def test_pair_lane_stage_equals_attempt_stage_on_never_realized_couples(word, pair):
+    # the degree-4 couples no search realizes, over their first 20 000 attempts
+    cfg = SearchConfig(n=20_000, seed=2024)
+    stages = engine_stages(search_pair, parse_pattern(word), RootCountPair(*pair), cfg)
+    assert_lane_stage_is_the_attempt_stage(stages, scan_blocks(cfg.n))
 
 
 def reference_float_hits(kind, args, cfg):
