@@ -120,7 +120,9 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
 def expand_real(roots: Sequence[float]) -> list[float]:
     """Descending coefficients of the monic product of (x - r); no validation.
 
-    Used directly by the gap machinery, where a zero root is legitimate.
+    Nothing in the package calls it: kept only because the benchmark replay
+    (perfbench/replay.py) and two tests still call it; delete it once they
+    stop doing so.
     """
     return expand(roots, (), 1.0)
 

@@ -10,12 +10,14 @@ with budget n returns what the first n attempts of any larger budget return.
 
 Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs), moduli search (draw
-d positives, sort, negate where the target order says N), and gap-class
-search (draw d distinct reals and test their critical-point gaps against the
-target class, which stops refining once that class is ruled out).  An engine
-hands `_scan` three stages: a per-attempt float stage, which takes one
-attempt's unit draws and returns None or a float candidate; for the pair and
-moduli engines a lane stage, which returns a whole block's candidates in
+d positives as the real roots of a (d, 0, 0) pair draw, sort, negate where
+the target order says N), and gap-class search (draw d distinct reals and
+test their critical-point gaps against the target class, which stops
+refining once that class is ruled out).  Moduli and gap searches need
+distinct values, so they draw MultiplicityBias as Uniform (`_distinct_draws`).
+An engine hands `_scan` three stages: a per-attempt float stage, which takes
+one attempt's unit draws and returns None or a float candidate; for the pair
+and moduli engines a lane stage, which returns a whole block's candidates in
 lane order; and a certify stage, which turns a candidate into its hit,
 (spec, certificate) or (spec, certificate, gap_report), or rejects it.
 `_scan` alone loops over attempts, certifies candidates in lane order up to
@@ -30,9 +32,9 @@ Their lane stages run on blocks of at least _LANE_MIN attempts, where
 `polycore.sign_word_lanes` returns the attempts whose word is the target,
 the same ones `has_sign_word` accepts.  A pair block draws the roots of all
 its attempts at once (`_pair_columns`).  A moduli block is split in two: its
-front (`_moduli_front`, the column form of `_sorted_values`) does not depend
-on the target order, and the per-order stage negates the N columns and tests
-the lanes.  Smaller blocks, and so searches that hit early, keep the
+front (`_moduli_front`: `_pair_columns`, the tie test and the sort) does not
+depend on the target order, and the per-order stage negates the N columns and
+tests the lanes.  Smaller blocks, and so searches that hit early, keep the
 per-attempt stage.  Inside a sweep (`_shared_blocks`, below), a moduli block
 is tested as lanes from _SHARED_LANE_MIN attempts on: its front is computed
 once for all the sweep's orders, so each order pays only the lane test.
@@ -55,7 +57,7 @@ import time
 from array import array
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
 from itertools import chain, compress, repeat
 from operator import mul, neg, sub
@@ -186,7 +188,8 @@ class MultiplicityBias:
     """A real root repeats the previous same-sign draw with some probability.
 
     Only meaningful for pair searches; moduli and gap searches need distinct
-    values and treat this strategy as Uniform.
+    values and draw as Uniform under it (`_distinct_draws`), while their
+    reports still name this strategy.
     """
 
     dup_probability: float = 0.5
@@ -399,37 +402,23 @@ def draw_rootspec_pair(
     return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
 
 
-def _value_draw_count(d: int, strategy: Strategy) -> int:
-    # a Mixture spends two unit draws per value (narrow/wide choice, position)
-    return 2 * d if isinstance(strategy, Mixture) else d
+def _sorted_values(d: int, cfg: SearchConfig, u: list[float]):
+    """A gap attempt's d values in ascending order, or None when one is zero or two tie.
 
-
-def _sorted_values(d: int, cfg: SearchConfig, u: list[float], signed: bool):
-    """An attempt's d values in ascending order, or None when one is zero or two tie.
-
-    The values lie on (0, ell], or on [-ell, ell) when signed: each is
-    s * (1 - v), or s * (2*v - 1), for its position draw v.  Under a Mixture
-    a choice draw per value makes s narrow_scale or ell; otherwise s is ell
-    for every value and the d draws are all position draws, scaled directly
-    with the same float operations.  A rejected attempt consumes its index.
-    For moduli, `_moduli_front` is the column form; it tests no zero, as a
-    zero modulus makes a_d zero, which the sign word rejects.
+    The values lie on [-ell, ell): each is s * (2*v - 1) for its position draw
+    v.  Under a Mixture a choice draw per value makes s narrow_scale or ell, as
+    `_pair_roots` draws a real root; under Uniform s is ell for every value and
+    the d draws are all position draws, scaled directly with the same float
+    operations.  MultiplicityBias never reaches here (`_distinct_draws`).  A
+    rejected attempt consumes its index.
     """
-    strategy = cfg.strategy
-    if isinstance(strategy, Mixture):
-        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
-        scales = [ns if u[2 * j] < frac else cfg.ell for j in range(d)]
-        u = u[1::2]
-        if signed:
-            xs = [s * (2.0 * x - 1.0) for s, x in zip(scales, u)]
-        else:
-            xs = [s * (1.0 - x) for s, x in zip(scales, u)]
+    if isinstance(cfg.strategy, Mixture):
+        ns, frac, ell = cfg.narrow_scale, cfg.strategy.narrow_fraction, cfg.ell
+        scales = [ns if u[2 * j] < frac else ell for j in range(d)]
+        xs = [s * (2.0 * x - 1.0) for s, x in zip(scales, u[1::2])]
     else:
         ell = cfg.ell
-        if signed:
-            xs = [ell * (2.0 * x - 1.0) for x in u]
-        else:
-            xs = [ell * (1.0 - x) for x in u]
+        xs = [ell * (2.0 * x - 1.0) for x in u]
     distinct = set(xs)
     if len(distinct) < d or 0.0 in distinct:
         return None
@@ -437,26 +426,16 @@ def _sorted_values(d: int, cfg: SearchConfig, u: list[float], signed: bool):
     return xs
 
 
-def _value_columns(d: int, cfg: SearchConfig, u: list[float], b: int, signed: bool):
-    """The values `_sorted_values` draws, before its test and sort, in column form.
+def _distinct_draws(cfg: SearchConfig) -> SearchConfig:
+    """The config a moduli or gap search draws under: MultiplicityBias draws as Uniform.
 
-    For a block of b attempts with unit draws u, returns d columns; column
-    j's lane k is the j-th value drawn from u[k::b], bit for bit the one
-    `_sorted_values` computes: each lane takes the same float operations in
-    the same order.
+    Those searches need d distinct values, so a strategy that repeats a value
+    has no meaning there; every other strategy draws as configured.  Only the
+    draws change: a search certifies, and reports, under the caller's config.
     """
-    col = [u[t:t + b] for t in range(0, len(u), b)]
-    strategy = cfg.strategy
-    if isinstance(strategy, Mixture):
-        ns, frac, ell = cfg.narrow_scale, strategy.narrow_fraction, cfg.ell
-        scales = [[ns if c < frac else ell for c in col[2 * j]] for j in range(d)]
-        col = col[1::2]
-    else:
-        scales = [[cfg.ell] * b] * d
-    if signed:
-        return [list(map(mul, s, map(sub, map(mul, repeat(2.0, b), x), repeat(1.0, b))))
-                for s, x in zip(scales, col)]
-    return [list(map(mul, s, map(sub, repeat(1.0, b), x))) for s, x in zip(scales, col)]
+    if isinstance(cfg.strategy, MultiplicityBias):
+        return replace(cfg, strategy=Uniform())
+    return cfg
 
 
 # --- the scan loop ----------------------------------------------------------
@@ -593,12 +572,14 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
 def _moduli_front(d: int, cfg: SearchConfig, u: list[float], b: int) -> array:
     """The order-independent part of a moduli-search block of b attempts.
 
-    Each lane's d moduli are drawn as `_sorted_values` draws them, lanes
-    with tied moduli are dropped, and the rest are sorted.  With m lanes
-    kept, the result holds their lane indices, then column j of the sorted
-    moduli for j = 0 .. d-1, each m long.
+    Each lane's d moduli are the positive real roots of a (d, 0, 0) pair
+    draw, taken from `_pair_columns`; lanes with tied moduli are dropped, and
+    the rest are sorted, as the per-attempt stage does.  No zero test is
+    needed: a zero modulus makes a_d zero, which the sign word rejects.
+    With m lanes kept, the result holds their lane indices, then column j of
+    the sorted moduli for j = 0 .. d-1, each m long.
     """
-    rows = list(zip(*_value_columns(d, cfg, u, b, signed=False)))
+    rows = list(zip(*_pair_columns(d, 0, 0, cfg, u, b)[0]))
     kept = list(compress(range(b), map(d.__eq__, map(len, map(set, rows)))))
     return array("d", chain(kept, *zip(*map(sorted, map(rows.__getitem__, kept)))))
 
@@ -609,11 +590,13 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     d = order.degree
     target = sigma.signs
     letters = order.word
+    draw_cfg = _distinct_draws(cfg)
 
     def attempt(u: list[float]):
-        mods = _sorted_values(d, cfg, u, signed=False)
-        if mods is None:
+        mods = _pair_roots(d, 0, 0, draw_cfg, u)[0]
+        if len(set(mods)) < d:  # no zero test, as in _moduli_front
             return None
+        mods.sort()
         roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
         # a_1 = sum of N-moduli - sum of P-moduli, the quantity forcing_test reasons about
         if not has_sign_word(roots, (), target):
@@ -627,8 +610,8 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
         return ((int(data[k]), RootSpec(real_roots=tuple(r[k] for r in roots)))
                 for k in sign_word_lanes(roots, (), target))
 
-    front = (d, partial(_moduli_front, d, cfg))
-    return _scan(_value_draw_count(d, cfg.strategy), cfg, attempt,
+    front = (d, partial(_moduli_front, d, draw_cfg))
+    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, attempt,
                  partial(_certified_hit, claim, cfg), lanes, front)
 
 
@@ -638,9 +621,10 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
         raise ValueError("need degree >= 3")
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
+    draw_cfg = _distinct_draws(cfg)
 
     def attempt(u: list[float]):
-        xs = _sorted_values(d, cfg, u, signed=True)
+        xs = _sorted_values(d, draw_cfg, u)
         if xs is None:
             return None
         report = match(xs, target)
@@ -655,4 +639,4 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             return None
         return RootSpec(real_roots=tuple(xs)), cert, report
 
-    return _scan(_value_draw_count(d, cfg.strategy), cfg, attempt, certify)
+    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, attempt, certify)

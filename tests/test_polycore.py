@@ -30,12 +30,11 @@ from polyrealize.sampler import (
     MultiplicityBias,
     SearchConfig,
     Uniform,
+    _distinct_draws,
     _pair_columns,
     _pair_draw_count,
     _pair_roots,
-    _sorted_values,
     _unit_block,
-    _value_draw_count,
     attempt_unit_draws,
     draw_rootspec_pair,
 )
@@ -343,8 +342,9 @@ class TestHasSignWord:
             assert a1_sum(reals, pairs) == expand(reals, pairs, 1.0)[1]
             assert_matches_reference(reals, pairs, all_words(pos + neg + 2 * npairs))
             d = 3 + attempt % 3
-            u = attempt_unit_draws(cfg.seed, attempt, _value_draw_count(d, strategy))
-            mods = _sorted_values(d, cfg, u, signed=False)
+            draw = _distinct_draws(cfg)
+            u = attempt_unit_draws(cfg.seed, attempt, _pair_draw_count(d, 0, 0, draw.strategy))
+            mods = sorted(_pair_roots(d, 0, 0, draw, u)[0])
             roots = [m if (attempt >> j) & 1 else -m for j, m in enumerate(mods)]
             assert a1_sum(roots, ()) == expand(roots, (), 1.0)[1]
             assert_matches_reference(roots, (), all_words(d))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from polyrealize import certifier, polycore, sampler
+from polyrealize import certifier, polycore, sampler, sweeps
 from polyrealize.certifier import (
     Certificate,
     certify_couple,
@@ -34,6 +34,7 @@ from polyrealize.sampler import (
     ParityMismatchError,
     SearchConfig,
     Uniform,
+    _distinct_draws,
     _moduli_front,
     _pair_columns,
     _pair_draw_count,
@@ -41,8 +42,6 @@ from polyrealize.sampler import (
     _scan,
     _sorted_values,
     _unit_block,
-    _value_columns,
-    _value_draw_count,
     attempt_unit_draws,
     draw_rootspec_pair,
     search_gap_class,
@@ -463,13 +462,36 @@ COLUMN_SHAPES = [(pos, neg, (d - pos - neg) // 2)
                  if (d - pos - neg) % 2 == 0]
 
 
+PAIR_STRATEGIES = [
+    Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3),
+    MultiplicityBias(), MultiplicityBias(dup_probability=0.9),
+]
+OTHER_ELLS = [0.7, 2.0**-30, 3e5]
+
+
+def at_ell(strategy, ell):
+    """`strategy` for a config at scale ell: a set narrow_scale (0.05 at ell = 1)
+    scales with ell, so it stays below ell."""
+    if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
+        return Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
+    return strategy
+
+
 class TestPairColumns:
-    @pytest.mark.parametrize("strategy", [
-        Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3),
-        MultiplicityBias(), MultiplicityBias(dup_probability=0.9),
-    ], ids=repr)
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
     def test_equals_pair_roots_at_every_attempt(self, strategy):
-        cfg = SearchConfig(n=1, seed=31, strategy=strategy)
+        self.check_every_attempt(strategy, 1.0)
+
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("ell", OTHER_ELLS)
+    def test_equals_pair_roots_at_every_attempt_at_other_ell(self, strategy, ell):
+        # a dropped or misplaced ell factor shows only at ell != 1
+        self.check_every_attempt(at_ell(strategy, ell), ell)
+
+    @staticmethod
+    def check_every_attempt(strategy, ell):
+        # COLUMN_SHAPES holds every (d, 0, 0) shape the moduli front draws
+        cfg = SearchConfig(n=1, ell=ell, seed=31, strategy=strategy)
         chains = 0  # lanes where a root repeats the root two places before it
         for pos, neg, npairs in COLUMN_SHAPES:
             count = _pair_draw_count(pos, neg, npairs, strategy)
@@ -489,41 +511,34 @@ class TestPairColumns:
         assert (chains > 0) == isinstance(strategy, MultiplicityBias)
 
 
-VALUE_STRATEGIES = [
-    Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3), MultiplicityBias(),
-]
+class TestValueDraws:
+    """Moduli and gap values, attempt by attempt, against `reference_values`."""
 
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
+    def test_equal_the_reference_at_every_attempt(self, strategy):
+        self.check_every_attempt(strategy, 1.0)
 
-class TestValueColumns:
-    @pytest.mark.parametrize("strategy", VALUE_STRATEGIES, ids=repr)
-    @pytest.mark.parametrize("signed", [False, True])
-    def test_equals_values_at_every_attempt(self, strategy, signed):
-        self.check_every_attempt(strategy, signed, 1.0)
-
-    @pytest.mark.parametrize("strategy", VALUE_STRATEGIES, ids=repr)
-    @pytest.mark.parametrize("signed", [False, True])
-    @pytest.mark.parametrize("ell", [0.7, 2.0**-30, 3e5])
-    def test_equals_values_at_every_attempt_at_other_ell(self, strategy, signed, ell):
-        # a dropped or misplaced ell factor shows only at ell != 1; a set
-        # narrow_scale is 0.05 at ell = 1 and scales with ell, so it stays below it
-        if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
-            strategy = Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
-        self.check_every_attempt(strategy, signed, ell)
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
+    @pytest.mark.parametrize("ell", OTHER_ELLS)
+    def test_equal_the_reference_at_every_attempt_at_other_ell(self, strategy, ell):
+        self.check_every_attempt(at_ell(strategy, ell), ell)
 
     @staticmethod
-    def check_every_attempt(strategy, signed, ell):
+    def check_every_attempt(strategy, ell):
+        # the engines draw under _distinct_draws(cfg); reference_values draws a
+        # MultiplicityBias as Uniform on its own
         cfg = SearchConfig(n=1, ell=ell, seed=37, strategy=strategy)
+        draw = _distinct_draws(cfg)
         for d in range(1, 9):
-            count = _value_draw_count(d, strategy)
-            for b in BLOCK_SIZES:
-                first = 1 + 10 * d
-                u = _unit_block(cfg.seed, first, b, count)
-                cols = _value_columns(d, cfg, u, b, signed)
-                assert len(cols) == d and all(len(c) == b for c in cols)
-                for k in range(b):
-                    lane = [c[k] for c in cols]
-                    assert bits(lane) == bits(reference_values(d, cfg, first + k, signed))
-                    assert bits(_sorted_values(d, cfg, u[k::b], signed)) == bits(sorted(lane))
+            first, b = 1 + 10 * d, 256
+            u = _unit_block(cfg.seed, first, b, _pair_draw_count(d, 0, 0, draw.strategy))
+            for k in range(b):
+                mods = _pair_roots(d, 0, 0, draw, u[k::b])[0]
+                assert bits(mods) == bits(reference_values(d, cfg, first + k, signed=False))
+                xs = reference_values(d, cfg, first + k, signed=True)
+                want = None if 0.0 in xs or len(set(xs)) < d else bits(sorted(xs))
+                got = _sorted_values(d, draw, u[k::b])
+                assert (got if got is None else bits(got)) == want
 
 
 def reference_values(d, cfg, i, signed):
@@ -615,6 +630,43 @@ def test_block_schedule_matches_attempt_by_attempt_scan(kind, args, strategy, se
         else:
             assert (out.status, out.attempts, out.attempt_index) == ("exhausted", n, None)
             assert out.spec is None and out.certificate is None
+
+
+# (kind, args, seed, first Uniform hit within 400 attempts): moduli hits in lane
+# blocks 64..127, 128..255 and 256..511, gap hits past 64, and an exhaustion of each
+BIAS_CASES = [
+    ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("NPNPNNP")), 1, 115),
+    ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN")), 1, 209),
+    ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("PNNPNNP")), 1, 377),
+    ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("PPPNNNN")), 1, None),
+    ("gap", (6, "L-R+"), 5, 221),
+    ("gap", (5, "L-R-"), 5, 131),
+    ("gap", (5, "L-R+"), 1, None),
+]
+BIASES = [MultiplicityBias(), MultiplicityBias(dup_probability=0.9)]
+
+
+def outcome_fields(out):
+    return out.status, out.attempts, out.attempt_index, out.spec, out.certificate, out.gap
+
+
+@pytest.mark.parametrize("bias", BIASES, ids=repr)
+@pytest.mark.parametrize("kind, args, seed, first_hit", BIAS_CASES)
+def test_moduli_and_gap_searches_draw_multiplicity_bias_as_uniform(kind, args, seed, first_hit,
+                                                                   bias):
+    twin = ENGINES[kind](*args, SearchConfig(n=400, seed=seed))
+    out = ENGINES[kind](*args, SearchConfig(n=400, seed=seed, strategy=bias))
+    assert twin.attempt_index == first_hit
+    assert outcome_fields(out) == outcome_fields(twin)
+
+
+def test_moduli_sweep_draws_multiplicity_bias_as_uniform():
+    # inside a sweep the fronts are shared and blocks from 8 attempts on are lanes
+    sigma = from_runs((1, 2, 3, 2))
+    twin = sweeps.sweep_moduli(sigma, SearchConfig(n=400, seed=1))
+    out = sweeps.sweep_moduli(sigma, SearchConfig(n=400, seed=1, strategy=MultiplicityBias()))
+    assert out.rows == twin.rows and twin.totals["realized"] > 0
+    assert out.config.strategy == MultiplicityBias()
 
 
 def test_pair_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
@@ -711,13 +763,13 @@ def test_moduli_front_keeps_untied_lanes_sorted():
     for d in (2, 5, 7):
         u = tie_every_third_attempt(_unit_block)(cfg.seed, 64, 100, d)
         front = _moduli_front(d, cfg, u, 100)
-        rows = [_sorted_values(d, cfg, u[k::100], signed=False) for k in range(100)]
+        rows = [_pair_roots(d, 0, 0, cfg, u[k::100])[0] for k in range(100)]
         kept = [k for k in range(100) if k % 3]
-        assert kept == [k for k, row in enumerate(rows) if row is not None]
+        assert kept == [k for k, row in enumerate(rows) if len(set(row)) == d]
         m = len(kept)
         assert len(front) == (d + 1) * m and front[:m].tolist() == kept
         for p, k in enumerate(kept):
-            assert bits(front[j * m + p] for j in range(1, d + 1)) == bits(rows[k])
+            assert bits(front[j * m + p] for j in range(1, d + 1)) == bits(sorted(rows[k]))
 
 
 def test_moduli_lanes_reject_tied_attempts_as_the_per_attempt_path_does(monkeypatch):
