@@ -48,15 +48,14 @@ def _pairs(*quads: tuple[float, float]) -> tuple[tuple[float, float], ...]:
     return tuple(out)
 
 
-def _pair_fixture(id, runs, pair, reals, quads, printed, source, notes=(), stated=None,
-                  exempt=False):
-    couple = PairCouple(from_runs(runs), RootCountPair(*pair))
+def _fixture(id, couple, spec, printed, source, notes, stated=None, exempt=False):
+    """The Fixture entry storing `spec` as the witness for `couple`."""
     return CatalogEntry(
         id=id,
         kind="Fixture",
         title=f"witness for {couple}",
         payload={
-            "spec": RootSpec(real_roots=reals, complex_pairs=_pairs(*quads)),
+            "spec": spec,
             "couple": couple,
             "stated_couple": stated if stated is not None else couple,
             "printed_coeffs": tuple(printed),
@@ -67,22 +66,16 @@ def _pair_fixture(id, runs, pair, reals, quads, printed, source, notes=(), state
     )
 
 
+def _pair_fixture(id, runs, pair, reals, quads, printed, source, notes=(), stated=None,
+                  exempt=False):
+    couple = PairCouple(from_runs(runs), RootCountPair(*pair))
+    spec = RootSpec(real_roots=reals, complex_pairs=_pairs(*quads))
+    return _fixture(id, couple, spec, printed, source, notes, stated, exempt)
+
+
 def _moduli_fixture(id, runs, bracket, roots, printed, source, notes=()):
     couple = ModuliCouple(from_runs(runs), ModuliOrder.from_bracket(bracket))
-    return CatalogEntry(
-        id=id,
-        kind="Fixture",
-        title=f"witness for {couple}",
-        payload={
-            "spec": RootSpec(real_roots=roots),
-            "couple": couple,
-            "stated_couple": couple,
-            "printed_coeffs": tuple(printed),
-            "exempt_coeff_match": False,
-        },
-        source=source,
-        notes=tuple(notes),
-    )
+    return _fixture(id, couple, RootSpec(real_roots=roots), printed, source, notes)
 
 
 _GRABINER = (

@@ -88,13 +88,7 @@ def rationalize_value(v, digits: int = DEFAULT_DIGITS) -> Fraction:
 
 def rationalize(spec: RootSpec, digits: int = DEFAULT_DIGITS) -> RootSpec:
     """RootSpec with every entry rounded to `digits` significant decimal digits."""
-    return RootSpec(
-        real_roots=tuple(rationalize_value(r, digits) for r in spec.real_roots),
-        complex_pairs=tuple(
-            (rationalize_value(re, digits), rationalize_value(im, digits))
-            for re, im in spec.complex_pairs
-        ),
-    )
+    return spec.map(lambda v: rationalize_value(v, digits))
 
 
 def _over_common_denominator(values) -> tuple[int, list[int]]:

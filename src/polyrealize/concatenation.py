@@ -66,16 +66,6 @@ class ConcatResult:
     steps: int
 
 
-def _scaled(spec: RootSpec, factor: Fraction) -> RootSpec:
-    return RootSpec(
-        real_roots=tuple(Fraction(r) * factor for r in spec.real_roots),
-        complex_pairs=tuple(
-            (Fraction(re) * factor, Fraction(im) * factor)
-            for re, im in spec.complex_pairs
-        ),
-    )
-
-
 def _ladder(target, spec_at, scale: Fraction, ratio: Fraction) -> ConcatResult:
     """First certified spec_at(scale), trying scale, scale*ratio, ... for MAX_SCALE_STEPS steps."""
     for step in range(1, MAX_SCALE_STEPS + 1):
@@ -108,12 +98,12 @@ def concat_pairs(left: Realizer, right: Realizer) -> ConcatResult:
         ),
     )
 
-    reals = tuple(Fraction(r) for r in left.spec.real_roots)
-    pairs = tuple((Fraction(re), Fraction(im)) for re, im in left.spec.complex_pairs)
+    base = left.spec.map(Fraction)
 
     def spec_at(eps):
-        scaled = _scaled(right.spec, eps)
-        return RootSpec(reals + scaled.real_roots, pairs + scaled.complex_pairs)
+        scaled = right.spec.map(lambda v: Fraction(v) * eps)
+        return RootSpec(base.real_roots + scaled.real_roots,
+                        base.complex_pairs + scaled.complex_pairs)
 
     return _ladder(target, spec_at, Fraction(1, 2), Fraction(1, 2))
 
@@ -125,7 +115,7 @@ def _moduli_of(v: Realizer, letter: str) -> list[Fraction]:
     if not isinstance(v.couple, ModuliCouple):
         raise InvalidRealizerError(f"moduli extension needs a moduli couple, not {v.couple}")
     v.verify()  # fails a spec with complex roots at the hyperbolic check
-    return [abs(Fraction(r)) for r in v.spec.real_roots]
+    return [abs(r) for r in v.spec.map(Fraction).real_roots]
 
 
 def extend_small(v: Realizer, letter: str) -> ConcatResult:
@@ -164,6 +154,6 @@ def extend_large(v: Realizer, letter: str) -> ConcatResult:
 
 
 def _extend(v, letter, target, scale, ratio):
-    rest = tuple(Fraction(r) for r in v.spec.real_roots)
+    rest = v.spec.map(Fraction).real_roots
     sign = 1 if letter == "P" else -1
     return _ladder(target, lambda s: RootSpec((sign * s,) + rest), scale, ratio)

@@ -24,7 +24,8 @@ gap_report, and match applies it once per bound, to the margin oriented
 toward the target's sign.  Every schedule visits the same midpoints, so a
 report that match returns is gap_report's.  match runs on the engine's
 sorted, distinct draws and does not re-check them; gap_report,
-critical_points and midpoints validate their input.
+critical_points and midpoints convert their input to floats and validate
+it in one place (_floats), so they agree on any real number type.
 xi_gap_bounds states the bracket-to-bounds rule for any ordered number type;
 the certifier's integer bisection uses it.
 """
@@ -132,13 +133,24 @@ def _finite(values: list[float], what: str) -> list[float]:
     return values
 
 
-def midpoints(x: Sequence[float]) -> list[float]:
+def _floats(x: Sequence, at_least: int) -> list[float]:
+    """x as a list of floats, at least `at_least` of them and strictly increasing.
+
+    The one way in for midpoints, critical_points and gap_report, which
+    therefore agree on any real number type.  The check runs on the
+    converted values: two distinct rationals that round to one float tie.
+    """
+    x = [float(v) for v in x]
+    _check_sorted(x, at_least)
+    return x
+
+
+def midpoints(x: Sequence) -> list[float]:
     """Midpoints of consecutive roots; needs at least two strictly increasing roots.
 
     Raises ValueError when a midpoint is not finite.
     """
-    _check_sorted(x, 2)
-    return _finite(_midpoints(x), "midpoints")
+    return _finite(_midpoints(_floats(x, 2)), "midpoints")
 
 
 def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> tuple:
@@ -228,7 +240,19 @@ def xi_gap_bounds(lo: Sequence, hi: Sequence) -> tuple:
     return min(inner), min(outer), max(inner), max(outer)
 
 
-def critical_points(x: Sequence[float]) -> list[float]:
+def _refined(x: Sequence, at_least: int) -> tuple[list[float], list[float], list[float]]:
+    """(x, lo, hi): x as _floats gives it and its critical-point brackets.
+
+    The brackets start as the root intervals and are refined in full, by
+    _refine to _tolerances(x)[0]; critical_points and gap_report share them.
+    """
+    x = _floats(x, at_least)
+    lo, hi = x[:-1], x[1:]
+    _refine(x, lo, hi, _tolerances(x)[0])
+    return x, lo, hi
+
+
+def critical_points(x: Sequence) -> list[float]:
     """One derivative root per open interval between consecutive simple roots.
 
     Each enclosure is bisected on the sign of P'/P (see _refine) to absolute
@@ -238,9 +262,7 @@ def critical_points(x: Sequence[float]) -> list[float]:
     the initial brackets and no derivative is evaluated at their ends.
     Raises ValueError when a critical point comes out inf or NaN.
     """
-    _check_sorted(x, 2)
-    lo, hi = list(x[:-1]), list(x[1:])
-    _refine(x, lo, hi, _tolerances(x)[0])
+    _, lo, hi = _refined(x, 2)
     return _finite([0.5 * (a + b) for a, b in zip(lo, hi)], "critical points")
 
 
@@ -277,7 +299,7 @@ def _report(x: list[float], lo: list[float], hi: list[float]) -> GapReport:
     )
 
 
-def gap_report(x: Sequence[float]) -> GapReport:
+def gap_report(x: Sequence) -> GapReport:
     """Gap statistics and class of the monic polynomial with roots x.
 
     Needs at least three roots so that both consecutive-midpoint gaps and
@@ -286,11 +308,7 @@ def gap_report(x: Sequence[float]) -> GapReport:
     DegenerateMarginError when a deciding margin is within 1e-10 of zero;
     exact classification then belongs to the certifier.
     """
-    x = [float(v) for v in x]
-    _check_sorted(x, 3)
-    lo, hi = x[:-1], x[1:]
-    _refine(x, lo, hi, _tolerances(x)[0])
-    return _report(x, lo, hi)
+    return _report(*_refined(x, 3))
 
 
 def _orientation(target: str) -> tuple[float, float, int, int, int, int]:

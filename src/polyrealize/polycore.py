@@ -60,6 +60,14 @@ class RootSpec:
     def degree(self) -> int:
         return len(self.real_roots) + 2 * len(self.complex_pairs)
 
+    def map(self, f) -> RootSpec:
+        """The RootSpec with f applied to every real root and to both parts of every pair."""
+        # map is the builtin here: a method body does not see class attributes
+        return RootSpec(
+            tuple(map(f, self.real_roots)),
+            tuple((f(re), f(im)) for re, im in self.complex_pairs),
+        )
+
     @property
     def pos_count(self) -> int:
         return sum(1 for r in self.real_roots if r > 0)
@@ -120,9 +128,9 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
 def expand_real(roots: Sequence[float]) -> list[float]:
     """Descending coefficients of the monic product of (x - r); no validation.
 
-    Nothing in the package calls it: kept only because the benchmark replay
-    (perfbench/replay.py) and two tests still call it; delete it once they
-    stop doing so.
+    Nothing in the package or its tests calls it: kept only because the
+    benchmark replay (perfbench/replay.py) still does; delete it once the
+    replay stops doing so.
     """
     return expand(roots, (), 1.0)
 

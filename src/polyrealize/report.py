@@ -8,6 +8,7 @@ byte-identical documents.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 from typing import Union
 
@@ -77,19 +78,25 @@ def certificate_json(cert: Certificate) -> dict:
     }
 
 
+def _float_json(v: float):
+    """v, or its repr ("inf", "-inf", "nan") when it is not finite: JSON has no such number."""
+    return v if math.isfinite(v) else repr(v)
+
+
 def gap_report_json(report: GapReport) -> dict:
+    """The report as JSON; a statistic that overflows on huge roots is written as its repr."""
     return {
-        "x": list(report.x),
-        "z": list(report.z),
-        "xi": list(report.xi),
-        "m_p": report.m_p,
-        "M_p": report.M_p,
-        "m_tilde": report.m_tilde,
-        "M_tilde": report.M_tilde,
-        "m_prime": report.m_prime,
-        "M_prime": report.M_prime,
+        "x": list(map(_float_json, report.x)),
+        "z": list(map(_float_json, report.z)),
+        "xi": list(map(_float_json, report.xi)),
+        "m_p": _float_json(report.m_p),
+        "M_p": _float_json(report.M_p),
+        "m_tilde": _float_json(report.m_tilde),
+        "M_tilde": _float_json(report.M_tilde),
+        "m_prime": _float_json(report.m_prime),
+        "M_prime": _float_json(report.M_prime),
         "class": report.gap_class,
-        "margins": list(report.margins),
+        "margins": list(map(_float_json, report.margins)),
     }
 
 

@@ -20,7 +20,6 @@ from polyrealize.certifier import (
     rationalize,
     rationalize_value,
 )
-from polyrealize.concatenation import _scaled
 from polyrealize.criticalgaps import gap_report
 from polyrealize.moduliorders import (
     ModuliCouple,
@@ -468,7 +467,7 @@ def _couple_inputs():
     for spec in drawn[::7]:
         yield _g2_spec(spec)
         yield _g2_spec(_g1_spec(spec))
-        yield _scaled(spec, Fraction(2, 3))
+        yield spec.map(lambda v: Fraction(v) * Fraction(2, 3))
     yield RootSpec(complex_pairs=((Fraction(0), Fraction(1, 2)),))
     yield RootSpec(
         real_roots=(Fraction(-3, 10),),

@@ -112,6 +112,23 @@ class TestSearchCommands:
         assert result.exit_code == 0
         assert "gap class L-R+" in result.output
 
+    def test_gaps_report_with_overflow_is_strict_json(self, runner, tmp_path):
+        # at ell = 1.7e308 the gap statistics overflow: m_prime, M_prime, xi[1]
+        # and both margins are inf, which JSON cannot hold as a number
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["search", "gaps", "--degree", "3", "--class", "L+R-",
+                                      "--ell", "1.7e308", "--seed", "1", "--n", "200",
+                                      "--json", str(out)])
+        assert result.exit_code == 0
+
+        def no_constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        gap = json.loads(out.read_text(), parse_constant=no_constant)["outcome"]["gap_report"]
+        assert (gap["m_prime"], gap["M_prime"], gap["xi"][1]) == ("inf", "inf", "inf")
+        assert gap["margins"] == ["inf", "-inf"]
+        assert all(isinstance(v, float) for v in gap["x"])
+
     def test_mixture_strategy_flags(self, runner):
         result = runner.invoke(main, ["search", "moduli", "--sigma", "1,2,3,2",
                                       "--order", "[0,4,0,0]", "--n", "20000",

@@ -1,4 +1,5 @@
 import math
+import random
 import struct
 from fractions import Fraction
 
@@ -91,6 +92,33 @@ class TestCriticalPoints:
             xi = critical_points(xs)
             for k, v in enumerate(xi):
                 assert xs[k] < v < xs[k + 1]
+
+
+def _fraction_root_sets(count):
+    """`count` sets of five distinct random rationals, in increasing order."""
+    rng = random.Random(1)
+    for _ in range(count):
+        xs = set()
+        while len(xs) < 5:
+            xs.add(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+        yield sorted(xs)
+
+
+class TestAnyRealType:
+    def test_fraction_roots_agree_with_gap_report(self):
+        # each function converts to floats before any arithmetic, so summing
+        # Fractions first and rounding after cannot make them disagree
+        for x in _fraction_root_sets(2000):
+            rpt = gap_report(x)
+            assert critical_points(x) == list(rpt.xi), x
+            assert midpoints(x) == list(rpt.z), x
+
+    def test_rationals_that_round_to_one_float_are_tied(self):
+        a = Fraction(1, 3)
+        x = [a, a + Fraction(1, 10**30), Fraction(1)]
+        for f in (midpoints, critical_points, gap_report):
+            with pytest.raises(TiedRootsError):
+                f(x)
 
 
 class TestXiGapBounds:

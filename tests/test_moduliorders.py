@@ -76,6 +76,11 @@ class TestBracketForm:
         with pytest.raises(ValueError):
             parse_order(bad)
 
+    @pytest.mark.parametrize("word", ["", "PXN"])
+    def test_constructor_rejects_a_bad_word(self, word):
+        with pytest.raises(ValueError, match="order word must be a nonempty string"):
+            ModuliOrder(word)
+
     def test_negative_bracket_entry_rejected(self):
         with pytest.raises(ValueError, match="bracket entries must be >= 0"):
             ModuliOrder.from_bracket((1, -1))

@@ -19,7 +19,6 @@ from polyrealize.polycore import (
     derivative_coeffs,
     expand,
     expand_from_roots,
-    expand_real,
     has_sign_word,
     horner,
     sign_tuple,
@@ -104,6 +103,23 @@ class TestExpandFromRoots:
                 assert abs(horner(p.coeffs, r)) <= bound
 
 
+class TestRootSpecMap:
+    def test_maps_every_real_root_and_both_parts_of_every_pair(self):
+        spec = RootSpec(real_roots=(0.5, -2.0), complex_pairs=((0.25, 1.5), (-1.0, 0.75)))
+        got = spec.map(lambda v: Fraction(v) * 2)
+        assert got.real_roots == (Fraction(1), Fraction(-4))
+        assert got.complex_pairs == ((Fraction(1, 2), Fraction(3)), (Fraction(-2), Fraction(3, 2)))
+        assert {type(v) for v in got.real_roots + sum(got.complex_pairs, ())} == {Fraction}
+        assert spec.map(lambda v: v) == spec
+
+    def test_result_is_validated(self):
+        spec = RootSpec(real_roots=(1.0,), complex_pairs=((0.0, 1.0),))
+        with pytest.raises(ZeroRootError):
+            spec.map(lambda v: v - 1.0)
+        with pytest.raises(ValueError, match="im > 0"):
+            spec.map(lambda v: -v)
+
+
 class TestEvaluate:
     def test_simple(self):
         p = RealPolynomial((0.0, -1.0))  # x^2 - 1
@@ -111,13 +127,13 @@ class TestEvaluate:
         assert horner(p.coeffs, 1.0) == 0.0
 
     def test_gap_witness_at_zero(self):
-        p = RealPolynomial(tuple(expand_real(list(GAP_D6_ROOTS))[1:]))
+        p = RealPolynomial(tuple(expand(list(GAP_D6_ROOTS), (), 1.0)[1:]))
         assert abs(horner(p.coeffs, 0.0) - 0.000600530112) < 1e-15
 
 
 class TestDerivative:
     def test_gap_witness_derivative(self):
-        p = RealPolynomial(tuple(expand_real(list(GAP_D6_ROOTS))[1:]))
+        p = RealPolynomial(tuple(expand(list(GAP_D6_ROOTS), (), 1.0)[1:]))
         expected = (6.0, -8.0, 2.12, 0.367734, -0.07587018, -0.0025040322)
         got = derivative_coeffs(p.coeffs)
         assert len(got) == 6

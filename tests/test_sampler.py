@@ -541,6 +541,49 @@ class TestValueDraws:
                 assert (got if got is None else bits(got)) == want
 
 
+def value_draws(positions, choice):
+    """Unit draws from which `_sorted_values` takes the given position draws.
+
+    Under a Mixture (choice not None) each value's choice draw comes first:
+    `choice` picks the narrow scale below narrow_fraction and ell otherwise.
+    """
+    if choice is None:
+        return list(positions)
+    return [v for p in positions for v in (choice, p)]
+
+
+@pytest.mark.parametrize("strategy, choice", [
+    (Uniform(), None),
+    (Mixture(), 0.0), (Mixture(), 0.9),
+    (Mixture(0.05, 0.3), 0.0), (Mixture(0.05, 0.3), 0.9),
+], ids=repr)
+def test_sorted_values_reject_a_zero_and_a_tie(strategy, choice):
+    cfg = SearchConfig(n=1, strategy=strategy)
+    wide = choice is None or choice >= strategy.narrow_fraction
+    s = cfg.ell if wide else cfg.narrow_scale
+    kept = _sorted_values(3, cfg, value_draws([0.9, 0.1, 0.7], choice))
+    assert kept == sorted(s * (2.0 * v - 1.0) for v in (0.9, 0.1, 0.7))
+    # a position draw of 0.5 gives the value 0.0
+    assert _sorted_values(3, cfg, value_draws([0.9, 0.5, 0.1], choice)) is None
+    assert _sorted_values(3, cfg, value_draws([0.3, 0.7, 0.3], choice)) is None
+
+
+def test_gap_search_passes_over_an_attempt_with_a_zero_value(monkeypatch):
+    args = (3, "L+R-", SearchConfig(n=50, seed=0))
+    assert search_gap_class(*args).attempt_index == 1
+    # attempt 1 now draws the roots -0.8, 0.0, 0.8, of class L+R- in floats;
+    # a zero root has no sign word, so the attempt must be passed over
+    assert gap_report([-0.8, 0.0, 0.8]).gap_class == "L+R-"
+
+    def zero_first(seed, first, b, count):
+        return [0.1, 0.5, 0.9] if first == 1 else _unit_block(seed, first, b, count)
+
+    monkeypatch.setattr(sampler, "_unit_block", zero_first)
+    got = search_gap_class(*args)
+    assert got.found and got.attempt_index == 2
+    assert 0.0 not in got.spec.real_roots
+
+
 def reference_values(d, cfg, i, signed):
     strategy = cfg.strategy
     if isinstance(strategy, Mixture):
