@@ -18,23 +18,36 @@ search's test, refines in stages whose tolerance falls by 4 from
 and jumps to the full refinement as soon as they decide it.  Its work
 before the first stage is one pass over x for the midpoint-gap extrema
 (_midpoint_gap_extrema, which gap_report's _report shares) and one lookup
-of the target's orientation in a table built at import (_ORIENTATION).  A
+of the target's orientation in a table built at import (_ORIENTATION),
+which a generated kernel (below) has baked in.  A
 margin counts only at MARGIN_EPS or more: _margin_sign states that rule for
 gap_report, and match applies it once per bound, to the margin oriented
 toward the target's sign.  Every schedule visits the same midpoints, so a
-report that match returns is gap_report's.  match runs on the engine's
-sorted, distinct draws and does not re-check them; gap_report,
-critical_points and midpoints convert their input to floats and validate
-it in one place (_floats), so they agree on any real number type.
+report that match returns is gap_report's.  Up to _KERNEL_MAX_DEGREE (16)
+roots, match runs a kernel generated once per degree and target
+(match_kernel): straight-line Python that unpacks the roots into locals,
+unrolls the midpoint-gap extrema and the bounds, holds each bracket in two
+locals, and evaluates P'/P at a midpoint as the one expression
+1.0 / (mid - x0) + ... + 1.0 / (mid - x{d-1}).  _refine's loop adds the same
+terms in the same order onto s = 0.0, and adding 0.0 can change only the
+sign of a zero, which _refine's three-way test on s ignores; so the kernel
+takes every decision _refine takes, on the same floats.  Above that degree,
+where compiling a kernel costs more than it saves, match runs the same
+stages as loops (_match_loops).  Either way the full refinement is
+_refine's.  match runs on the engine's sorted, distinct draws and does not
+re-check them; gap_report, critical_points and midpoints convert their
+input to floats and validate it in one place (_floats), so they agree on
+any real number type.
 xi_gap_bounds states the bracket-to-bounds rule for any ordered number type;
 the certifier's integer bisection uses it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 # below this absolute margin a strict comparison is not trusted in floats
 MARGIN_EPS = 1e-10
@@ -280,6 +293,11 @@ def _report(x: list[float], lo: list[float], hi: list[float]) -> GapReport:
     if not left_sign or not right_sign:
         if not (math.isfinite(left) and math.isfinite(right)):
             raise DegenerateMarginError(f"margins ({left!r}, {right!r}) are not finite")
+        # min() and max() pass over NaN gaps, so a NaN root can leave finite margins
+        if not all(map(math.isfinite, x)):
+            raise DegenerateMarginError(
+                f"margins ({left!r}, {right!r}) rest on roots that are not finite"
+            )
         raise DegenerateMarginError(
             f"margins ({left!r}, {right!r}) too small to classify in floats"
         )
@@ -330,33 +348,22 @@ def _orientation(target: str) -> tuple[float, float, int, int, int, int]:
 _ORIENTATION = {target: _orientation(target) for target in GAP_CLASSES}
 
 
-def match(x: list[float], target: str) -> GapReport | None:
-    """gap_report(x) when its class is `target`; None otherwise.
+def _finish(x: list[float], lo: list[float], hi: list[float], full: float,
+            target: str) -> GapReport | None:
+    """match's last step: refine the brackets in full, then gap_report's report if its class is target."""
+    _refine(x, lo, hi, full)
+    try:
+        report = _report(x, lo, hi)
+    except DegenerateMarginError:
+        return None
+    return report if report.gap_class == target else None
 
-    This is the search's per-attempt kernel, and it checks nothing: x must be
-    a list of at least three strictly increasing floats and target one of
-    GAP_CLASSES, as search_gap_class guarantees for every attempt.  Input
-    from anywhere else goes through gap_report, which validates it.
 
-    None also stands for the inputs gap_report rejects with
-    DegenerateMarginError.  Before any bisection, match reads the target's
-    orientation from _ORIENTATION, built from GAP_CLASSES at import, and
-    m_tilde and M_tilde from _midpoint_gap_extrema's one pass over x, which
-    _report shares.  The brackets start as the root intervals and are
-    refined in stages of tolerance (x_n - x_1) / _FIRST_STAGE, then a factor
-    _STAGE_FACTOR smaller each stage (see _tolerances for a span that
-    overflows).  Each stage's _refine returns bounds on
-    the min and max critical gap, and so on both margins: float subtraction
-    and min/max are monotone, so the bounds hold the margins that full
-    refinement computes.  Each margin is oriented toward the target's sign,
-    s * margin with s = +1 or -1, an exact flip: a side is the target's when
-    s * margin >= MARGIN_EPS, which is _margin_sign's rule (NaN fails it).
-    When a side's near bound, the one that favours the target most, fails
-    that test, the target is ruled out and the search stops; when its far
-    bound passes too, that side is decided.  Once both sides are decided, or
-    the stages run out, the brackets go straight to the full refinement,
-    which visits the same midpoints whatever the schedule, and the report is
-    built from them exactly as gap_report builds it.
+def _match_loops(x: list[float], target: str) -> GapReport | None:
+    """match(x, target) as loops over x and the bracket lists, for any degree.
+
+    The reference path: match runs it above _KERNEL_MAX_DEGREE, and the
+    generated kernels do the same float operations in the same order.
     """
     sl, sr, l_near, l_far, r_near, r_far = _ORIENTATION[target]
     lo, hi = x[:-1], x[1:]
@@ -371,9 +378,170 @@ def match(x: list[float], target: str) -> GapReport | None:
                 and sr * (M_tilde - bounds[r_far]) >= MARGIN_EPS):
             break
         tol /= _STAGE_FACTOR
-    _refine(x, lo, hi, full)
-    try:
-        report = _report(x, lo, hi)
-    except DegenerateMarginError:
-        return None
-    return report if report.gap_class == target else None
+    return _finish(x, lo, hi, full, target)
+
+
+# match runs a straight-line kernel generated for its degree and target up to
+# this degree, and _match_loops above it.  A kernel's source grows as d**2 (d - 1
+# brackets, each with a d-term P'/P), and so does the cost of compiling one:
+# 1.0-1.2 ms at d = 5, 2.4-3.7 ms at d = 12, 3.9-4.0 ms and +0.5 MB peak RSS at
+# d = 16, 5.4-6.8 ms and +1.1 MB at d = 20, 17-29 ms and +6.0 MB at d = 40, and
+# 0.29-0.31 s and +67 MB at d = 160 (2-core Xeon VM, Python 3.11.7).  Every
+# benchmark workload and acceptance criterion searches degrees 3 to 12.
+_KERNEL_MAX_DEGREE = 16
+_BOUNDS = ("m_lo", "m_hi", "M_lo", "M_hi")  # _refine's return order
+
+
+def _stage_source(d: int) -> list[str]:
+    """Source lines of one stage of the kernel for the d roots x0 .. x{d-1}.
+
+    Bracket k is the pair of locals a{k}, b{k}.  Each is halved as _refine
+    halves [lo[k], hi[k]] to the tolerance tol, and m_lo, m_hi, M_lo and M_hi
+    then hold the bounds _refine returns, built with its comparisons in its
+    order.  P'/P at a midpoint is the one expression
+    1.0 / (mid - x0) + ... + 1.0 / (mid - x{d-1}), summed left to right as
+    _refine's loop sums it (not sum(), which compensates on Python 3.12 and
+    later).  The loop starts from s = 0.0, so it computes 0.0 + t0 + ...
+    where the expression computes t0 + ...; adding 0.0 changes only the sign
+    of a zero, so the two sums differ at most in the sign of a zero sum, and
+    the three-way test on s treats +0.0 and -0.0 alike.  The kernel's
+    brackets and bounds are therefore _refine's, bit for bit.
+    """
+    s = " + ".join(f"1.0 / (mid - x{j})" for j in range(d))
+    lines = ["width = 2.0 * tol"]
+    for k in range(d - 1):
+        a, b = f"a{k}", f"b{k}"
+        lines += [
+            f"while {b} - {a} > width:",
+            f"    mid = 0.5 * ({a} + {b})",
+            f"    if mid <= {a} or mid >= {b}:",
+            "        break",
+            f"    s = {s}",
+            "    if s > 0.0:",
+            f"        {a} = mid",
+            "    elif s < 0.0:",
+            f"        {b} = mid",
+            "    else:",
+            f"        {a} = {b} = mid",
+        ]
+    lines += ["m_lo = M_lo = a1 - b0", "m_hi = M_hi = b1 - a0"]
+    for k in range(2, d - 1):
+        lines += [
+            f"inner, outer = a{k} - b{k - 1}, b{k} - a{k - 1}",
+            "if inner < m_lo:", "    m_lo = inner",
+            "if inner > M_lo:", "    M_lo = inner",
+            "if outer < m_hi:", "    m_hi = outer",
+            "if outer > M_hi:", "    M_hi = outer",
+        ]
+    return lines
+
+
+def _stage_rule_source(target: str, ruled_out: str, decided: str) -> list[str]:
+    """Source lines of match's stage rule for target, on the bounds m_lo .. M_hi.
+
+    The statement ruled_out runs unless both sides' near bounds pass the
+    MARGIN_EPS test, and decided runs when both far bounds pass it too; the
+    kernel passes "return None" and "break".  _ORIENTATION's entry for target
+    is baked in: a "+" side tests its margin as written, where _match_loops
+    multiplies it by 1.0, and a "-" side tests it with the operands of its
+    subtraction swapped, which negates it exactly (rounding to nearest is
+    symmetric), where _match_loops multiplies it by -1.0.  The two can differ
+    only in the sign of a zero, which no test against MARGIN_EPS sees.
+    """
+    sl, sr, l_near, l_far, r_near, r_far = _ORIENTATION[target]
+
+    def passes(left: int, right: int) -> str:
+        m, M = _BOUNDS[left], _BOUNDS[right]
+        left_margin = f"{m} - m_tilde" if sl > 0 else f"m_tilde - {m}"
+        right_margin = f"M_tilde - {M}" if sr > 0 else f"{M} - M_tilde"
+        return f"{left_margin} >= MARGIN_EPS and {right_margin} >= MARGIN_EPS"
+
+    return [f"if not ({passes(l_near, r_near)}):", f"    {ruled_out}",
+            f"if {passes(l_far, r_far)}:", f"    {decided}"]
+
+
+def _kernel_source(d: int, target: str) -> str:
+    """Source of the function `kernel(x)`: match(x, target) for d roots, without loops over x.
+
+    It unpacks x into x0 .. x{d-1}, computes m_tilde and M_tilde with
+    _midpoint_gap_extrema's operations and its strict < / > rule, and holds
+    bracket k as the locals a{k}, b{k}, starting from the root interval.  Its
+    stage loop is _match_loops' loop: the tolerances from _tolerances(x),
+    _stage_source for _refine, _stage_rule_source for the test on the bounds,
+    and tol /= _STAGE_FACTOR.  Then the brackets go back into lists for
+    _finish.  MARGIN_EPS, _STAGE_FACTOR and _FIRST_STAGE (inside _tolerances)
+    are read from this module when the kernel runs.
+    """
+    xs = ", ".join(f"x{j}" for j in range(d))
+    body = [f"{xs} = x"]
+    body += [f"z{k} = (x{k} + x{k + 1}) * 0.5" for k in range(2)]
+    body += ["m_tilde = M_tilde = z1 - z0"]
+    for k in range(2, d - 1):
+        body += [
+            f"z{k} = (x{k} + x{k + 1}) * 0.5",
+            f"g = z{k} - z{k - 1}",
+            "if g < m_tilde:", "    m_tilde = g",
+            "elif g > M_tilde:", "    M_tilde = g",
+        ]
+    body += ["full, tol = _tolerances(x)"]
+    body += [f"a{k}, b{k} = x{k}, x{k + 1}" for k in range(d - 1)]
+    body += ["while tol > full:"]
+    body += ["    " + line for line in _stage_source(d)]
+    body += ["    " + line for line in _stage_rule_source(target, "return None", "break")]
+    body += ["    tol /= _STAGE_FACTOR"]
+    los = ", ".join(f"a{k}" for k in range(d - 1))
+    his = ", ".join(f"b{k}" for k in range(d - 1))
+    body += [f"return _finish(x, [{los}], [{his}], full, {target!r})"]
+    return "def kernel(x):\n" + "".join(f"    {line}\n" for line in body)
+
+
+@functools.lru_cache(maxsize=64)  # room for every kernel: 4 targets, degrees 3-16
+def match_kernel(d: int, target: str) -> Callable[[list[float]], GapReport | None]:
+    """The function x -> match(x, target) for d roots: fetch it once, call it per attempt.
+
+    Up to _KERNEL_MAX_DEGREE it is compiled from _kernel_source(d, target) on
+    the first request; above it, and below three roots, it is _match_loops.
+    """
+    if not 3 <= d <= _KERNEL_MAX_DEGREE:
+        return functools.partial(_match_loops, target=target)
+    namespace: dict = {}
+    code = compile(_kernel_source(d, target), f"<match kernel, d={d}, {target}>", "exec")
+    exec(code, globals(), namespace)
+    return namespace["kernel"]
+
+
+def match(x: list[float], target: str) -> GapReport | None:
+    """gap_report(x) when its class is `target`; None otherwise.
+
+    This is the search's per-attempt test, and it checks nothing: x must be
+    a list of at least three strictly increasing floats and target one of
+    GAP_CLASSES, as search_gap_class guarantees for every attempt.  Input
+    from anywhere else goes through gap_report, which validates it.
+
+    None also stands for the inputs gap_report rejects with
+    DegenerateMarginError.  The target's orientation comes from
+    _ORIENTATION, built from GAP_CLASSES at import, and m_tilde and M_tilde
+    from _midpoint_gap_extrema's one pass over x, which _report shares.  The
+    brackets start as the root intervals and are refined in stages of
+    tolerance (x_n - x_1) / _FIRST_STAGE, then a factor _STAGE_FACTOR
+    smaller each stage (see _tolerances for a span that overflows).  Each
+    stage's refinement bounds the min and max critical gap, and so both
+    margins: float subtraction and min/max are monotone, so the bounds hold
+    the margins that full refinement computes.  Each margin is oriented
+    toward the target's sign, s * margin with s = +1 or -1, an exact flip: a
+    side is the target's when s * margin >= MARGIN_EPS, which is
+    _margin_sign's rule (NaN fails it).  When a side's near bound, the one
+    that favours the target most, fails that test, the target is ruled out
+    and the search stops; when its far bound passes too, that side is
+    decided.  Once both sides are decided, or the stages run out, the
+    brackets go straight to the full refinement (_refine), which visits the
+    same midpoints whatever the schedule, and the report is built from them
+    exactly as gap_report builds it.
+
+    The work runs in match_kernel(len(x), target): up to
+    _KERNEL_MAX_DEGREE roots, straight-line code generated for that degree
+    and target, with each bracket in two locals and P'/P as one expression
+    (see _stage_source for why its bits are _refine's); above it,
+    _match_loops.  Both take the same decisions on the same floats.
+    """
+    return match_kernel(len(x), target)(x)

@@ -65,7 +65,7 @@ from typing import ClassVar, Optional, Union
 
 from . import certifier, polycore
 from .certifier import Certificate
-from .criticalgaps import GAP_CLASSES, GapReport, match
+from .criticalgaps import GAP_CLASSES, GapReport, match_kernel
 from .moduliorders import ModuliCouple, ModuliOrder
 from .polycore import (
     RealPolynomial,
@@ -622,12 +622,13 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
     draw_cfg = _distinct_draws(cfg)
+    match = match_kernel(d, target)
 
     def attempt(u: list[float]):
         xs = _sorted_values(d, draw_cfg, u)
         if xs is None:
             return None
-        report = match(xs, target)
+        report = match(xs)
         return None if report is None else (xs, report)
 
     def certify(candidate):

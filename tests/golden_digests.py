@@ -73,6 +73,10 @@ CASES = {
     "sweep-pairs-degree5": lambda: sweep_pairs(5, 3000),
     "sweep-pairs-degree3": lambda: sweep_pairs(3, 500),
     "sweep-moduli-341": lambda: sweep_moduli("3,4,1", 2000),
+    "search-gaps-degree8": lambda: search_gaps(8, "L+R-", SearchConfig(n=1000, seed=1)),
+    "search-gaps-degree10": lambda: search_gaps(10, "L+R+", SearchConfig(n=1000, seed=1)),
+    "search-gaps-degree12": lambda: search_gaps(12, "L-R-", SearchConfig(n=1000, seed=2)),
+    "search-gaps-exhausted": lambda: search_gaps(5, "L-R+", SearchConfig(n=2000, seed=11)),
 }
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+import functools
 import math
 import random
 import struct
@@ -6,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_distinct_sorted, unit_draws
-from polyrealize import criticalgaps
+from polyrealize import criticalgaps, sampler
 from polyrealize.criticalgaps import (
     BISECTION_REL_TOL,
     GAP_CLASSES,
@@ -20,6 +22,7 @@ from polyrealize.criticalgaps import (
     midpoints,
     xi_gap_bounds,
 )
+from polyrealize.sampler import SearchConfig
 GAP_D6_ROOTS = [-0.19, -0.18, 0.13, 0.21, 0.67, 0.96]
 GAP_D6_XI = [-0.1850968062, -0.02957083052, 0.1718593928, 0.5155057599, 0.8606358173]
 # finite roots whose midpoints overflow to inf
@@ -183,6 +186,24 @@ class TestGapReport:
             gap_report(HUGE_ROOTS)
         with pytest.raises(DegenerateMarginError, match="too small to classify in floats"):
             gap_report([1e-200, 2e-200, 3e-200])
+
+    def test_nan_last_root_is_not_finite(self):
+        # _tolerances is NaN, so no bracket moves and both margins come out 0.0
+        with pytest.raises(DegenerateMarginError,
+                           match=r"^margins \(0\.0, 0\.0\) rest on roots that are not finite$"):
+            gap_report([0.0, 0.5, 1.0, math.nan])
+
+    @pytest.mark.parametrize("where", ["first", "inner", "last"])
+    def test_a_nan_root_is_not_finite(self, where):
+        for n in range(3, 9):
+            spots = {"first": [0], "inner": range(1, n - 1), "last": [n - 1]}[where]
+            for spot in spots:
+                xs = [float(k) for k in range(n)]
+                xs[spot] = math.nan
+                with pytest.raises(DegenerateMarginError, match="not finite"):
+                    gap_report(xs)
+                for target in GAP_CLASSES:
+                    assert match(xs, target) is None, (xs, target)
 
     def test_translation_invariance(self):
         for case in range(60):
@@ -494,15 +515,15 @@ def _schedule_cases():
 
 
 class _NextStage(Exception):
-    """Raised by a stubbed _refine on match's second call, carrying its tolerance."""
+    """Raised by a stubbed _refine on _match_loops' second call, carrying its tolerance."""
 
     def __init__(self, tol):
         super().__init__(tol)
         self.tol = tol
 
 
-def _stage_action(stage_bounds, target):
-    """What match does after a first stage whose _refine returns stage_bounds.
+def _loop_stage_action(stage_bounds, target):
+    """What _match_loops does after a first stage whose _refine returns stage_bounds.
 
     "ruled out" (it returns None at once), "decided" (its next _refine is the
     full refinement) or "refine" (its next _refine is the next stage).  The
@@ -520,13 +541,43 @@ def _stage_action(stage_bounds, target):
     saved = criticalgaps._refine
     criticalgaps._refine = fake_refine
     try:
-        got = match(xs, target)
+        got = criticalgaps._match_loops(xs, target)
     except _NextStage as stage:
         return "decided" if stage.tol == BISECTION_REL_TOL * 3.0 else "refine"
     finally:
         criticalgaps._refine = saved
     assert got is None and len(calls) == 1
     return "ruled out"
+
+
+def _kernel_stage_action(stage_bounds, target):
+    """What the kernels' stage rule does with a stage's (m_lo, m_hi, M_lo, M_hi).
+
+    The rule is compiled from the lines _stage_rule_source gives every
+    kernel (see TestKernel.test_kernels_run_the_shared_stage), with
+    m_tilde = M_tilde = 1.0, and reads MARGIN_EPS from criticalgaps when it
+    runs: "ruled out" where a kernel returns None, "decided" where it breaks
+    out to the full refinement, and "refine" where it goes on to the next stage.
+    """
+    rule = criticalgaps._stage_rule_source(target, 'return "ruled out"', 'return "decided"')
+    src = "def rule(m_lo, m_hi, M_lo, M_hi, m_tilde, M_tilde):\n" + "".join(
+        f"    {line}\n" for line in rule + ['return "refine"'])
+    namespace = {}
+    exec(src, vars(criticalgaps), namespace)
+    return namespace["rule"](*stage_bounds, 1.0, 1.0)
+
+
+class _CountedDivisor(float):
+    """A float that counts the divisions by it: t / c calls c.__rtruediv__ first."""
+
+    def __new__(cls, value, counter):
+        self = super().__new__(cls, value)
+        self.counter = counter
+        return self
+
+    def __rtruediv__(self, other):
+        self.counter[0] += 1
+        return other / float(self)
 
 
 class TestMatch:
@@ -542,12 +593,25 @@ class TestMatch:
 
     def test_stage_schedule_does_not_change_the_result(self, monkeypatch):
         # every schedule visits a prefix of the same bisection path, so the
-        # old one (span/16, then /16 a stage) gives the same reports
+        # old one (span/16, then /16 a stage) gives the same reports; each
+        # path must run the schedule it reads: its first stage once per call,
+        # and as many later stages as the other path
         roots = _schedule_cases()
-        new = [[match(xs, t) for t in GAP_CLASSES] for xs in roots]
-        monkeypatch.setattr(criticalgaps, "_FIRST_STAGE", 16.0)
-        monkeypatch.setattr(criticalgaps, "_STAGE_FACTOR", 16.0)
-        old = [[match(xs, t) for t in GAP_CLASSES] for xs in roots]
+        calls = len(roots) * len(GAP_CLASSES)
+        runs = {}
+        for factor in (4.0, 16.0):
+            for path in (match, criticalgaps._match_loops):
+                first, later = [0], [0]
+                monkeypatch.setattr(criticalgaps, "_FIRST_STAGE", _CountedDivisor(16.0, first))
+                monkeypatch.setattr(criticalgaps, "_STAGE_FACTOR", _CountedDivisor(factor, later))
+                got = [[path(xs, t) for t in GAP_CLASSES] for xs in roots]
+                assert first[0] == calls, (factor, path)
+                runs[factor, path] = got, later[0]
+        new, new_stages = runs[4.0, match]
+        old, old_stages = runs[16.0, match]
+        assert runs[4.0, criticalgaps._match_loops] == (new, new_stages)
+        assert runs[16.0, criticalgaps._match_loops] == (old, old_stages)
+        assert 0 < old_stages < new_stages, (old_stages, new_stages)
         for xs, got, want in zip(roots, new, old):
             assert got == want, xs
             assert got == [_reference_match(xs, t) for t in GAP_CLASSES], xs
@@ -599,8 +663,9 @@ class TestMatch:
                         want = "decided"
                     else:
                         want = "refine"
-                    got = _stage_action((m_lo, m_hi, M_lo, M_hi), target)
-                    assert got == want, (target, m_lo, m_hi, M_lo, M_hi)
+                    bounds = (m_lo, m_hi, M_lo, M_hi)
+                    assert _kernel_stage_action(bounds, target) == want, (target, bounds)
+                    assert _loop_stage_action(bounds, target) == want, (target, bounds)
                     seen.add(want)
         assert seen == {"ruled out", "decided", "refine"}
 
@@ -670,3 +735,111 @@ class TestSpanOverflow:
                 assert got == _reference_match(xs, target), (xs, target)
                 found += got is not None
         assert found > 0
+
+
+def _nan_sets():
+    """Sorted-looking root sets of degree 3-8 with a NaN first, at each inner place, and last."""
+    found = []
+    for n in range(3, 9):
+        for spot in range(n):
+            xs = random_distinct_sorted(960 + n, spot, n)
+            xs[spot] = math.nan
+            found.append(xs)
+    return found
+
+
+@functools.cache
+def _kernel_cases():
+    return (_schedule_cases() + _near_degenerate_roots() + _span_overflow_sets() + _nan_sets()
+            + [HUGE_ROOTS, [1e-200, 2e-200, 3e-200], [1e-200 * v for v in GAP_D6_ROOTS]])
+
+
+@functools.cache
+def _kernel_stage(d):
+    """One stage of the degree-d kernels, (x, lo, hi, tol) -> (lo, hi, bounds).
+
+    Built around the lines _stage_source gives every degree-d kernel: the
+    roots and brackets come in as lists and go out as lists.
+    """
+    xs = ", ".join(f"x{j}" for j in range(d))
+    los = ", ".join(f"a{k}" for k in range(d - 1))
+    his = ", ".join(f"b{k}" for k in range(d - 1))
+    lines = [f"{xs} = x", f"{los} = lo", f"{his} = hi", *criticalgaps._stage_source(d),
+             f"return [{los}], [{his}], (m_lo, m_hi, M_lo, M_hi)"]
+    namespace = {}
+    exec("def stage(x, lo, hi, tol):\n" + "".join(f"    {line}\n" for line in lines),
+         vars(criticalgaps), namespace)
+    return namespace["stage"]
+
+
+def _hex(values):
+    return [float.hex(v) for v in values]
+
+
+def _outcome(outcome):
+    return dataclasses.replace(outcome, seconds=0.0)
+
+
+class TestKernel:
+    def test_kernels_are_generated_up_to_the_degree_bound(self):
+        for target in GAP_CLASSES:
+            for d in range(3, criticalgaps._KERNEL_MAX_DEGREE + 1):
+                kernel = criticalgaps.match_kernel(d, target)
+                assert kernel.__code__.co_filename == f"<match kernel, d={d}, {target}>"
+                assert criticalgaps.match_kernel(d, target) is kernel
+            above = criticalgaps.match_kernel(criticalgaps._KERNEL_MAX_DEGREE + 1, target)
+            assert above.func is criticalgaps._match_loops and above.keywords == {"target": target}
+
+    def test_kernels_run_the_shared_stage(self):
+        # the stage tests below compile the same lines that every kernel holds
+        for d in (3, 5, 12, criticalgaps._KERNEL_MAX_DEGREE):
+            for target in GAP_CLASSES:
+                src = criticalgaps._kernel_source(d, target)
+                stage = criticalgaps._stage_source(d) + criticalgaps._stage_rule_source(
+                    target, "return None", "break")
+                assert "".join(f"        {line}\n" for line in stage) in src, (d, target)
+                assert "sum(" not in src
+
+    def test_kernel_equals_the_reference_path(self):
+        for xs in _kernel_cases():
+            for target in GAP_CLASSES:
+                got = criticalgaps.match_kernel(len(xs), target)(xs)
+                assert got == criticalgaps._match_loops(xs, target), (xs, target)
+                assert got == _reference_match(xs, target), (xs, target)
+
+    def test_stages_equal_refine_bit_for_bit(self):
+        # every stage down to the full tolerance, as if no bound ever decided
+        for xs in _kernel_cases():
+            stage = _kernel_stage(len(xs))
+            full, tol = criticalgaps._tolerances(xs)
+            tols = [1e-3] if math.isnan(tol) else []
+            while tol > full:
+                tols.append(tol)
+                tol /= criticalgaps._STAGE_FACTOR
+            lo, hi = xs[:-1], xs[1:]
+            k_lo, k_hi = list(lo), list(hi)
+            for tol in tols + [full]:
+                want = criticalgaps._refine(xs, lo, hi, tol)
+                k_lo, k_hi, got = stage(xs, k_lo, k_hi, tol)
+                assert _hex(k_lo) == _hex(lo) and _hex(k_hi) == _hex(hi), (xs, tol)
+                assert _hex(got) == _hex(want), (xs, tol)
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [([0.0, 0.0, -0.0], [0.0, 0.0, -0.0]), ([0.0, -0.0, 0.0], [0.0, -0.0, 0.0])],
+        ids=["zero-then-negative-zero", "negative-zero-then-zero"],
+    )
+    def test_stage_bounds_keep_the_first_of_equal_gaps(self, lo, hi):
+        # as TestSignOnlyKernel checks for _refine: no bracket moves at tol = inf
+        got = _kernel_stage(4)([0.0] * 4, lo, hi, math.inf)[2]
+        assert _hex(got) == _hex(xi_gap_bounds(lo, hi))
+
+    def test_search_above_the_degree_bound_equals_the_reference(self, monkeypatch):
+        d = criticalgaps._KERNEL_MAX_DEGREE + 4
+        cfg = SearchConfig(n=50, seed=1)
+        got = [_outcome(sampler.search_gap_class(d, t, cfg)) for t in GAP_CLASSES]
+        monkeypatch.setattr(sampler, "match_kernel",
+                            lambda d, t: functools.partial(_reference_match, target=t))
+        want = [_outcome(sampler.search_gap_class(d, t, cfg)) for t in GAP_CLASSES]
+        assert got == want
+        assert any(outcome.found for outcome in got)

@@ -95,6 +95,26 @@ GOLDEN = [
         1, "67989388aa12f34681181941eda4226acdb56a82edc745d8e19588ccaf52c06d",
         id="sweep-moduli-341",
     ),
+    pytest.param(
+        "search gaps --degree 8 --class L+R- --seed 1 --n 1000",
+        0, "9fbd9ffd4f78abb815ac746180c71281567f99bd6181a697701d9b1437e08279",
+        id="search-gaps-degree8",
+    ),
+    pytest.param(
+        "search gaps --degree 10 --class L+R+ --seed 1 --n 1000",
+        0, "2392e02b16f1acd3c378f0d8f19a023b65e8ef23955920567c2f246e96e236c5",
+        id="search-gaps-degree10",
+    ),
+    pytest.param(
+        "search gaps --degree 12 --class L-R- --seed 2 --n 1000",
+        0, "d9cb6d4a5ce1cffe52eaf1c1c307ca8ce43aaa0411e47ed6ee0da6e389d6884c",
+        id="search-gaps-degree12",
+    ),
+    pytest.param(
+        "search gaps --degree 5 --class L-R+ --seed 11 --n 2000",
+        1, "b21f807c9f7eff5b48a3674d5fb9a7ead05334790889458136b1eaf8098edca1",
+        id="search-gaps-exhausted",
+    ),
 ]
 
 
