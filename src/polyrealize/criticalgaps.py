@@ -16,25 +16,25 @@ every critical point in full, to BISECTION_REL_TOL of the span x_n - x_1
 search's test, refines in stages whose tolerance falls by 4 from
 (x_n - x_1)/16; it stops as soon as the bounds rule the target class out,
 and jumps to the full refinement as soon as they decide it.  Its work
-before the first stage is one pass over x for the midpoint-gap extrema
-(_midpoint_gap_extrema, which gap_report's _report shares) and one lookup
-of the target's orientation in a table built at import (_ORIENTATION),
-which a generated kernel (below) has baked in.  A
-margin counts only at MARGIN_EPS or more: _margin_sign states that rule for
-gap_report, and match applies it once per bound, to the margin oriented
-toward the target's sign.  Every schedule visits the same midpoints, so a
-report that match returns is gap_report's.  Up to _KERNEL_MAX_DEGREE (16)
-roots, match runs a kernel generated once per degree and target
-(match_kernel): straight-line Python that unpacks the roots into locals,
-unrolls the midpoint-gap extrema and the bounds, holds each bracket in two
-locals, and evaluates P'/P at a midpoint as the one expression
+before the first stage is one pass over x for the midpoint-gap extrema,
+with the operations of _midpoint_gap_extrema, which gap_report's _report
+shares.  A margin counts only at MARGIN_EPS or more: _margin_sign states
+that rule for gap_report, and match applies it once per bound, to the
+margin oriented toward the target's sign.  Every schedule visits the same
+midpoints, so a report that match returns is gap_report's.  match runs a
+kernel generated once per degree and target (match_kernel) from one
+template with two layouts.  Up to _KERNEL_MAX_DEGREE (16) roots it is
+straight-line Python that unpacks the roots into locals, unrolls the
+midpoint-gap extrema and the bounds, holds each bracket in two locals, and
+evaluates P'/P at a midpoint as the one expression
 1.0 / (mid - x0) + ... + 1.0 / (mid - x{d-1}).  _refine's loop adds the same
 terms in the same order onto s = 0.0, and adding 0.0 can change only the
 sign of a zero, which _refine's three-way test on s ignores; so the kernel
 takes every decision _refine takes, on the same floats.  Above that degree,
-where compiling a kernel costs more than it saves, match runs the same
-stages as loops (_match_loops).  Either way the full refinement is
-_refine's.  match runs on the engine's sorted, distinct draws and does not
+where compiling unrolled code costs more than it saves, the kernel keeps
+the brackets in lists and calls _refine once per stage.  Either way the
+stage rule has the target's orientation baked in and the full refinement
+is _refine's.  match runs on the engine's sorted, distinct draws and does not
 re-check them; gap_report, critical_points and midpoints convert their
 input to floats and validate it in one place (_floats), so they agree on
 any real number type.
@@ -329,25 +329,6 @@ def gap_report(x: Sequence) -> GapReport:
     return _report(*_refined(x, 3))
 
 
-def _orientation(target: str) -> tuple[float, float, int, int, int, int]:
-    """(sl, sr, l_near, l_far, r_near, r_far): how match orients each margin toward target.
-
-    sl and sr are +1.0 for a "+" side and -1.0 for a "-" side.  The left
-    margin lies in [m_lo - m_tilde, m_hi - m_tilde] and the right in
-    [M_tilde - M_hi, M_tilde - M_lo]; the four indices point into _refine's
-    (m_lo, m_hi, M_lo, M_hi) at each side's near bound, the one that
-    favours the target most, and its far bound.
-    """
-    sl = 1.0 if target[1] == "+" else -1.0
-    sr = 1.0 if target[3] == "+" else -1.0
-    l_near, l_far = (1, 0) if sl > 0 else (0, 1)
-    r_near, r_far = (2, 3) if sr > 0 else (3, 2)
-    return sl, sr, l_near, l_far, r_near, r_far
-
-
-_ORIENTATION = {target: _orientation(target) for target in GAP_CLASSES}
-
-
 def _finish(x: list[float], lo: list[float], hi: list[float], full: float,
             target: str) -> GapReport | None:
     """match's last step: refine the brackets in full, then gap_report's report if its class is target."""
@@ -359,37 +340,16 @@ def _finish(x: list[float], lo: list[float], hi: list[float], full: float,
     return report if report.gap_class == target else None
 
 
-def _match_loops(x: list[float], target: str) -> GapReport | None:
-    """match(x, target) as loops over x and the bracket lists, for any degree.
-
-    The reference path: match runs it above _KERNEL_MAX_DEGREE, and the
-    generated kernels do the same float operations in the same order.
-    """
-    sl, sr, l_near, l_far, r_near, r_far = _ORIENTATION[target]
-    lo, hi = x[:-1], x[1:]
-    m_tilde, M_tilde = _midpoint_gap_extrema(x)
-    full, tol = _tolerances(x)
-    while tol > full:
-        bounds = _refine(x, lo, hi, tol)
-        if not (sl * (bounds[l_near] - m_tilde) >= MARGIN_EPS
-                and sr * (M_tilde - bounds[r_near]) >= MARGIN_EPS):
-            return None
-        if (sl * (bounds[l_far] - m_tilde) >= MARGIN_EPS
-                and sr * (M_tilde - bounds[r_far]) >= MARGIN_EPS):
-            break
-        tol /= _STAGE_FACTOR
-    return _finish(x, lo, hi, full, target)
-
-
-# match runs a straight-line kernel generated for its degree and target up to
-# this degree, and _match_loops above it.  A kernel's source grows as d**2 (d - 1
-# brackets, each with a d-term P'/P), and so does the cost of compiling one:
+# Up to this degree match's kernel is straight-line code: the roots and brackets
+# are locals and every loop is unrolled.  That source grows as d**2 (d - 1
+# brackets, each with a d-term P'/P), and so does the cost of compiling it:
 # 1.0-1.2 ms at d = 5, 2.4-3.7 ms at d = 12, 3.9-4.0 ms and +0.5 MB peak RSS at
 # d = 16, 5.4-6.8 ms and +1.1 MB at d = 20, 17-29 ms and +6.0 MB at d = 40, and
-# 0.29-0.31 s and +67 MB at d = 160 (2-core Xeon VM, Python 3.11.7).  Every
-# benchmark workload and acceptance criterion searches degrees 3 to 12.
+# 0.29-0.31 s and +67 MB at d = 160 (2-core Xeon VM, Python 3.11.7).  Above it
+# the kernel keeps x and the brackets in lists and has the same size at every
+# degree.  Every benchmark workload and acceptance criterion searches degrees 3
+# to 12.
 _KERNEL_MAX_DEGREE = 16
-_BOUNDS = ("m_lo", "m_hi", "M_lo", "M_hi")  # _refine's return order
 
 
 def _stage_source(d: int) -> list[str]:
@@ -439,21 +399,25 @@ def _stage_source(d: int) -> list[str]:
 def _stage_rule_source(target: str, ruled_out: str, decided: str) -> list[str]:
     """Source lines of match's stage rule for target, on the bounds m_lo .. M_hi.
 
-    The statement ruled_out runs unless both sides' near bounds pass the
-    MARGIN_EPS test, and decided runs when both far bounds pass it too; the
-    kernel passes "return None" and "break".  _ORIENTATION's entry for target
-    is baked in: a "+" side tests its margin as written, where _match_loops
-    multiplies it by 1.0, and a "-" side tests it with the operands of its
-    subtraction swapped, which negates it exactly (rounding to nearest is
-    symmetric), where _match_loops multiplies it by -1.0.  The two can differ
-    only in the sign of a zero, which no test against MARGIN_EPS sees.
+    The left margin lies in [m_lo - m_tilde, m_hi - m_tilde] and the right
+    in [M_tilde - M_hi, M_tilde - M_lo].  Each side's sign, and so its near
+    bound (the one that favours the target most) and its far bound, is read
+    from the target string.  The statement ruled_out runs unless both sides'
+    near bounds pass the MARGIN_EPS test, and decided runs when both far
+    bounds pass it too; the kernel passes "return None" and "break".  A "+"
+    side tests its margin as written; a "-" side tests it with the operands
+    of its subtraction swapped, which negates it exactly (rounding to nearest
+    is symmetric) and can differ from -margin only in the sign of a zero,
+    which no test against MARGIN_EPS sees.  So a side passes exactly when
+    _margin_sign of its margin is the target's sign (NaN passes neither).
     """
-    sl, sr, l_near, l_far, r_near, r_far = _ORIENTATION[target]
+    left_plus, right_plus = target[1] == "+", target[3] == "+"
+    l_near, l_far = ("m_hi", "m_lo") if left_plus else ("m_lo", "m_hi")
+    r_near, r_far = ("M_lo", "M_hi") if right_plus else ("M_hi", "M_lo")
 
-    def passes(left: int, right: int) -> str:
-        m, M = _BOUNDS[left], _BOUNDS[right]
-        left_margin = f"{m} - m_tilde" if sl > 0 else f"m_tilde - {m}"
-        right_margin = f"M_tilde - {M}" if sr > 0 else f"{M} - M_tilde"
+    def passes(m: str, M: str) -> str:
+        left_margin = f"{m} - m_tilde" if left_plus else f"m_tilde - {m}"
+        right_margin = f"M_tilde - {M}" if right_plus else f"{M} - M_tilde"
         return f"{left_margin} >= MARGIN_EPS and {right_margin} >= MARGIN_EPS"
 
     return [f"if not ({passes(l_near, r_near)}):", f"    {ruled_out}",
@@ -461,49 +425,57 @@ def _stage_rule_source(target: str, ruled_out: str, decided: str) -> list[str]:
 
 
 def _kernel_source(d: int, target: str) -> str:
-    """Source of the function `kernel(x)`: match(x, target) for d roots, without loops over x.
+    """Source of the function `kernel(x)`: match(x, target) for d >= 3 roots.
 
-    It unpacks x into x0 .. x{d-1}, computes m_tilde and M_tilde with
-    _midpoint_gap_extrema's operations and its strict < / > rule, and holds
-    bracket k as the locals a{k}, b{k}, starting from the root interval.  Its
-    stage loop is _match_loops' loop: the tolerances from _tolerances(x),
-    _stage_source for _refine, _stage_rule_source for the test on the bounds,
-    and tol /= _STAGE_FACTOR.  Then the brackets go back into lists for
-    _finish.  MARGIN_EPS, _STAGE_FACTOR and _FIRST_STAGE (inside _tolerances)
-    are read from this module when the kernel runs.
+    One template, two layouts.  Up to _KERNEL_MAX_DEGREE the kernel has no
+    loop over x: it unpacks x into x0 .. x{d-1}, computes m_tilde and M_tilde
+    with _midpoint_gap_extrema's operations and its strict < / > rule, holds
+    bracket k as the locals a{k}, b{k}, starting from the root interval, and
+    runs each stage as _stage_source(d).  Above it the brackets are the lists
+    lo and hi, m_tilde and M_tilde come from _midpoint_gap_extrema(x), and
+    each stage is one _refine call; that source has the same size at every
+    degree.  Both layouts share the rest: the tolerances from _tolerances(x),
+    the stage loop with _stage_rule_source's test on the bounds and
+    tol /= _STAGE_FACTOR, and _finish.  MARGIN_EPS, _STAGE_FACTOR and
+    _FIRST_STAGE (inside _tolerances) are read from this module when the
+    kernel runs.
     """
-    xs = ", ".join(f"x{j}" for j in range(d))
-    body = [f"{xs} = x"]
-    body += [f"z{k} = (x{k} + x{k + 1}) * 0.5" for k in range(2)]
-    body += ["m_tilde = M_tilde = z1 - z0"]
-    for k in range(2, d - 1):
-        body += [
-            f"z{k} = (x{k} + x{k + 1}) * 0.5",
-            f"g = z{k} - z{k - 1}",
-            "if g < m_tilde:", "    m_tilde = g",
-            "elif g > M_tilde:", "    M_tilde = g",
-        ]
-    body += ["full, tol = _tolerances(x)"]
-    body += [f"a{k}, b{k} = x{k}, x{k + 1}" for k in range(d - 1)]
-    body += ["while tol > full:"]
-    body += ["    " + line for line in _stage_source(d)]
+    if d <= _KERNEL_MAX_DEGREE:
+        xs = ", ".join(f"x{j}" for j in range(d))
+        head = [f"{xs} = x"]
+        head += [f"z{k} = (x{k} + x{k + 1}) * 0.5" for k in range(2)]
+        head += ["m_tilde = M_tilde = z1 - z0"]
+        for k in range(2, d - 1):
+            head += [
+                f"z{k} = (x{k} + x{k + 1}) * 0.5",
+                f"g = z{k} - z{k - 1}",
+                "if g < m_tilde:", "    m_tilde = g",
+                "elif g > M_tilde:", "    M_tilde = g",
+            ]
+        head += [f"a{k}, b{k} = x{k}, x{k + 1}" for k in range(d - 1)]
+        stage = _stage_source(d)
+        los = "[" + ", ".join(f"a{k}" for k in range(d - 1)) + "]"
+        his = "[" + ", ".join(f"b{k}" for k in range(d - 1)) + "]"
+    else:
+        head = ["lo, hi = x[:-1], x[1:]", "m_tilde, M_tilde = _midpoint_gap_extrema(x)"]
+        stage = ["m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)"]
+        los, his = "lo", "hi"
+    body = [*head, "full, tol = _tolerances(x)", "while tol > full:"]
+    body += ["    " + line for line in stage]
     body += ["    " + line for line in _stage_rule_source(target, "return None", "break")]
-    body += ["    tol /= _STAGE_FACTOR"]
-    los = ", ".join(f"a{k}" for k in range(d - 1))
-    his = ", ".join(f"b{k}" for k in range(d - 1))
-    body += [f"return _finish(x, [{los}], [{his}], full, {target!r})"]
+    body += ["    tol /= _STAGE_FACTOR", f"return _finish(x, {los}, {his}, full, {target!r})"]
     return "def kernel(x):\n" + "".join(f"    {line}\n" for line in body)
 
 
-@functools.lru_cache(maxsize=64)  # room for every kernel: 4 targets, degrees 3-16
+# a cache bound, not an option: 64 kernels, 16 degrees of 4 targets.  An evicted
+# kernel is compiled again: about 0.1 ms above _KERNEL_MAX_DEGREE, 1-4 ms below
+@functools.lru_cache(maxsize=64)
 def match_kernel(d: int, target: str) -> Callable[[list[float]], GapReport | None]:
-    """The function x -> match(x, target) for d roots: fetch it once, call it per attempt.
+    """The function x -> match(x, target) for d >= 3 roots: fetch it once, call it per attempt.
 
-    Up to _KERNEL_MAX_DEGREE it is compiled from _kernel_source(d, target) on
-    the first request; above it, and below three roots, it is _match_loops.
+    It is compiled from _kernel_source(d, target) on the first request, in
+    the unrolled layout up to _KERNEL_MAX_DEGREE and the list layout above.
     """
-    if not 3 <= d <= _KERNEL_MAX_DEGREE:
-        return functools.partial(_match_loops, target=target)
     namespace: dict = {}
     code = compile(_kernel_source(d, target), f"<match kernel, d={d}, {target}>", "exec")
     exec(code, globals(), namespace)
@@ -519,29 +491,27 @@ def match(x: list[float], target: str) -> GapReport | None:
     from anywhere else goes through gap_report, which validates it.
 
     None also stands for the inputs gap_report rejects with
-    DegenerateMarginError.  The target's orientation comes from
-    _ORIENTATION, built from GAP_CLASSES at import, and m_tilde and M_tilde
-    from _midpoint_gap_extrema's one pass over x, which _report shares.  The
+    DegenerateMarginError.  m_tilde and M_tilde come from one pass over x
+    with _midpoint_gap_extrema's operations, which _report shares.  The
     brackets start as the root intervals and are refined in stages of
     tolerance (x_n - x_1) / _FIRST_STAGE, then a factor _STAGE_FACTOR
     smaller each stage (see _tolerances for a span that overflows).  Each
     stage's refinement bounds the min and max critical gap, and so both
     margins: float subtraction and min/max are monotone, so the bounds hold
-    the margins that full refinement computes.  Each margin is oriented
-    toward the target's sign, s * margin with s = +1 or -1, an exact flip: a
-    side is the target's when s * margin >= MARGIN_EPS, which is
-    _margin_sign's rule (NaN fails it).  When a side's near bound, the one
-    that favours the target most, fails that test, the target is ruled out
-    and the search stops; when its far bound passes too, that side is
-    decided.  Once both sides are decided, or the stages run out, the
-    brackets go straight to the full refinement (_refine), which visits the
-    same midpoints whatever the schedule, and the report is built from them
-    exactly as gap_report builds it.
+    the margins that full refinement computes.  A side is the target's when
+    its margin, oriented toward the target's sign, is at least MARGIN_EPS,
+    which is _margin_sign's rule (see _stage_rule_source).  When a side's
+    near bound, the one that favours the target most, fails that test, the
+    target is ruled out and the search stops; when its far bound passes
+    too, that side is decided.  Once both sides are decided, or the stages
+    run out, the brackets go straight to the full refinement (_refine),
+    which visits the same midpoints whatever the schedule, and the report is
+    built from them exactly as gap_report builds it.
 
-    The work runs in match_kernel(len(x), target): up to
-    _KERNEL_MAX_DEGREE roots, straight-line code generated for that degree
-    and target, with each bracket in two locals and P'/P as one expression
-    (see _stage_source for why its bits are _refine's); above it,
-    _match_loops.  Both take the same decisions on the same floats.
+    The work runs in match_kernel(len(x), target), generated for that degree
+    and target from one template: up to _KERNEL_MAX_DEGREE roots,
+    straight-line code with each bracket in two locals and P'/P as one
+    expression (see _stage_source for why its bits are _refine's); above it,
+    the bracket lists and one _refine call per stage.
     """
     return match_kernel(len(x), target)(x)

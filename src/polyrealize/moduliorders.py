@@ -67,12 +67,10 @@ class ModuliOrder:
         bracket = tuple(bracket)
         if not bracket or any(u < 0 for u in bracket):
             raise ValueError(f"bracket entries must be >= 0: {bracket!r}")
-        parts = []
-        for k, u in enumerate(bracket):
-            parts.append("N" * u)
-            if k < len(bracket) - 1:
-                parts.append("P")
-        return cls("".join(parts))
+        word = "P".join("N" * u for u in bracket)
+        if not word:
+            raise ValueError(f"bracket {list(bracket)} describes no modulus")
+        return cls(word)
 
     def __str__(self) -> str:
         return self.word

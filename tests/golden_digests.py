@@ -77,6 +77,8 @@ CASES = {
     "search-gaps-degree10": lambda: search_gaps(10, "L+R+", SearchConfig(n=1000, seed=1)),
     "search-gaps-degree12": lambda: search_gaps(12, "L-R-", SearchConfig(n=1000, seed=2)),
     "search-gaps-exhausted": lambda: search_gaps(5, "L-R+", SearchConfig(n=2000, seed=11)),
+    "search-gaps-degree17": lambda: search_gaps(17, "L-R+", SearchConfig(n=1000, seed=1)),
+    "search-gaps-degree20": lambda: search_gaps(20, "L-R-", SearchConfig(n=1000, seed=1)),
 }
 
 

@@ -72,6 +72,13 @@ class TestSearchCommands:
                                       "--pos", "0", "--neg", "1", "--n", "10"])
         assert result.exit_code == 2
 
+    def test_empty_bracket_order_exits_two(self, runner):
+        result = runner.invoke(main, ["search", "moduli", "--sigma", "+-",
+                                      "--order", "[0]", "--n", "10"])
+        assert result.exit_code == 2
+        assert "bracket [0] describes no modulus" in result.output
+        assert "order word" not in result.output
+
     @pytest.mark.parametrize("sigma", ["+", "1"])
     def test_degree_zero_exits_two(self, runner, sigma):
         result = runner.invoke(main, ["search", "pair", "--sigma", sigma,

@@ -424,24 +424,6 @@ class TestMidpointGapExtrema:
 
 
 
-class TestOrientationTable:
-    def test_follows_the_class_strings(self):
-        # with bounds (m_lo, m_hi, M_lo, M_hi) = (1, 2, 3, 4) and m_tilde =
-        # M_tilde = 0, the left margin at index i is bounds[i] and the right
-        # one -bounds[i]; a side's near bound gives the margin most favourable
-        # to the target's sign, its far bound the least
-        bounds = (1.0, 2.0, 3.0, 4.0)
-        assert set(criticalgaps._ORIENTATION) == set(GAP_CLASSES)
-        for target in GAP_CLASSES:
-            sl = {"+": 1.0, "-": -1.0}[target[1]]
-            sr = {"+": 1.0, "-": -1.0}[target[3]]
-            l_near = max((0, 1), key=lambda i: sl * bounds[i])
-            r_near = max((2, 3), key=lambda i: sr * -bounds[i])
-            want = (sl, sr, l_near, 1 - l_near, r_near, 5 - r_near)
-            got = criticalgaps._ORIENTATION[target]
-            assert got == want and all(type(v) is type(w) for v, w in zip(got, want)), target
-
-
 def _margins(xs):
     """gap_report's two margins, also where it would call them degenerate."""
     z = midpoints(xs)
@@ -488,14 +470,14 @@ def _near_degenerate_roots():
     return found
 
 
-def _schedule_cases():
-    """Root sets of degree 3-12 at scales 2^-1000, 1 and 2^1000, half of them clustered.
+def _schedule_cases(degrees=range(3, 13)):
+    """Root sets of each degree at scales 2^-1000, 1 and 2^1000, half of them clustered.
 
     A clustered set draws about half its roots from a 0.01-wide interval,
     which puts the gap chain's margins near MARGIN_EPS at scale 1.
     """
     found = []
-    for d in range(3, 13):
+    for d in degrees:
         for e in (-1000, 0, 1000):
             for case in range(40):
                 clustered = case % 2 == 1
@@ -515,21 +497,24 @@ def _schedule_cases():
 
 
 class _NextStage(Exception):
-    """Raised by a stubbed _refine on _match_loops' second call, carrying its tolerance."""
+    """Raised by a stubbed _refine on a kernel's second call, carrying its tolerance."""
 
     def __init__(self, tol):
         super().__init__(tol)
         self.tol = tol
 
 
-def _loop_stage_action(stage_bounds, target):
-    """What _match_loops does after a first stage whose _refine returns stage_bounds.
+def _list_kernel_stage_action(stage_bounds, target):
+    """What match_kernel(17, target) does after a first stage whose _refine returns stage_bounds.
 
-    "ruled out" (it returns None at once), "decided" (its next _refine is the
-    full refinement) or "refine" (its next _refine is the next stage).  The
-    roots 0, 1, 2, 3 give m_tilde = M_tilde = 1.0.
+    Degree 17 is above _KERNEL_MAX_DEGREE, so the kernel keeps its brackets
+    in lists and calls criticalgaps._refine once per stage: "ruled out" (it
+    returns None at once), "decided" (its next _refine is the full
+    refinement) or "refine" (its next _refine is the next stage).  The roots
+    0.0 .. 16.0 give m_tilde = M_tilde = 1.0 and the full tolerance
+    BISECTION_REL_TOL * 16.0.
     """
-    xs = [0.0, 1.0, 2.0, 3.0]
+    xs = [float(k) for k in range(17)]
     calls = []
 
     def fake_refine(x, lo, hi, tol):
@@ -541,9 +526,9 @@ def _loop_stage_action(stage_bounds, target):
     saved = criticalgaps._refine
     criticalgaps._refine = fake_refine
     try:
-        got = criticalgaps._match_loops(xs, target)
+        got = criticalgaps.match_kernel(len(xs), target)(xs)
     except _NextStage as stage:
-        return "decided" if stage.tol == BISECTION_REL_TOL * 3.0 else "refine"
+        return "decided" if stage.tol == BISECTION_REL_TOL * 16.0 else "refine"
     finally:
         criticalgaps._refine = saved
     assert got is None and len(calls) == 1
@@ -594,29 +579,29 @@ class TestMatch:
     def test_stage_schedule_does_not_change_the_result(self, monkeypatch):
         # every schedule visits a prefix of the same bisection path, so the
         # old one (span/16, then /16 a stage) gives the same reports; each
-        # path must run the schedule it reads: its first stage once per call,
-        # and as many later stages as the other path
-        roots = _schedule_cases()
-        calls = len(roots) * len(GAP_CLASSES)
-        runs = {}
-        for factor in (4.0, 16.0):
-            for path in (match, criticalgaps._match_loops):
+        # kernel layout must run the schedule it reads: its first stage once
+        # per call, and fewer later stages under the old schedule
+        layouts = {"unrolled": _schedule_cases(), "lists": _schedule_cases((17, 20))}
+        assert max(map(len, layouts["unrolled"])) <= criticalgaps._KERNEL_MAX_DEGREE
+        assert min(map(len, layouts["lists"])) > criticalgaps._KERNEL_MAX_DEGREE
+        for layout, roots in layouts.items():
+            calls = len(roots) * len(GAP_CLASSES)
+            runs = {}
+            for factor in (4.0, 16.0):
                 first, later = [0], [0]
                 monkeypatch.setattr(criticalgaps, "_FIRST_STAGE", _CountedDivisor(16.0, first))
                 monkeypatch.setattr(criticalgaps, "_STAGE_FACTOR", _CountedDivisor(factor, later))
-                got = [[path(xs, t) for t in GAP_CLASSES] for xs in roots]
-                assert first[0] == calls, (factor, path)
-                runs[factor, path] = got, later[0]
-        new, new_stages = runs[4.0, match]
-        old, old_stages = runs[16.0, match]
-        assert runs[4.0, criticalgaps._match_loops] == (new, new_stages)
-        assert runs[16.0, criticalgaps._match_loops] == (old, old_stages)
-        assert 0 < old_stages < new_stages, (old_stages, new_stages)
-        for xs, got, want in zip(roots, new, old):
-            assert got == want, xs
-            assert got == [_reference_match(xs, t) for t in GAP_CLASSES], xs
-        hits = {t: sum(row[i] is not None for row in new) for i, t in enumerate(GAP_CLASSES)}
-        assert min(hits.values()) > 0, hits
+                got = [[match(xs, t) for t in GAP_CLASSES] for xs in roots]
+                assert first[0] == calls, (layout, factor)
+                runs[factor] = got, later[0]
+            (new, new_stages), (old, old_stages) = runs[4.0], runs[16.0]
+            assert 0 < old_stages < new_stages, (layout, old_stages, new_stages)
+            monkeypatch.undo()
+            for xs, got, want in zip(roots, new, old):
+                assert got == want, xs
+                assert got == [_reference_match(xs, t) for t in GAP_CLASSES], xs
+            hits = {t: sum(row[i] is not None for row in new) for i, t in enumerate(GAP_CLASSES)}
+            assert min(hits.values()) > 0, (layout, hits)
 
     def test_near_degenerate_margins(self):
         roots = _near_degenerate_roots()
@@ -665,7 +650,7 @@ class TestMatch:
                         want = "refine"
                     bounds = (m_lo, m_hi, M_lo, M_hi)
                     assert _kernel_stage_action(bounds, target) == want, (target, bounds)
-                    assert _loop_stage_action(bounds, target) == want, (target, bounds)
+                    assert _list_kernel_stage_action(bounds, target) == want, (target, bounds)
                     seen.add(want)
         assert seen == {"ruled out", "decided", "refine"}
 
@@ -688,14 +673,14 @@ class TestMatch:
 SPAN_OVERFLOW_ROOTS = [-1e308, 0.5, 1e308]
 
 
-def _span_overflow_sets():
+def _span_overflow_sets(degrees=range(3, 9)):
     """Sorted sets whose span x_n - x_1 overflows to inf, four per degree, and SPAN_OVERFLOW_ROOTS.
 
     The outer roots lie in [-1e308, -9e307] and [9e307, 1e308] and the inner
     ones in [-1e307, 1e307], so no midpoint overflows.
     """
     found = [SPAN_OVERFLOW_ROOTS]
-    for d in range(3, 9):
+    for d in degrees:
         for case in range(4):
             u = unit_draws(950 + d, case, d)
             xs = sorted([-9e307 - 1e307 * u[0], 9e307 + 1e307 * u[1]]
@@ -737,10 +722,10 @@ class TestSpanOverflow:
         assert found > 0
 
 
-def _nan_sets():
-    """Sorted-looking root sets of degree 3-8 with a NaN first, at each inner place, and last."""
+def _nan_sets(degrees=range(3, 9)):
+    """Sorted-looking root sets of each degree with a NaN first, at each inner place, and last."""
     found = []
-    for n in range(3, 9):
+    for n in degrees:
         for spot in range(n):
             xs = random_distinct_sorted(960 + n, spot, n)
             xs[spot] = math.nan
@@ -752,6 +737,14 @@ def _nan_sets():
 def _kernel_cases():
     return (_schedule_cases() + _near_degenerate_roots() + _span_overflow_sets() + _nan_sets()
             + [HUGE_ROOTS, [1e-200, 2e-200, 3e-200], [1e-200 * v for v in GAP_D6_ROOTS]])
+
+
+@functools.cache
+def _list_kernel_cases():
+    """Root sets above _KERNEL_MAX_DEGREE (17 and 20), NaN and span-overflow sets among them."""
+    above = (17, 20)
+    return (_schedule_cases(above)[::3] + _span_overflow_sets(above)[1:] + _nan_sets(above)
+            + [[1e-200 * v for v in range(1, 18)]])
 
 
 @functools.cache
@@ -781,30 +774,41 @@ def _outcome(outcome):
 
 
 class TestKernel:
-    def test_kernels_are_generated_up_to_the_degree_bound(self):
+    def test_kernels_are_generated_for_every_degree(self):
         for target in GAP_CLASSES:
-            for d in range(3, criticalgaps._KERNEL_MAX_DEGREE + 1):
+            for d in range(3, 21):
                 kernel = criticalgaps.match_kernel(d, target)
                 assert kernel.__code__.co_filename == f"<match kernel, d={d}, {target}>"
                 assert criticalgaps.match_kernel(d, target) is kernel
-            above = criticalgaps.match_kernel(criticalgaps._KERNEL_MAX_DEGREE + 1, target)
-            assert above.func is criticalgaps._match_loops and above.keywords == {"target": target}
 
     def test_kernels_run_the_shared_stage(self):
         # the stage tests below compile the same lines that every kernel holds
+        rule = {t: criticalgaps._stage_rule_source(t, "return None", "break") for t in GAP_CLASSES}
         for d in (3, 5, 12, criticalgaps._KERNEL_MAX_DEGREE):
             for target in GAP_CLASSES:
                 src = criticalgaps._kernel_source(d, target)
-                stage = criticalgaps._stage_source(d) + criticalgaps._stage_rule_source(
-                    target, "return None", "break")
+                stage = criticalgaps._stage_source(d) + rule[target]
                 assert "".join(f"        {line}\n" for line in stage) in src, (d, target)
                 assert "sum(" not in src
+        # above the bound each stage is one _refine call, and the source does
+        # not grow with the degree
+        above = range(criticalgaps._KERNEL_MAX_DEGREE + 1, 41)
+        for target in GAP_CLASSES:
+            sources = [criticalgaps._kernel_source(d, target) for d in above]
+            assert len(set(map(len, sources))) == 1, target
+            stage = ["m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)"] + rule[target]
+            for src in sources:
+                assert "".join(f"        {line}\n" for line in stage) in src, target
+                assert src.count("_refine(") == 1 and "sum(" not in src
 
     def test_kernel_equals_the_reference_path(self):
-        for xs in _kernel_cases():
+        above = _list_kernel_cases()
+        assert min(map(len, above)) > criticalgaps._KERNEL_MAX_DEGREE
+        assert any(math.isnan(v) for xs in above for v in xs)
+        assert any(xs[-1] - xs[0] == math.inf for xs in above)
+        for xs in _kernel_cases() + above:
             for target in GAP_CLASSES:
                 got = criticalgaps.match_kernel(len(xs), target)(xs)
-                assert got == criticalgaps._match_loops(xs, target), (xs, target)
                 assert got == _reference_match(xs, target), (xs, target)
 
     def test_stages_equal_refine_bit_for_bit(self):

@@ -115,6 +115,16 @@ GOLDEN = [
         1, "b21f807c9f7eff5b48a3674d5fb9a7ead05334790889458136b1eaf8098edca1",
         id="search-gaps-exhausted",
     ),
+    pytest.param(
+        "search gaps --degree 17 --class L-R+ --seed 1 --n 1000",
+        0, "1b7fcc877f8c3a7820ea4da58cb3ef72f636bb5fe3e4457b81b772282a12895a",
+        id="search-gaps-degree17",
+    ),
+    pytest.param(
+        "search gaps --degree 20 --class L-R- --seed 1 --n 1000",
+        0, "d4019d41bef286f057c98b34a5d1b898e3f50685b8e4f58d3532175be5560f9a",
+        id="search-gaps-degree20",
+    ),
 ]
 
 
@@ -130,11 +140,13 @@ def test_report_digest(tmp_path, command, exit_code, digest):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-def test_library_script_prints_the_golden_digests():
+# -O strips asserts; the package states no invariant as one, so no digest moves
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_library_script_prints_the_golden_digests(flags):
     script = Path(__file__).with_name("golden_digests.py")
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+    out = subprocess.run([sys.executable, *flags, str(script)], capture_output=True, text=True,
                          env=env, timeout=600)
     assert out.returncode == 0, out.stderr
     printed = dict(line.split() for line in out.stdout.splitlines())

@@ -1,7 +1,8 @@
 """Static checks on the package source.
 
 No module keeps an import it never uses or a private module-level name
-that nothing in the package loads, and no module states an invariant as an
+that nothing in the package loads (in its files or in the match kernels'
+generated source), and no module states an invariant as an
 `assert`, which `python -O` strips: invariants are explicit checks.  The
 rule of which blocks a search tests as lanes is stated in `sampler._scan`
 alone, and only `_scan` builds a `SearchOutcome`.
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import polyrealize
+from polyrealize import criticalgaps
 
 MODULES = sorted(
     p for p in Path(polyrealize.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -41,12 +43,24 @@ def test_module_imports_are_used(path):
     assert unused == [], f"{path.name} never uses its imports {unused}"
 
 
+def _generated_sources():
+    """The source of every layout of the generated match kernels, for each target."""
+    bound = criticalgaps._KERNEL_MAX_DEGREE
+    for d in (3, bound, bound + 1):
+        for target in criticalgaps.GAP_CLASSES:
+            yield criticalgaps._kernel_source(d, target)
+
+
 @lru_cache(maxsize=1)
 def _loaded_anywhere() -> set[str]:
-    """Every name the package loads: bare names, attributes and imported names."""
+    """Every name the package loads, in its files or in the code it generates.
+
+    Bare names, attributes and imported names all count.
+    """
+    sources = [path.read_text() for path in Path(polyrealize.__file__).parent.glob("*.py")]
     names = set()
-    for path in Path(polyrealize.__file__).parent.glob("*.py"):
-        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for source in sources + list(_generated_sources()):
+        for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 names.add(n.id)
             elif isinstance(n, ast.Attribute):

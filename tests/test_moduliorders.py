@@ -81,6 +81,10 @@ class TestBracketForm:
         with pytest.raises(ValueError, match="order word must be a nonempty string"):
             ModuliOrder(word)
 
+    def test_empty_bracket_names_itself(self):
+        with pytest.raises(ValueError, match=r"bracket \[0\] describes no modulus"):
+            parse_order("[0]")
+
     def test_negative_bracket_entry_rejected(self):
         with pytest.raises(ValueError, match="bracket entries must be >= 0"):
             ModuliOrder.from_bracket((1, -1))
