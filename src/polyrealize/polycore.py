@@ -1,16 +1,15 @@
 """Monic real polynomials in double precision.
 
 Construction from explicit roots, Horner evaluation, derivative, and
-tolerance-aware extraction of the coefficient sign word (`sign_tuple`), the
-one place the float sign threshold is stated.  `has_sign_word` tests roots
-against one target word: it rejects on the sign of a_1 before expanding and
-otherwise defers to `sign_tuple`; the pair and moduli searches run it on
-every attempt.
-`sign_word_lanes` is its block form: it tests many attempts at once, one
-float lane per attempt, and returns the lanes whose word is the target.  It
-expands coefficient-major, a_1 of every lane, then a_2, and so on, with
-`expand`'s float operations in `expand`'s order, and drops a lane at its
-first coefficient of the wrong sign.
+tolerance-aware extraction of the coefficient sign word (`sign_tuple`).
+The float rule of the sign word lives here twice, side by side:
+`sign_tuple` states it on coefficients, and `word_source` writes the lines
+of the search's per-attempt test, which decides on the roots what
+`sign_tuple` of their expansion would.  Those lines expand
+coefficient-major, a_1, then a_2, and so on, with `expand`'s float
+operations in `expand`'s order, and reject at the first coefficient of the
+wrong sign; `sampler` compiles them, behind its draw lines, into one kernel
+per root shape.
 The expansion, Horner and derivative kernels are generic over the number
 type: the search loops expand in floats (unit 1.0), and
 :mod:`polyrealize.certifier` runs all three on Python ints (unit 1) for its
@@ -20,8 +19,6 @@ exact re-verification, over roots scaled to a common denominator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, count, repeat
-from operator import add, gt, itemgetter, lt, sub
 from typing import Sequence
 
 DEFAULT_SIGN_TOLERANCE = 1e-9
@@ -101,8 +98,8 @@ def expand(reals: Sequence, pairs: Sequence, one) -> list:
     arithmetic (1.0 or int 1) and the entries must already be of it.  The
     leading coefficient stays `one`, so the j = 0 term of each factor skips
     its multiply: x * one is x exactly in both arithmetics.
-    `sign_word_lanes` computes the same float values column by column, in
-    the same order of operations; keep the two in step.
+    `word_source` writes the same float operations, in the same order, column
+    by column; keep the two in step.
     """
     zero = one - one
     coeffs = [one]
@@ -164,7 +161,9 @@ def derivative_coeffs(coeffs: Sequence) -> tuple:
 def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):
     """Signs (+1/-1) of the coefficients, or None when any is too small to call.
 
-    A coefficient is ambiguous when |a_j| <= tau * max(1, max_k |a_k|).
+    A coefficient is ambiguous when |a_j| <= tau * max(1, max_k |a_k|).  The
+    leading 1.0 of a monic polynomial is tested too, so every word whose
+    max |a_k| is at least 1/tau (1e9 by default) is ambiguous.
     """
     m = 1.0
     for c in coeffs:
@@ -183,128 +182,60 @@ def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):
     return tuple(out)
 
 
-def has_sign_word(reals: Sequence[float], pairs: Sequence, target: tuple[int, ...]) -> bool:
-    """``sign_tuple(expand(reals, pairs, 1.0)) == target``, rejecting early on a_1.
+def word_source(nreals: int, npairs: int) -> list[str]:
+    """Source lines of the sign-word test for nreals real roots and npairs pairs.
 
-    `target` is a sign word of length degree + 1, a tuple as
-    `SignPattern.signs` is, and degree >= 1.
+    The lines run inside a function that holds the roots in the locals r0 ..
+    r{nreals-1} and the pairs' parts in re0, im0, re1, ..., the signs of the
+    target's a_1 .. a_d in g1 .. gd (each 1.0 or -1.0) and the tolerance in
+    tau.  They return None unless sign_tuple(expand(reals, pairs, 1.0), tau)
+    is the target word, whose leading sign is +; then they fall through.
 
-    a_1 is summed first, with the operations `expand` applies to coeffs[1] in
-    the same order (re + re is 2 * re exactly), so it is bit for bit
-    expand(...)[1].  An a_1 not strictly on the target's side of 0.0 (wrong
-    sign, zero or NaN) rejects before the O(d^2) expansion: `sign_tuple`
-    would give None or another word.
+    The coefficients are computed coefficient-major: column 1 of every factor
+    stage of `expand` (the real stages, then the pairs), then column 2, and
+    so on, each the value `expand` computes, with its float operations in
+    its order.  So a_1 is the running sum 0.0 - r0 - ... - (re0 + re0) - ...
+    (re + re is 2 * re exactly), and an entry a stage starts from zero is
+    0.0, never -0.0.  Each a_m is tested as soon as it is computed:
+    v_m = a_m * g_m, which negates exactly or changes nothing, must be > 0.0,
+    or the lines return None.  sign_tuple's threshold is positive, so it
+    never calls such a word the target's.  Once every a_m passes, |a_m| is
+    v_m, and thr = tau * max(1.0, v1, ..., vd) is sign_tuple's threshold:
+    no v_m is NaN, so max finds the m that sign_tuple's loop keeps.  Then
+    the leading 1.0 and every v_m must lie above thr, as in sign_tuple.
     """
-    a1 = 0.0
-    for r in reals:
-        a1 -= r
-    for re, _ in pairs:
-        a1 -= re + re
-    if not (gt if target[1] > 0 else lt)(a1, 0.0):
-        return False
-    return sign_tuple(expand(reals, pairs, 1.0)) == target
-
-
-def _gather(keep: list[int]):
-    """Lane gather: col -> the entries of col at the indices in keep, in order."""
-    return itemgetter(*keep) if len(keep) > 1 else lambda col: (col[keep[0]],)
-
-
-def _lane_coefficients(reals: Sequence, pairs: Sequence, target: tuple[int, ...]):
-    """The lanes whose a_1 .. a_d all lie strictly on the target's side of 0.0.
-
-    Returns (k, expand(lane k's reals, lane k's pairs, 1.0)) for each such
-    lane k, in ascending k.  Block layout as in `sign_word_lanes`.  a_1 is summed lane by lane in
-    `has_sign_word`'s order and compared with 0.0 as there; the lanes that
-    pass are gathered, and their expansion runs coefficient-major: column m
-    of every factor stage, m = 1 .. d, then the strict-sign test on a_m,
-    which drops a lane at its first wrong sign.  Column m of a stage reads
-    columns m, m - 1 and m - 2 of the stage before, so only those last two
-    are kept.  Each value is the one `expand` computes, with its float
-    operations in its order: the zero a new column starts from is 0.0, the
-    multiply by the leading 1 is skipped, and s = re + re equals 2 * re.
-    The survivors are gathered again only when at most half of the lanes
-    computed on pass a column; otherwise the dead ones ride along, which
-    costs less than moving every kept column.
-    """
-    a1 = repeat(0.0, len(reals[0] if reals else pairs[0][0]))
-    for r in reals:
-        a1 = map(sub, a1, r)
-    for re, _ in pairs:
-        a1 = map(sub, a1, map(add, re, re))
-    lane = list(compress(count(), map(gt if target[1] > 0 else lt, a1, repeat(0.0))))
-    if not lane:
-        return []
-    pick = _gather(lane)
-    rs = [pick(r) for r in reals]
-    ss, qs = [], []
-    for re, im in pairs:
-        re, im = pick(re), pick(im)
-        ss.append([x + x for x in re])
-        qs.append([x * x + y * y for x, y in zip(re, im)])
-    nr, d = len(rs), len(rs) + 2 * len(ss)
-    # h1[i] and h2[i]: columns m - 1 and m - 2 of the output stage i reads (the
-    # real stages first, then the pairs), None where that output has none
-    h1 = [None] * (nr + len(ss))
-    h2 = [None] * (nr + len(ss))
-    zeros = repeat(0.0)
-    out = []  # a_1 .. a_m
-    width = len(lane)
-    live = range(width)
+    d = nreals + 2 * npairs
+    cols: list[dict] = [{} for _ in range(nreals + npairs)]  # column m of stage i's output
+    lines = []
     for m in range(1, d + 1):
-        cur = None  # column m of the output the next stage reads, None while it has none
-        for i in range(m - 1, nr):  # real stage i reads an output of degree i
-            c = zeros if cur is None else cur
-            if m == 1:
-                new = [a - r for a, r in zip(c, rs[i])]
-            else:
-                new = [a - r * b for a, r, b in zip(c, rs[i], h1[i])]
-            h1[i], cur = cur, new
-        for j, (s, q) in enumerate(zip(ss, qs)):
-            i, p = nr + j, nr + 2 * j  # pair stage j reads an output of degree p
-            c = zeros if cur is None else cur
-            if m == 1:
-                new = [a - x for a, x in zip(c, s)]
-            elif m == 2 and p:
-                new = [(a + y) - x * b for a, y, x, b in zip(c, q, s, h1[i])]
-            elif m == 2:
-                new = [a + y for a, y in zip(c, q)]
-            elif m <= p + 1:
-                new = [(a + y * b2) - x * b1 for a, y, b2, x, b1 in zip(c, q, h2[i], s, h1[i])]
-            elif m == p + 2:
-                new = [a + y * b2 for a, y, b2 in zip(c, q, h2[i])]
-            else:
-                new = None
-            h2[i], h1[i], cur = h1[i], cur, new
-        out.append(cur)
-        if m == 1:  # the a_1 test ran before the expansion
-            continue
-        test = gt if target[m] > 0 else lt
-        live = list(compress(live, map(test, cur if len(live) == width
-                                       else map(cur.__getitem__, live), zeros)))
-        if not live:
-            return []
-        if m < d and 2 * len(live) <= width:
-            pick = _gather(live)
-            rs, ss, qs, out = ([pick(c) for c in cols] for cols in (rs, ss, qs, out))
-            h1, h2 = ([c if c is None else pick(c) for c in h] for h in (h1, h2))
-            lane = pick(lane)
-            width = len(live)
-            live = range(width)
-    return [(lane[k], [1.0, *(c[k] for c in out)]) for k in live]
-
-
-def sign_word_lanes(reals: Sequence, pairs: Sequence, target: tuple[int, ...]) -> list[int]:
-    """The ascending lanes k whose roots pass `has_sign_word(..., target)`.
-
-    Column form of `has_sign_word` over a block of attempts: ``reals[j][k]``
-    is real root j of lane k and ``pairs[j] = (re, im)`` holds pair j's
-    parts of every lane; there is at least one column.  `_lane_coefficients`
-    expands the lanes coefficient by coefficient and drops a lane at the
-    first coefficient whose sign is not strictly the target's, which
-    `sign_tuple` could never call the target's (its threshold is positive);
-    `sign_tuple` decides the lanes that remain, on `expand`'s coefficients
-    bit for bit.
-    """
-    return [k for k, coeffs in _lane_coefficients(reals, pairs, target)
-            if sign_tuple(coeffs) == target]
+        for i, out in enumerate(cols):
+            c = cols[i - 1] if i else {}  # the stage's input, its leading 1 left implicit
+            base = c.get(m, "0.0")
+            if i < nreals:  # times (x - r_i), on an input of degree i
+                if m > i + 1:
+                    continue
+                expr = f"{base} - r{i}" if m == 1 else f"{base} - r{i} * {c[m - 1]}"
+            else:  # times (x^2 - s_j x + q_j), on an input of degree p
+                j = i - nreals
+                p = nreals + 2 * j
+                if m > p + 2:
+                    continue
+                if m == 1:
+                    lines.append(f"s{j} = re{j} + re{j}")
+                    expr = f"{base} - s{j}"
+                else:
+                    if m == 2:
+                        lines.append(f"q{j} = re{j} * re{j} + im{j} * im{j}")
+                        expr = f"{base} + q{j}"
+                    else:
+                        expr = f"{base} + q{j} * {c[m - 2]}"
+                    if m - 1 <= p:
+                        expr += f" - s{j} * {c[m - 1]}"
+            out[m] = f"c{i}_{m}"
+            lines.append(f"{out[m]} = {expr}")
+        lines += [f"v{m} = {cols[-1][m]} * g{m}", f"if not v{m} > 0.0:", "    return None"]
+    vs = [f"v{m}" for m in range(1, d + 1)]
+    lines += [f"thr = tau * max(1.0, {', '.join(vs)})",
+              f"if not (1.0 > thr and {' and '.join(v + ' > thr' for v in vs)}):",
+              "    return None"]
+    return lines

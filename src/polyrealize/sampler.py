@@ -15,36 +15,35 @@ the target order says N), and gap-class search (draw d distinct reals and
 test their critical-point gaps against the target class, which stops
 refining once that class is ruled out).  Moduli and gap searches need
 distinct values, so they draw MultiplicityBias as Uniform (`_distinct_draws`).
-An engine hands `_scan` three stages: a per-attempt float stage, which takes
-one attempt's unit draws and returns None or a float candidate; for the pair
-and moduli engines a lane stage, which returns a whole block's candidates in
-lane order; and a certify stage, which turns a candidate into its hit,
+An engine hands `_scan` two stages: a float stage, test(data, k, b), which
+reads lane k of a block of b attempts and returns None or a float
+candidate, and a certify stage, which turns a candidate into its hit,
 (spec, certificate) or (spec, certificate, gap_report), or rejects it.
-`_scan` alone loops over attempts, certifies candidates in lane order up to
-the first hit, knows attempt indices and builds the SearchOutcome.  A float
-hit whose rationalized form yields a Mismatch is counted as a failed attempt
-and the scan goes on.
+`_scan` alone loops over attempts, calls test once per lane at every block
+size, certifies candidates in lane order up to the first hit, knows attempt
+indices and builds the SearchOutcome.  A float hit whose rationalized form
+yields a Mismatch is counted as a failed attempt and the scan goes on.
 
-The pair and moduli float stages test the coefficient sign word with
-`polycore.has_sign_word`: it rejects on the sign of a_1 before expanding and
-otherwise compares `polycore.sign_tuple` of the expansion with the target.
-Their lane stages run on blocks of at least _LANE_MIN attempts, where
-`polycore.sign_word_lanes` returns the attempts whose word is the target,
-the same ones `has_sign_word` accepts.  A pair block draws the roots of all
-its attempts at once (`_pair_columns`).  A moduli block is split in two: its
-front (`_moduli_front`: `_pair_columns`, the tie test and the sort) does not
-depend on the target order, and the per-order stage negates the N columns and
-tests the lanes.  Smaller blocks, and so searches that hit early, keep the
-per-attempt stage.  Inside a sweep (`_shared_blocks`, below), a moduli block
-is tested as lanes from _SHARED_LANE_MIN attempts on: its front is computed
-once for all the sweep's orders, so each order pays only the lane test.
+The pair and moduli float stages are generated, one kernel per root shape
+and strategy from one template (`_sign_kernel_source`): the draw lines of
+`_draw_source` form lane k's roots in locals, and `polycore.word_source`'s
+lines test their coefficient sign word, a coefficient at a time with early
+exit, as `polycore.sign_tuple` of the float expansion would decide it.  A
+search binds its target word, its strategy's scalars and tau to its
+shape's kernel.  Two readers feed the one test: a pair search's kernel
+reads its attempt's unit draws, and a moduli search's reads root columns.
+A moduli block's front (`_moduli_front`), the (d, 0, 0) pair draws of its
+lanes with the tie test and the sort, does not depend on the target order;
+the per-order kernel reads each lane's sorted moduli from it and applies
+the order's signs.  The same draw lines, without the test, give
+`draw_rootspec_pair` its roots.
 
 A sweep runs many searches under one config, and attempt i of each draws
 the same uniforms whenever the searches draw as many per attempt: every
 couple of a Uniform pair sweep, every order of a moduli sweep.  Inside
 `_shared_blocks`, which `sweeps.sweep_pairs` and `sweeps.sweep_moduli` open
-around their searches, `_scan` keeps each block's unit draws, as an
-`array('d')`, or a moduli block's front, for the later searches.  Only blocks
+around their searches, `_scan` keeps each block's unit draws, or a moduli
+block's front, as an `array('d')` for the later searches.  Only blocks
 starting at or before _SHARE_CAP are kept, which bounds the store's memory
 at large budgets; the store is dropped when the sweep ends.
 """
@@ -59,34 +58,20 @@ from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache, partial
-from itertools import chain, compress, repeat
-from operator import mul, neg, sub
+from itertools import chain
 from typing import ClassVar, Optional, Union
 
 from . import certifier, polycore
 from .certifier import Certificate
 from .criticalgaps import GAP_CLASSES, GapReport, match_kernel
 from .moduliorders import ModuliCouple, ModuliOrder
-from .polycore import (
-    RealPolynomial,
-    RootSpec,
-    expand_from_roots,
-    has_sign_word,
-    sign_word_lanes,
-)
+from .polycore import RealPolynomial, RootSpec, expand_from_roots
 from .signpatterns import PairCouple, RootCountPair, SignPattern
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
 _SEED_SALT = 0xD1B54A32D192ED03
 _BLOCK_CAP = 256  # attempts drawn together at most
-# A pair or moduli block of at least _LANE_MIN attempts tests its sign words as
-# lanes; below it, the per-attempt stage costs less.  A moduli block whose front a
-# sweep shares is computed once for all the sweep's orders, so each order pays only
-# the lane test, which costs less than the per-attempt stage from _SHARED_LANE_MIN
-# attempts on.  `_scan` alone reads both.
-_LANE_MIN = 64
-_SHARED_LANE_MIN = 8
 _UNIT = (2.0**-53).__mul__
 
 
@@ -296,90 +281,102 @@ def _pair_draw_count(pos: int, neg: int, npairs: int, strategy: Strategy) -> int
     return 2 * (pos + neg) + 2 * npairs  # MultiplicityBias
 
 
-def _pair_roots(pos, neg, npairs, cfg: SearchConfig, u: list[float]):
-    """Raw (reals, pairs) lists for one pair-search attempt with unit draws u.
+def _at(t: int) -> str:
+    """Source of the read of draw t of lane k in a block of b attempts, column-major."""
+    return "u[k]" if t == 0 else "u[k + b]" if t == 1 else f"u[k + {t} * b]"
 
-    A real root takes one draw (its position) under Uniform and two under the
-    other strategies: a choice, narrow/wide or repeat/fresh, then the
-    position.  A pair takes two draws, after a narrow/wide choice under Mixture.
+
+def _draw_source(pos: int, neg: int, npairs: int, kind) -> list[str]:
+    """Source lines that set lane k's roots r0 .., (re0, im0) .. from its draws.
+
+    Under a strategy (kind is its class) these are the roots of a pair-search
+    attempt.  A real root takes one draw (its position) under Uniform and two
+    under the other strategies: a choice, narrow/wide or repeat/fresh, then
+    the position; the positive roots come first.  A root is
+    (sign * scale) * (1.0 - v) for its position draw v, with sign * scale
+    bound once as wpos, wneg (+-ell) or npos, nneg (+-narrow_scale); a
+    repeated root is the last one of its sign.  A pair takes two draws, after a
+    narrow/wide choice under Mixture: scale * (2.0 * v - 1.0) and
+    scale * (1.0 - v').  kind None reads roots from columns instead: real
+    root j is l_j * u[k + j*b] (l_j = 1.0 or -1.0, an exact sign), then the
+    pairs' parts in order.
     """
-    strategy = cfg.strategy
-    ell = cfg.ell
-    mixture = isinstance(strategy, Mixture)
-    bias = isinstance(strategy, MultiplicityBias)
-    if mixture:
-        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
-    if bias:
-        dup = strategy.dup_probability
-    step = 2 if mixture or bias else 1  # unit draws per real root, its position last
-    reals: list[float] = []
-    pairs: list[tuple[float, float]] = []
-    t = 0
-    for k in range(pos + neg):  # the positive roots, then the negative ones
-        sign = 1.0 if k < pos else -1.0
-        x = 1.0 - u[t + step - 1]
-        if mixture:
-            prev = sign * (ns if u[t] < frac else ell) * x
-        elif not bias or k == 0 or k == pos or u[t] >= dup:  # else repeat the last root of this sign
-            prev = sign * ell * x
-        reals.append(prev)
-        t += step
-    for _ in range(npairs):
-        scale = ell
-        if mixture:
-            scale = ns if u[t] < frac else ell
-            t += 1
-        pairs.append((scale * (2.0 * u[t] - 1.0), scale * (1.0 - u[t + 1])))
-        t += 2
-    return reals, pairs
-
-
-def _pair_columns(pos, neg, npairs, cfg: SearchConfig, u: list[float], b: int):
-    """Column form of `_pair_roots` for a block of b attempts with unit draws u.
-
-    Attempt k's draws are u[k::b], so draw t of every attempt is the column
-    u[t*b:(t+1)*b].  Returns (reals, pairs) with reals[j][k] and
-    pairs[j] = (re, im), re[k] and im[k], equal bit for bit to what
-    `_pair_roots(pos, neg, npairs, cfg, u[k::b])` puts at real root j and
-    pair j: each lane takes the same float operations in the same order.
-    """
-    strategy = cfg.strategy
-    ell = cfg.ell
-    mixture = isinstance(strategy, Mixture)
-    bias = isinstance(strategy, MultiplicityBias)
-    if mixture:
-        ns, frac = cfg.narrow_scale, strategy.narrow_fraction
-    if bias:
-        dup = strategy.dup_probability
-    step = 2 if mixture or bias else 1
-    col = [u[t:t + b] for t in range(0, len(u), b)]
-    reals: list[list[float]] = []
-    pairs: list[tuple[list[float], list[float]]] = []
-    t = 0
-    for k in range(pos + neg):
-        sign = 1.0 if k < pos else -1.0
-        x = map(sub, repeat(1.0, b), col[t + step - 1])
-        if mixture:  # (sign * scale) * x, as in _pair_roots, with sign * scale precomputed
-            wide, narrow = sign * ell, sign * ns
-            prev = list(map(mul, [narrow if c < frac else wide for c in col[t]], x))
+    if kind is None:
+        lines = [f"r{j} = l{j} * {_at(j)}" for j in range(pos + neg)]
+        t = pos + neg
+        for j in range(npairs):
+            lines += [f"re{j} = {_at(t + 2 * j)}", f"im{j} = {_at(t + 2 * j + 1)}"]
+        return lines
+    step = 1 if kind is Uniform else 2  # draws per real root, its position last
+    lines, t = [], 0
+    for j in range(pos + neg):
+        w, n = ("wpos", "npos") if j < pos else ("wneg", "nneg")
+        x = f"(1.0 - {_at(t + step - 1)})"
+        if kind is Mixture:
+            lines.append(f"r{j} = ({n} if {_at(t)} < frac else {w}) * {x}")
+        elif kind is MultiplicityBias and j not in (0, pos):
+            lines.append(f"r{j} = {w} * {x} if {_at(t)} >= dup else r{j - 1}")
         else:
-            fresh = list(map(mul, repeat(sign * ell, b), x))
-            if not bias or k == 0 or k == pos:
-                prev = fresh
-            else:  # a lane repeats its last root of this sign unless its draw is >= dup
-                prev = [f if c >= dup else p for f, c, p in zip(fresh, col[t], prev)]
-        reals.append(prev)
+            lines.append(f"r{j} = {w} * {x}")
         t += step
-    for _ in range(npairs):
-        scale = [ell] * b
-        if mixture:
-            scale = [ns if c < frac else ell for c in col[t]]
-            t += 1
-        re = list(map(mul, scale, map(sub, map(mul, repeat(2.0, b), col[t]), repeat(1.0, b))))
-        im = list(map(mul, scale, map(sub, repeat(1.0, b), col[t + 1])))
-        pairs.append((re, im))
+    for j in range(npairs):
+        scale = "wpos"
+        if kind is Mixture:
+            lines.append(f"sc = npos if {_at(t)} < frac else wpos")
+            scale, t = "sc", t + 1
+        lines += [f"re{j} = {scale} * (2.0 * {_at(t)} - 1.0)",
+                  f"im{j} = {scale} * (1.0 - {_at(t + 1)})"]
         t += 2
-    return reals, pairs
+    return lines
+
+
+def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tested: bool) -> str:
+    """Source of `bind(cfg, target, tau, letters)`, which returns `kernel(u, k, b)`.
+
+    The kernel runs `_draw_source`'s lines on lane k of a block u of b
+    attempts, then, when tested, `polycore.word_source`'s test of the
+    target word, and returns lane k's roots, ((r0, ..), ((re0, im0), ..)),
+    or None when the test fails.  bind sets what the lines read as closure
+    values: the strategy's scalars from cfg, the target's signs g1 .. gd as
+    floats, tau, and the letters l0 .. as given.
+    """
+    nreals = pos + neg
+    head = []
+    if tested:
+        head.append("_, " + ", ".join(f"g{m}" for m in range(1, nreals + 2 * npairs + 1))
+                    + " = map(float, target)")
+    if kind is None and nreals:
+        head.append("".join(f"l{j}, " for j in range(nreals)) + "= letters")
+    elif kind is not None:
+        head += ["wpos = cfg.ell", "wneg = -wpos"]
+    if kind is Mixture:
+        head += ["npos = cfg.narrow_scale", "nneg = -npos", "frac = cfg.strategy.narrow_fraction"]
+    if kind is MultiplicityBias:
+        head.append("dup = cfg.strategy.dup_probability")
+    body = _draw_source(pos, neg, npairs, kind)
+    if tested:
+        body += polycore.word_source(nreals, npairs)
+    reals = "".join(f"r{j}, " for j in range(nreals))
+    pairs = "".join(f"(re{j}, im{j}), " for j in range(npairs))
+    body.append(f"return ({reals}), ({pairs})")
+    return ("def bind(cfg=None, target=(), tau=None, letters=()):\n"
+            + "".join(f"    {line}\n" for line in head)
+            + "    def kernel(u, k, b):\n"
+            + "".join(f"        {line}\n" for line in body)
+            + "    return kernel\n")
+
+
+# a cache bound, not an option: a degree-4 pair sweep compiles 9 shapes, a moduli
+# sweep 2 kernels.  An evicted kernel is compiled again, 0.3-1.2 ms up to degree 9
+@lru_cache(maxsize=64)
+def _sign_kernel(pos: int, neg: int, npairs: int, kind, tested: bool):
+    """`bind` compiled from _sign_kernel_source(pos, neg, npairs, kind, tested), once per key."""
+    name = "roots" if kind is None else kind.__name__
+    namespace: dict = {}
+    exec(compile(_sign_kernel_source(pos, neg, npairs, kind, tested),
+                 f"<sign kernel {pos},{neg},{npairs} {name}{' tested' if tested else ''}>",
+                 "exec"), namespace)
+    return namespace["bind"]
 
 
 def draw_rootspec_pair(
@@ -398,8 +395,8 @@ def draw_rootspec_pair(
     u = attempt_unit_draws(
         cfg.seed, attempt_index, _pair_draw_count(pos, neg, npairs, cfg.strategy)
     )
-    reals, pairs = _pair_roots(pos, neg, npairs, cfg, u)
-    return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
+    reals, pairs = _sign_kernel(pos, neg, npairs, type(cfg.strategy), False)(cfg)(u, 0, 1)
+    return RootSpec(real_roots=reals, complex_pairs=pairs)
 
 
 def _sorted_values(d: int, cfg: SearchConfig, u: list[float]):
@@ -407,7 +404,7 @@ def _sorted_values(d: int, cfg: SearchConfig, u: list[float]):
 
     The values lie on [-ell, ell): each is s * (2*v - 1) for its position draw
     v.  Under a Mixture a choice draw per value makes s narrow_scale or ell, as
-    `_pair_roots` draws a real root; under Uniform s is ell for every value and
+    a pair search draws a real root; under Uniform s is ell for every value and
     the d draws are all position draws, scaled directly with the same float
     operations.  MultiplicityBias never reaches here (`_distinct_draws`).  A
     rejected attempt consumes its index.
@@ -468,61 +465,48 @@ def _shared_blocks():
         _SHARED.reset(token)
 
 
-def _scan(count: int, cfg: SearchConfig, attempt, certify, lanes=None,
-          front=None) -> SearchOutcome:
+def _scan(count: int, cfg: SearchConfig, test, certify, front=None) -> SearchOutcome:
     """Run attempts 1..n in order, returning the lowest-index certified hit.
 
     Draws come in blocks of attempts that double from 1 up to _BLOCK_CAP, so
     a search that hits early draws at most about twice what it uses.  A
     block's `count` unit draws come as a list or an array('d'), lane k's
     being data[k::b], equal to attempt_unit_draws(cfg.seed, first + k, count).
-    An engine's three stages do the work: attempt(u), the per-attempt float
-    stage, returns None or a float candidate for one attempt's draws;
-    lanes(data, b), the lane stage, returns a block's candidates as
-    (k, candidate) in ascending k and costs less on large blocks; and
+    An engine's two stages do the work: test(data, k, b), its float stage,
+    returns None or a float candidate for lane k of the block, and
     certify(candidate) returns the hit, (spec, certificate) or (spec,
     certificate, gap_report), or None.  The scan owns the control flow: it
-    runs attempt lane by lane or lanes on the block, certifies the
-    candidates in lane order up to the first hit, and builds the outcome,
-    found at attempt first + k or exhausted after n, with its wall time.
+    calls test once per lane, in lane order, certifies each candidate until
+    one is a hit, and builds the outcome, found at attempt first + k or
+    exhausted after n, with its wall time.
 
-    The rule of which float stage runs is stated here alone: lanes runs on
-    blocks of at least _LANE_MIN attempts, or of at least _SHARED_LANE_MIN
-    when the scan has a front and runs inside `_shared_blocks`, where the
-    sweep's other searches reuse that front.  front is (d, front_fn) for an
-    engine of degree d: a lane block passes lanes front_fn(data, b), its
-    work that does not depend on the search's target, in place of the
-    draws.  Inside `_shared_blocks`, the draws of each block up to
-    _SHARE_CAP are memoized under (cfg, count, first, b), or its front under
-    (cfg, count, first, b, d), for the sweep's other searches.
+    front is (d, front_fn) for a moduli engine of degree d: the block's data
+    is then front_fn(draws, b), the work that does not depend on the
+    search's target, in place of the draws.  Inside `_shared_blocks`, the
+    data of each block up to _SHARE_CAP is memoized under (cfg, count,
+    first, b), or (cfg, count, first, b, d) for a front, for the sweep's
+    other searches.
     """
     start = time.perf_counter()
     shared = _SHARED.get()
-    lane_min = _LANE_MIN if front is None or shared is None else _SHARED_LANE_MIN
     first, size = 1, 1
     while first <= cfg.n:
         b = min(size, cfg.n - first + 1)
-        as_lanes = lanes is not None and b >= lane_min
-        fronted = as_lanes and front is not None
         key = None
         if shared is not None and first <= _SHARE_CAP:
-            key = (cfg, count, first, b, front[0]) if fronted else (cfg, count, first, b)
+            key = (cfg, count, first, b) if front is None else (cfg, count, first, b, front[0])
         data = shared.get(key) if key else None
         if data is None:
             data = _unit_block(cfg.seed, first, b, count)
-            if fronted:
+            if front is not None:
                 data = front[1](data, b)
             if key:
-                shared[key] = data if fronted else array("d", data)
-        # the block's candidates in lane order, from the lane stage or from attempt
-        # called lane by lane; a call from here costs less than one from map()
-        for item in (lanes(data, b) if as_lanes else range(b)):
-            if as_lanes:
-                k, candidate = item
-            else:
-                k, candidate = item, attempt(data[item::b])
-                if candidate is None:
-                    continue
+                shared[key] = array("d", data)
+        # a call from here costs less than one from map()
+        for k in range(b):
+            candidate = test(data, k, b)
+            if candidate is None:
+                continue
             hit = certify(candidate)
             if hit is not None:
                 i = first + k
@@ -532,11 +516,13 @@ def _scan(count: int, cfg: SearchConfig, attempt, certify, lanes=None,
     return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
 
 
-def _certified_hit(claim, cfg: SearchConfig, spec: RootSpec):
+def _certified_hit(claim, cfg: SearchConfig, roots):
     """The pair and moduli certify stage: (spec, certificate), or None on a Mismatch.
 
-    The spec is rationalized and certified exactly against the claim.
+    roots is a kernel's (reals, pairs); their spec is rationalized and
+    certified exactly against the claim.
     """
+    spec = RootSpec(*roots)
     cert = certifier.certify_couple(certifier.rationalize(spec, cfg.digits), claim)
     return (spec, cert) if isinstance(cert, Certificate) else None
 
@@ -551,68 +537,39 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
     claim = PairCouple(sigma, pair)
     pos, neg = claim.pair
     npairs = (d - pos - neg) // 2
-    target = sigma.signs
-
-    def attempt(u: list[float]):
-        reals, cpairs = _pair_roots(pos, neg, npairs, cfg, u)
-        if not has_sign_word(reals, cpairs, target):
-            return None
-        return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(cpairs))
-
-    def lanes(u: list[float], b: int):
-        reals, cpairs = _pair_columns(pos, neg, npairs, cfg, u, b)
-        return ((k, RootSpec(real_roots=tuple(r[k] for r in reals),
-                             complex_pairs=tuple((re[k], im[k]) for re, im in cpairs)))
-                for k in sign_word_lanes(reals, cpairs, target))
-
+    test = _sign_kernel(pos, neg, npairs, type(cfg.strategy), True)(cfg, sigma.signs, cfg.tau)
     count = _pair_draw_count(pos, neg, npairs, cfg.strategy)
-    return _scan(count, cfg, attempt, partial(_certified_hit, claim, cfg), lanes)
+    return _scan(count, cfg, test, partial(_certified_hit, claim, cfg))
 
 
-def _moduli_front(d: int, cfg: SearchConfig, u: list[float], b: int) -> array:
+def _moduli_front(draw, u: list[float], b: int) -> list[float]:
     """The order-independent part of a moduli-search block of b attempts.
 
-    Each lane's d moduli are the positive real roots of a (d, 0, 0) pair
-    draw, taken from `_pair_columns`; lanes with tied moduli are dropped, and
-    the rest are sorted, as the per-attempt stage does.  No zero test is
-    needed: a zero modulus makes a_d zero, which the sign word rejects.
-    With m lanes kept, the result holds their lane indices, then column j of
-    the sorted moduli for j = 0 .. d-1, each m long.
+    Lane k's d moduli are the positive real roots of its (d, 0, 0) pair
+    draw, draw(u, k, b), sorted.  The front holds sorted modulus j of lane
+    k at k + j*b; a lane with tied moduli holds NaN there, which fails the
+    a_1 test of every order.  No zero test is needed: a zero modulus makes
+    a_d zero, which the sign word rejects.
     """
-    rows = list(zip(*_pair_columns(d, 0, 0, cfg, u, b)[0]))
-    kept = list(compress(range(b), map(d.__eq__, map(len, map(set, rows)))))
-    return array("d", chain(kept, *zip(*map(sorted, map(rows.__getitem__, kept)))))
+    rows = []
+    for k in range(b):
+        mods = draw(u, k, b)[0]
+        rows.append(sorted(mods) if len(set(mods)) == len(mods) else [math.nan] * len(mods))
+    return list(chain.from_iterable(zip(*rows)))
 
 
 def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> SearchOutcome:
     """Hunt a hyperbolic polynomial realizing sigma with the given modulus order."""
     claim = ModuliCouple(sigma, order)
     d = order.degree
-    target = sigma.signs
-    letters = order.word
     draw_cfg = _distinct_draws(cfg)
-
-    def attempt(u: list[float]):
-        mods = _pair_roots(d, 0, 0, draw_cfg, u)[0]
-        if len(set(mods)) < d:  # no zero test, as in _moduli_front
-            return None
-        mods.sort()
-        roots = [m if letters[j] == "P" else -m for j, m in enumerate(mods)]
-        # a_1 = sum of N-moduli - sum of P-moduli, the quantity forcing_test reasons about
-        if not has_sign_word(roots, (), target):
-            return None
-        return RootSpec(real_roots=tuple(roots))
-
-    def lanes(data: array, b: int):
-        m = len(data) // (d + 1)  # data is _moduli_front's: lanes, then the sorted columns
-        cols = [data[j * m:(j + 1) * m].tolist() for j in range(1, d + 1)]
-        roots = [c if p == "P" else list(map(neg, c)) for p, c in zip(letters, cols)]
-        return ((int(data[k]), RootSpec(real_roots=tuple(r[k] for r in roots)))
-                for k in sign_word_lanes(roots, (), target))
-
-    front = (d, partial(_moduli_front, d, draw_cfg))
-    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, attempt,
-                 partial(_certified_hit, claim, cfg), lanes, front)
+    draw = _sign_kernel(d, 0, 0, type(draw_cfg.strategy), False)(draw_cfg)
+    # root j is modulus j, negated where the order says N
+    letters = [1.0 if c == "P" else -1.0 for c in order.word]
+    test = _sign_kernel(d, 0, 0, None, True)(None, sigma.signs, cfg.tau, letters)
+    front = (d, partial(_moduli_front, draw))
+    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, test,
+                 partial(_certified_hit, claim, cfg), front)
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
@@ -624,8 +581,8 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
     draw_cfg = _distinct_draws(cfg)
     match = match_kernel(d, target)
 
-    def attempt(u: list[float]):
-        xs = _sorted_values(d, draw_cfg, u)
+    def test(u: list[float], k: int, b: int):
+        xs = _sorted_values(d, draw_cfg, u[k::b])
         if xs is None:
             return None
         report = match(xs)
@@ -640,4 +597,4 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
             return None
         return RootSpec(real_roots=tuple(xs)), cert, report
 
-    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, attempt, certify)
+    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, test, certify)

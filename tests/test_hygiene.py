@@ -1,11 +1,10 @@
 """Static checks on the package source.
 
 No module keeps an import it never uses or a private module-level name
-that nothing in the package loads (in its files or in the match kernels'
-generated source), and no module states an invariant as an
-`assert`, which `python -O` strips: invariants are explicit checks.  The
-rule of which blocks a search tests as lanes is stated in `sampler._scan`
-alone, and only `_scan` builds a `SearchOutcome`.
+that nothing in the package loads (in its files or in the source of the
+match and sign kernels it generates), and no module states an invariant as
+an `assert`, which `python -O` strips: invariants are explicit checks.
+Only `sampler._scan` builds a `SearchOutcome`.
 """
 
 import ast
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import polyrealize
-from polyrealize import criticalgaps
+from polyrealize import criticalgaps, sampler
 
 MODULES = sorted(
     p for p in Path(polyrealize.__file__).parent.glob("*.py") if p.name != "__init__.py"
@@ -44,11 +43,17 @@ def test_module_imports_are_used(path):
 
 
 def _generated_sources():
-    """The source of every layout of the generated match kernels, for each target."""
+    """The source of every layout of the generated match kernels, for each target, and
+    of the sign kernels: a tested pair kernel and a draw kernel for each strategy, and
+    the moduli kernel, which reads root columns."""
     bound = criticalgaps._KERNEL_MAX_DEGREE
     for d in (3, bound, bound + 1):
         for target in criticalgaps.GAP_CLASSES:
             yield criticalgaps._kernel_source(d, target)
+    for kind in (sampler.Uniform, sampler.Mixture, sampler.MultiplicityBias):
+        for tested in (True, False):
+            yield sampler._sign_kernel_source(2, 1, 1, kind, tested)
+    yield sampler._sign_kernel_source(7, 0, 0, None, True)
 
 
 @lru_cache(maxsize=1)
@@ -99,34 +104,9 @@ def test_module_has_no_assert(path):
     assert lines == [], f"{path.name} has assert statements at lines {lines}"
 
 
-LANE_THRESHOLDS = {"_LANE_MIN", "_SHARED_LANE_MIN"}
-
-
-def _reads(tree: ast.AST, names: set[str]):
-    """(line, name) of every load of one of `names`, as a bare name or an attribute."""
-    for n in ast.walk(tree):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id in names:
-            yield n.lineno, n.id
-        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load) and n.attr in names:
-            yield n.lineno, n.attr
-
-
 def _scan_def(tree: ast.Module) -> ast.FunctionDef:
     (scan,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_scan"]
     return scan
-
-
-def test_lane_thresholds_are_read_only_in_scan():
-    scan_names = set()
-    for path in MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        inside = set()
-        if path.stem == "sampler":
-            inside = set(_reads(_scan_def(tree), LANE_THRESHOLDS))
-            scan_names |= {name for _, name in inside}
-        outside = sorted(set(_reads(tree, LANE_THRESHOLDS)) - inside)
-        assert outside == [], f"{path.name} reads a lane threshold outside sampler._scan: {outside}"
-    assert scan_names == LANE_THRESHOLDS
 
 
 def _calls(tree: ast.AST, name: str):

@@ -19,10 +19,8 @@ from polyrealize.polycore import (
     derivative_coeffs,
     expand,
     expand_from_roots,
-    has_sign_word,
     horner,
     sign_tuple,
-    sign_word_lanes,
 )
 from polyrealize.sampler import (
     Mixture,
@@ -30,11 +28,10 @@ from polyrealize.sampler import (
     SearchConfig,
     Uniform,
     _distinct_draws,
-    _pair_columns,
+    _moduli_front,
     _pair_draw_count,
-    _pair_roots,
+    _sign_kernel,
     _unit_block,
-    attempt_unit_draws,
     draw_rootspec_pair,
 )
 from polyrealize.signpatterns import SignPattern
@@ -262,25 +259,19 @@ class TestSignVector:
         assert sv is not None and sv[0] == 1
 
 
-def all_words(degree):
-    """Every sign word of length degree + 1, leading sign included."""
-    return list(itertools.product((1, -1), repeat=degree + 1))
+def words(degree):
+    """Every sign word of length degree + 1 with a leading +, as SignPattern.signs is."""
+    return [(1, *w) for w in itertools.product((1, -1), repeat=degree)]
 
 
 def a1_sum(reals, pairs):
-    """a_1 summed as `has_sign_word` sums it: the reals, then 2*re per pair."""
+    """a_1 summed as the kernels sum it: the reals, then 2*re per pair."""
     a1 = 0.0
     for r in reals:
         a1 -= r
     for re, _ in pairs:
         a1 -= 2 * re
     return a1
-
-
-def assert_matches_reference(reals, pairs, targets):
-    ref = sign_tuple(expand(reals, pairs, 1.0))
-    for t in targets:
-        assert has_sign_word(reals, pairs, t) == (ref == t), (reals, pairs, t)
 
 
 INF = math.inf
@@ -320,67 +311,48 @@ CRAFTED = {
     "pairs-overflow": ([], [(1e308, 1e308), (1.0, 1.0)]),
 }
 
-SEARCH_STRATEGIES = [
-    Uniform(),
-    Mixture(),
-    Mixture(narrow_scale=None, narrow_fraction=0.9),
-    MultiplicityBias(),
-]
-ELLS = [2.0**-30, 1.0, 2.0**30]
+TAU = DEFAULT_SIGN_TOLERANCE
 
 
-class TestHasSignWord:
-    @pytest.mark.parametrize("name", list(CRAFTED))
-    def test_crafted_inputs_match_reference(self, name):
-        reals, pairs = CRAFTED[name]
-        assert_matches_reference(reals, pairs, all_words(len(reals) + 2 * len(pairs)))
-
-    @pytest.mark.parametrize("name", list(CRAFTED))
-    def test_expand_a1_is_the_running_sum(self, name):
-        # the pre-test relies on expand(...)[1] being this sum, signed zeros included
-        reals, pairs = CRAFTED[name]
-        got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
-        assert got == want or (math.isnan(got) and math.isnan(want))
-        assert math.copysign(1.0, got) == math.copysign(1.0, want)
-        # the sum starts at +0.0 and x - y is -0.0 only when x is, so a zero a_1 is
-        # +0.0: "a1-zero" and "a1-nan" are the zero and NaN lanes of the pre-test
-        assert got != 0.0 or math.copysign(1.0, got) == 1.0
-
-    @pytest.mark.parametrize("ell", ELLS)
-    @pytest.mark.parametrize("strategy", SEARCH_STRATEGIES, ids=repr)
-    def test_census_over_search_draws(self, strategy, ell):
-        # pair-search and moduli-search draws, every sign word of their degree
-        cfg = SearchConfig(n=1, ell=ell, seed=12, strategy=strategy)
-        for attempt in range(1, 151):
-            pos, neg, npairs = SHAPES[attempt % 4]
-            u = attempt_unit_draws(cfg.seed, attempt, _pair_draw_count(pos, neg, npairs, strategy))
-            reals, pairs = _pair_roots(pos, neg, npairs, cfg, u)
-            assert a1_sum(reals, pairs) == expand(reals, pairs, 1.0)[1]
-            assert_matches_reference(reals, pairs, all_words(pos + neg + 2 * npairs))
-            d = 3 + attempt % 3
-            draw = _distinct_draws(cfg)
-            u = attempt_unit_draws(cfg.seed, attempt, _pair_draw_count(d, 0, 0, draw.strategy))
-            mods = sorted(_pair_roots(d, 0, 0, draw, u)[0])
-            roots = [m if (attempt >> j) & 1 else -m for j, m in enumerate(mods)]
-            assert a1_sum(roots, ()) == expand(roots, (), 1.0)[1]
-            assert_matches_reference(roots, (), all_words(d))
-
-
-# --- the block form: one float lane per attempt ------------------------------
-
-LANE_VALUES = [0.0, -0.0, 1.0, -1.5, 0.1, 3.0, 1e308, -1e308, 5e-324, INF, -INF, math.nan]
+def root_kernel(nreals, npairs, target, tau=TAU, letters=None):
+    """The root-column reader's sign kernel for the shape, bound to target and tau."""
+    letters = [1.0] * nreals if letters is None else letters
+    return _sign_kernel(nreals, 0, npairs, None, True)(None, target, tau, letters)
 
 
 def columns(lanes):
-    """Block columns of lanes that share a shape: lanes[k] = (reals, pairs)."""
-    reals = [list(c) for c in zip(*(r for r, _ in lanes))]
-    pairs = [(list(re), list(im)) for re, im in
-             (zip(*col) for col in zip(*(p for _, p in lanes)))]
-    return reals, pairs
+    """The block of lanes that share a shape, lanes[k] = (reals, pairs), column-major:
+    value t of lane k (its reals, then each pair's re and im) at k + t*b."""
+    rows = [[*reals, *(v for pair in pairs for v in pair)] for reals, pairs in lanes]
+    return [v for col in zip(*rows) for v in col]
 
 
-def reference_lanes(lanes, target):
-    return [k for k, (reals, pairs) in enumerate(lanes) if has_sign_word(reals, pairs, target)]
+def reference_word(reals, pairs, tau=TAU):
+    return sign_tuple(expand(reals, pairs, 1.0), tau)
+
+
+def assert_kernel_is_the_reference(kernel_for, u, lanes, targets, tau=TAU):
+    """kernel_for(t)(u, k, b) passes lane k exactly when sign_tuple of its expansion is t,
+    for every t in targets and every word a lane has, and returns its roots bit for bit."""
+    want = [reference_word(reals, pairs, tau) for reals, pairs in lanes]
+    for t in sorted(set(targets) | set(want) - {None}):
+        kernel = kernel_for(t)
+        for k, (reals, pairs) in enumerate(lanes):
+            got = kernel(u, k, len(lanes))
+            assert (got is not None) == (want[k] == t), (reals, pairs, t)
+            if got is not None:
+                assert bits(got[0]) == bits(reals), (k, t)
+                assert bits(v for p in got[1] for v in p) == bits(v for p in pairs for v in p)
+    return want
+
+
+def assert_root_kernel_is_the_reference(lanes, targets, tau=TAU):
+    nreals, npairs = len(lanes[0][0]), len(lanes[0][1])
+    return assert_kernel_is_the_reference(lambda t: root_kernel(nreals, npairs, t, tau),
+                                          columns(lanes), lanes, targets, tau)
+
+
+LANE_VALUES = [0.0, -0.0, 1.0, -1.5, 0.1, 3.0, 1e308, -1e308, 5e-324, INF, -INF, math.nan]
 
 
 def fillers(reals, pairs, count, seed):
@@ -391,50 +363,61 @@ def fillers(reals, pairs, count, seed):
             for _ in range(count)]
 
 
-def threshold_lanes():
-    """Degree-2 lanes whose a_2 is tau exactly, one ulp inside and one ulp outside.
+# (reals, pairs) whose largest coefficient is a_1, on the edge 1e9 (see inverse_edge)
+# or one ulp inside it as expand sums it, and on the other side of the edge when summed
+# in another order: the reals from the last one ("reals-reversed") or the pairs first
+A1_ORDER_LANES = {
+    "a1-on-edge-reals-reversed-inside": ([-1000000000.0999999, 0.3, -0.2], []),
+    "a1-on-edge-pairs-first-inside": ([0.18, -999999999.3399999], [(-0.42, 0.5)]),
+    "a1-inside-pairs-first-on-edge": ([0.71, -999999999.81], [(-0.45, 0.5)]),
+}
 
+
+def a1_other_order(name, reals, pairs):
+    """a_1 of an A1_ORDER_LANES lane summed in the other order its name gives."""
+    if "reals-reversed" in name:
+        return a1_sum(reals[::-1], pairs)
+    a1 = 0.0
+    for re, _ in pairs:
+        a1 -= 2 * re
+    for r in reals:
+        a1 -= r
+    return a1
+
+
+def inverse_edge(tau):
+    """The least m with tau * m >= 1.0 in floats: from max|a_j| = m on, the leading
+    1.0 is inside sign_tuple's threshold.  It is 1e9 for the default tau."""
+    m = 1 / tau
+    while tau * m >= 1.0:
+        m = math.nextafter(m, 0.0)
+    while tau * m < 1.0:
+        m = math.nextafter(m, INF)
+    return m
+
+
+def threshold_lanes(tau=TAU):
+    """Lanes on the edges of sign_tuple's threshold tau * max(1, max|a_j|).
+
+    Degree 2, a_2 at tau itself, one ulp inside and one ulp outside:
     (x - t)(x + 1/2) has a_1 = 1/2 - t and a_2 = -t/2, halved exactly, so
-    max(1, max|a|) is 1 and the threshold is tau itself; -t gives +t/2.
+    max(1, max|a|) is 1 and the threshold is tau; -t gives +t/2.  Degree 2,
+    max|a_j| at `inverse_edge(tau)`, one ulp inside, on and one ulp outside:
+    (x - 2)(x + v/2) has a_2 = -v exactly, so the threshold is tau * v and
+    the leading 1.0 decides the word.  And A1_ORDER_LANES, whose a_1 sits
+    on that edge or one ulp inside it depending on its order of summation.
     """
-    t = 2 * DEFAULT_SIGN_TOLERANCE
+    t = 2 * tau
     out = {}
     for name, v in (("on", t), ("inside", math.nextafter(t, 0.0)),
                     ("outside", math.nextafter(t, INF))):
         out[f"a2-minus-tau-{name}"] = ([v, -0.5], [])
         out[f"a2-plus-tau-{name}"] = ([-v, -0.5], [])
-    return out
-
-
-def strict_signs(coeffs):
-    """Signs of a_1 .. a_d, or None when one is zero or NaN (no strict sign)."""
-    out = []
-    for c in coeffs[1:]:
-        if c > 0.0:
-            out.append(1)
-        elif c < 0.0:
-            out.append(-1)
-        else:
-            return None
-    return tuple(out)
-
-
-def assert_lane_coefficients_are_the_float_expansion(lanes, targets):
-    # for each target, the kernel keeps exactly the lanes whose a_1 .. a_d have the
-    # target's strict signs, in lane order, each with expand's coefficients bit for bit
-    want = [expand(reals, pairs, 1.0) for reals, pairs in lanes]
-    words = {(1,) + w for w in map(strict_signs, want) if w is not None}
-    cols = columns(lanes)
-    for t in sorted(words | set(targets)):
-        got = polycore._lane_coefficients(*cols, t)
-        assert [k for k, _ in got] == [k for k, c in enumerate(want)
-                                       if strict_signs(c) == t[1:]], t
-        for k, coeffs in got:
-            assert bits(coeffs) == bits(want[k]), (k, t)
-
-
-# the shapes above, plus degree 1, pairs only and a moduli search's degree 7
-KERNEL_SHAPES = SHAPES + [(0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 2, 0), (3, 4, 0)]
+    edge = inverse_edge(tau)
+    for name, v in (("inside", math.nextafter(edge, 0.0)), ("on", edge),
+                    ("outside", math.nextafter(edge, INF))):
+        out[f"max-at-inverse-tau-{name}"] = ([2.0, -v / 2], [])
+    return {**out, **A1_ORDER_LANES}
 
 
 def grid_lanes(pos, neg, npairs):
@@ -453,64 +436,160 @@ def grid_lanes(pos, neg, npairs):
     return lanes
 
 
-class TestSignWordLanes:
-    @pytest.mark.parametrize("shape", KERNEL_SHAPES, ids=str)
-    def test_lane_coefficients_are_the_float_expansion(self, shape):
-        # engine draws of blocks of 64 and 3 lanes, every word of degree <= 4
-        pos, neg, npairs = shape
-        d = pos + neg + 2 * npairs
-        for strategy in (Mixture(), Uniform()):
-            cfg = SearchConfig(n=1, seed=5, strategy=strategy)
-            count = _pair_draw_count(pos, neg, npairs, strategy)
-            for b in (64, 3):
-                u = _unit_block(cfg.seed, 1, b, count)
-                lanes = [_pair_roots(pos, neg, npairs, cfg, u[k::b]) for k in range(b)]
-                assert_lane_coefficients_are_the_float_expansion(
-                    lanes, all_words(d) if d <= 4 else [])
+# the shapes above, plus degree 1, pairs only and a moduli search's degree 7
+KERNEL_SHAPES = SHAPES + [(0, 1, 0), (0, 0, 1), (0, 0, 2), (1, 2, 0), (3, 4, 0)]
 
-    @pytest.mark.parametrize("shape", [s for s in KERNEL_SHAPES if sum(s) <= 4], ids=str)
-    def test_lane_coefficients_on_the_lane_values_grid(self, shape):
-        # +-0.0, +-inf, NaN, 5e-324 and +-1e308 in every two root parts of a lane
-        pos, neg, npairs = shape
-        d = pos + neg + 2 * npairs
-        assert_lane_coefficients_are_the_float_expansion(
-            grid_lanes(pos, neg, npairs), all_words(d) if d <= 4 else [])
 
-    @pytest.mark.parametrize("strategy", [Uniform(), Mixture(), MultiplicityBias()],
-                             ids=lambda s: type(s).__name__)
-    def test_census_over_engine_draws(self, strategy):
-        # every word a lane has, and every word at degree <= 4, over 8 shapes x 3 block sizes
-        cfg = SearchConfig(n=1, seed=41, strategy=strategy)
-        for pos, neg, npairs in SHAPES:
-            d = pos + neg + 2 * npairs
-            count = _pair_draw_count(pos, neg, npairs, strategy)
-            for first, b in ((64, 64), (256, 256), (3, 3)):
-                u = _unit_block(cfg.seed, first, b, count)
-                reals, pairs = _pair_columns(pos, neg, npairs, cfg, u, b)
-                lanes = [_pair_roots(pos, neg, npairs, cfg, u[k::b]) for k in range(b)]
-                words = {sign_tuple(expand(r, p, 1.0)) for r, p in lanes} - {None}
-                for t in sorted(words | (set(all_words(d)) if d <= 4 else set())):
-                    assert sign_word_lanes(reals, pairs, t) == reference_lanes(lanes, t), t
+class TestRootColumnKernel:
+    """The sign kernel that reads roots from columns (a moduli search's reader)."""
 
     @pytest.mark.parametrize("name", list(CRAFTED) + list(threshold_lanes()))
-    def test_crafted_lanes_match_has_sign_word(self, name):
+    def test_crafted_lanes_match_the_reference(self, name):
         # the crafted lane alone, then at lanes 0, 3 and 9 of a block of ordinary lanes
         reals, pairs = {**CRAFTED, **threshold_lanes()}[name]
         block = fillers(reals, pairs, 12, seed=len(name))
         for k in (0, 3, 9):
             block[k] = (reals, pairs)
         for lanes in ([(reals, pairs)], block):
-            cols = columns(lanes)
-            for t in all_words(len(reals) + 2 * len(pairs)):
-                assert sign_word_lanes(*cols, t) == reference_lanes(lanes, t), t
+            assert_root_kernel_is_the_reference(lanes, words(len(reals) + 2 * len(pairs)))
 
-    def test_threshold_lanes_sit_on_tau(self):
-        for name, (reals, pairs) in threshold_lanes().items():
+    @pytest.mark.parametrize("name", list(CRAFTED))
+    def test_expand_a1_is_the_running_sum(self, name):
+        # the a_1 test relies on expand(...)[1] being this sum, signed zeros included
+        reals, pairs = CRAFTED[name]
+        got, want = a1_sum(reals, pairs), expand(reals, pairs, 1.0)[1]
+        assert got == want or (math.isnan(got) and math.isnan(want))
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+        # the sum starts at +0.0 and x - y is -0.0 only when x is, so a zero a_1 is
+        # +0.0: "a1-zero" and "a1-nan" are the zero and NaN lanes of the a_1 test
+        assert got != 0.0 or math.copysign(1.0, got) == 1.0
+
+    @pytest.mark.parametrize("shape", [s for s in KERNEL_SHAPES if sum(s) <= 4], ids=str)
+    def test_lane_values_grid(self, shape):
+        # +-0.0, +-inf, NaN, 5e-324 and +-1e308 in every two root parts of a lane
+        pos, neg, npairs = shape
+        d = pos + neg + 2 * npairs
+        assert_root_kernel_is_the_reference(grid_lanes(pos, neg, npairs),
+                                            words(d) if d <= 4 else [])
+
+    def test_threshold_lanes_sit_on_the_edges(self):
+        lanes = threshold_lanes()
+        for name, (reals, pairs) in lanes.items():
             coeffs = expand(reals, pairs, 1.0)
-            assert max(1.0, *map(abs, coeffs)) == 1.0
-            a2 = abs(coeffs[2])
             where = name.rsplit("-", 1)[1]
-            tau = DEFAULT_SIGN_TOLERANCE
-            assert a2 == {"on": tau, "inside": math.nextafter(tau, 0.0),
-                          "outside": math.nextafter(tau, INF)}[where]
-            assert (sign_tuple(coeffs) is None) == (where != "outside")
+            if name.startswith("a2-"):
+                assert max(1.0, *map(abs, coeffs)) == 1.0
+                assert abs(coeffs[2]) == {"on": TAU, "inside": math.nextafter(TAU, 0.0),
+                                          "outside": math.nextafter(TAU, INF)}[where]
+                assert (sign_tuple(coeffs) is None) == (where != "outside")
+            elif name.startswith("max-"):
+                edge = inverse_edge(TAU)
+                assert max(map(abs, coeffs)) == abs(coeffs[2]) == {
+                    "on": edge, "inside": math.nextafter(edge, 0.0),
+                    "outside": math.nextafter(edge, INF)}[where]
+                # only the leading 1.0 fails: every a_j lies above tau * max|a_j|
+                assert (sign_tuple(coeffs) is None) == (where != "inside")
+                assert strictly_above_threshold(coeffs[1:])
+        # a_1 on one side of the edge as expand sums it, on the other in the other order,
+        # and that alone decides whether the word is ambiguous
+        edge = inverse_edge(TAU)
+        assert edge == 1e9
+        for name, (reals, pairs) in A1_ORDER_LANES.items():
+            coeffs = expand(reals, pairs, 1.0)
+            other = a1_other_order(name, reals, pairs)
+            assert coeffs[1] == a1_sum(reals, pairs) == max(map(abs, coeffs))
+            assert {coeffs[1], other} == {edge, math.nextafter(edge, 0.0)}
+            assert (coeffs[1] == edge) == name.startswith("a1-on-edge")
+            assert (sign_tuple(coeffs) is None) == (coeffs[1] == edge)
+            assert (sign_tuple([1.0, other, *coeffs[2:]]) is None) == (other == edge)
+
+    @pytest.mark.parametrize("tau", [1e-3, 0.25])
+    def test_the_bound_tau_is_the_threshold(self, tau):
+        # the kernel compares with the tau it is bound to, on its own threshold lanes
+        for reals, pairs in threshold_lanes(tau).values():
+            assert_root_kernel_is_the_reference([(reals, pairs)],
+                                                words(len(reals) + 2 * len(pairs)), tau)
+        for name in CRAFTED:
+            reals, pairs = CRAFTED[name]
+            assert_root_kernel_is_the_reference([(reals, pairs)],
+                                                words(len(reals) + 2 * len(pairs)), tau)
+
+    def test_letters_set_the_signs_of_the_roots(self):
+        # root j is l_j times its column, an exact negation where l_j is -1.0
+        lanes = fillers([1.0] * 4, [], 64, seed=3) + [([0.0, -0.0, INF, math.nan], [])]
+        block = columns([([abs(r) for r in reals], pairs) for reals, pairs in lanes])
+        for letters in itertools.product((1.0, -1.0), repeat=4):
+            signed = [([l * abs(r) for l, r in zip(letters, reals)], pairs)
+                      for reals, pairs in lanes]
+            assert_kernel_is_the_reference(
+                lambda t: root_kernel(4, 0, t, letters=letters), block, signed, words(4))
+
+
+def strictly_above_threshold(tail):
+    m = max(1.0, *map(abs, tail))
+    return all(abs(c) > TAU * m for c in tail)
+
+
+SEARCH_STRATEGIES = [
+    Uniform(), Mixture(), Mixture(narrow_scale=0.05, narrow_fraction=0.3),
+    MultiplicityBias(), MultiplicityBias(dup_probability=0.9),
+]
+KERNEL_ELLS = [2.0**-30, 0.7, 1.0, 3e5, 1e-300, 1.7e308]
+
+
+def at_ell(strategy, ell):
+    """`strategy` at scale ell: a set narrow_scale (0.05 at ell = 1) scales with ell."""
+    if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
+        return Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
+    return strategy
+
+
+def census_blocks(blocks):
+    """Blocks of 1 and 7 attempts, then `blocks` blocks of 64."""
+    return [(1, 1), (2, 7)] + [(9 + 64 * i, 64) for i in range(blocks)]
+
+
+class TestSignKernel:
+    """The pair search's sign kernels, which read unit draws, against the reference."""
+
+    @pytest.mark.parametrize("blocks", [1, pytest.param(64, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("ell", KERNEL_ELLS)
+    @pytest.mark.parametrize("strategy", SEARCH_STRATEGIES, ids=repr)
+    def test_census_over_engine_draws(self, strategy, ell, blocks):
+        # every word at degree <= 4 and every word a lane has, lane by lane, on the
+        # roots the shape's draw kernel forms from the same draws
+        cfg = SearchConfig(n=1, ell=ell, seed=41, strategy=at_ell(strategy, ell))
+        seen = set()
+        for pos, neg, npairs in KERNEL_SHAPES:
+            d = pos + neg + 2 * npairs
+            count = _pair_draw_count(pos, neg, npairs, strategy)
+            kind = type(strategy)
+            draw = _sign_kernel(pos, neg, npairs, kind, False)(cfg)
+            for first, b in census_blocks(blocks):
+                u = _unit_block(cfg.seed, first, b, count)
+                lanes = [draw(u, k, b) for k in range(b)]
+                seen.update(assert_kernel_is_the_reference(
+                    lambda t: _sign_kernel(pos, neg, npairs, kind, True)(cfg, t, TAU),
+                    u, lanes, words(d) if d <= 4 else []))
+        if ell in (0.7, 1.0):  # lanes of several words; at other scales most are ambiguous
+            assert len(seen - {None}) > 1
+
+    @pytest.mark.parametrize("ell", KERNEL_ELLS)
+    @pytest.mark.parametrize("strategy", SEARCH_STRATEGIES, ids=repr)
+    def test_moduli_census_over_engine_fronts(self, strategy, ell):
+        # a moduli search's kernels on its fronts: every order up to degree 4 and eight
+        # at degree 7, every word up to degree 4 and every word a lane has; a tied
+        # lane, NaN in the front, has no word
+        cfg = _distinct_draws(SearchConfig(n=1, ell=ell, seed=43, strategy=at_ell(strategy, ell)))
+        for d in (1, 2, 3, 4, 7):
+            draw = _sign_kernel(d, 0, 0, type(cfg.strategy), False)(cfg)
+            orders = list(itertools.product((1.0, -1.0), repeat=d))
+            for first, b in census_blocks(1):
+                u = _unit_block(cfg.seed, first, b, _pair_draw_count(d, 0, 0, cfg.strategy))
+                front = _moduli_front(draw, u, b)
+                for letters in orders if d <= 4 else orders[::16]:
+                    lanes = [([l * m for l, m in zip(letters, front[k::b])], [])
+                             for k in range(b)]
+                    assert_kernel_is_the_reference(
+                        lambda t: root_kernel(d, 0, t, letters=letters), front, lanes,
+                        words(d) if d <= 4 else [])

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import struct
 import subprocess
@@ -26,7 +27,7 @@ from polyrealize.moduliorders import (
     order_from_roots,
     parse_order,
 )
-from polyrealize.polycore import RootSpec, expand_from_roots, has_sign_word, sign_tuple
+from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
 from polyrealize.report import config_json
 from polyrealize.sampler import (
     Mixture,
@@ -36,10 +37,9 @@ from polyrealize.sampler import (
     Uniform,
     _distinct_draws,
     _moduli_front,
-    _pair_columns,
     _pair_draw_count,
-    _pair_roots,
     _scan,
+    _sign_kernel,
     _sorted_values,
     _unit_block,
     attempt_unit_draws,
@@ -434,20 +434,21 @@ class TestBlockKernel:
 class TestBlockSchedule:
     @pytest.mark.parametrize("n", BOUNDARY_BUDGETS)
     def test_each_attempt_gets_its_own_draws(self, n):
-        seen = []  # the per-attempt stage returns no candidate, so nothing is certified
-        out = _scan(3, SearchConfig(n=n, seed=77), seen.append, certify=None)
+        seen = []  # the stage returns no candidate, so nothing is certified
+        out = _scan(3, SearchConfig(n=n, seed=77), lambda u, k, b: seen.append(u[k::b]),
+                    certify=None)
         assert out.status == "exhausted" and out.attempts == n
         assert seen == [attempt_unit_draws(77, i, 3) for i in range(1, n + 1)]
 
     def test_hit_stops_mid_block(self):
         seen = []
 
-        def attempt(u):
-            seen.append(u)
+        def test(u, k, b):
+            seen.append(u[k::b])
             return "candidate" if len(seen) == 6 else None
 
         # attempt 6 lies in block 4..7
-        out = _scan(2, SearchConfig(n=100, seed=1), attempt, lambda candidate: (None, None))
+        out = _scan(2, SearchConfig(n=100, seed=1), test, lambda candidate: (None, None))
         assert out.attempt_index == 6
         assert seen == [attempt_unit_draws(1, i, 2) for i in range(1, 7)]
 
@@ -477,34 +478,73 @@ def at_ell(strategy, ell):
     return strategy
 
 
-class TestPairColumns:
+def reference_pair_roots(pos, neg, npairs, cfg, u):
+    """One pair-search attempt's (reals, pairs) from its unit draws u, written out alone.
+
+    A real root is sign * scale * (1 - v) for its position draw v, the positive
+    roots first; under Mixture and MultiplicityBias a choice draw comes before
+    each position draw, and under MultiplicityBias a choice below dup_probability
+    repeats the last root of the same sign.  A pair is scale * (2v - 1) and
+    scale * (1 - v'), after a choice draw under Mixture.
+    """
+    strategy, ell = cfg.strategy, cfg.ell
+    reals, pairs, t = [], [], 0
+    for j in range(pos + neg):
+        sign = 1.0 if j < pos else -1.0
+        if isinstance(strategy, Uniform):
+            reals.append(sign * ell * (1.0 - u[t]))
+            t += 1
+            continue
+        choice, x = u[t], 1.0 - u[t + 1]
+        t += 2
+        if isinstance(strategy, Mixture):
+            reals.append(sign * (cfg.narrow_scale if choice < strategy.narrow_fraction else ell) * x)
+        elif j in (0, pos) or choice >= strategy.dup_probability:
+            reals.append(sign * ell * x)
+        else:
+            reals.append(reals[-1])
+    for _ in range(npairs):
+        scale = ell
+        if isinstance(strategy, Mixture):
+            scale = cfg.narrow_scale if u[t] < strategy.narrow_fraction else ell
+            t += 1
+        pairs.append((scale * (2.0 * u[t] - 1.0), scale * (1.0 - u[t + 1])))
+        t += 2
+    return reals, pairs
+
+
+def draw_kernel(pos, neg, npairs, cfg):
+    """The pair draw kernel of the shape, bound to cfg: (u, k, b) -> lane k's roots."""
+    return _sign_kernel(pos, neg, npairs, type(cfg.strategy), False)(cfg)
+
+
+class TestPairDraws:
     @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
-    def test_equals_pair_roots_at_every_attempt(self, strategy):
+    def test_equal_the_reference_at_every_attempt(self, strategy):
         self.check_every_attempt(strategy, 1.0)
 
     @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
     @pytest.mark.parametrize("ell", OTHER_ELLS)
-    def test_equals_pair_roots_at_every_attempt_at_other_ell(self, strategy, ell):
+    def test_equal_the_reference_at_every_attempt_at_other_ell(self, strategy, ell):
         # a dropped or misplaced ell factor shows only at ell != 1
         self.check_every_attempt(at_ell(strategy, ell), ell)
 
     @staticmethod
     def check_every_attempt(strategy, ell):
-        # COLUMN_SHAPES holds every (d, 0, 0) shape the moduli front draws
+        # the draw lines of every shape at degrees 1-8, (d, 0, 0) included, on every
+        # lane of blocks of each size
         cfg = SearchConfig(n=1, ell=ell, seed=31, strategy=strategy)
         chains = 0  # lanes where a root repeats the root two places before it
         for pos, neg, npairs in COLUMN_SHAPES:
             count = _pair_draw_count(pos, neg, npairs, strategy)
+            draw = draw_kernel(pos, neg, npairs, cfg)
             for b in BLOCK_SIZES:
                 u = _unit_block(cfg.seed, 1 + pos + 10 * neg + 100 * npairs, b, count)
-                reals, pairs = _pair_columns(pos, neg, npairs, cfg, u, b)
-                assert len(reals) == pos + neg and len(pairs) == npairs
-                assert all(len(r) == b for r in reals)
-                assert all(len(re) == len(im) == b for re, im in pairs)
                 for k in range(b):
-                    want_reals, want_pairs = _pair_roots(pos, neg, npairs, cfg, u[k::b])
-                    assert bits(r[k] for r in reals) == bits(want_reals)
-                    assert bits(v for re, im in pairs for v in (re[k], im[k])) == bits(
+                    reals, pairs = draw(u, k, b)
+                    want_reals, want_pairs = reference_pair_roots(pos, neg, npairs, cfg, u[k::b])
+                    assert bits(reals) == bits(want_reals)
+                    assert bits(v for pair in pairs for v in pair) == bits(
                         v for pair in want_pairs for v in pair)
                     chains += sum(want_reals[j] == want_reals[j - 2]
                                   for j in range(2, pos + neg) if j not in (pos, pos + 1))
@@ -532,8 +572,9 @@ class TestValueDraws:
         for d in range(1, 9):
             first, b = 1 + 10 * d, 256
             u = _unit_block(cfg.seed, first, b, _pair_draw_count(d, 0, 0, draw.strategy))
+            moduli = draw_kernel(d, 0, 0, draw)
             for k in range(b):
-                mods = _pair_roots(d, 0, 0, draw, u[k::b])[0]
+                mods = moduli(u, k, b)[0]
                 assert bits(mods) == bits(reference_values(d, cfg, first + k, signed=False))
                 xs = reference_values(d, cfg, first + k, signed=True)
                 want = None if 0.0 in xs or len(set(xs)) < d else bits(sorted(xs))
@@ -599,19 +640,29 @@ def reference_values(d, cfg, i, signed):
     return [s * (1.0 - x) for s, x in zip(scales, u)]
 
 
+def reference_spec(kind, args, cfg, i):
+    """The spec a pair or moduli search examines at attempt i, drawn on its own, or
+    None for a moduli attempt with tied moduli."""
+    sigma, target = args
+    if kind == "pair":
+        pos, neg = target
+        npairs = (sigma.degree - pos - neg) // 2
+        u = attempt_unit_draws(cfg.seed, i, _pair_draw_count(pos, neg, npairs, cfg.strategy))
+        reals, pairs = reference_pair_roots(pos, neg, npairs, cfg, u)
+        return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
+    mods = sorted(reference_values(target.degree, cfg, i, signed=False))
+    if len(set(mods)) < len(mods):
+        return None
+    return RootSpec(real_roots=tuple(m if c == "P" else -m for c, m in zip(target.word, mods)))
+
+
 def reference_attempt(kind, args, cfg, i):
     """(spec, certificate) of a certified hit at attempt i, drawn on its own, or None."""
-    if kind == "pair":
-        sigma, pair = args
-        spec = draw_rootspec_pair(sigma.degree, pair, cfg, i)
-        claim = PairCouple(sigma, pair)
-    elif kind == "moduli":
-        sigma, order = args
-        mods = sorted(reference_values(order.degree, cfg, i, signed=False))
-        if len(set(mods)) < len(mods):
+    if kind in ("pair", "moduli"):
+        spec = reference_spec(kind, args, cfg, i)
+        if spec is None:
             return None
-        spec = RootSpec(real_roots=tuple(m if c == "P" else -m for c, m in zip(order.word, mods)))
-        claim = ModuliCouple(sigma, order)
+        claim = (PairCouple if kind == "pair" else ModuliCouple)(*args)
     else:
         d, target = args
         xs = sorted(reference_values(d, cfg, i, signed=True))
@@ -645,12 +696,12 @@ SCHEDULE_CASES = [
     ("gap", (5, "L-R+"), Uniform(), 1, None),
     ("moduli", (parse_pattern("++---+"), ModuliOrder("NPPNN")), MultiplicityBias(), 1, 351),
     ("gap", (6, "L-R+"), MultiplicityBias(), 3, 2),
-    # pair hits inside a block tested as lanes (64..127, 256..511), not at its first lane
+    # pair hits inside the blocks 64..127 and 256..511, not at their first attempt
     ("pair", (parse_pattern("++++-++"), RootCountPair(0, 0)), Uniform(), 1, 382),
     ("pair", (parse_pattern("+++-+-"), RootCountPair(1, 2)), Mixture(), 1, 107),
     ("pair", (parse_pattern("+++-++"), RootCountPair(0, 3)), MultiplicityBias(), 2, 290),
     ("pair", (parse_pattern("++-+-++"), RootCountPair(0, 2)), Mixture(), 4, None),
-    # a moduli exhaustion, its blocks from 64 on tested as lanes
+    # a moduli exhaustion through every block
     ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN")), Mixture(narrow_scale=0.05), 2024,
      None),
 ]
@@ -675,7 +726,7 @@ def test_block_schedule_matches_attempt_by_attempt_scan(kind, args, strategy, se
             assert out.spec is None and out.certificate is None
 
 
-# (kind, args, seed, first Uniform hit within 400 attempts): moduli hits in lane
+# (kind, args, seed, first Uniform hit within 400 attempts): moduli hits in the
 # blocks 64..127, 128..255 and 256..511, gap hits past 64, and an exhaustion of each
 BIAS_CASES = [
     ("moduli", (from_runs((1, 2, 3, 2)), ModuliOrder("NPNPNNP")), 1, 115),
@@ -704,90 +755,12 @@ def test_moduli_and_gap_searches_draw_multiplicity_bias_as_uniform(kind, args, s
 
 
 def test_moduli_sweep_draws_multiplicity_bias_as_uniform():
-    # inside a sweep the fronts are shared and blocks from 8 attempts on are lanes
+    # inside a sweep the fronts are shared
     sigma = from_runs((1, 2, 3, 2))
     twin = sweeps.sweep_moduli(sigma, SearchConfig(n=400, seed=1))
     out = sweeps.sweep_moduli(sigma, SearchConfig(n=400, seed=1, strategy=MultiplicityBias()))
     assert out.rows == twin.rows and twin.totals["realized"] > 0
     assert out.config.strategy == MultiplicityBias()
-
-
-def test_pair_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
-    # an exhaustion of 513 attempts: blocks 1, 2, 4, ..., 32 one attempt at a time,
-    # blocks 64..127, 128..255 and 256..511 as lanes, the last two attempts one at a time
-    sizes = []
-
-    def counted(reals, pairs, target):
-        sizes.append(len(reals[0] if reals else pairs[0][0]))
-        return polycore.sign_word_lanes(reals, pairs, target)
-
-    monkeypatch.setattr(sampler, "sign_word_lanes", counted)
-    calls = []
-    monkeypatch.setattr(sampler, "has_sign_word", lambda *a: calls.append(a) or has_sign_word(*a))
-    out = search_pair(parse_pattern("+---+"), RootCountPair(0, 2), SearchConfig(n=513, seed=3))
-    assert out.status == "exhausted" and out.attempts == 513
-    assert sizes == [64, 128, 256]
-    assert len(calls) == 63 + 2
-
-
-def test_moduli_search_tests_blocks_of_64_or_more_as_lanes(monkeypatch):
-    # as for pairs: blocks 64..127, 128..255 and 256..511 as lanes, the rest one at a
-    # time; a lane block passes on its untied lanes, all of them here
-    sizes = []
-
-    def counted(reals, pairs, target):
-        sizes.append(len(reals[0]))
-        return polycore.sign_word_lanes(reals, pairs, target)
-
-    monkeypatch.setattr(sampler, "sign_word_lanes", counted)
-    calls = []
-    monkeypatch.setattr(sampler, "has_sign_word", lambda *a: calls.append(a) or has_sign_word(*a))
-    out = search_moduli(from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN"),
-                        SearchConfig(n=513, seed=2024, strategy=Mixture(narrow_scale=0.05)))
-    assert out.status == "exhausted" and out.attempts == 513
-    assert sizes == [64, 128, 256]
-    assert len(calls) == 63 + 2
-
-
-def count_lane_tests(monkeypatch):
-    """(lane block sizes, per-attempt calls) that the searches run from now on."""
-    sizes, calls = [], []
-
-    def counted(reals, pairs, target):
-        sizes.append(len(reals[0] if reals else pairs[0][0]))
-        return polycore.sign_word_lanes(reals, pairs, target)
-
-    monkeypatch.setattr(sampler, "sign_word_lanes", counted)
-    monkeypatch.setattr(sampler, "has_sign_word", lambda *a: calls.append(a) or has_sign_word(*a))
-    return sizes, calls
-
-
-def test_moduli_blocks_of_8_or_more_are_lanes_inside_a_sweep_store(monkeypatch):
-    # a sweep computes a moduli front once for all its orders, so inside the store the
-    # blocks 8..15, 16..31 and 32..63 are fronts and lanes too; only 1..7 and 512..513
-    # run one attempt at a time
-    args = (from_runs((1, 2, 3, 2)), ModuliOrder("NNPPPNN"),
-            SearchConfig(n=513, seed=2024, strategy=Mixture(narrow_scale=0.05)))
-    alone = search_moduli(*args)
-    sizes, calls = count_lane_tests(monkeypatch)
-    with sampler._shared_blocks():
-        out = search_moduli(*args)
-        store = sampler._SHARED.get()
-    assert sizes == [8, 16, 32, 64, 128, 256]
-    assert len(calls) == 7 + 2
-    assert sorted(key[2:] for key in store if len(key) == 5) == [
-        (b, b, 7) for b in (8, 16, 32, 64, 128, 256)]
-    assert (out.status, out.attempts) == (alone.status, alone.attempts) == ("exhausted", 513)
-
-
-def test_pair_blocks_keep_64_inside_a_sweep_store(monkeypatch):
-    # a pair sweep shares draws, not columns: its blocks below 64 stay per attempt
-    sizes, calls = count_lane_tests(monkeypatch)
-    with sampler._shared_blocks():
-        out = search_pair(parse_pattern("+---+"), RootCountPair(0, 2), SearchConfig(n=513, seed=3))
-    assert out.status == "exhausted" and out.attempts == 513
-    assert sizes == [64, 128, 256]
-    assert len(calls) == 63 + 2
 
 
 def tie_every_third_attempt(unit_block):
@@ -802,36 +775,56 @@ def tie_every_third_attempt(unit_block):
 
 
 def test_moduli_front_keeps_untied_lanes_sorted():
+    # lane k's sorted moduli at k, k + b, ..., and NaN throughout a tied lane
     cfg = SearchConfig(n=1, seed=5)
     for d in (2, 5, 7):
         u = tie_every_third_attempt(_unit_block)(cfg.seed, 64, 100, d)
-        front = _moduli_front(d, cfg, u, 100)
-        rows = [_pair_roots(d, 0, 0, cfg, u[k::100])[0] for k in range(100)]
-        kept = [k for k in range(100) if k % 3]
-        assert kept == [k for k, row in enumerate(rows) if len(set(row)) == d]
-        m = len(kept)
-        assert len(front) == (d + 1) * m and front[:m].tolist() == kept
-        for p, k in enumerate(kept):
-            assert bits(front[j * m + p] for j in range(1, d + 1)) == bits(sorted(rows[k]))
+        front = _moduli_front(draw_kernel(d, 0, 0, cfg), u, 100)
+        rows = [reference_pair_roots(d, 0, 0, cfg, u[k::100])[0] for k in range(100)]
+        assert [k for k in range(100) if k % 3] == [
+            k for k, row in enumerate(rows) if len(set(row)) == d]
+        assert len(front) == d * 100
+        for k, row in enumerate(rows):
+            if k % 3:
+                assert bits(front[k::100]) == bits(sorted(row))
+            else:
+                assert all(map(math.isnan, front[k::100]))
 
 
-def test_moduli_lanes_reject_tied_attempts_as_the_per_attempt_path_does(monkeypatch):
-    monkeypatch.setattr(sampler, "_unit_block", tie_every_third_attempt(_unit_block))
-    args = (parse_pattern("++---+"), ModuliOrder("NPPNN"), SearchConfig(n=600, seed=1))
-    lanes = search_moduli(*args)
-    monkeypatch.setattr(sampler, "_LANE_MIN", max(BOUNDARY_BUDGETS) + 1)
-    each = search_moduli(*args)
-    assert lanes.found and lanes.attempt_index > 256  # inside a block with tied lanes
-    assert (lanes.status, lanes.attempts, lanes.attempt_index, lanes.spec, lanes.certificate) == (
-        each.status, each.attempts, each.attempt_index, each.spec, each.certificate)
+def test_moduli_search_rejects_tied_attempts(monkeypatch):
+    # the first certified hit of a scan that skips the tied attempts, each drawn on its own
+    tied = tie_every_third_attempt(_unit_block)
+    sigma, order = parse_pattern("++---+"), ModuliOrder("NPPNN")
+    cfg = SearchConfig(n=600, seed=1)
+    want = None
+    for first, b in scan_blocks(cfg.n):
+        u = tied(cfg.seed, first, b, order.degree)
+        for k in range(b):
+            mods = sorted(reference_pair_roots(order.degree, 0, 0, cfg, u[k::b])[0])
+            if len(set(mods)) < order.degree:
+                continue
+            spec = RootSpec(real_roots=tuple(m if c == "P" else -m
+                                             for c, m in zip(order.word, mods)))
+            if sign_tuple(expand_from_roots(spec).coeffs) != sigma.signs:
+                continue
+            cert = certify_couple(rationalize(spec, cfg.digits), ModuliCouple(sigma, order))
+            if isinstance(cert, Certificate):
+                want = (first + k, spec, cert)
+                break
+        if want:
+            break
+    monkeypatch.setattr(sampler, "_unit_block", tied)
+    out = search_moduli(sigma, order, cfg)
+    assert out.found and out.attempt_index > 256  # inside a block with tied lanes
+    assert (out.attempt_index, out.spec, out.certificate) == want
 
 
 def engine_stages(search, *args):
-    """(count, cfg, attempt, lanes, front): what `search(*args)` hands `_scan`."""
+    """(count, cfg, test, front): what `search(*args)` hands `_scan`."""
     handed = []
 
-    def capture(count, cfg, attempt, certify, lanes=None, front=None):
-        handed.append((count, cfg, attempt, lanes, front))
+    def capture(count, cfg, test, certify, front=None):
+        handed.append((count, cfg, test, front))
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sampler, "_scan", capture)
@@ -840,15 +833,24 @@ def engine_stages(search, *args):
     return stages
 
 
-def assert_lane_stage_is_the_attempt_stage(stages, blocks):
-    """On each (first, b) block, the lane stage's candidates are those of the
-    per-attempt stage run lane by lane; returns how many there were."""
-    count, cfg, attempt, lanes, front = stages
+def assert_stage_is_the_reference(kind, args, stages, blocks):
+    """On each (first, b) block, the stage's candidates are the float hits of the
+    attempts drawn on their own; returns how many there were."""
+    count, cfg, test, front = stages
+    sigma = args[0]
     found = 0
     for first, b in blocks:
-        u = _unit_block(cfg.seed, first, b, count)
-        want = [(k, c) for k, c in ((k, attempt(u[k::b])) for k in range(b)) if c is not None]
-        assert list(lanes(u if front is None else front[1](u, b), b)) == want, (first, b)
+        data = _unit_block(cfg.seed, first, b, count)
+        if front is not None:
+            data = front[1](data, b)
+        got = [(k, RootSpec(*c)) for k, c in ((k, test(data, k, b)) for k in range(b))
+               if c is not None]
+        want = []
+        for k in range(b):
+            spec = reference_spec(kind, args, cfg, first + k)
+            if spec is not None and sign_tuple(expand_from_roots(spec).coeffs) == sigma.signs:
+                want.append((k, spec))
+        assert got == want, (first, b)
         found += len(want)
     return found
 
@@ -862,44 +864,37 @@ def scan_blocks(n):
         size = min(2 * size, sampler._BLOCK_CAP)
 
 
-# moduli fronts of 8, 16, 64 and 256 attempts, and the 245-attempt tail of a budget of 500
-MODULI_LANE_BLOCKS = [(8, 8), (16, 16), (64, 64), (256, 256), (256, 245)]
+# moduli fronts of 1, 8, 16, 64 and 256 attempts, and the 245-attempt tail of a budget of 500
+MODULI_BLOCKS = [(1, 1), (8, 8), (16, 16), (64, 64), (256, 256), (256, 245)]
 
 
 @pytest.mark.parametrize("strategy", [Mixture(narrow_scale=0.05), Uniform()], ids=repr)
-def test_moduli_lane_stage_equals_attempt_stage_at_degree_7(strategy):
+def test_moduli_stage_equals_the_reference_at_degree_7(strategy):
     # every order with 3 P's and 4 N's, sigma = runs (1,2,3,2): degree-7 lanes, most of
-    # them dropped at a_1, a_2 or a_3
+    # them rejected at a_1, a_2 or a_3
     sigma = from_runs((1, 2, 3, 2))
     cfg = SearchConfig(n=1, seed=2024, strategy=strategy)
-    found = sum(assert_lane_stage_is_the_attempt_stage(
-        engine_stages(search_moduli, sigma, order, cfg), MODULI_LANE_BLOCKS)
+    found = sum(assert_stage_is_the_reference(
+        "moduli", (sigma, order), engine_stages(search_moduli, sigma, order, cfg), MODULI_BLOCKS)
         for order in enumerate_orders(3, 4))
     assert found > 0
 
 
 @pytest.mark.parametrize("word, pair", [("+---+", (0, 2)), ("++-++", (2, 0))])
-def test_pair_lane_stage_equals_attempt_stage_on_never_realized_couples(word, pair):
+def test_pair_stage_equals_the_reference_on_never_realized_couples(word, pair):
     # the degree-4 couples no search realizes, over their first 20 000 attempts
     cfg = SearchConfig(n=20_000, seed=2024)
-    stages = engine_stages(search_pair, parse_pattern(word), RootCountPair(*pair), cfg)
-    assert_lane_stage_is_the_attempt_stage(stages, scan_blocks(cfg.n))
+    args = (parse_pattern(word), RootCountPair(*pair))
+    assert_stage_is_the_reference("pair", args, engine_stages(search_pair, *args, cfg),
+                                  scan_blocks(cfg.n))
 
 
 def reference_float_hits(kind, args, cfg):
     """(attempt, spec) of every float hit among attempts 1..n, each drawn on its own."""
-    sigma, target = args
     hits = []
     for i in range(1, cfg.n + 1):
-        if kind == "pair":
-            spec = draw_rootspec_pair(sigma.degree, target, cfg, i)
-        else:
-            mods = sorted(reference_values(target.degree, cfg, i, signed=False))
-            if len(set(mods)) < len(mods):
-                continue
-            spec = RootSpec(real_roots=tuple(m if c == "P" else -m
-                                             for c, m in zip(target.word, mods)))
-        if sign_tuple(expand_from_roots(spec).coeffs, cfg.tau) == sigma.signs:
+        spec = reference_spec(kind, args, cfg, i)
+        if spec is not None and sign_tuple(expand_from_roots(spec).coeffs, cfg.tau) == args[0].signs:
             hits.append((i, spec))
     return hits
 
@@ -919,9 +914,8 @@ def reject_first(monkeypatch, j):
     return calls
 
 
-# (kind, args, seed): float hits in blocks run one attempt at a time, and several to a
-# lane block (pair: 95 and 124 in 64..127; moduli: five in 64..127, and 16, 23 and 24
-# in 16..31, a lane block inside a sweep store)
+# (kind, args, seed): float hits in small blocks, and several to a block (pair: 95 and
+# 124 in 64..127; moduli: five in 64..127, and 16, 23 and 24 in 16..31)
 CERTIFY_LOOP_CASES = [
     ("pair", (parse_pattern("+--++"), RootCountPair(2, 0)), 1),
     ("moduli", (parse_pattern("++--+"), ModuliOrder("NPPN")), 0),
@@ -931,7 +925,7 @@ CERTIFY_LOOP_CASES = [
 @pytest.mark.parametrize("kind, args, seed", CERTIFY_LOOP_CASES, ids=["pair", "moduli"])
 def test_search_returns_the_float_hit_after_the_rejected_ones(monkeypatch, kind, args, seed):
     # with the first j float hits rejected by the certifier, the search returns the
-    # (j+1)-th, whether its block ran one attempt at a time or as lanes
+    # (j+1)-th, also inside a sweep store
     cfg = SearchConfig(n=300, seed=seed)
     hits = reference_float_hits(kind, args, cfg)
     assert len([i for i, _ in hits if 64 <= i < 128]) >= 2
@@ -945,15 +939,12 @@ def test_search_returns_the_float_hit_after_the_rejected_ones(monkeypatch, kind,
             outs.append((out.status, out.attempts, out.attempt_index, out.spec, out.certificate))
         return outs
 
-    lanes = outcomes()
-    assert [o[:4] for o in lanes] == [("found", i, i, spec) for i, spec in hits] + [
+    alone = outcomes()
+    assert [o[:4] for o in alone] == [("found", i, i, spec) for i, spec in hits] + [
         ("exhausted", cfg.n, None, None)]
-    assert all(isinstance(o[4], Certificate) for o in lanes[:-1])
-    if kind == "moduli":  # blocks from 8 attempts on run as lanes inside a sweep store
-        with sampler._shared_blocks():
-            assert outcomes() == lanes
-    monkeypatch.setattr(sampler, "_LANE_MIN", cfg.n + 1)
-    assert outcomes() == lanes
+    assert all(isinstance(o[4], Certificate) for o in alone[:-1])
+    with sampler._shared_blocks():
+        assert outcomes() == alone
 
 
 def test_searches_do_not_import_numpy():

@@ -156,7 +156,7 @@ class TestSharedBlocks:
             assert row.status == (REALIZED if out.found else UNRESOLVED)
             assert (row.attempts, row.attempt_index, row.spec, row.certificate) == (
                 out.attempts, out.attempt_index, out.spec, out.certificate)
-        # hits before and inside the lane blocks, and exhaustions through all of them
+        # hits before and after attempt 64, and exhaustions through every block
         hits = [row.attempt_index for row in searched if row.status == REALIZED]
         assert min(hits) < 64 <= max(hits)
         assert any(row.status == UNRESOLVED for row in searched)
@@ -168,11 +168,11 @@ class TestSharedBlocks:
                             lambda seed, first, b, count: drawn.append((first, b))
                             or unit_block(seed, first, b, count))
         monkeypatch.setattr(sampler, "_moduli_front",
-                            lambda d, cfg, u, b: fronts.append(b) or moduli_front(d, cfg, u, b))
+                            lambda draw, u, b: fronts.append(b) or moduli_front(draw, u, b))
         sweep_moduli(SHARED_SIGMA, SHARED_CFG)
         assert sorted(drawn) == [(2**i, 2**i) for i in range(9)] + [(512, 89)]
-        # inside a sweep a block is a front from _SHARED_LANE_MIN (8) attempts on
-        assert fronts == [8, 16, 32, 64, 128, 256, 89]
+        # every block is a front, computed once for all the sweep's orders
+        assert fronts == [2**i for i in range(9)] + [89]
 
     def test_store_is_open_only_during_a_sweep(self, stores):
         assert sampler._SHARED.get() is None
@@ -242,7 +242,7 @@ class TestPairSweepSharedBlocks:
     def test_rows_equal_standalone_searches(self, monkeypatch, orbits):
         rpt = sweep_pairs(4, PAIR_CFG, orbits=orbits)
         hits = self.assert_rows_equal_standalone_searches(rpt, PAIR_CFG, orbits)
-        # hits before and inside the lane blocks, and exhaustions through all of them
+        # hits before and after attempt 64, and exhaustions through every block
         assert min(hits) < 64 <= max(hits)
         assert rpt.totals[UNRESOLVED] == 2
         # the whole report, mapped witnesses too, equals that of a sweep without the store
@@ -283,19 +283,18 @@ class TestPairSweepSharedBlocks:
         with sampler._shared_blocks():
             shared = [search() for search in searches]
             keys = set(sampler._SHARED.get())
-        # the moduli fronts start at _SHARED_LANE_MIN (8) attempts; the pair search
-        # keeps drawing those blocks, under the shorter draw key
-        assert {key[2:4] for key in keys if len(key) == 5} == {
-            (8, 8), (16, 16), (32, 32), (64, 64), (128, 128)}
-        assert {key[2:4] for key in keys if len(key) == 4} == {
-            (1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (128, 128)}
+        # every moduli block is a front; the pair search draws the same blocks, under
+        # the shorter draw key
+        blocks = {(1, 1), (2, 2), (4, 4), (8, 8), (16, 16), (32, 32), (64, 64), (128, 128)}
+        assert {key[2:4] for key in keys if len(key) == 5} == blocks
+        assert {key[2:4] for key in keys if len(key) == 4} == blocks
         hits = []
         for out, search in zip(shared, searches):
             alone = search()
             assert (out.attempt_index, out.spec, out.certificate) == (
                 alone.attempt_index, alone.spec, alone.certificate)
             hits.append(out.attempt_index)
-        assert sorted(hits) == [149, 152]  # both in the lane block of attempts 128..255
+        assert sorted(hits) == [149, 152]  # both in the block of attempts 128..255
 
     def test_store_is_open_only_during_a_sweep(self, monkeypatch):
         stores = _search_stores(monkeypatch, "search_pair")
