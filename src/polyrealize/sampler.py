@@ -367,7 +367,7 @@ def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tested: bool) -> 
 
 
 # a cache bound, not an option: a degree-4 pair sweep compiles 9 shapes, a moduli
-# sweep 2 kernels.  An evicted kernel is compiled again, 0.3-1.2 ms up to degree 9
+# sweep 2 kernels.  An evicted kernel is compiled again: 0.2-1.0 ms up to degree 9
 @lru_cache(maxsize=64)
 def _sign_kernel(pos: int, neg: int, npairs: int, kind, tested: bool):
     """`bind` compiled from _sign_kernel_source(pos, neg, npairs, kind, tested), once per key."""
