@@ -11,32 +11,37 @@ with budget n returns what the first n attempts of any larger budget return.
 Three engines share the machinery: pair search (draw the prescribed numbers
 of positive/negative roots plus conjugate complex pairs), moduli search (draw
 d positives as the real roots of a (d, 0, 0) pair draw, sort, negate where
-the target order says N), and gap-class search (draw d distinct reals and
-test their critical-point gaps against the target class, which stops
-refining once that class is ruled out).  Moduli and gap searches need
-distinct values, so they draw MultiplicityBias as Uniform (`_distinct_draws`).
-An engine hands `_scan` two stages: a float stage, test(data, k, b), which
+the target order says N), and gap-class search (draw d distinct reals, each
+as a pair's real part alone, and test their critical-point gaps against the
+target class, which stops refining once that class is ruled out).  Moduli
+and gap searches need distinct values, so they draw MultiplicityBias as
+Uniform (`_distinct_draws`).  An engine validates its query, binds its
+kernel and hands `_scan` two stages: that kernel, test(data, k, b), which
 reads lane k of a block of b attempts and returns None or a float
-candidate, and a certify stage, which turns a candidate into its hit,
-(spec, certificate) or (spec, certificate, gap_report), or rejects it.
-`_scan` alone loops over attempts, calls test once per lane at every block
-size, certifies candidates in lane order up to the first hit, knows attempt
-indices and builds the SearchOutcome.  A float hit whose rationalized form
-yields a Mismatch is counted as a failed attempt and the scan goes on.
+candidate, and a certify stage, `_certified_hit` or `_certified_gap` bound
+to the claim, which turns a candidate into its hit, (spec, certificate) or
+(spec, certificate, gap_report), or rejects it.  `_scan` alone loops over
+attempts, calls test once per lane at every block size, certifies
+candidates in lane order up to the first hit, knows attempt indices and
+builds the SearchOutcome.  A float hit whose rationalized form yields a
+Mismatch is counted as a failed attempt and the scan goes on.
 
-The pair and moduli float stages are generated, one kernel per root shape
-and strategy from one template (`_sign_kernel_source`): the draw lines of
-`_draw_source` form lane k's roots in locals, and `polycore.word_source`'s
-lines test their coefficient sign word, a coefficient at a time with early
-exit, as `polycore.sign_tuple` of the float expansion would decide it.  A
-search binds its target word, its strategy's scalars and tau to its
-shape's kernel.  Two readers feed the one test: a pair search's kernel
-reads its attempt's unit draws, and a moduli search's reads root columns.
-A moduli block's front (`_moduli_front`), the (d, 0, 0) pair draws of its
-lanes with the tie test and the sort, does not depend on the target order;
-the per-order kernel reads each lane's sorted moduli from it and applies
-the order's signs.  The same draw lines, without the test, give
-`draw_rootspec_pair` its roots.
+Every kernel is generated from one template (`_sign_kernel_source`), one
+per root shape, strategy and tail.  The draw lines of `_draw_source` form
+lane k's roots, or gap values, in locals, and lay out the attempt's unit
+draws, whose count the template returns with the source.  A tail ends the
+kernel.  The word tail, `polycore.word_source`'s lines, tests the roots'
+coefficient sign word, a coefficient at a time with early exit, as
+`polycore.sign_tuple` of the float expansion would decide it; a search
+binds its target word, its strategy's scalars and tau.  The gap tail
+rejects a zero or tied value, sorts the values and runs the bound
+`criticalgaps.match_kernel(d, target)` on them.  Two readers feed the word
+test: a pair search's kernel reads its attempt's unit draws, and a moduli
+search's reads root columns.  A moduli block's front (`_moduli_front`), the
+(d, 0, 0) pair draws of its lanes with the tie test and the sort, does not
+depend on the target order; the per-order kernel reads each lane's sorted
+moduli from it and applies the order's signs.  With no tail, the draw
+lines give `draw_rootspec_pair` its roots and a moduli front its moduli.
 
 A sweep runs many searches under one config, and attempt i of each draws
 the same uniforms whenever the searches draw as many per attempt: every
@@ -273,21 +278,13 @@ class SearchOutcome:
 
 # --- per-attempt draws ------------------------------------------------------
 
-def _pair_draw_count(pos: int, neg: int, npairs: int, strategy: Strategy) -> int:
-    if isinstance(strategy, Uniform):
-        return pos + neg + 2 * npairs
-    if isinstance(strategy, Mixture):
-        return 2 * (pos + neg) + 3 * npairs
-    return 2 * (pos + neg) + 2 * npairs  # MultiplicityBias
-
-
 def _at(t: int) -> str:
     """Source of the read of draw t of lane k in a block of b attempts, column-major."""
     return "u[k]" if t == 0 else "u[k + b]" if t == 1 else f"u[k + {t} * b]"
 
 
-def _draw_source(pos: int, neg: int, npairs: int, kind) -> list[str]:
-    """Source lines that set lane k's roots r0 .., (re0, im0) .. from its draws.
+def _draw_source(pos: int, neg: int, npairs: int, kind, gap: bool) -> tuple[list[str], int]:
+    """Source lines that set lane k's roots r0 .., (re0, im0) .. from its draws, and their count.
 
     Under a strategy (kind is its class) these are the roots of a pair-search
     attempt.  A real root takes one draw (its position) under Uniform and two
@@ -297,16 +294,18 @@ def _draw_source(pos: int, neg: int, npairs: int, kind) -> list[str]:
     bound once as wpos, wneg (+-ell) or npos, nneg (+-narrow_scale); a
     repeated root is the last one of its sign.  A pair takes two draws, after a
     narrow/wide choice under Mixture: scale * (2.0 * v - 1.0) and
-    scale * (1.0 - v').  kind None reads roots from columns instead: real
-    root j is l_j * u[k + j*b] (l_j = 1.0 or -1.0, an exact sign), then the
-    pairs' parts in order.
+    scale * (1.0 - v').  With gap, a pair is its real part alone, one
+    position draw after the Mixture choice: re_j is a gap attempt's value j.
+    kind None reads roots from columns instead: real root j is
+    l_j * u[k + j*b] (l_j = 1.0 or -1.0, an exact sign), then the pairs'
+    parts in order.
     """
     if kind is None:
         lines = [f"r{j} = l{j} * {_at(j)}" for j in range(pos + neg)]
         t = pos + neg
         for j in range(npairs):
             lines += [f"re{j} = {_at(t + 2 * j)}", f"im{j} = {_at(t + 2 * j + 1)}"]
-        return lines
+        return lines, t + 2 * npairs
     step = 1 if kind is Uniform else 2  # draws per real root, its position last
     lines, t = [], 0
     for j in range(pos + neg):
@@ -324,25 +323,31 @@ def _draw_source(pos: int, neg: int, npairs: int, kind) -> list[str]:
         if kind is Mixture:
             lines.append(f"sc = npos if {_at(t)} < frac else wpos")
             scale, t = "sc", t + 1
-        lines += [f"re{j} = {scale} * (2.0 * {_at(t)} - 1.0)",
-                  f"im{j} = {scale} * (1.0 - {_at(t + 1)})"]
-        t += 2
-    return lines
+        lines.append(f"re{j} = {scale} * (2.0 * {_at(t)} - 1.0)")
+        if not gap:
+            lines.append(f"im{j} = {scale} * (1.0 - {_at(t + 1)})")
+        t += 1 if gap else 2
+    return lines, t
 
 
-def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tested: bool) -> str:
-    """Source of `bind(cfg, target, tau, letters)`, which returns `kernel(u, k, b)`.
+def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tail) -> tuple[int, str]:
+    """(count, source): the draw count and the source of `bind(cfg, target, tau, letters)`.
 
-    The kernel runs `_draw_source`'s lines on lane k of a block u of b
-    attempts, then, when tested, `polycore.word_source`'s test of the
-    target word, and returns lane k's roots, ((r0, ..), ((re0, im0), ..)),
-    or None when the test fails.  bind sets what the lines read as closure
-    values: the strategy's scalars from cfg, the target's signs g1 .. gd as
-    floats, tau, and the letters l0 .. as given.
+    bind returns `kernel(u, k, b)`, which runs `_draw_source`'s lines on
+    lane k of a block u of b attempts, then its tail.  With no tail it
+    returns lane k's roots, ((r0, ..), ((re0, im0), ..)).  The tail "word"
+    is `polycore.word_source`'s test of the target word: the kernel returns
+    the roots, or None when the test fails.  The tail "gap" takes the npairs
+    values re0 .. as a list xs, returns None when one is 0.0 or two tie,
+    sorts xs and returns (xs, report) when report = target(xs), the bound
+    match kernel, is not None.  bind sets what the lines read as closure
+    values: the strategy's scalars from cfg, the target (as the signs
+    g1 .. gd of its word, or as the match function), tau, and the letters
+    l0 .. as given.
     """
     nreals = pos + neg
     head = []
-    if tested:
+    if tail == "word":
         head.append("_, " + ", ".join(f"g{m}" for m in range(1, nreals + 2 * npairs + 1))
                     + " = map(float, target)")
     if kind is None and nreals:
@@ -353,36 +358,53 @@ def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tested: bool) -> 
         head += ["npos = cfg.narrow_scale", "nneg = -npos", "frac = cfg.strategy.narrow_fraction"]
     if kind is MultiplicityBias:
         head.append("dup = cfg.strategy.dup_probability")
-    body = _draw_source(pos, neg, npairs, kind)
-    if tested:
+    body, count = _draw_source(pos, neg, npairs, kind, tail == "gap")
+    if tail == "word":
         body += polycore.word_source(nreals, npairs)
-    reals = "".join(f"r{j}, " for j in range(nreals))
-    pairs = "".join(f"(re{j}, im{j}), " for j in range(npairs))
-    body.append(f"return ({reals}), ({pairs})")
-    return ("def bind(cfg=None, target=(), tau=None, letters=()):\n"
-            + "".join(f"    {line}\n" for line in head)
-            + "    def kernel(u, k, b):\n"
-            + "".join(f"        {line}\n" for line in body)
-            + "    return kernel\n")
+    if tail == "gap":  # _draw_source's values, the zero and tie test, the sort and the match
+        body += ["xs = [" + ", ".join(f"re{j}" for j in range(npairs)) + "]",
+                 "distinct = set(xs)", f"if len(distinct) < {npairs} or 0.0 in distinct:",
+                 "    return None", "xs.sort()", "report = target(xs)",
+                 "return None if report is None else (xs, report)"]
+    else:
+        reals = "".join(f"r{j}, " for j in range(nreals))
+        pairs = "".join(f"(re{j}, im{j}), " for j in range(npairs))
+        body.append(f"return ({reals}), ({pairs})")
+    return count, ("def bind(cfg=None, target=(), tau=None, letters=()):\n"
+                   + "".join(f"    {line}\n" for line in head)
+                   + "    def kernel(u, k, b):\n"
+                   + "".join(f"        {line}\n" for line in body)
+                   + "    return kernel\n")
 
 
 # a cache bound, not an option: a degree-4 pair sweep compiles 9 shapes, a moduli
-# sweep 2 kernels.  An evicted kernel is compiled again: 0.2-1.0 ms up to degree 9
+# sweep 2 kernels, the `gaps` benchmark's cycle 2 gap kernels (degrees 5 and 6) and
+# `witness` 3 more (6, 8, 10).  An evicted kernel is compiled again: 0.2-1.0 ms up
+# to degree 9; a gap kernel 0.2-0.5 ms up to degree 12 and 0.8-0.9 ms at degree 32
 @lru_cache(maxsize=64)
-def _sign_kernel(pos: int, neg: int, npairs: int, kind, tested: bool):
-    """`bind` compiled from _sign_kernel_source(pos, neg, npairs, kind, tested), once per key."""
+def _sign_kernel(pos: int, neg: int, npairs: int, kind, tail):
+    """(count, bind): the draw count and `bind` of _sign_kernel_source(pos, neg, npairs, kind, tail).
+
+    Compiled once per key.
+    """
+    count, source = _sign_kernel_source(pos, neg, npairs, kind, tail)
     name = "roots" if kind is None else kind.__name__
     namespace: dict = {}
-    exec(compile(_sign_kernel_source(pos, neg, npairs, kind, tested),
-                 f"<sign kernel {pos},{neg},{npairs} {name}{' tested' if tested else ''}>",
+    exec(compile(source, f"<sign kernel {pos},{neg},{npairs} {name}{f' {tail}' if tail else ''}>",
                  "exec"), namespace)
-    return namespace["bind"]
+    return count, namespace["bind"]
 
 
 def draw_rootspec_pair(
     d: int, pair: RootCountPair, cfg: SearchConfig, attempt_index: int
 ) -> RootSpec:
-    """The RootSpec examined at `attempt_index`; bit-for-bit reproducible."""
+    """The RootSpec examined at `attempt_index`; bit-for-bit reproducible.
+
+    At a tiny ell a drawn real root, or a pair's imaginary part, can round
+    to 0.0: that raises ZeroRootError, or ValueError for the pair, naming
+    the attempt and ell.  The searches pass over such an attempt, whose
+    coefficient a_d is 0.0 and has no sign.
+    """
     pos, neg = pair
     if pos < 0 or neg < 0:
         raise ValueError(f"root counts must be >= 0: pos={pos}, neg={neg}")
@@ -391,36 +413,12 @@ def draw_rootspec_pair(
         raise ValueError(f"pos + neg exceeds degree {d}")
     if rest % 2 != 0:
         raise ParityMismatchError(f"d - pos - neg = {rest} is odd")
-    npairs = rest // 2
-    u = attempt_unit_draws(
-        cfg.seed, attempt_index, _pair_draw_count(pos, neg, npairs, cfg.strategy)
-    )
-    reals, pairs = _sign_kernel(pos, neg, npairs, type(cfg.strategy), False)(cfg)(u, 0, 1)
-    return RootSpec(real_roots=reals, complex_pairs=pairs)
-
-
-def _sorted_values(d: int, cfg: SearchConfig, u: list[float]):
-    """A gap attempt's d values in ascending order, or None when one is zero or two tie.
-
-    The values lie on [-ell, ell): each is s * (2*v - 1) for its position draw
-    v.  Under a Mixture a choice draw per value makes s narrow_scale or ell, as
-    a pair search draws a real root; under Uniform s is ell for every value and
-    the d draws are all position draws, scaled directly with the same float
-    operations.  MultiplicityBias never reaches here (`_distinct_draws`).  A
-    rejected attempt consumes its index.
-    """
-    if isinstance(cfg.strategy, Mixture):
-        ns, frac, ell = cfg.narrow_scale, cfg.strategy.narrow_fraction, cfg.ell
-        scales = [ns if u[2 * j] < frac else ell for j in range(d)]
-        xs = [s * (2.0 * x - 1.0) for s, x in zip(scales, u[1::2])]
-    else:
-        ell = cfg.ell
-        xs = [ell * (2.0 * x - 1.0) for x in u]
-    distinct = set(xs)
-    if len(distinct) < d or 0.0 in distinct:
-        return None
-    xs.sort()
-    return xs
+    count, bind = _sign_kernel(pos, neg, rest // 2, type(cfg.strategy), None)
+    reals, pairs = bind(cfg)(attempt_unit_draws(cfg.seed, attempt_index, count), 0, 1)
+    try:
+        return RootSpec(real_roots=reals, complex_pairs=pairs)
+    except ValueError as exc:  # ZeroRootError too, which keeps its type
+        raise type(exc)(f"attempt {attempt_index} at ell={cfg.ell!r}: {exc}") from None
 
 
 def _distinct_draws(cfg: SearchConfig) -> SearchConfig:
@@ -472,13 +470,13 @@ def _scan(count: int, cfg: SearchConfig, test, certify, front=None) -> SearchOut
     a search that hits early draws at most about twice what it uses.  A
     block's `count` unit draws come as a list or an array('d'), lane k's
     being data[k::b], equal to attempt_unit_draws(cfg.seed, first + k, count).
-    An engine's two stages do the work: test(data, k, b), its float stage,
-    returns None or a float candidate for lane k of the block, and
-    certify(candidate) returns the hit, (spec, certificate) or (spec,
-    certificate, gap_report), or None.  The scan owns the control flow: it
-    calls test once per lane, in lane order, certifies each candidate until
-    one is a hit, and builds the outcome, found at attempt first + k or
-    exhausted after n, with its wall time.
+    An engine's two stages do the work: test(data, k, b), its generated
+    kernel bound to its query, returns None or a float candidate for lane k
+    of the block, and certify(candidate) returns the hit, (spec,
+    certificate) or (spec, certificate, gap_report), or None.  The scan owns
+    the control flow: it calls test once per lane, in lane order, certifies
+    each candidate until one is a hit, and builds the outcome, found at
+    attempt first + k or exhausted after n, with its wall time.
 
     front is (d, front_fn) for a moduli engine of degree d: the block's data
     is then front_fn(draws, b), the work that does not depend on the
@@ -527,6 +525,19 @@ def _certified_hit(claim, cfg: SearchConfig, roots):
     return (spec, cert) if isinstance(cert, Certificate) else None
 
 
+def _certified_gap(target: str, cfg: SearchConfig, candidate):
+    """The gap certify stage: (spec, certificate, gap_report), or None.
+
+    candidate is a gap kernel's (xs, report); the rationalized xs must be
+    certified exactly as of class target.
+    """
+    xs, report = candidate
+    cert = certifier.certify_gap_class([certifier.rationalize_value(x, cfg.digits) for x in xs])
+    if not isinstance(cert, Certificate) or cert.claim != target:
+        return None
+    return RootSpec(real_roots=tuple(xs)), cert, report
+
+
 # --- engines ----------------------------------------------------------------
 
 def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> SearchOutcome:
@@ -536,10 +547,8 @@ def search_pair(sigma: SignPattern, pair: RootCountPair, cfg: SearchConfig) -> S
         raise ValueError("need degree >= 1")
     claim = PairCouple(sigma, pair)
     pos, neg = claim.pair
-    npairs = (d - pos - neg) // 2
-    test = _sign_kernel(pos, neg, npairs, type(cfg.strategy), True)(cfg, sigma.signs, cfg.tau)
-    count = _pair_draw_count(pos, neg, npairs, cfg.strategy)
-    return _scan(count, cfg, test, partial(_certified_hit, claim, cfg))
+    count, bind = _sign_kernel(pos, neg, (d - pos - neg) // 2, type(cfg.strategy), "word")
+    return _scan(count, cfg, bind(cfg, sigma.signs, cfg.tau), partial(_certified_hit, claim, cfg))
 
 
 def _moduli_front(draw, u: list[float], b: int) -> list[float]:
@@ -563,13 +572,12 @@ def search_moduli(sigma: SignPattern, order: ModuliOrder, cfg: SearchConfig) -> 
     claim = ModuliCouple(sigma, order)
     d = order.degree
     draw_cfg = _distinct_draws(cfg)
-    draw = _sign_kernel(d, 0, 0, type(draw_cfg.strategy), False)(draw_cfg)
+    count, draw = _sign_kernel(d, 0, 0, type(draw_cfg.strategy), None)
     # root j is modulus j, negated where the order says N
     letters = [1.0 if c == "P" else -1.0 for c in order.word]
-    test = _sign_kernel(d, 0, 0, None, True)(None, sigma.signs, cfg.tau, letters)
-    front = (d, partial(_moduli_front, draw))
-    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, test,
-                 partial(_certified_hit, claim, cfg), front)
+    test = _sign_kernel(d, 0, 0, None, "word")[1](None, sigma.signs, cfg.tau, letters)
+    return _scan(count, draw_cfg, test, partial(_certified_hit, claim, cfg),
+                 (d, partial(_moduli_front, draw(draw_cfg))))
 
 
 def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
@@ -579,22 +587,6 @@ def search_gap_class(d: int, target: str, cfg: SearchConfig) -> SearchOutcome:
     if target not in GAP_CLASSES:
         raise ValueError(f"target class must be one of {GAP_CLASSES}")
     draw_cfg = _distinct_draws(cfg)
-    match = match_kernel(d, target)
-
-    def test(u: list[float], k: int, b: int):
-        xs = _sorted_values(d, draw_cfg, u[k::b])
-        if xs is None:
-            return None
-        report = match(xs)
-        return None if report is None else (xs, report)
-
-    def certify(candidate):
-        xs, report = candidate
-        cert = certifier.certify_gap_class(
-            [certifier.rationalize_value(x, cfg.digits) for x in xs]
-        )
-        if not isinstance(cert, Certificate) or cert.claim != target:
-            return None
-        return RootSpec(real_roots=tuple(xs)), cert, report
-
-    return _scan(_pair_draw_count(d, 0, 0, draw_cfg.strategy), draw_cfg, test, certify)
+    count, bind = _sign_kernel(0, 0, d, type(draw_cfg.strategy), "gap")
+    return _scan(count, draw_cfg, bind(draw_cfg, match_kernel(d, target)),
+                 partial(_certified_gap, target, cfg))

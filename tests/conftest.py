@@ -30,6 +30,20 @@ def unit_draws(seed: int, case: int, count: int) -> list[float]:
     return attempt_unit_draws(seed, case, count)
 
 
+def reference_draw_count(pos: int, neg: int, npairs: int, strategy, gap: bool = False) -> int:
+    """Unit draws per attempt of a pair shape, or, with gap, of npairs gap values.
+
+    A real root takes one draw under Uniform and two (a choice, then its
+    position) under the other strategies.  A pair takes two position draws,
+    a gap value one, each after a narrow/wide choice under Mixture.
+    """
+    from polyrealize.sampler import Mixture, Uniform
+
+    per_real = 1 if isinstance(strategy, Uniform) else 2
+    per_pair = (1 if gap else 2) + isinstance(strategy, Mixture)
+    return per_real * (pos + neg) + per_pair * npairs
+
+
 def random_rootspec(seed: int, case: int, max_degree: int = 8):
     """A random RootSpec with degree <= max_degree, reproducible per (seed, case)."""
     from polyrealize.polycore import RootSpec

@@ -44,16 +44,19 @@ def test_module_imports_are_used(path):
 
 def _generated_sources():
     """The source of every layout of the generated match kernels, for each target, and
-    of the sign kernels: a tested pair kernel and a draw kernel for each strategy, and
-    the moduli kernel, which reads root columns."""
+    of the sign kernels: a pair kernel with its word test and a draw kernel for each
+    strategy, the moduli kernel, which reads root columns, and the gap kernel for each
+    strategy a gap search draws under (MultiplicityBias draws as Uniform)."""
     bound = criticalgaps._KERNEL_MAX_DEGREE
     for d in (3, bound, bound + 1):
         for target in criticalgaps.GAP_CLASSES:
             yield criticalgaps._kernel_source(d, target)
     for kind in (sampler.Uniform, sampler.Mixture, sampler.MultiplicityBias):
-        for tested in (True, False):
-            yield sampler._sign_kernel_source(2, 1, 1, kind, tested)
-    yield sampler._sign_kernel_source(7, 0, 0, None, True)
+        for tail in ("word", None):
+            yield sampler._sign_kernel_source(2, 1, 1, kind, tail)[1]
+    yield sampler._sign_kernel_source(7, 0, 0, None, "word")[1]
+    for kind in (sampler.Uniform, sampler.Mixture):
+        yield sampler._sign_kernel_source(0, 0, 5, kind, "gap")[1]
 
 
 @lru_cache(maxsize=1)

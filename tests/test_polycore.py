@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_rootspec
+from conftest import random_rootspec, reference_draw_count
 from polyrealize import polycore
 from polyrealize.certifier import exact_expand, rationalize
 from polyrealize.polycore import (
@@ -29,7 +29,6 @@ from polyrealize.sampler import (
     Uniform,
     _distinct_draws,
     _moduli_front,
-    _pair_draw_count,
     _sign_kernel,
     _unit_block,
     draw_rootspec_pair,
@@ -317,7 +316,7 @@ TAU = DEFAULT_SIGN_TOLERANCE
 def root_kernel(nreals, npairs, target, tau=TAU, letters=None):
     """The root-column reader's sign kernel for the shape, bound to target and tau."""
     letters = [1.0] * nreals if letters is None else letters
-    return _sign_kernel(nreals, 0, npairs, None, True)(None, target, tau, letters)
+    return _sign_kernel(nreals, 0, npairs, None, "word")[1](None, target, tau, letters)
 
 
 def columns(lanes):
@@ -562,14 +561,15 @@ class TestSignKernel:
         seen = set()
         for pos, neg, npairs in KERNEL_SHAPES:
             d = pos + neg + 2 * npairs
-            count = _pair_draw_count(pos, neg, npairs, strategy)
             kind = type(strategy)
-            draw = _sign_kernel(pos, neg, npairs, kind, False)(cfg)
+            count, bind = _sign_kernel(pos, neg, npairs, kind, None)
+            assert count == reference_draw_count(pos, neg, npairs, strategy)
+            draw = bind(cfg)
             for first, b in census_blocks(blocks):
                 u = _unit_block(cfg.seed, first, b, count)
                 lanes = [draw(u, k, b) for k in range(b)]
                 seen.update(assert_kernel_is_the_reference(
-                    lambda t: _sign_kernel(pos, neg, npairs, kind, True)(cfg, t, TAU),
+                    lambda t: _sign_kernel(pos, neg, npairs, kind, "word")[1](cfg, t, TAU),
                     u, lanes, words(d) if d <= 4 else []))
         if ell in (0.7, 1.0):  # lanes of several words; at other scales most are ambiguous
             assert len(seen - {None}) > 1
@@ -582,10 +582,12 @@ class TestSignKernel:
         # lane, NaN in the front, has no word
         cfg = _distinct_draws(SearchConfig(n=1, ell=ell, seed=43, strategy=at_ell(strategy, ell)))
         for d in (1, 2, 3, 4, 7):
-            draw = _sign_kernel(d, 0, 0, type(cfg.strategy), False)(cfg)
+            count, bind = _sign_kernel(d, 0, 0, type(cfg.strategy), None)
+            assert count == reference_draw_count(d, 0, 0, cfg.strategy)
+            draw = bind(cfg)
             orders = list(itertools.product((1.0, -1.0), repeat=d))
             for first, b in census_blocks(1):
-                u = _unit_block(cfg.seed, first, b, _pair_draw_count(d, 0, 0, cfg.strategy))
+                u = _unit_block(cfg.seed, first, b, count)
                 front = _moduli_front(draw, u, b)
                 for letters in orders if d <= 4 else orders[::16]:
                     lanes = [([l * m for l, m in zip(letters, front[k::b])], [])

@@ -19,7 +19,8 @@ from polyrealize.certifier import (
     rationalize,
     rationalize_value,
 )
-from polyrealize.criticalgaps import gap_report, match
+from conftest import reference_draw_count
+from polyrealize.criticalgaps import GAP_CLASSES, gap_report, match, match_kernel
 from polyrealize.moduliorders import (
     ModuliCouple,
     ModuliOrder,
@@ -27,7 +28,7 @@ from polyrealize.moduliorders import (
     order_from_roots,
     parse_order,
 )
-from polyrealize.polycore import RootSpec, expand_from_roots, sign_tuple
+from polyrealize.polycore import RootSpec, ZeroRootError, expand_from_roots, sign_tuple
 from polyrealize.report import config_json
 from polyrealize.sampler import (
     Mixture,
@@ -37,10 +38,9 @@ from polyrealize.sampler import (
     Uniform,
     _distinct_draws,
     _moduli_front,
-    _pair_draw_count,
     _scan,
     _sign_kernel,
-    _sorted_values,
+    _sign_kernel_source,
     _unit_block,
     attempt_unit_draws,
     draw_rootspec_pair,
@@ -123,6 +123,23 @@ class TestDrawRootspecPair:
                     d, pair = shapes[i % len(shapes)]
                     h.update(repr(draw_rootspec_pair(d, RootCountPair(*pair), cfg, i)).encode())
         assert h.hexdigest() == "e82e91ff6a7dd25cbbea099f8d3986048b3f571cd0a480d695978c0b8d9fdb2f"
+
+    def test_a_part_that_rounds_to_zero_names_the_attempt_and_ell(self):
+        # at ell = 5e-324, the least positive float, (sign * ell) * (1.0 - v) rounds to 0.0
+        # for 30 of these attempts; the search passes over them (a_2 is 0.0 or rounds to it)
+        cfg = SearchConfig(n=50, ell=5e-324, seed=1)
+        zero = []
+        for i in range(1, 51):
+            try:
+                draw_rootspec_pair(2, RootCountPair(2, 0), cfg, i)
+            except ZeroRootError as exc:
+                assert str(exc) == f"attempt {i} at ell=5e-324: real root is exactly zero"
+                zero.append(i)
+        assert len(zero) == 30
+        assert search_pair(parse_pattern("+-+"), RootCountPair(2, 0), cfg).status == "exhausted"
+        # a pair's imaginary part ell * (1.0 - v) rounds to 0.0 when v > 0.5
+        with pytest.raises(ValueError, match=r"^attempt 7 at ell=5e-324: complex pair needs im > 0"):
+            draw_rootspec_pair(2, RootCountPair(0, 0), cfg, 7)
 
     def test_ranges_respect_ell(self):
         cfg = SearchConfig(n=1, seed=8, ell=2.5)
@@ -515,7 +532,26 @@ def reference_pair_roots(pos, neg, npairs, cfg, u):
 
 def draw_kernel(pos, neg, npairs, cfg):
     """The pair draw kernel of the shape, bound to cfg: (u, k, b) -> lane k's roots."""
-    return _sign_kernel(pos, neg, npairs, type(cfg.strategy), False)(cfg)
+    return _sign_kernel(pos, neg, npairs, type(cfg.strategy), None)[1](cfg)
+
+
+def gap_kernel(d, cfg):
+    """The gap kernel of d values, bound to cfg and to a match that keeps every lane:
+    (u, k, b) -> None for a lane with a zero or tied value, else (its values sorted, "kept")."""
+    return _sign_kernel(0, 0, d, type(cfg.strategy), "gap")[1](cfg, lambda xs: "kept")
+
+
+@pytest.mark.parametrize("kind", [Uniform, Mixture, MultiplicityBias], ids=lambda k: k.__name__)
+def test_kernel_draw_counts_equal_the_reference(kind):
+    # what a kernel's template lays out is what a scan draws for it: every pair shape
+    # at degrees 1-8 with and without its word test, and gap kernels at degrees 3-20
+    for pos, neg, npairs in COLUMN_SHAPES:
+        for tail in (None, "word"):
+            count = _sign_kernel_source(pos, neg, npairs, kind, tail)[0]
+            assert count == reference_draw_count(pos, neg, npairs, kind()), (pos, neg, npairs)
+    for d in range(3, 21):
+        count = _sign_kernel_source(0, 0, d, kind, "gap")[0]
+        assert count == reference_draw_count(0, 0, d, kind(), gap=True), d
 
 
 class TestPairDraws:
@@ -536,7 +572,7 @@ class TestPairDraws:
         cfg = SearchConfig(n=1, ell=ell, seed=31, strategy=strategy)
         chains = 0  # lanes where a root repeats the root two places before it
         for pos, neg, npairs in COLUMN_SHAPES:
-            count = _pair_draw_count(pos, neg, npairs, strategy)
+            count = reference_draw_count(pos, neg, npairs, strategy)
             draw = draw_kernel(pos, neg, npairs, cfg)
             for b in BLOCK_SIZES:
                 u = _unit_block(cfg.seed, 1 + pos + 10 * neg + 100 * npairs, b, count)
@@ -551,39 +587,47 @@ class TestPairDraws:
         assert (chains > 0) == isinstance(strategy, MultiplicityBias)
 
 
+# no float lies strictly between 0.0 and 5e-324, so no narrow_scale can be set there
+VALUE_CASES = [(strategy, ell) for strategy in PAIR_STRATEGIES
+               for ell in (1.0, *OTHER_ELLS, 1e-300, 1.7e308, 5e-324)
+               if not (ell == 5e-324 and isinstance(strategy, Mixture) and strategy.narrow_scale)]
+
+
 class TestValueDraws:
-    """Moduli and gap values, attempt by attempt, against `reference_values`."""
+    """Moduli and gap values, lane by lane, against `reference_values`.
 
-    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
-    def test_equal_the_reference_at_every_attempt(self, strategy):
-        self.check_every_attempt(strategy, 1.0)
+    The moduli come from the (d, 0, 0) draw kernel, the gap values from the
+    gap kernel, which rejects a lane with a zero or tied value and sorts the
+    others.  At ell = 5e-324, the least positive float, every value rounds
+    to 0.0 or +-5e-324 (and a Mixture's narrow scale, ell / 100, is 0.0), so
+    the gap kernel rejects every lane of three or more values.
+    """
 
-    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES, ids=repr)
-    @pytest.mark.parametrize("ell", OTHER_ELLS)
-    def test_equal_the_reference_at_every_attempt_at_other_ell(self, strategy, ell):
-        self.check_every_attempt(at_ell(strategy, ell), ell)
-
-    @staticmethod
-    def check_every_attempt(strategy, ell):
+    @pytest.mark.parametrize("strategy, ell", VALUE_CASES, ids=repr)
+    def test_equal_the_reference_at_every_attempt(self, strategy, ell):
         # the engines draw under _distinct_draws(cfg); reference_values draws a
         # MultiplicityBias as Uniform on its own
-        cfg = SearchConfig(n=1, ell=ell, seed=37, strategy=strategy)
+        cfg = SearchConfig(n=1, ell=ell, seed=37, strategy=at_ell(strategy, ell))
         draw = _distinct_draws(cfg)
+        kept = 0  # gap lanes of three or more values that pass the zero and tie test
         for d in range(1, 9):
-            first, b = 1 + 10 * d, 256
-            u = _unit_block(cfg.seed, first, b, _pair_draw_count(d, 0, 0, draw.strategy))
-            moduli = draw_kernel(d, 0, 0, draw)
-            for k in range(b):
-                mods = moduli(u, k, b)[0]
-                assert bits(mods) == bits(reference_values(d, cfg, first + k, signed=False))
-                xs = reference_values(d, cfg, first + k, signed=True)
-                want = None if 0.0 in xs or len(set(xs)) < d else bits(sorted(xs))
-                got = _sorted_values(d, draw, u[k::b])
-                assert (got if got is None else bits(got)) == want
+            moduli, values = draw_kernel(d, 0, 0, draw), gap_kernel(d, draw)
+            for b in BLOCK_SIZES:
+                first = 1 + 10 * d + 1000 * b
+                u = _unit_block(cfg.seed, first, b, reference_draw_count(d, 0, 0, draw.strategy))
+                for k in range(b):
+                    mods = moduli(u, k, b)[0]
+                    assert bits(mods) == bits(reference_values(d, cfg, first + k, signed=False))
+                    xs = reference_values(d, cfg, first + k, signed=True)
+                    want = None if 0.0 in xs or len(set(xs)) < d else (bits(sorted(xs)), "kept")
+                    got = values(u, k, b)
+                    assert (got if got is None else (bits(got[0]), got[1])) == want
+                    kept += d >= 3 and got is not None
+        assert (kept == 0) == (ell == 5e-324)
 
 
 def value_draws(positions, choice):
-    """Unit draws from which `_sorted_values` takes the given position draws.
+    """Unit draws from which the gap kernel takes the given position draws.
 
     Under a Mixture (choice not None) each value's choice draw comes first:
     `choice` picks the narrow scale below narrow_fraction and ell otherwise.
@@ -598,15 +642,48 @@ def value_draws(positions, choice):
     (Mixture(), 0.0), (Mixture(), 0.9),
     (Mixture(0.05, 0.3), 0.0), (Mixture(0.05, 0.3), 0.9),
 ], ids=repr)
-def test_sorted_values_reject_a_zero_and_a_tie(strategy, choice):
+def test_gap_kernel_rejects_a_zero_and_a_tie(strategy, choice):
     cfg = SearchConfig(n=1, strategy=strategy)
     wide = choice is None or choice >= strategy.narrow_fraction
     s = cfg.ell if wide else cfg.narrow_scale
-    kept = _sorted_values(3, cfg, value_draws([0.9, 0.1, 0.7], choice))
-    assert kept == sorted(s * (2.0 * v - 1.0) for v in (0.9, 0.1, 0.7))
+    kernel = gap_kernel(3, cfg)
+    xs, kept = kernel(value_draws([0.9, 0.1, 0.7], choice), 0, 1)
+    assert xs == sorted(s * (2.0 * v - 1.0) for v in (0.9, 0.1, 0.7)) and kept == "kept"
     # a position draw of 0.5 gives the value 0.0
-    assert _sorted_values(3, cfg, value_draws([0.9, 0.5, 0.1], choice)) is None
-    assert _sorted_values(3, cfg, value_draws([0.3, 0.7, 0.3], choice)) is None
+    assert kernel(value_draws([0.9, 0.5, 0.1], choice), 0, 1) is None
+    assert kernel(value_draws([0.3, 0.7, 0.3], choice), 0, 1) is None
+
+
+class TestGapKernel:
+    """The gap search's kernels, each bound to its target's match, on engine draws."""
+
+    @pytest.mark.parametrize("blocks", [1, pytest.param(16, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("ell", [2.0**-30, 0.7, 1.0, 3e5, 1e-300, 1.7e308])
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES[:3], ids=repr)
+    def test_census_over_engine_draws(self, strategy, ell, blocks):
+        # lane by lane, on blocks of 1 and 7 attempts and `blocks` blocks of 64: None,
+        # or the sorted values and match's report of them, where the reference keeps
+        # the lane and match finds the target; both layouts of match_kernel
+        cfg = SearchConfig(n=1, ell=ell, seed=47, strategy=at_ell(strategy, ell))
+        found = 0
+        for d in (3, 4, 5, 6, 8, 12, 16, 17, 20):
+            count, bind = _sign_kernel(0, 0, d, type(cfg.strategy), "gap")
+            kernels = {t: bind(cfg, match_kernel(d, t)) for t in GAP_CLASSES}
+            for first, b in [(1, 1), (2, 7)] + [(9 + 64 * i, 64) for i in range(blocks)]:
+                u = _unit_block(cfg.seed, first, b, count)
+                for k in range(b):
+                    xs = sorted(reference_values(d, cfg, first + k, signed=True))
+                    kept = 0.0 not in xs and len(set(xs)) == d
+                    for target, kernel in kernels.items():
+                        want = match(xs, target) if kept else None
+                        got = kernel(u, k, b)
+                        if want is None:
+                            assert got is None, (d, first + k, target)
+                            continue
+                        assert bits(got[0]) == bits(xs) and got[1] == want, (d, first + k)
+                        found += 1
+        if ell in (0.7, 1.0):  # the match path runs; at other scales few lanes or none match
+            assert found > 0
 
 
 def test_gap_search_passes_over_an_attempt_with_a_zero_value(monkeypatch):
@@ -647,7 +724,7 @@ def reference_spec(kind, args, cfg, i):
     if kind == "pair":
         pos, neg = target
         npairs = (sigma.degree - pos - neg) // 2
-        u = attempt_unit_draws(cfg.seed, i, _pair_draw_count(pos, neg, npairs, cfg.strategy))
+        u = attempt_unit_draws(cfg.seed, i, reference_draw_count(pos, neg, npairs, cfg.strategy))
         reals, pairs = reference_pair_roots(pos, neg, npairs, cfg, u)
         return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
     mods = sorted(reference_values(target.degree, cfg, i, signed=False))
