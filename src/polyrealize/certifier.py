@@ -38,6 +38,8 @@ from .polycore import RootSpec, derivative_coeffs, expand, horner
 from .signpatterns import PairCouple, SignPattern
 
 DEFAULT_DIGITS = 12
+# every finite double is exact at this many significant decimal digits
+_EXACT_DIGITS = 767
 GAP_REFINE_CAP = 1000
 
 
@@ -71,12 +73,23 @@ class Certificate:
 
 
 def rationalize_value(v, digits: int = DEFAULT_DIGITS) -> Fraction:
-    """Exact rational equal to v rounded to `digits` significant decimal digits."""
+    """Exact rational equal to v rounded to `digits` significant decimal digits.
+
+    From _EXACT_DIGITS digits on that is float(v) itself, so no more are
+    formatted, which also keeps the digit string under the 4 300-digit limit
+    that Python 3.11 (and 3.10.7) set on int() conversion.  A value too large
+    for a float raises ValueError.
+    """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ValueError(f"{v!r} is too large for a float") from None
     if not math.isfinite(v):
         raise ValueError(f"{v!r} is not finite")
+    if digits > _EXACT_DIGITS:
+        digits = _EXACT_DIGITS
     # "d.ddde[+-]xx": the digits form an integer mantissa, so v ~ mant * 10**exp
     mant, exp = format(v, f".{digits - 1}e").split("e")
     mant = int(mant.replace(".", ""))

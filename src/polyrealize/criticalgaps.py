@@ -16,17 +16,20 @@ every critical point in full, to BISECTION_REL_TOL of the span x_n - x_1
 search's test, refines in stages whose tolerance falls by 4 from
 (x_n - x_1)/16; it stops as soon as the bounds rule the target class out,
 and jumps to the full refinement as soon as they decide it.  Its work
-before the first stage is one pass over x for the midpoint-gap extrema,
-with the operations of _midpoint_gap_extrema, which gap_report's _report
-shares.  A margin counts only at MARGIN_EPS or more: _margin_sign states
-that rule for gap_report, and match applies it once per bound, to the
-margin oriented toward the target's sign.  Every schedule visits the same
-midpoints, so a report that match returns is gap_report's.  match runs a
-kernel generated once per degree and target (match_kernel) from one
-template with two layouts.  Up to _KERNEL_MAX_DEGREE (16) roots it is
-straight-line Python that unpacks the roots into locals, unrolls the
-midpoint-gap extrema and the bounds, holds each bracket in two locals, and
-evaluates P'/P at a midpoint as the one expression
+before the first stage is the midpoint-gap extrema, m_tilde and M_tilde.
+_report takes all six extrema one way, _gap_extrema (min() and max() of
+the consecutive gaps); match's kernel takes these two with the same float
+operations and min()'s and max()'s strict < / > rule, so they come out the
+same, NaN and +-0 included.  A margin counts only at MARGIN_EPS or more:
+_margin_sign states that rule for gap_report, and match applies it once
+per bound, to the margin oriented toward the target's sign.  Every
+schedule visits the same midpoints, so a report that match returns is
+gap_report's.  match runs a kernel generated once per degree and target
+(match_kernel) from one template with two layouts.  Up to
+_KERNEL_MAX_DEGREE (16) roots it is straight-line Python that unpacks the
+roots into locals, unrolls the midpoint-gap extrema and the bounds, holds
+each bracket in two locals, and evaluates P'/P at a midpoint as the one
+expression
 1.0 / (mid - x0) + ... + 1.0 / (mid - x{d-1}).  _refine's loop adds the same
 terms in the same order onto s = 0.0, and adding 0.0 can change only the
 sign of a zero, which _refine's three-way test on s ignores; so the kernel
@@ -103,40 +106,19 @@ class GapReport:
     margins: tuple[float, float]
 
 
-def _check_sorted(x: Sequence[float], at_least: int) -> None:
-    if len(x) < at_least:
-        raise ValueError(f"need at least {at_least} roots")
-    for a, b in zip(x, x[1:]):
-        if a == b:
-            raise TiedRootsError(f"tied roots at {a!r}")
-        if a > b:
-            raise UnsortedRootsError("roots must be strictly increasing")
-
-
 def _midpoints(x: Sequence[float]) -> list[float]:
     return [(x[k] + x[k + 1]) * 0.5 for k in range(len(x) - 1)]
 
 
-def _midpoint_gap_extrema(x: Sequence[float]) -> tuple[float, float]:
-    """(m_tilde, M_tilde): the min and max gap between consecutive midpoints of x.
+def _gap_extrema(v: Sequence[float]) -> tuple[float, float]:
+    """(min, max) of the gaps v[k+1] - v[k] between consecutive entries of v (two or more).
 
-    One pass over x (at least three roots), keeping no list: each midpoint is
-    (x[k] + x[k+1]) * 0.5, as _midpoints computes it, and a running bound is
-    replaced only on a strict < or >, as min() and max() replace theirs, so
-    NaN gaps and ties between 0.0 and -0.0 come out as theirs do.
+    min() and max() replace a running bound only on a strict < or >, so a NaN
+    first gap stays and later NaN gaps are passed over, and of gaps 0.0 and
+    -0.0 the first wins.
     """
-    z = (x[1] + x[2]) * 0.5
-    m = M = z - (x[0] + x[1]) * 0.5
-    a = x[2]
-    for b in x[3:]:
-        c = (a + b) * 0.5
-        g = c - z
-        if g < m:
-            m = g
-        elif g > M:  # m <= M unless both are NaN, so g < m rules out g > M
-            M = g
-        a, z = b, c
-    return m, M
+    gaps = [b - a for a, b in zip(v, v[1:])]
+    return min(gaps), max(gaps)
 
 
 def _finite(values: list[float], what: str) -> list[float]:
@@ -152,10 +134,22 @@ def _floats(x: Sequence, at_least: int) -> list[float]:
     The one way in for midpoints, critical_points and gap_report, which
     therefore agree on any real number type.  The check runs on the
     converted values: two distinct rationals that round to one float tie.
+    A value too large for a float raises ValueError naming it.
     """
-    x = [float(v) for v in x]
-    _check_sorted(x, at_least)
-    return x
+    floats = []
+    for v in x:
+        try:
+            floats.append(float(v))
+        except OverflowError:
+            raise ValueError(f"root {v!r} is too large for a float") from None
+    if len(floats) < at_least:
+        raise ValueError(f"need at least {at_least} roots")
+    for a, b in zip(floats, floats[1:]):
+        if a == b:
+            raise TiedRootsError(f"tied roots at {a!r}")
+        if a > b:
+            raise UnsortedRootsError("roots must be strictly increasing")
+    return floats
 
 
 def midpoints(x: Sequence) -> list[float]:
@@ -282,11 +276,10 @@ def critical_points(x: Sequence) -> list[float]:
 def _report(x: list[float], lo: list[float], hi: list[float]) -> GapReport:
     """The GapReport whose critical points are the centres of the brackets."""
     xi = [0.5 * (a + b) for a, b in zip(lo, hi)]
-    x_gaps = [b - a for a, b in zip(x, x[1:])]
-    xi_gaps = [b - a for a, b in zip(xi, xi[1:])]
-
-    m_tilde, M_tilde = _midpoint_gap_extrema(x)
-    m_prime, M_prime = min(xi_gaps), max(xi_gaps)
+    z = _midpoints(x)
+    m_tilde, M_tilde = _gap_extrema(z)
+    m_prime, M_prime = _gap_extrema(xi)
+    m_p, M_p = _gap_extrema(x)
     left = m_prime - m_tilde
     right = M_tilde - M_prime
     left_sign, right_sign = _margin_sign(left), _margin_sign(right)
@@ -303,11 +296,11 @@ def _report(x: list[float], lo: list[float], hi: list[float]) -> GapReport:
         )
     return GapReport(
         x=tuple(x),
-        z=tuple(_midpoints(x)),
+        z=tuple(z),
         xi=tuple(xi),
         xi_halfwidth=tuple(0.5 * (b - a) for a, b in zip(lo, hi)),
-        m_p=min(x_gaps),
-        M_p=max(x_gaps),
+        m_p=m_p,
+        M_p=M_p,
         m_tilde=m_tilde,
         M_tilde=M_tilde,
         m_prime=m_prime,
@@ -429,12 +422,14 @@ def _kernel_source(d: int, target: str) -> str:
 
     One template, two layouts.  Up to _KERNEL_MAX_DEGREE the kernel has no
     loop over x: it unpacks x into x0 .. x{d-1}, computes m_tilde and M_tilde
-    with _midpoint_gap_extrema's operations and its strict < / > rule, holds
-    bracket k as the locals a{k}, b{k}, starting from the root interval, and
-    runs each stage as _stage_source(d).  Above it the brackets are the lists
-    lo and hi, m_tilde and M_tilde come from _midpoint_gap_extrema(x), and
-    each stage is one _refine call; that source has the same size at every
-    degree.  Both layouts share the rest: the tolerances from _tolerances(x),
+    gap by gap (each midpoint as _midpoints computes it, each bound replaced
+    on a strict < or > as min() and max() replace theirs; the max test can
+    be an elif, since m_tilde <= M_tilde unless both are NaN), holds bracket
+    k as the locals a{k}, b{k}, starting from the root interval, and runs
+    each stage as _stage_source(d).  Above it the brackets are the lists lo
+    and hi, m_tilde and M_tilde are _gap_extrema(_midpoints(x)), as in
+    _report, and each stage is one _refine call; that source has the same
+    size at every degree.  Both layouts share the rest: the tolerances from _tolerances(x),
     the stage loop with _stage_rule_source's test on the bounds and
     tol /= _STAGE_FACTOR, and _finish.  MARGIN_EPS, _STAGE_FACTOR and
     _FIRST_STAGE (inside _tolerances) are read from this module when the
@@ -457,7 +452,7 @@ def _kernel_source(d: int, target: str) -> str:
         los = "[" + ", ".join(f"a{k}" for k in range(d - 1)) + "]"
         his = "[" + ", ".join(f"b{k}" for k in range(d - 1)) + "]"
     else:
-        head = ["lo, hi = x[:-1], x[1:]", "m_tilde, M_tilde = _midpoint_gap_extrema(x)"]
+        head = ["lo, hi = x[:-1], x[1:]", "m_tilde, M_tilde = _gap_extrema(_midpoints(x))"]
         stage = ["m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)"]
         los, his = "lo", "hi"
     body = [*head, "full, tol = _tolerances(x)", "while tol > full:"]
@@ -491,10 +486,9 @@ def match(x: list[float], target: str) -> GapReport | None:
     from anywhere else goes through gap_report, which validates it.
 
     None also stands for the inputs gap_report rejects with
-    DegenerateMarginError.  m_tilde and M_tilde come from one pass over x
-    with _midpoint_gap_extrema's operations, which _report shares.  The
-    brackets start as the root intervals and are refined in stages of
-    tolerance (x_n - x_1) / _FIRST_STAGE, then a factor _STAGE_FACTOR
+    DegenerateMarginError.  m_tilde and M_tilde are _report's, bit for bit
+    (see _kernel_source).  The brackets start as the root intervals and are
+    refined in stages of tolerance (x_n - x_1) / _FIRST_STAGE, then a factor _STAGE_FACTOR
     smaller each stage (see _tolerances for a span that overflows).  Each
     stage's refinement bounds the min and max critical gap, and so both
     margins: float subtraction and min/max are monotone, so the bounds hold

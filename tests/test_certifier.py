@@ -1,4 +1,6 @@
 import math
+import random
+import struct
 import sys
 from fractions import Fraction
 
@@ -97,6 +99,25 @@ class TestRationalize:
     def test_non_finite_rejected(self, v):
         with pytest.raises(ValueError, match="is not finite"):
             rationalize_value(v)
+
+    @pytest.mark.parametrize("v", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_too_large_for_a_float_rejected(self, v):
+        with pytest.raises(ValueError, match="is too large for a float"):
+            rationalize_value(v)
+
+    @pytest.mark.parametrize("digits", [767, 768, 4300, 4301, 10**6])
+    def test_enough_digits_give_the_float_itself(self, digits):
+        # 767 significant digits write every finite double exactly; the
+        # largest subnormal needs all of them
+        rng = random.Random(767)
+        edges = [5e-324, float.fromhex("0x0.fffffffffffffp-1022"), sys.float_info.max]
+        values = edges + [-v for v in edges]
+        while len(values) < 1000:
+            v = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+            if math.isfinite(v):
+                values.append(v)
+        for v in values:
+            assert rationalize_value(v, digits) == Fraction(v), (v, digits)
 
 
 class TestExactExpand:

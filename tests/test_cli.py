@@ -62,6 +62,14 @@ class TestSearchCommands:
         assert result.exit_code == 1
         assert "exhausted 500 attempts" in result.output
 
+    def test_digits_beyond_the_int_conversion_limit_certify(self, runner):
+        # 5 000 digits would exceed the 4 300-digit limit on int() from a str
+        result = runner.invoke(main, ["search", "pair", "--sigma", "1,3,2", "--pos", "0",
+                                      "--neg", "3", "--seed", "42", "--n", "1000",
+                                      "--digits", "5000"])
+        assert result.exit_code == 0, result.output
+        assert "certified: sign_vector; root_counts; subdominant_identity" in result.output
+
     def test_bad_sigma_exits_two(self, runner):
         result = runner.invoke(main, ["search", "pair", "--sigma", "garbage",
                                       "--pos", "0", "--neg", "1"])

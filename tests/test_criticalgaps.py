@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import random
 import struct
@@ -121,6 +122,13 @@ class TestAnyRealType:
         x = [a, a + Fraction(1, 10**30), Fraction(1)]
         for f in (midpoints, critical_points, gap_report):
             with pytest.raises(TiedRootsError):
+                f(x)
+
+    @pytest.mark.parametrize("big", [10**400, Fraction(10**400, 3), Fraction(-(10**401), 7)])
+    def test_a_real_too_large_for_a_float_is_a_value_error(self, big):
+        x = [big, -1, 2] if big < 0 else [1, 2, big]
+        for f in (midpoints, critical_points, gap_report):
+            with pytest.raises(ValueError, match=r"root .* is too large for a float"):
                 f(x)
 
 
@@ -394,34 +402,54 @@ def _gap_extrema_of_midpoints(xs):
     return min(z_gaps), max(z_gaps)
 
 
-class TestMidpointGapExtrema:
+@functools.cache
+def _kernel_head(d):
+    """The degree-d kernel's lines before its stages, as x -> (m_tilde, M_tilde).
+
+    They are the lines of _kernel_source(d, target) that come before
+    `full, tol = _tolerances(x)`; no target is read there.
+    """
+    src = criticalgaps._kernel_source(d, "L+R+")
+    head, _, _ = src.partition("    full, tol = _tolerances(x)\n")
+    assert head != src
+    namespace = {}
+    exec(head + "    return m_tilde, M_tilde\n", vars(criticalgaps), namespace)
+    return namespace["kernel"]
+
+
+# the kernel head's degrees: unrolled up to _KERNEL_MAX_DEGREE, lists above it
+HEAD_DEGREES = (*range(3, criticalgaps._KERNEL_MAX_DEGREE + 1), 17, 20)
+# root sets of any length d >= 3 on which min() and max() keep NaN gaps or a tie
+HEAD_EDGE_CASES = {
+    "huge": lambda d: HUGE_ROOTS + [1.7e308 + 1e305 * k for k in range(1, d - 2)],  # gaps NaN
+    "nan-first": lambda d: [0.0, 1.0, math.nan] + [float(k) for k in range(2, d - 1)],
+    "nan-last": lambda d: [float(k) for k in range(d - 1)] + [math.nan],
+    "equal": lambda d: [float(k) for k in range(d)],
+    "ties": lambda d: [float(k + k // 3) for k in range(d)],  # 0, 1, 2, 4, 5, 6, 8, ...
+    "adjacent-floats": lambda d: list(itertools.accumulate(
+        range(d - 1), lambda v, _: math.nextafter(v, 2.0), initial=1.0)),
+    "zero-then-negative-zero": lambda d: [0.0] * (d // 2) + [-0.0] * (d - d // 2),
+    "negative-zero-then-zero": lambda d: [0.0] + [-0.0] * (d - 1),
+    # the last midpoint alone overflows, so the max gap is inf
+    "huge-last": lambda d: [float(k) for k in range(d - 2)] + [1e308, 1.7e308],
+}
+
+
+class TestKernelHead:
     def test_equals_min_and_max_of_the_midpoint_gaps(self):
-        for d in range(3, 13):
+        for d in HEAD_DEGREES:
+            head = _kernel_head(d)
             for ell in ELLS:
                 for case in range(300):
                     xs = random_distinct_sorted(800 + d, case, d, spread=ell)
-                    got = criticalgaps._midpoint_gap_extrema(xs)
-                    assert _bits(got) == _bits(_gap_extrema_of_midpoints(xs)), (d, ell, case)
+                    assert _bits(head(xs)) == _bits(_gap_extrema_of_midpoints(xs)), (d, ell, case)
 
-    @pytest.mark.parametrize(
-        "xs",
-        [
-            HUGE_ROOTS,  # every midpoint is inf, so every gap is NaN
-            [0.0, 1.0, math.nan, 2.0, 3.0],  # NaN gaps first
-            [0.0, 1.0, 2.0, 3.0, math.nan],  # a NaN gap after finite ones
-            [0.0, 1.0, 2.0, 3.0, 4.0, 5.0],  # all gaps equal
-            [0.0, 1.0, 2.0, 4.0, 5.0, 6.0, 8.0],  # the min and max each tie
-            [1.0, math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)],
-            [0.0, 0.0, -0.0, -0.0],  # gaps 0.0 then -0.0
-            [0.0, -0.0, -0.0, -0.0],  # gaps -0.0 then 0.0
-        ],
-        ids=["huge", "nan-first", "nan-last", "equal", "ties", "adjacent-floats",
-             "zero-then-negative-zero", "negative-zero-then-zero"],
-    )
-    def test_keeps_min_and_max_nan_and_tie_rule(self, xs):
-        got = criticalgaps._midpoint_gap_extrema(xs)
-        assert _bits(got) == _bits(_gap_extrema_of_midpoints(xs))
-
+    @pytest.mark.parametrize("d", HEAD_DEGREES)
+    @pytest.mark.parametrize("case", HEAD_EDGE_CASES)
+    def test_keeps_min_and_max_nan_and_tie_rule(self, case, d):
+        xs = HEAD_EDGE_CASES[case](d)
+        assert len(xs) == d
+        assert _bits(_kernel_head(d)(xs)) == _bits(_gap_extrema_of_midpoints(xs))
 
 
 def _margins(xs):

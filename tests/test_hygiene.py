@@ -4,7 +4,8 @@ No module keeps an import it never uses or a private module-level name
 that nothing in the package loads (in its files or in the source of the
 match and sign kernels it generates), and no module states an invariant as
 an `assert`, which `python -O` strips: invariants are explicit checks.
-Only `sampler._scan` builds a `SearchOutcome`.
+Only `sampler._scan` builds a `SearchOutcome`.  `code_lines.py`, the
+package's code-line count, skips docstrings, comments and blank lines.
 """
 
 import ast
@@ -12,6 +13,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from code_lines import code_lines
 
 import polyrealize
 from polyrealize import criticalgaps, sampler
@@ -133,3 +135,27 @@ def test_search_outcomes_are_built_only_in_scan():
         outside = sorted(set(_calls(tree, "SearchOutcome")) - inside)
         assert outside == [], f"{path.name} builds a SearchOutcome outside sampler._scan: {outside}"
     assert in_scan
+
+
+CODE_LINES_SAMPLE = '''"""Module docstring,
+on two lines."""
+
+import math  # a trailing comment
+
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function docstring."""
+        s = """a string,
+not a docstring"""
+        return s
+'''
+
+
+def test_code_lines_skip_docstrings_comments_and_blank_lines():
+    # import, class, def, the two lines of the string, return
+    assert code_lines(CODE_LINES_SAMPLE) == 6
