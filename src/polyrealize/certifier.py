@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .criticalgaps import xi_gap_bounds
+from .criticalgaps import as_float, xi_gap_bounds
 from .moduliorders import ModuliCouple, ModuliOrder, TiedModuliError, order_from_roots
 from .polycore import RootSpec, derivative_coeffs, expand, horner
 from .signpatterns import PairCouple, SignPattern
@@ -82,10 +82,7 @@ def rationalize_value(v, digits: int = DEFAULT_DIGITS) -> Fraction:
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
-    try:
-        v = float(v)
-    except OverflowError:
-        raise ValueError(f"{v!r} is too large for a float") from None
+    v = as_float(v, "value")
     if not math.isfinite(v):
         raise ValueError(f"{v!r} is not finite")
     if digits > _EXACT_DIGITS:

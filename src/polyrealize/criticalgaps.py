@@ -42,7 +42,8 @@ re-check them; gap_report, critical_points and midpoints convert their
 input to floats and validate it in one place (_floats), so they agree on
 any real number type.
 xi_gap_bounds states the bracket-to-bounds rule for any ordered number type;
-the certifier's integer bisection uses it.
+the certifier's integer bisection uses it.  as_float is the conversion both
+_floats and the certifier's rationalization use.
 """
 
 from __future__ import annotations
@@ -128,20 +129,29 @@ def _finite(values: list[float], what: str) -> list[float]:
     return values
 
 
+def as_float(v, name: str) -> float:
+    """float(v); a real too large for a float raises ValueError naming `name`.
+
+    The message gives v's type and rough size, not v: writing the digits of
+    an int past 4 300 of them itself raises.
+    """
+    try:
+        return float(v)
+    except OverflowError:  # an int or a Rational, which have these
+        bits = abs(v.numerator).bit_length() - v.denominator.bit_length()
+        raise ValueError(f"{name} ({type(v).__name__}, about 10**{round(bits * math.log10(2))}) "
+                         "is too large for a float") from None
+
+
 def _floats(x: Sequence, at_least: int) -> list[float]:
     """x as a list of floats, at least `at_least` of them and strictly increasing.
 
     The one way in for midpoints, critical_points and gap_report, which
     therefore agree on any real number type.  The check runs on the
     converted values: two distinct rationals that round to one float tie.
-    A value too large for a float raises ValueError naming it.
+    A value too large for a float raises as_float's ValueError.
     """
-    floats = []
-    for v in x:
-        try:
-            floats.append(float(v))
-        except OverflowError:
-            raise ValueError(f"root {v!r} is too large for a float") from None
+    floats = [as_float(v, "root") for v in x]
     if len(floats) < at_least:
         raise ValueError(f"need at least {at_least} roots")
     for a, b in zip(floats, floats[1:]):

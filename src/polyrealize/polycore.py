@@ -185,11 +185,12 @@ def sign_tuple(coeffs: Sequence[float], tau: float = DEFAULT_SIGN_TOLERANCE):
 def word_source(nreals: int, npairs: int) -> list[str]:
     """Source lines of the sign-word test for nreals real roots and npairs pairs.
 
-    The lines run inside a function that holds the roots in the locals r0 ..
-    r{nreals-1} and the pairs' parts in re0, im0, re1, ..., the signs of the
-    target's a_1 .. a_d in g1 .. gd (each 1.0 or -1.0) and the tolerance in
-    tau.  They return None unless sign_tuple(expand(reals, pairs, 1.0), tau)
-    is the target word, whose leading sign is +; then they fall through.
+    The lines run inside the body of a loop over lanes that holds the roots
+    in the locals r0 .. r{nreals-1} and the pairs' parts in re0, im0, re1,
+    ..., the signs of the target's a_1 .. a_d in g1 .. gd (each 1.0 or -1.0)
+    and the tolerance in tau.  They go on to the next lane (continue) unless
+    sign_tuple(expand(reals, pairs, 1.0), tau) is the target word, whose
+    leading sign is +; then they fall through.
 
     The coefficients are computed coefficient-major: column 1 of every factor
     stage of `expand` (the real stages, then the pairs), then column 2, and
@@ -198,11 +199,12 @@ def word_source(nreals: int, npairs: int) -> list[str]:
     (re + re is 2 * re exactly), and an entry a stage starts from zero is
     0.0, never -0.0.  Each a_m is tested as soon as it is computed:
     v_m = a_m * g_m, which negates exactly or changes nothing, must be > 0.0,
-    or the lines return None.  sign_tuple's threshold is positive, so it
-    never calls such a word the target's.  Once every a_m passes, |a_m| is
-    v_m, and thr = tau * max(1.0, v1, ..., vd) is sign_tuple's threshold:
-    no v_m is NaN, so max finds the m that sign_tuple's loop keeps.  Then
-    the leading 1.0 and every v_m must lie above thr, as in sign_tuple.
+    or the lines go on to the next lane.  sign_tuple's threshold is
+    positive, so it never calls such a word the target's.  Once every a_m
+    passes, |a_m| is v_m, and thr = tau * max(1.0, v1, ..., vd) is
+    sign_tuple's threshold: no v_m is NaN, so max finds the m that
+    sign_tuple's loop keeps.  Then the leading 1.0 and every v_m must lie
+    above thr, as in sign_tuple.
     """
     d = nreals + 2 * npairs
     cols: list[dict] = [{} for _ in range(nreals + npairs)]  # column m of stage i's output
@@ -233,9 +235,9 @@ def word_source(nreals: int, npairs: int) -> list[str]:
                         expr += f" - s{j} * {c[m - 1]}"
             out[m] = f"c{i}_{m}"
             lines.append(f"{out[m]} = {expr}")
-        lines += [f"v{m} = {cols[-1][m]} * g{m}", f"if not v{m} > 0.0:", "    return None"]
+        lines += [f"v{m} = {cols[-1][m]} * g{m}", f"if not v{m} > 0.0:", "    continue"]
     vs = [f"v{m}" for m in range(1, d + 1)]
     lines += [f"thr = tau * max(1.0, {', '.join(vs)})",
               f"if not (1.0 > thr and {' and '.join(v + ' > thr' for v in vs)}):",
-              "    return None"]
+              "    continue"]
     return lines

@@ -17,31 +17,35 @@ target class, which stops refining once that class is ruled out).  Moduli
 and gap searches need distinct values, so they draw MultiplicityBias as
 Uniform (`_distinct_draws`).  An engine validates its query, binds its
 kernel and hands `_scan` two stages: that kernel, test(data, k, b), which
-reads lane k of a block of b attempts and returns None or a float
-candidate, and a certify stage, `_certified_hit` or `_certified_gap` bound
-to the claim, which turns a candidate into its hit, (spec, certificate) or
-(spec, certificate, gap_report), or rejects it.  `_scan` alone loops over
-attempts, calls test once per lane at every block size, certifies
-candidates in lane order up to the first hit, knows attempt indices and
-builds the SearchOutcome.  A float hit whose rationalized form yields a
-Mismatch is counted as a failed attempt and the scan goes on.
+tests lanes k, k + 1, .. of a block of b attempts in turn and returns
+(lane, float candidate) for the first that passes, or None, and a certify
+stage, `_certified_hit` or `_certified_gap` bound to the claim, which
+turns a candidate into its hit, (spec, certificate) or (spec,
+certificate, gap_report), or rejects it.  `_scan` alone calls test once
+per block and again after each rejected candidate, so it certifies
+candidates in lane order up to the first hit; it knows attempt indices
+and builds the SearchOutcome.  A float hit whose rationalized form yields
+a Mismatch is counted as a failed attempt and the scan goes on.
 
 Every kernel is generated from one template (`_sign_kernel_source`), one
-per root shape, strategy and tail.  The draw lines of `_draw_source` form
-lane k's roots, or gap values, in locals, and lay out the attempt's unit
-draws, whose count the template returns with the source.  A tail ends the
-kernel.  The word tail, `polycore.word_source`'s lines, tests the roots'
-coefficient sign word, a coefficient at a time with early exit, as
-`polycore.sign_tuple` of the float expansion would decide it; a search
-binds its target word, its strategy's scalars and tau.  The gap tail
-rejects a zero or tied value, sorts the values and runs the bound
-`criticalgaps.match_kernel(d, target)` on them.  Two readers feed the word
-test: a pair search's kernel reads its attempt's unit draws, and a moduli
-search's reads root columns.  A moduli block's front (`_moduli_front`), the
-(d, 0, 0) pair draws of its lanes with the tie test and the sort, does not
-depend on the target order; the per-order kernel reads each lane's sorted
-moduli from it and applies the order's signs.  With no tail, the draw
-lines give `draw_rootspec_pair` its roots and a moduli front its moduli.
+per root shape, strategy and tail.  A kernel loops over the lanes of its
+block itself.  In the loop, the draw lines of `_draw_source` form lane k's
+roots, or gap values, in locals, and lay out the attempt's unit draws,
+whose count the template returns with the source.  A tail ends the loop's
+body.  The word tail, `polycore.word_source`'s lines, tests the roots'
+coefficient sign word, a coefficient at a time, going on to the next lane
+at the first wrong sign, as `polycore.sign_tuple` of the float expansion
+would decide it; a search binds its target word, its strategy's scalars
+and tau.  The gap tail passes over a lane with a zero or tied value, sorts
+the values and runs the bound `criticalgaps.match_kernel(d, target)` on
+them.  Two readers feed the word test: a pair search's kernel reads its
+attempts' unit draws, and a moduli search's reads root columns.  A moduli
+block's front (`_moduli_front`), the (d, 0, 0) pair draws of its lanes
+with the tie test and the sort, does not depend on the target order; the
+per-order kernel reads each lane's sorted moduli from it and applies the
+order's signs.  With no tail, the kernel returns every lane's roots from
+the draw lines: one call gives a moduli front its moduli, and a call on a
+block of one gives `draw_rootspec_pair` its roots.
 
 A sweep runs many searches under one config, and attempt i of each draws
 the same uniforms whenever the searches draw as many per attempt: every
@@ -279,8 +283,11 @@ class SearchOutcome:
 # --- per-attempt draws ------------------------------------------------------
 
 def _at(t: int) -> str:
-    """Source of the read of draw t of lane k in a block of b attempts, column-major."""
-    return "u[k]" if t == 0 else "u[k + b]" if t == 1 else f"u[k + {t} * b]"
+    """Source of the read of draw t of lane k in a block of b attempts, column-major.
+
+    Column t starts at o{t} = t * b, which the kernel binds once per call.
+    """
+    return "u[k]" if t == 0 else f"u[k + o{t}]"
 
 
 def _draw_source(pos: int, neg: int, npairs: int, kind, gap: bool) -> tuple[list[str], int]:
@@ -298,7 +305,8 @@ def _draw_source(pos: int, neg: int, npairs: int, kind, gap: bool) -> tuple[list
     position draw after the Mixture choice: re_j is a gap attempt's value j.
     kind None reads roots from columns instead: real root j is
     l_j * u[k + j*b] (l_j = 1.0 or -1.0, an exact sign), then the pairs'
-    parts in order.
+    parts in order.  The lines run in the kernel's loop over lanes k and
+    read through `_at`.
     """
     if kind is None:
         lines = [f"r{j} = l{j} * {_at(j)}" for j in range(pos + neg)]
@@ -333,17 +341,20 @@ def _draw_source(pos: int, neg: int, npairs: int, kind, gap: bool) -> tuple[list
 def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tail) -> tuple[int, str]:
     """(count, source): the draw count and the source of `bind(cfg, target, tau, letters)`.
 
-    bind returns `kernel(u, k, b)`, which runs `_draw_source`'s lines on
-    lane k of a block u of b attempts, then its tail.  With no tail it
-    returns lane k's roots, ((r0, ..), ((re0, im0), ..)).  The tail "word"
-    is `polycore.word_source`'s test of the target word: the kernel returns
-    the roots, or None when the test fails.  The tail "gap" takes the npairs
-    values re0 .. as a list xs, returns None when one is 0.0 or two tie,
-    sorts xs and returns (xs, report) when report = target(xs), the bound
-    match kernel, is not None.  bind sets what the lines read as closure
-    values: the strategy's scalars from cfg, the target (as the signs
-    g1 .. gd of its word, or as the match function), tau, and the letters
-    l0 .. as given.
+    bind returns `kernel(u, k, b)`.  It binds the column offsets o1 .. of
+    a block u of b attempts once, then loops over lanes k .. b - 1, running
+    `_draw_source`'s lines on each lane, then its tail.  With no tail it
+    returns the list of those lanes' roots, each ((r0, ..), ((re0, im0),
+    ..)).  A tail goes on to the next lane (continue) when its lane fails,
+    returns (lane, candidate) for the first that passes, and returns None
+    when none does.  The tail "word" is `polycore.word_source`'s test of
+    the target word, and its candidate is the roots.  The tail "gap" takes
+    the npairs values re0 .. as a list xs, fails when one is 0.0 or two
+    tie, sorts xs and passes with the candidate (xs, report) when report =
+    target(xs), the bound match kernel, is not None.  bind sets what the
+    lines read as closure values: the strategy's scalars from cfg, the
+    target (as the signs g1 .. gd of its word, or as the match function),
+    tau, and the letters l0 .. as given.
     """
     nreals = pos + neg
     head = []
@@ -359,21 +370,27 @@ def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tail) -> tuple[in
     if kind is MultiplicityBias:
         head.append("dup = cfg.strategy.dup_probability")
     body, count = _draw_source(pos, neg, npairs, kind, tail == "gap")
+    roots = (f"(({''.join(f'r{j}, ' for j in range(nreals))}), "
+             f"({''.join(f'(re{j}, im{j}), ' for j in range(npairs))}))")
     if tail == "word":
-        body += polycore.word_source(nreals, npairs)
-    if tail == "gap":  # _draw_source's values, the zero and tie test, the sort and the match
+        body += polycore.word_source(nreals, npairs) + [f"return k, {roots}"]
+    elif tail == "gap":  # _draw_source's values, the zero and tie test, the sort and the match
         body += ["xs = [" + ", ".join(f"re{j}" for j in range(npairs)) + "]",
                  "distinct = set(xs)", f"if len(distinct) < {npairs} or 0.0 in distinct:",
-                 "    return None", "xs.sort()", "report = target(xs)",
-                 "return None if report is None else (xs, report)"]
+                 "    continue", "xs.sort()", "report = target(xs)",
+                 "if report is not None:", "    return k, (xs, report)"]
     else:
-        reals = "".join(f"r{j}, " for j in range(nreals))
-        pairs = "".join(f"(re{j}, im{j}), " for j in range(npairs))
-        body.append(f"return ({reals}), ({pairs})")
+        body.append(f"out.append({roots})")
+    offsets = ", ".join(f"o{t}" for t in range(1, count))
     return count, ("def bind(cfg=None, target=(), tau=None, letters=()):\n"
                    + "".join(f"    {line}\n" for line in head)
                    + "    def kernel(u, k, b):\n"
-                   + "".join(f"        {line}\n" for line in body)
+                   + (f"        {offsets} = {', '.join(f'{t} * b' for t in range(1, count))}\n"
+                      if offsets else "")
+                   + ("" if tail else "        out = []\n")
+                   + "        for k in range(k, b):\n"
+                   + "".join(f"            {line}\n" for line in body)
+                   + f"        return {'None' if tail else 'out'}\n"
                    + "    return kernel\n")
 
 
@@ -382,9 +399,9 @@ def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tail) -> tuple[in
 # `witness` 3 more (6, 8, 10).  An evicted kernel is compiled again: 0.2-1.0 ms up
 # to degree 9; a gap kernel 0.2-0.5 ms up to degree 12 and 0.8-0.9 ms at degree 32.
 # A word kernel's source grows as d**2 and has no degree bound: (d, 0, 0) Uniform
-# is 666 lines, 4.5-5.2 ms and +1.1 MB peak RSS to build at d = 32; 5 460 lines,
-# 41-46 ms, +15 MB at 100; 20 910 lines, 0.17-0.22 s, +55 MB at 200; 81 810 lines,
-# 0.77-1.13 s, +219 MB at 400 (2-core Xeon VM, Python 3.11.7)
+# is 669 lines, 5.4-9.2 ms and +1.0 MB peak RSS to build at d = 32; 5 463 lines,
+# 51-77 ms, +15 MB at 100; 20 913 lines, 0.25-0.38 s, +54 MB at 200; 81 813 lines,
+# 0.90-1.18 s, +215 MB at 400 (2-core Xeon VM, Python 3.11.7)
 @lru_cache(maxsize=64)
 def _sign_kernel(pos: int, neg: int, npairs: int, kind, tail):
     """(count, bind): the draw count and `bind` of _sign_kernel_source(pos, neg, npairs, kind, tail).
@@ -418,7 +435,7 @@ def draw_rootspec_pair(
     if rest % 2 != 0:
         raise ParityMismatchError(f"d - pos - neg = {rest} is odd")
     count, bind = _sign_kernel(pos, neg, rest // 2, type(cfg.strategy), None)
-    reals, pairs = bind(cfg)(attempt_unit_draws(cfg.seed, attempt_index, count), 0, 1)
+    reals, pairs = bind(cfg)(attempt_unit_draws(cfg.seed, attempt_index, count), 0, 1)[0]
     try:
         return RootSpec(real_roots=reals, complex_pairs=pairs)
     except ValueError as exc:  # ZeroRootError too, which keeps its type
@@ -475,12 +492,13 @@ def _scan(count: int, cfg: SearchConfig, test, certify, front=None) -> SearchOut
     block's `count` unit draws come as a list or an array('d'), lane k's
     being data[k::b], equal to attempt_unit_draws(cfg.seed, first + k, count).
     An engine's two stages do the work: test(data, k, b), its generated
-    kernel bound to its query, returns None or a float candidate for lane k
-    of the block, and certify(candidate) returns the hit, (spec,
-    certificate) or (spec, certificate, gap_report), or None.  The scan owns
-    the control flow: it calls test once per lane, in lane order, certifies
-    each candidate until one is a hit, and builds the outcome, found at
-    attempt first + k or exhausted after n, with its wall time.
+    kernel bound to its query, returns (j, candidate) for the first lane
+    j >= k of the block whose float test passes, or None, and
+    certify(candidate) returns the hit, (spec, certificate) or (spec,
+    certificate, gap_report), or None.  The scan calls test from lane 0,
+    and from lane j + 1 after each rejected candidate, so it certifies
+    candidates in lane order until one is a hit; it builds the outcome,
+    found at attempt first + j or exhausted after n, with its wall time.
 
     front is (d, front_fn) for a moduli engine of degree d: the block's data
     is then front_fn(draws, b), the work that does not depend on the
@@ -504,15 +522,14 @@ def _scan(count: int, cfg: SearchConfig, test, certify, front=None) -> SearchOut
                 data = front[1](data, b)
             if key:
                 shared[key] = array("d", data)
-        # a call from here costs less than one from map()
-        for k in range(b):
-            candidate = test(data, k, b)
-            if candidate is None:
-                continue
+        found = test(data, 0, b)
+        while found is not None:
+            k, candidate = found
             hit = certify(candidate)
             if hit is not None:
                 i = first + k
                 return SearchOutcome("found", i, time.perf_counter() - start, i, *hit)
+            found = test(data, k + 1, b)
         first += b
         size = min(2 * size, _BLOCK_CAP)
     return SearchOutcome("exhausted", cfg.n, time.perf_counter() - start)
@@ -559,15 +576,13 @@ def _moduli_front(draw, u: list[float], b: int) -> list[float]:
     """The order-independent part of a moduli-search block of b attempts.
 
     Lane k's d moduli are the positive real roots of its (d, 0, 0) pair
-    draw, draw(u, k, b), sorted.  The front holds sorted modulus j of lane
-    k at k + j*b; a lane with tied moduli holds NaN there, which fails the
-    a_1 test of every order.  No zero test is needed: a zero modulus makes
-    a_d zero, which the sign word rejects.
+    draw, sorted; one call, draw(u, 0, b), draws every lane.  The front
+    holds sorted modulus j of lane k at k + j*b; a lane with tied moduli
+    holds NaN there, which fails the a_1 test of every order.  No zero test
+    is needed: a zero modulus makes a_d zero, which the sign word rejects.
     """
-    rows = []
-    for k in range(b):
-        mods = draw(u, k, b)[0]
-        rows.append(sorted(mods) if len(set(mods)) == len(mods) else [math.nan] * len(mods))
+    rows = [sorted(mods) if len(set(mods)) == len(mods) else [math.nan] * len(mods)
+            for mods, _ in draw(u, 0, b)]
     return list(chain.from_iterable(zip(*rows)))
 
 

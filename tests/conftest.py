@@ -44,6 +44,24 @@ def reference_draw_count(pos: int, neg: int, npairs: int, strategy, gap: bool = 
     return per_real * (pos + neg) + per_pair * npairs
 
 
+def lane_verdicts(kernel, u, b: int) -> list:
+    """Every lane's verdict from a kernel that scans a block's lanes itself.
+
+    kernel(u, k, b) returns (j, candidate) for the first lane j >= k that
+    passes, or None.  It is called from lane 0, then from each returned lane
+    plus one, as the scan calls it; lane j's verdict is its candidate, or
+    None for a lane the kernel passed over.
+    """
+    verdicts = [None] * b
+    start, found = 0, kernel(u, 0, b)
+    while found is not None:
+        j, candidate = found
+        assert start <= j < b and candidate is not None, (start, j, b)
+        verdicts[j] = candidate
+        start, found = j + 1, kernel(u, j + 1, b)
+    return verdicts
+
+
 def random_rootspec(seed: int, case: int, max_degree: int = 8):
     """A random RootSpec with degree <= max_degree, reproducible per (seed, case)."""
     from polyrealize.polycore import RootSpec

@@ -105,6 +105,15 @@ class TestRationalize:
         with pytest.raises(ValueError, match="is too large for a float"):
             rationalize_value(v)
 
+    @pytest.mark.parametrize("v, name", [
+        (10**5000, "int"), (-(10**5000), "int"), (Fraction(10**5000, 3), "Fraction"),
+    ], ids=["int", "negative-int", "fraction"])  # the default ids would write the digits
+    def test_past_the_int_string_limit_named_by_type_and_size(self, v, name):
+        # writing the digits of such a value raises, so the message must not try
+        with pytest.raises(ValueError, match=rf"^value \({name}, about 10\*\*5000\) is too "
+                                             r"large for a float$"):
+            rationalize_value(v)
+
     @pytest.mark.parametrize("digits", [767, 768, 4300, 4301, 10**6])
     def test_enough_digits_give_the_float_itself(self, digits):
         # 767 significant digits write every finite double exactly; the

@@ -131,6 +131,17 @@ class TestAnyRealType:
             with pytest.raises(ValueError, match=r"root .* is too large for a float"):
                 f(x)
 
+    @pytest.mark.parametrize("big, name", [
+        (10**5000, "int"), (Fraction(10**5000, 3), "Fraction"), (Fraction(-(10**5001), 7), "Fraction"),
+    ], ids=["int", "fraction", "negative-fraction"])  # the default ids would write the digits
+    def test_a_real_past_the_int_string_limit_is_named_by_type_and_size(self, big, name):
+        # writing the digits of such a value raises, so the message must not try
+        x = [big, -1, 2] if big < 0 else [1, 2, big]
+        for f in (midpoints, critical_points, gap_report):
+            with pytest.raises(ValueError, match=rf"^root \({name}, about 10\*\*5000\) is too "
+                                                 r"large for a float$"):
+                f(x)
+
 
 class TestXiGapBounds:
     def test_floats_and_fractions(self):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_rootspec, reference_draw_count
+from conftest import lane_verdicts, random_rootspec, reference_draw_count
 from polyrealize import polycore
 from polyrealize.certifier import exact_expand, rationalize
 from polyrealize.polycore import (
@@ -331,13 +331,13 @@ def reference_word(reals, pairs, tau=TAU):
 
 
 def assert_kernel_is_the_reference(kernel_for, u, lanes, targets, tau=TAU):
-    """kernel_for(t)(u, k, b) passes lane k exactly when sign_tuple of its expansion is t,
-    for every t in targets and every word a lane has, and returns its roots bit for bit."""
+    """kernel_for(t) passes lane k exactly when sign_tuple of its expansion is t, for
+    every t in targets and every word a lane has, and returns its roots bit for bit."""
     want = [reference_word(reals, pairs, tau) for reals, pairs in lanes]
     for t in sorted(set(targets) | set(want) - {None}):
-        kernel = kernel_for(t)
+        verdicts = lane_verdicts(kernel_for(t), u, len(lanes))
         for k, (reals, pairs) in enumerate(lanes):
-            got = kernel(u, k, len(lanes))
+            got = verdicts[k]
             assert (got is not None) == (want[k] == t), (reals, pairs, t)
             if got is not None:
                 assert bits(got[0]) == bits(reals), (k, t)
@@ -567,7 +567,8 @@ class TestSignKernel:
             draw = bind(cfg)
             for first, b in census_blocks(blocks):
                 u = _unit_block(cfg.seed, first, b, count)
-                lanes = [draw(u, k, b) for k in range(b)]
+                lanes = draw(u, 0, b)
+                assert len(lanes) == b
                 seen.update(assert_kernel_is_the_reference(
                     lambda t: _sign_kernel(pos, neg, npairs, kind, "word")[1](cfg, t, TAU),
                     u, lanes, words(d) if d <= 4 else []))

@@ -19,7 +19,7 @@ from polyrealize.certifier import (
     rationalize,
     rationalize_value,
 )
-from conftest import reference_draw_count
+from conftest import lane_verdicts, reference_draw_count
 from polyrealize.criticalgaps import GAP_CLASSES, gap_report, match, match_kernel
 from polyrealize.moduliorders import (
     ModuliCouple,
@@ -452,8 +452,12 @@ class TestBlockSchedule:
     @pytest.mark.parametrize("n", BOUNDARY_BUDGETS)
     def test_each_attempt_gets_its_own_draws(self, n):
         seen = []  # the stage returns no candidate, so nothing is certified
-        out = _scan(3, SearchConfig(n=n, seed=77), lambda u, k, b: seen.append(u[k::b]),
-                    certify=None)
+
+        def test(u, k, b):
+            assert k == 0  # called once per block
+            seen.extend(u[j::b] for j in range(b))
+
+        out = _scan(3, SearchConfig(n=n, seed=77), test, certify=None)
         assert out.status == "exhausted" and out.attempts == n
         assert seen == [attempt_unit_draws(77, i, 3) for i in range(1, n + 1)]
 
@@ -461,8 +465,11 @@ class TestBlockSchedule:
         seen = []
 
         def test(u, k, b):
-            seen.append(u[k::b])
-            return "candidate" if len(seen) == 6 else None
+            for j in range(k, b):
+                seen.append(u[j::b])
+                if len(seen) == 6:
+                    return j, "candidate"
+            return None
 
         # attempt 6 lies in block 4..7
         out = _scan(2, SearchConfig(n=100, seed=1), test, lambda candidate: (None, None))
@@ -531,13 +538,15 @@ def reference_pair_roots(pos, neg, npairs, cfg, u):
 
 
 def draw_kernel(pos, neg, npairs, cfg):
-    """The pair draw kernel of the shape, bound to cfg: (u, k, b) -> lane k's roots."""
+    """The pair draw kernel of the shape, bound to cfg: (u, k, b) -> the roots of lanes
+    k .. b - 1."""
     return _sign_kernel(pos, neg, npairs, type(cfg.strategy), None)[1](cfg)
 
 
 def gap_kernel(d, cfg):
-    """The gap kernel of d values, bound to cfg and to a match that keeps every lane:
-    (u, k, b) -> None for a lane with a zero or tied value, else (its values sorted, "kept")."""
+    """The gap kernel of d values, bound to cfg and to a match that keeps every lane: it
+    passes over a lane with a zero or tied value, and its candidate for any other lane is
+    (its values sorted, "kept")."""
     return _sign_kernel(0, 0, d, type(cfg.strategy), "gap")[1](cfg, lambda xs: "kept")
 
 
@@ -576,8 +585,10 @@ class TestPairDraws:
             draw = draw_kernel(pos, neg, npairs, cfg)
             for b in BLOCK_SIZES:
                 u = _unit_block(cfg.seed, 1 + pos + 10 * neg + 100 * npairs, b, count)
+                lanes = draw(u, 0, b)
+                assert len(lanes) == b
                 for k in range(b):
-                    reals, pairs = draw(u, k, b)
+                    reals, pairs = lanes[k]
                     want_reals, want_pairs = reference_pair_roots(pos, neg, npairs, cfg, u[k::b])
                     assert bits(reals) == bits(want_reals)
                     assert bits(v for pair in pairs for v in pair) == bits(
@@ -615,12 +626,14 @@ class TestValueDraws:
             for b in BLOCK_SIZES:
                 first = 1 + 10 * d + 1000 * b
                 u = _unit_block(cfg.seed, first, b, reference_draw_count(d, 0, 0, draw.strategy))
+                lanes, verdicts = moduli(u, 0, b), lane_verdicts(values, u, b)
+                assert len(lanes) == b
                 for k in range(b):
-                    mods = moduli(u, k, b)[0]
+                    mods = lanes[k][0]
                     assert bits(mods) == bits(reference_values(d, cfg, first + k, signed=False))
                     xs = reference_values(d, cfg, first + k, signed=True)
                     want = None if 0.0 in xs or len(set(xs)) < d else (bits(sorted(xs)), "kept")
-                    got = values(u, k, b)
+                    got = verdicts[k]
                     assert (got if got is None else (bits(got[0]), got[1])) == want
                     kept += d >= 3 and got is not None
         assert (kept == 0) == (ell == 5e-324)
@@ -647,8 +660,8 @@ def test_gap_kernel_rejects_a_zero_and_a_tie(strategy, choice):
     wide = choice is None or choice >= strategy.narrow_fraction
     s = cfg.ell if wide else cfg.narrow_scale
     kernel = gap_kernel(3, cfg)
-    xs, kept = kernel(value_draws([0.9, 0.1, 0.7], choice), 0, 1)
-    assert xs == sorted(s * (2.0 * v - 1.0) for v in (0.9, 0.1, 0.7)) and kept == "kept"
+    lane, (xs, kept) = kernel(value_draws([0.9, 0.1, 0.7], choice), 0, 1)
+    assert lane == 0 and xs == sorted(s * (2.0 * v - 1.0) for v in (0.9, 0.1, 0.7)) and kept == "kept"
     # a position draw of 0.5 gives the value 0.0
     assert kernel(value_draws([0.9, 0.5, 0.1], choice), 0, 1) is None
     assert kernel(value_draws([0.3, 0.7, 0.3], choice), 0, 1) is None
@@ -671,12 +684,13 @@ class TestGapKernel:
             kernels = {t: bind(cfg, match_kernel(d, t)) for t in GAP_CLASSES}
             for first, b in [(1, 1), (2, 7)] + [(9 + 64 * i, 64) for i in range(blocks)]:
                 u = _unit_block(cfg.seed, first, b, count)
+                verdicts = {t: lane_verdicts(kernel, u, b) for t, kernel in kernels.items()}
                 for k in range(b):
                     xs = sorted(reference_values(d, cfg, first + k, signed=True))
                     kept = 0.0 not in xs and len(set(xs)) == d
-                    for target, kernel in kernels.items():
+                    for target in kernels:
                         want = match(xs, target) if kept else None
-                        got = kernel(u, k, b)
+                        got = verdicts[target][k]
                         if want is None:
                             assert got is None, (d, first + k, target)
                             continue
@@ -684,6 +698,92 @@ class TestGapKernel:
                         found += 1
         if ell in (0.7, 1.0):  # the match path runs; at other scales few lanes or none match
             assert found > 0
+
+
+LANE_LOOP_SHAPE = (2, 1, 1)  # the pair shape of the word and draw kernels, degree 5
+LANE_LOOP_ORDER = (1.0, -1.0, 1.0, -1.0, -1.0)  # the moduli reader's letters, PNPNN
+
+
+def lane_loop_cases(kind, cfg, first, b):
+    """[(kernel, u, references)] for the kernel kind on the block of attempts first ..
+    first + b - 1: each kernel bound to one target, with references[k] lane k's
+    candidate from its attempt drawn on its own, or None where lane k fails."""
+    pos, neg, npairs = LANE_LOOP_SHAPE
+    d = len(LANE_LOOP_ORDER)
+    if kind == "pair":
+        u = _unit_block(cfg.seed, first, b, reference_draw_count(pos, neg, npairs, cfg.strategy))
+        lanes = [reference_pair_roots(pos, neg, npairs, cfg, u[k::b]) for k in range(b)]
+        bind, letters = _sign_kernel(pos, neg, npairs, type(cfg.strategy), "word")[1], ()
+    elif kind == "moduli":
+        rows = [sorted(reference_values(d, cfg, first + k, signed=False)) for k in range(b)]
+        rows = [row if len(set(row)) == d else [math.nan] * d for row in rows]
+        u = [row[j] for j in range(d) for row in rows]  # the front: modulus j of lane k at k + j*b
+        lanes = [([l * m for l, m in zip(LANE_LOOP_ORDER, row)], []) for row in rows]
+        bind, letters = _sign_kernel(d, 0, 0, None, "word")[1], LANE_LOOP_ORDER
+    else:
+        u = _unit_block(cfg.seed, first, b, reference_draw_count(0, 0, d, cfg.strategy, gap=True))
+        bind = _sign_kernel(0, 0, d, type(cfg.strategy), "gap")[1]
+        cases = []
+        for target in GAP_CLASSES:
+            refs = []
+            for k in range(b):
+                xs = sorted(reference_values(d, cfg, first + k, signed=True))
+                report = match(xs, target) if 0.0 not in xs and len(set(xs)) == d else None
+                refs.append(None if report is None else (bits(xs), report))
+            cases.append((bind(cfg, match_kernel(d, target)), u, refs))
+        return cases
+    words = [sign_tuple(polycore.expand(reals, pairs, 1.0), cfg.tau) for reals, pairs in lanes]
+    return [(bind(cfg, t, cfg.tau, letters), u,
+             [flat_bits(lane) if w == t else None for lane, w in zip(lanes, words)])
+            for t in sorted(set(words) - {None})]
+
+
+def flat_bits(roots):
+    """The bits of (reals, pairs), every part in order."""
+    reals, pairs = roots
+    return bits([*reals, *(v for pair in pairs for v in pair)])
+
+
+class TestLaneLoop:
+    """A kernel called from lane k answers for lanes k .. b - 1 alone, as the lanes
+    drawn one attempt at a time say."""
+
+    @pytest.mark.parametrize("b", [1, 7, 64, pytest.param(256, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES[:4], ids=repr)
+    @pytest.mark.parametrize("kind", ["pair", "moduli", "gap"])
+    def test_a_call_from_any_lane_returns_the_first_passing_lane(self, kind, strategy, b):
+        # from every lane k, and from k = b: the lowest lane j >= k the reference
+        # passes, with its candidate, or None when there is none
+        cfg = SearchConfig(n=1, seed=53, strategy=strategy)
+        if kind != "pair":
+            cfg = _distinct_draws(cfg)
+        passes = 0
+        for kernel, u, refs in lane_loop_cases(kind, cfg, 5 + b, b):
+            for k in range(b + 1):
+                j = next((j for j in range(k, b) if refs[j] is not None), None)
+                got = kernel(u, k, b)
+                if j is None:
+                    assert got is None, (k, b)
+                    continue
+                lane, candidate = got
+                assert lane == j, (k, b)
+                if kind == "gap":
+                    assert (bits(candidate[0]), candidate[1]) == refs[j], (k, b)
+                else:
+                    assert flat_bits(candidate) == refs[j], (k, b)
+                passes += 1
+        assert passes > 0 or b == 1
+
+    @pytest.mark.parametrize("b", [1, 7, 64, pytest.param(256, marks=pytest.mark.slow)])
+    @pytest.mark.parametrize("strategy", PAIR_STRATEGIES[:4], ids=repr)
+    def test_a_draw_call_from_any_lane_returns_the_roots_of_that_lane_on(self, strategy, b):
+        cfg = SearchConfig(n=1, seed=53, strategy=strategy)
+        pos, neg, npairs = LANE_LOOP_SHAPE
+        u = _unit_block(cfg.seed, 5 + b, b, reference_draw_count(pos, neg, npairs, strategy))
+        want = [flat_bits(reference_pair_roots(pos, neg, npairs, cfg, u[k::b])) for k in range(b)]
+        draw = draw_kernel(pos, neg, npairs, cfg)
+        for k in range(b + 1):
+            assert [flat_bits(roots) for roots in draw(u, k, b)] == want[k:], (k, b)
 
 
 def test_gap_search_passes_over_an_attempt_with_a_zero_value(monkeypatch):
@@ -920,7 +1020,7 @@ def assert_stage_is_the_reference(kind, args, stages, blocks):
         data = _unit_block(cfg.seed, first, b, count)
         if front is not None:
             data = front[1](data, b)
-        got = [(k, RootSpec(*c)) for k, c in ((k, test(data, k, b)) for k in range(b))
+        got = [(k, RootSpec(*c)) for k, c in enumerate(lane_verdicts(test, data, b))
                if c is not None]
         want = []
         for k in range(b):
@@ -970,36 +1070,45 @@ def reference_float_hits(kind, args, cfg):
     """(attempt, spec) of every float hit among attempts 1..n, each drawn on its own."""
     hits = []
     for i in range(1, cfg.n + 1):
+        if kind == "gap":
+            d, target = args
+            xs = sorted(reference_values(d, cfg, i, signed=True))
+            if 0.0 not in xs and len(set(xs)) == d and match(xs, target) is not None:
+                hits.append((i, RootSpec(real_roots=tuple(xs))))
+            continue
         spec = reference_spec(kind, args, cfg, i)
         if spec is not None and sign_tuple(expand_from_roots(spec).coeffs, cfg.tau) == args[0].signs:
             hits.append((i, spec))
     return hits
 
 
-def reject_first(monkeypatch, j):
-    """Make certifier.certify_couple reject its first j calls; returns the calls."""
+def reject_first(monkeypatch, j, name):
+    """Make certifier.<name> reject its first j calls; returns the calls."""
     calls = []
-    certify = certifier.certify_couple
+    certify = getattr(certifier, name)
 
-    def rejecting(spec, claim):
-        calls.append(spec)
+    def rejecting(*args):
+        calls.append(args)
         if len(calls) <= j:
             return certifier.Mismatch("test", "rejected by the test")
-        return certify(spec, claim)
+        return certify(*args)
 
-    monkeypatch.setattr(certifier, "certify_couple", rejecting)
+    monkeypatch.setattr(certifier, name, rejecting)
     return calls
 
 
 # (kind, args, seed): float hits in small blocks, and several to a block (pair: 95 and
-# 124 in 64..127; moduli: five in 64..127, and 16, 23 and 24 in 16..31)
+# 124 in 64..127; moduli: five in 64..127, and 16, 23 and 24 in 16..31; gap: 79 and 104
+# in 64..127, 152 and 209 in 128..255)
 CERTIFY_LOOP_CASES = [
     ("pair", (parse_pattern("+--++"), RootCountPair(2, 0)), 1),
     ("moduli", (parse_pattern("++--+"), ModuliOrder("NPPN")), 0),
+    ("gap", (6, "L-R+"), 8),
 ]
+CERTIFIERS = {"pair": "certify_couple", "moduli": "certify_couple", "gap": "certify_gap_class"}
 
 
-@pytest.mark.parametrize("kind, args, seed", CERTIFY_LOOP_CASES, ids=["pair", "moduli"])
+@pytest.mark.parametrize("kind, args, seed", CERTIFY_LOOP_CASES, ids=["pair", "moduli", "gap"])
 def test_search_returns_the_float_hit_after_the_rejected_ones(monkeypatch, kind, args, seed):
     # with the first j float hits rejected by the certifier, the search returns the
     # (j+1)-th, also inside a sweep store
@@ -1010,7 +1119,7 @@ def test_search_returns_the_float_hit_after_the_rejected_ones(monkeypatch, kind,
     def outcomes():
         outs = []
         for j in range(len(hits) + 1):
-            calls = reject_first(monkeypatch, j)
+            calls = reject_first(monkeypatch, j, CERTIFIERS[kind])
             out = ENGINES[kind](*args, cfg)
             assert len(calls) == min(j + 1, len(hits))
             outs.append((out.status, out.attempts, out.attempt_index, out.spec, out.certificate))
