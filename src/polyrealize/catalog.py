@@ -316,7 +316,3 @@ def catalog_lookup(entry_id: str) -> CatalogEntry:
         return _ENTRIES[entry_id]
     except KeyError:
         raise UnknownIdError(entry_id) from None
-
-
-def fixture_ids() -> list[str]:
-    return [i for i in catalog_ids() if _ENTRIES[i].kind == "Fixture"]

@@ -388,7 +388,3 @@ def catalog_show_cmd(entry_id):
     for note in entry.notes:
         click.echo(f"note: {note}")
     return EXIT_FOUND
-
-
-if __name__ == "__main__":
-    main()

@@ -9,35 +9,32 @@ recording which side of the chain
     min consecutive-midpoint gap  <  critical-point gap  <  max midpoint gap
 
 holds strictly (+) or fails (-) on the left (L) and right (R).  One float
-bisection routine, _refine, halves the brackets on the critical points and,
-in the same pass, bounds the min and max critical gap.  gap_report refines
-every critical point in full, to BISECTION_REL_TOL of the span x_n - x_1
-(_tolerances scales each end first when that span overflows).  match, the
-search's test, refines in stages whose tolerance falls by 4 from
-(x_n - x_1)/16; it stops as soon as the bounds rule the target class out,
-and jumps to the full refinement as soon as they decide it.  Its work
-before the first stage is the midpoint-gap extrema, m_tilde and M_tilde.
-_report takes all six extrema one way, _gap_extrema (min() and max() of
-the consecutive gaps); match's kernel takes these two with the same float
-operations and min()'s and max()'s strict < / > rule, so they come out the
-same, NaN and +-0 included.  A margin counts only at MARGIN_EPS or more:
-_margin_sign states that rule for gap_report, and match applies it once
-per bound, to the margin oriented toward the target's sign.  Every
-schedule visits the same midpoints, so a report that match returns is
-gap_report's.  match runs a kernel generated once per degree and target
-(match_kernel) from one template with two layouts.  Up to
-_KERNEL_MAX_DEGREE (16) roots it is straight-line Python that unpacks the
-roots into locals, unrolls the midpoint-gap extrema and the bounds, holds
-each bracket in two locals, and evaluates P'/P at a midpoint as the one
-expression
+bisection routine, _refine, halves the brackets on the critical points.
+gap_report refines every critical point in full, to BISECTION_REL_TOL of
+the span x_n - x_1 (_tolerances scales each end first when that span
+overflows).  match, the search's test, refines in stages whose tolerance
+falls by 4 from (x_n - x_1)/16; after each stage it bounds the min and max
+critical gap from the brackets, stops as soon as the bounds rule the
+target class out, and jumps to the full refinement as soon as they decide
+it.  Its work before the first stage is the midpoint-gap extrema, m_tilde
+and M_tilde.  _report takes all six extrema one way, _gap_extrema (min()
+and max() of the consecutive gaps); match's kernel takes these two, and
+the stage bounds, with the same float operations and min()'s and max()'s
+strict < / > rule, so they come out the same, NaN and +-0 included.  A
+margin counts only at MARGIN_EPS or more: _margin_sign states that rule
+for gap_report, and match applies it once per bound, to the margin
+oriented toward the target's sign.  Every schedule visits the same
+midpoints, so a report that match returns is gap_report's.  match runs a
+kernel generated once per degree and target (match_kernel) from one
+template: straight-line Python that unpacks the roots into locals, unrolls
+the midpoint-gap extrema and the bounds, holds each bracket in two locals,
+and evaluates P'/P at a midpoint as the one expression
 1.0 / (mid - x0) + ... + 1.0 / (mid - x{d-1}).  _refine's loop adds the same
 terms in the same order onto s = 0.0, and adding 0.0 can change only the
 sign of a zero, which _refine's three-way test on s ignores; so the kernel
-takes every decision _refine takes, on the same floats.  Above that degree,
-where compiling unrolled code costs more than it saves, the kernel keeps
-the brackets in lists and calls _refine once per stage.  Either way the
-stage rule has the target's orientation baked in and the full refinement
-is _refine's.  match runs on the engine's sorted, distinct draws and does not
+takes every decision _refine takes, on the same floats.  The stage rule
+has the target's orientation baked in, and the full refinement is
+_refine's.  match runs on the engine's sorted, distinct draws and does not
 re-check them; gap_report, critical_points and midpoints convert their
 input to floats and validate it in one place (_floats), so they agree on
 any real number type.
@@ -170,7 +167,7 @@ def midpoints(x: Sequence) -> list[float]:
     return _finite(_midpoints(_floats(x, 2)), "midpoints")
 
 
-def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> tuple:
+def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) -> None:
     """Halve every bracket [lo[k], hi[k]] in place until it is at most 2*tol wide.
 
     On a root interval P'/P = sum 1/(t - r) falls strictly from +inf to -inf
@@ -181,15 +178,8 @@ def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) ->
     depend only on x and where the bracket starts, so refining to tol and
     then to a smaller tol visits the same midpoints as refining to the
     smaller tol at once.
-
-    Returns xi_gap_bounds(lo, hi) of the refined brackets, bit for bit,
-    computed in the same pass: (m_lo, m_hi, M_lo, M_hi), or four Nones for a
-    single bracket.  A running bound is replaced only on a strict < or >,
-    as min() and max() replace theirs, so NaN gap bounds and ties between
-    0.0 and -0.0 come out as theirs do.
     """
     width = 2.0 * tol
-    m_lo = m_hi = M_lo = M_hi = None
     for k in range(len(lo)):
         a, b = lo[k], hi[k]
         while b - a > width:
@@ -206,21 +196,6 @@ def _refine(x: Sequence[float], lo: list[float], hi: list[float], tol: float) ->
             else:
                 a = b = mid
         lo[k], hi[k] = a, b
-        if k > 1:
-            inner, outer = a - prev_b, b - prev_a
-            if inner < m_lo:
-                m_lo = inner
-            if inner > M_lo:
-                M_lo = inner
-            if outer < m_hi:
-                m_hi = outer
-            if outer > M_hi:
-                M_hi = outer
-        elif k:
-            m_lo = M_lo = a - prev_b
-            m_hi = M_hi = b - prev_a
-        prev_a, prev_b = a, b
-    return m_lo, m_hi, M_lo, M_hi
 
 
 def _tolerances(x: Sequence[float]) -> tuple[float, float]:
@@ -343,32 +318,22 @@ def _finish(x: list[float], lo: list[float], hi: list[float], full: float,
     return report if report.gap_class == target else None
 
 
-# Up to this degree match's kernel is straight-line code: the roots and brackets
-# are locals and every loop is unrolled.  That source grows as d**2 (d - 1
-# brackets, each with a d-term P'/P), and so does the cost of compiling it:
-# 1.0-1.2 ms at d = 5, 2.4-3.7 ms at d = 12, 3.9-4.0 ms and +0.5 MB peak RSS at
-# d = 16, 5.4-6.8 ms and +1.1 MB at d = 20, 17-29 ms and +6.0 MB at d = 40, and
-# 0.29-0.31 s and +67 MB at d = 160 (2-core Xeon VM, Python 3.11.7).  Above it
-# the kernel keeps x and the brackets in lists and has the same size at every
-# degree.  Every benchmark workload and acceptance criterion searches degrees 3
-# to 12.
-_KERNEL_MAX_DEGREE = 16
-
-
 def _stage_source(d: int) -> list[str]:
     """Source lines of one stage of the kernel for the d roots x0 .. x{d-1}.
 
     Bracket k is the pair of locals a{k}, b{k}.  Each is halved as _refine
     halves [lo[k], hi[k]] to the tolerance tol, and m_lo, m_hi, M_lo and M_hi
-    then hold the bounds _refine returns, built with its comparisons in its
-    order.  P'/P at a midpoint is the one expression
+    then hold xi_gap_bounds of the brackets, built gap by gap with each bound
+    replaced only on a strict < or >, as min() and max() replace theirs, so
+    NaN gap bounds and ties between 0.0 and -0.0 come out as theirs do.
+    P'/P at a midpoint is the one expression
     1.0 / (mid - x0) + ... + 1.0 / (mid - x{d-1}), summed left to right as
     _refine's loop sums it (not sum(), which compensates on Python 3.12 and
     later).  The loop starts from s = 0.0, so it computes 0.0 + t0 + ...
     where the expression computes t0 + ...; adding 0.0 changes only the sign
     of a zero, so the two sums differ at most in the sign of a zero sum, and
     the three-way test on s treats +0.0 and -0.0 alike.  The kernel's
-    brackets and bounds are therefore _refine's, bit for bit.
+    brackets are therefore _refine's, bit for bit.
     """
     s = " + ".join(f"1.0 / (mid - x{j})" for j in range(d))
     lines = ["width = 2.0 * tol"]
@@ -430,56 +395,45 @@ def _stage_rule_source(target: str, ruled_out: str, decided: str) -> list[str]:
 def _kernel_source(d: int, target: str) -> str:
     """Source of the function `kernel(x)`: match(x, target) for d >= 3 roots.
 
-    One template, two layouts.  Up to _KERNEL_MAX_DEGREE the kernel has no
-    loop over x: it unpacks x into x0 .. x{d-1}, computes m_tilde and M_tilde
-    gap by gap (each midpoint as _midpoints computes it, each bound replaced
-    on a strict < or > as min() and max() replace theirs; the max test can
-    be an elif, since m_tilde <= M_tilde unless both are NaN), holds bracket
-    k as the locals a{k}, b{k}, starting from the root interval, and runs
-    each stage as _stage_source(d).  Above it the brackets are the lists lo
-    and hi, m_tilde and M_tilde are _gap_extrema(_midpoints(x)), as in
-    _report, and each stage is one _refine call; that source has the same
-    size at every degree.  Both layouts share the rest: the tolerances from _tolerances(x),
-    the stage loop with _stage_rule_source's test on the bounds and
-    tol /= _STAGE_FACTOR, and _finish.  MARGIN_EPS, _STAGE_FACTOR and
-    _FIRST_STAGE (inside _tolerances) are read from this module when the
-    kernel runs.
+    The kernel has no loop over x: it unpacks x into x0 .. x{d-1}, computes
+    m_tilde and M_tilde gap by gap (each midpoint as _midpoints computes it,
+    each bound replaced on a strict < or > as min() and max() replace
+    theirs; the max test can be an elif, since m_tilde <= M_tilde unless
+    both are NaN), holds bracket k as the locals a{k}, b{k}, starting from
+    the root interval, and runs each stage as _stage_source(d), then
+    _stage_rule_source's test on the bounds and tol /= _STAGE_FACTOR, from
+    the tolerances _tolerances(x) gives; _finish takes the brackets last.
+    MARGIN_EPS, _STAGE_FACTOR and _FIRST_STAGE (inside _tolerances) are read
+    from this module when the kernel runs.
     """
-    if d <= _KERNEL_MAX_DEGREE:
-        xs = ", ".join(f"x{j}" for j in range(d))
-        head = [f"{xs} = x"]
-        head += [f"z{k} = (x{k} + x{k + 1}) * 0.5" for k in range(2)]
-        head += ["m_tilde = M_tilde = z1 - z0"]
-        for k in range(2, d - 1):
-            head += [
-                f"z{k} = (x{k} + x{k + 1}) * 0.5",
-                f"g = z{k} - z{k - 1}",
-                "if g < m_tilde:", "    m_tilde = g",
-                "elif g > M_tilde:", "    M_tilde = g",
-            ]
-        head += [f"a{k}, b{k} = x{k}, x{k + 1}" for k in range(d - 1)]
-        stage = _stage_source(d)
-        los = "[" + ", ".join(f"a{k}" for k in range(d - 1)) + "]"
-        his = "[" + ", ".join(f"b{k}" for k in range(d - 1)) + "]"
-    else:
-        head = ["lo, hi = x[:-1], x[1:]", "m_tilde, M_tilde = _gap_extrema(_midpoints(x))"]
-        stage = ["m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)"]
-        los, his = "lo", "hi"
+    xs = ", ".join(f"x{j}" for j in range(d))
+    head = [f"{xs} = x"]
+    head += [f"z{k} = (x{k} + x{k + 1}) * 0.5" for k in range(2)]
+    head += ["m_tilde = M_tilde = z1 - z0"]
+    for k in range(2, d - 1):
+        head += [
+            f"z{k} = (x{k} + x{k + 1}) * 0.5",
+            f"g = z{k} - z{k - 1}",
+            "if g < m_tilde:", "    m_tilde = g",
+            "elif g > M_tilde:", "    M_tilde = g",
+        ]
+    head += [f"a{k}, b{k} = x{k}, x{k + 1}" for k in range(d - 1)]
+    los = "[" + ", ".join(f"a{k}" for k in range(d - 1)) + "]"
+    his = "[" + ", ".join(f"b{k}" for k in range(d - 1)) + "]"
     body = [*head, "full, tol = _tolerances(x)", "while tol > full:"]
-    body += ["    " + line for line in stage]
+    body += ["    " + line for line in _stage_source(d)]
     body += ["    " + line for line in _stage_rule_source(target, "return None", "break")]
     body += ["    tol /= _STAGE_FACTOR", f"return _finish(x, {los}, {his}, full, {target!r})"]
     return "def kernel(x):\n" + "".join(f"    {line}\n" for line in body)
 
 
 # a cache bound, not an option: 64 kernels, 16 degrees of 4 targets.  An evicted
-# kernel is compiled again: about 0.1 ms above _KERNEL_MAX_DEGREE, 1-4 ms below
+# kernel is compiled again; the cost of a build is tabled at sampler._sign_kernel
 @functools.lru_cache(maxsize=64)
 def match_kernel(d: int, target: str) -> Callable[[list[float]], GapReport | None]:
     """The function x -> match(x, target) for d >= 3 roots: fetch it once, call it per attempt.
 
-    It is compiled from _kernel_source(d, target) on the first request, in
-    the unrolled layout up to _KERNEL_MAX_DEGREE and the list layout above.
+    It is compiled from _kernel_source(d, target) on the first request.
     """
     namespace: dict = {}
     code = compile(_kernel_source(d, target), f"<match kernel, d={d}, {target}>", "exec")
@@ -500,7 +454,7 @@ def match(x: list[float], target: str) -> GapReport | None:
     (see _kernel_source).  The brackets start as the root intervals and are
     refined in stages of tolerance (x_n - x_1) / _FIRST_STAGE, then a factor _STAGE_FACTOR
     smaller each stage (see _tolerances for a span that overflows).  Each
-    stage's refinement bounds the min and max critical gap, and so both
+    stage's brackets bound the min and max critical gap (xi_gap_bounds' rule), and so both
     margins: float subtraction and min/max are monotone, so the bounds hold
     the margins that full refinement computes.  A side is the target's when
     its margin, oriented toward the target's sign, is at least MARGIN_EPS,
@@ -513,9 +467,8 @@ def match(x: list[float], target: str) -> GapReport | None:
     built from them exactly as gap_report builds it.
 
     The work runs in match_kernel(len(x), target), generated for that degree
-    and target from one template: up to _KERNEL_MAX_DEGREE roots,
-    straight-line code with each bracket in two locals and P'/P as one
-    expression (see _stage_source for why its bits are _refine's); above it,
-    the bracket lists and one _refine call per stage.
+    and target from one template: straight-line code with each bracket in
+    two locals and P'/P as one expression (see _stage_source for why its
+    bits are _refine's).
     """
     return match_kernel(len(x), target)(x)

@@ -72,7 +72,7 @@ from typing import ClassVar, Optional, Union
 
 from . import certifier, polycore
 from .certifier import Certificate
-from .criticalgaps import GAP_CLASSES, GapReport, match_kernel
+from .criticalgaps import GAP_CLASSES, GapReport, as_float, match_kernel
 from .moduliorders import ModuliCouple, ModuliOrder
 from .polycore import RealPolynomial, RootSpec, expand_from_roots
 from .signpatterns import PairCouple, RootCountPair, SignPattern
@@ -196,17 +196,14 @@ def _as_float(name: str, value, optional: bool = False) -> Optional[float]:
     """A real parameter as it is stored: an int or a float becomes a float.
 
     2 and 2.0 run the same search, so they must also give the same report.
-    Anything else (a bool, a str, a Fraction, a Decimal, an int too large
-    for a float) raises ValueError naming the parameter; None passes only
-    when `optional`.
+    Anything else (a bool, a str, a Fraction, a Decimal) raises ValueError
+    naming the parameter, and so does an int too large for a float, through
+    as_float; None passes only when `optional`.
     """
     if value is None and optional:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:
-            pass
+        return as_float(value, name)
     raise ValueError(f"{name} must be an int or a float, not {value!r}")
 
 
@@ -398,10 +395,20 @@ def _sign_kernel_source(pos: int, neg: int, npairs: int, kind, tail) -> tuple[in
 # sweep 2 kernels, the `gaps` benchmark's cycle 2 gap kernels (degrees 5 and 6) and
 # `witness` 3 more (6, 8, 10).  An evicted kernel is compiled again: 0.2-1.0 ms up
 # to degree 9; a gap kernel 0.2-0.5 ms up to degree 12 and 0.8-0.9 ms at degree 32.
-# A word kernel's source grows as d**2 and has no degree bound: (d, 0, 0) Uniform
-# is 669 lines, 5.4-9.2 ms and +1.0 MB peak RSS to build at d = 32; 5 463 lines,
-# 51-77 ms, +15 MB at 100; 20 913 lines, 0.25-0.38 s, +54 MB at 200; 81 813 lines,
-# 0.90-1.18 s, +215 MB at 400 (2-core Xeon VM, Python 3.11.7)
+# A word kernel's source, and a match kernel's (criticalgaps.match_kernel), grows
+# as d**2 at every degree.  Cost of one build: its compile time, the growth of peak
+# RSS in a fresh process, and what it retains (tracemalloc).  word is (d, 0, 0)
+# Uniform "word", match is match_kernel(d, "L-R+"); 3 builds each, 2-core Xeon VM,
+# Python 3.11.7:
+#   d                 16          32          64        100       200
+#   word   compile    1.3-2.1 ms  4.7-5.3 ms  17-34 ms  40-41 ms  0.17-0.20 s
+#          peak RSS   +0.0 MB     +1.1 MB     +6.9 MB   +16.5 MB  +60 MB
+#          retained   0.02 MB     0.07 MB     0.63 MB   0.93 MB   3.0 MB
+#   match  compile    2.8-3.3 ms  8.4-22 ms   28-70 ms  68-79 ms  0.24-0.28 s
+#          peak RSS   +0.6 MB     +3.8 MB     +14 MB    +31 MB    +106 MB
+#          retained   0.02 MB     0.08 MB     0.28 MB   0.65 MB   2.5 MB
+# A cached kernel keeps at most 3 MB up to d = 200; the peak of its build is
+# about 20-50 times what it keeps.
 @lru_cache(maxsize=64)
 def _sign_kernel(pos: int, neg: int, npairs: int, kind, tail):
     """(count, bind): the draw count and `bind` of _sign_kernel_source(pos, neg, npairs, kind, tail).

@@ -8,7 +8,6 @@ from polyrealize.catalog import (
     UnknownIdError,
     catalog_ids,
     catalog_lookup,
-    fixture_ids,
 )
 from polyrealize.certifier import Certificate, Mismatch, certify_couple, rationalize
 from polyrealize.moduliorders import ModuliCouple
@@ -45,9 +44,13 @@ class TestGrabinerEntry:
         assert set(orbit(couples[0])) == set(couples)
 
 
+def _fixture_ids():
+    return [i for i in catalog_ids() if catalog_lookup(i).kind == "Fixture"]
+
+
 class TestFixturesReverify:
     def test_every_fixture_certifies_its_claim(self):
-        for fid in fixture_ids():
+        for fid in _fixture_ids():
             entry = catalog_lookup(fid)
             if "spec" not in entry.payload:
                 continue
@@ -56,7 +59,7 @@ class TestFixturesReverify:
             assert isinstance(got, Certificate), f"{fid}: {got}"
 
     def test_printed_coefficients_close_for_non_exempt(self):
-        for fid in fixture_ids():
+        for fid in _fixture_ids():
             entry = catalog_lookup(fid)
             if "spec" not in entry.payload or entry.payload["exempt_coeff_match"]:
                 continue
@@ -89,7 +92,7 @@ class TestFixturesReverify:
         assert entry.payload["couple"].pattern.runs == (1, 3, 2, 3, 1)
 
     def test_moduli_fixture_claims_are_moduli_couples(self):
-        for fid in fixture_ids():
+        for fid in _fixture_ids():
             entry = catalog_lookup(fid)
             if fid.startswith("sigma1232-0") or fid.startswith("sigma1232-1") or \
                fid.startswith("sigma1232-2") or fid.startswith("sigma1232-3") or \

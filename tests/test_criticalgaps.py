@@ -349,16 +349,19 @@ class TestSignOnlyKernel:
                     assert _bits(got_w) == _bits(want_w), (d, ell, case)
 
     @pytest.mark.parametrize("draws", [300, pytest.param(10_000, marks=pytest.mark.slow)])
-    def test_refine_returns_xi_gap_bounds(self, draws):
+    def test_stage_bounds_are_xi_gap_bounds(self, draws):
         # at match's first stage, then refined on to gap_report's tolerance
         for d in range(3, 13):
+            stage = _kernel_stage(d)
             for ell in ELLS:
                 for case in range(draws):
                     xs = random_distinct_sorted(500 + d, case, d, spread=ell)
                     lo, hi = xs[:-1], xs[1:]
                     span = xs[-1] - xs[0]
                     for tol in (span / 16, BISECTION_REL_TOL * span):
-                        got = criticalgaps._refine(xs, lo, hi, tol)
+                        criticalgaps._refine(xs, lo, hi, tol)
+                        k_lo, k_hi, got = stage(xs, lo, hi, tol)
+                        assert _bits(k_lo) == _bits(lo) and _bits(k_hi) == _bits(hi), (d, ell, case)
                         assert _bits(got) == _bits(xi_gap_bounds(lo, hi)), (d, ell, case, tol)
 
     @pytest.mark.parametrize(
@@ -372,26 +375,13 @@ class TestSignOnlyKernel:
         ],
         ids=["huge", "nan-first", "nan-mixed", "nan-last", "inf"],
     )
-    def test_refine_bounds_keep_min_and_max_nan_rule(self, xs):
-        lo, hi = xs[:-1], xs[1:]
-        got = criticalgaps._refine(xs, lo, hi, 1e-3)
+    def test_stage_bounds_keep_min_and_max_nan_rule(self, xs):
+        lo, hi, got = _kernel_stage(len(xs))(xs, xs[:-1], xs[1:], 1e-3)
         assert _bits(got) == _bits(xi_gap_bounds(lo, hi))
-
-    @pytest.mark.parametrize(
-        "lo, hi",
-        [([0.0, 0.0, -0.0], [0.0, 0.0, -0.0]), ([0.0, -0.0, 0.0], [0.0, -0.0, 0.0])],
-        ids=["zero-then-negative-zero", "negative-zero-then-zero"],
-    )
-    def test_refine_bounds_keep_the_first_of_equal_gaps(self, lo, hi):
-        # gap bounds 0.0 and -0.0 are equal; min() and max() keep whichever
-        # comes first, so a bound may be replaced only on a strict < or >
-        want = xi_gap_bounds(lo, hi)
-        got = criticalgaps._refine([0.0] * 4, lo, hi, math.inf)  # no bracket moves
-        assert _bits(got) == _bits(want)
 
     def test_refine_single_bracket_has_no_bounds(self):
         lo, hi = [0.0], [1.0]
-        assert criticalgaps._refine([0.0, 1.0], lo, hi, 1e-3) == (None, None, None, None)
+        assert criticalgaps._refine([0.0, 1.0], lo, hi, 1e-3) is None
         assert lo == hi == [0.5]  # still refined: P'/P is exactly 0 at the midpoint
 
     def test_public_paths_share_the_kernel(self):
@@ -428,8 +418,8 @@ def _kernel_head(d):
     return namespace["kernel"]
 
 
-# the kernel head's degrees: unrolled up to _KERNEL_MAX_DEGREE, lists above it
-HEAD_DEGREES = (*range(3, criticalgaps._KERNEL_MAX_DEGREE + 1), 17, 20)
+# the kernel head's degrees: every degree up to 17, and 20
+HEAD_DEGREES = (*range(3, 18), 20)
 # root sets of any length d >= 3 on which min() and max() keep NaN gaps or a tie
 HEAD_EDGE_CASES = {
     "huge": lambda d: HUGE_ROOTS + [1.7e308 + 1e305 * k for k in range(1, d - 2)],  # gaps NaN
@@ -535,45 +525,6 @@ def _schedule_cases(degrees=range(3, 13)):
     return found
 
 
-class _NextStage(Exception):
-    """Raised by a stubbed _refine on a kernel's second call, carrying its tolerance."""
-
-    def __init__(self, tol):
-        super().__init__(tol)
-        self.tol = tol
-
-
-def _list_kernel_stage_action(stage_bounds, target):
-    """What match_kernel(17, target) does after a first stage whose _refine returns stage_bounds.
-
-    Degree 17 is above _KERNEL_MAX_DEGREE, so the kernel keeps its brackets
-    in lists and calls criticalgaps._refine once per stage: "ruled out" (it
-    returns None at once), "decided" (its next _refine is the full
-    refinement) or "refine" (its next _refine is the next stage).  The roots
-    0.0 .. 16.0 give m_tilde = M_tilde = 1.0 and the full tolerance
-    BISECTION_REL_TOL * 16.0.
-    """
-    xs = [float(k) for k in range(17)]
-    calls = []
-
-    def fake_refine(x, lo, hi, tol):
-        calls.append(tol)
-        if len(calls) > 1:
-            raise _NextStage(tol)
-        return stage_bounds
-
-    saved = criticalgaps._refine
-    criticalgaps._refine = fake_refine
-    try:
-        got = criticalgaps.match_kernel(len(xs), target)(xs)
-    except _NextStage as stage:
-        return "decided" if stage.tol == BISECTION_REL_TOL * 16.0 else "refine"
-    finally:
-        criticalgaps._refine = saved
-    assert got is None and len(calls) == 1
-    return "ruled out"
-
-
 def _kernel_stage_action(stage_bounds, target):
     """What the kernels' stage rule does with a stage's (m_lo, m_hi, M_lo, M_hi).
 
@@ -617,13 +568,11 @@ class TestMatch:
 
     def test_stage_schedule_does_not_change_the_result(self, monkeypatch):
         # every schedule visits a prefix of the same bisection path, so the
-        # old one (span/16, then /16 a stage) gives the same reports; each
-        # kernel layout must run the schedule it reads: its first stage once
-        # per call, and fewer later stages under the old schedule
-        layouts = {"unrolled": _schedule_cases(), "lists": _schedule_cases((17, 20))}
-        assert max(map(len, layouts["unrolled"])) <= criticalgaps._KERNEL_MAX_DEGREE
-        assert min(map(len, layouts["lists"])) > criticalgaps._KERNEL_MAX_DEGREE
-        for layout, roots in layouts.items():
+        # old one (span/16, then /16 a stage) gives the same reports; the
+        # kernels must run the schedule they read: the first stage once per
+        # call, and fewer later stages under the old schedule
+        groups = {"3-12": _schedule_cases(), "17, 20": _schedule_cases((17, 20))}
+        for group, roots in groups.items():
             calls = len(roots) * len(GAP_CLASSES)
             runs = {}
             for factor in (4.0, 16.0):
@@ -631,16 +580,16 @@ class TestMatch:
                 monkeypatch.setattr(criticalgaps, "_FIRST_STAGE", _CountedDivisor(16.0, first))
                 monkeypatch.setattr(criticalgaps, "_STAGE_FACTOR", _CountedDivisor(factor, later))
                 got = [[match(xs, t) for t in GAP_CLASSES] for xs in roots]
-                assert first[0] == calls, (layout, factor)
+                assert first[0] == calls, (group, factor)
                 runs[factor] = got, later[0]
             (new, new_stages), (old, old_stages) = runs[4.0], runs[16.0]
-            assert 0 < old_stages < new_stages, (layout, old_stages, new_stages)
+            assert 0 < old_stages < new_stages, (group, old_stages, new_stages)
             monkeypatch.undo()
             for xs, got, want in zip(roots, new, old):
                 assert got == want, xs
                 assert got == [_reference_match(xs, t) for t in GAP_CLASSES], xs
             hits = {t: sum(row[i] is not None for row in new) for i, t in enumerate(GAP_CLASSES)}
-            assert min(hits.values()) > 0, (layout, hits)
+            assert min(hits.values()) > 0, (group, hits)
 
     def test_near_degenerate_margins(self):
         roots = _near_degenerate_roots()
@@ -689,7 +638,6 @@ class TestMatch:
                         want = "refine"
                     bounds = (m_lo, m_hi, M_lo, M_hi)
                     assert _kernel_stage_action(bounds, target) == want, (target, bounds)
-                    assert _list_kernel_stage_action(bounds, target) == want, (target, bounds)
                     seen.add(want)
         assert seen == {"ruled out", "decided", "refine"}
 
@@ -779,8 +727,8 @@ def _kernel_cases():
 
 
 @functools.cache
-def _list_kernel_cases():
-    """Root sets above _KERNEL_MAX_DEGREE (17 and 20), NaN and span-overflow sets among them."""
+def _high_degree_cases():
+    """Root sets of degrees 17 and 20, NaN and span-overflow sets among them."""
     above = (17, 20)
     return (_schedule_cases(above)[::3] + _span_overflow_sets(above)[1:] + _nan_sets(above)
             + [[1e-200 * v for v in range(1, 18)]])
@@ -823,26 +771,15 @@ class TestKernel:
     def test_kernels_run_the_shared_stage(self):
         # the stage tests below compile the same lines that every kernel holds
         rule = {t: criticalgaps._stage_rule_source(t, "return None", "break") for t in GAP_CLASSES}
-        for d in (3, 5, 12, criticalgaps._KERNEL_MAX_DEGREE):
+        for d in (3, 5, 12, 16, 17, 20, 40):
             for target in GAP_CLASSES:
                 src = criticalgaps._kernel_source(d, target)
                 stage = criticalgaps._stage_source(d) + rule[target]
                 assert "".join(f"        {line}\n" for line in stage) in src, (d, target)
-                assert "sum(" not in src
-        # above the bound each stage is one _refine call, and the source does
-        # not grow with the degree
-        above = range(criticalgaps._KERNEL_MAX_DEGREE + 1, 41)
-        for target in GAP_CLASSES:
-            sources = [criticalgaps._kernel_source(d, target) for d in above]
-            assert len(set(map(len, sources))) == 1, target
-            stage = ["m_lo, m_hi, M_lo, M_hi = _refine(x, lo, hi, tol)"] + rule[target]
-            for src in sources:
-                assert "".join(f"        {line}\n" for line in stage) in src, target
-                assert src.count("_refine(") == 1 and "sum(" not in src
+                assert "sum(" not in src and "_refine(" not in src
 
     def test_kernel_equals_the_reference_path(self):
-        above = _list_kernel_cases()
-        assert min(map(len, above)) > criticalgaps._KERNEL_MAX_DEGREE
+        above = _high_degree_cases()
         assert any(math.isnan(v) for xs in above for v in xs)
         assert any(xs[-1] - xs[0] == math.inf for xs in above)
         for xs in _kernel_cases() + above:
@@ -862,10 +799,10 @@ class TestKernel:
             lo, hi = xs[:-1], xs[1:]
             k_lo, k_hi = list(lo), list(hi)
             for tol in tols + [full]:
-                want = criticalgaps._refine(xs, lo, hi, tol)
+                criticalgaps._refine(xs, lo, hi, tol)
                 k_lo, k_hi, got = stage(xs, k_lo, k_hi, tol)
                 assert _hex(k_lo) == _hex(lo) and _hex(k_hi) == _hex(hi), (xs, tol)
-                assert _hex(got) == _hex(want), (xs, tol)
+                assert _hex(got) == _hex(xi_gap_bounds(lo, hi)), (xs, tol)
 
     @pytest.mark.parametrize(
         "lo, hi",
@@ -873,12 +810,14 @@ class TestKernel:
         ids=["zero-then-negative-zero", "negative-zero-then-zero"],
     )
     def test_stage_bounds_keep_the_first_of_equal_gaps(self, lo, hi):
-        # as TestSignOnlyKernel checks for _refine: no bracket moves at tol = inf
+        # gap bounds 0.0 and -0.0 are equal; min() and max() keep whichever
+        # comes first, so a bound may be replaced only on a strict < or >
+        # (no bracket moves at tol = inf)
         got = _kernel_stage(4)([0.0] * 4, lo, hi, math.inf)[2]
         assert _hex(got) == _hex(xi_gap_bounds(lo, hi))
 
-    def test_search_above_the_degree_bound_equals_the_reference(self, monkeypatch):
-        d = criticalgaps._KERNEL_MAX_DEGREE + 4
+    def test_search_at_degree_20_equals_the_reference(self, monkeypatch):
+        d = 20
         cfg = SearchConfig(n=50, seed=1)
         got = [_outcome(sampler.search_gap_class(d, t, cfg)) for t in GAP_CLASSES]
         monkeypatch.setattr(sampler, "match_kernel",

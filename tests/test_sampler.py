@@ -206,6 +206,21 @@ class TestConfigValidation:
             SearchConfig(n=3, **kwargs)
 
     @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("ell", dict(ell=10**5000)),
+            ("narrow_scale", dict(strategy=Mixture(narrow_scale=10**5000))),
+            ("dup_probability", dict(strategy=MultiplicityBias(dup_probability=10**5000))),
+        ],
+        ids=["ell", "narrow_scale", "dup_probability"],  # the default id would write the digits
+    )
+    def test_an_int_too_large_for_a_float_names_the_parameter(self, name, kwargs):
+        # past 4 300 digits the int cannot even be written into the message
+        with pytest.raises(ValueError) as raised:
+            SearchConfig(n=3, **kwargs)
+        assert str(raised.value) == f"{name} (int, about 10**5000) is too large for a float"
+
+    @pytest.mark.parametrize(
         "ints, floats",
         [
             (dict(ell=2), dict(ell=2.0)),
