@@ -192,6 +192,18 @@ class MultiplicityBias:
 Strategy = Union[Uniform, Mixture, MultiplicityBias]
 
 
+def _shown(value) -> str:
+    """repr(value) for an error message, or value's type where repr raises.
+
+    Writing a Fraction with a part past 4 300 digits raises ValueError, which
+    would replace the error that names the parameter.
+    """
+    try:
+        return repr(value)
+    except ValueError:
+        return f"a {type(value).__name__} too long to write"
+
+
 def _as_float(name: str, value, optional: bool = False) -> Optional[float]:
     """A real parameter as it is stored: an int or a float becomes a float.
 
@@ -204,7 +216,7 @@ def _as_float(name: str, value, optional: bool = False) -> Optional[float]:
         return None
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         return as_float(value, name)
-    raise ValueError(f"{name} must be an int or a float, not {value!r}")
+    raise ValueError(f"{name} must be an int or a float, not {_shown(value)}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +234,7 @@ class SearchConfig:
         for name in ("n", "seed", "digits"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"{name} must be an int, not {value!r}")
+                raise ValueError(f"{name} must be an int, not {_shown(value)}")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         object.__setattr__(self, "ell", _as_float("ell", self.ell))
@@ -232,7 +244,7 @@ class SearchConfig:
             raise ValueError("digits must be >= 1")
         if not isinstance(self.strategy, (Uniform, Mixture, MultiplicityBias)):
             raise ValueError(f"strategy must be Uniform, Mixture or MultiplicityBias, "
-                             f"not {self.strategy!r}")
+                             f"not {_shown(self.strategy)}")
         strategy = self.strategy
         object.__setattr__(self, "strategy", type(strategy)(**{
             f.name: _as_float(f.name, getattr(strategy, f.name), optional=f.default is None)

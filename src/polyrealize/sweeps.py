@@ -11,9 +11,12 @@ block's order-independent front, are computed once for all the searches
 that read them.  Only blocks starting at or before `sampler._SHARE_CAP` are
 kept, which bounds the store at large budgets, and the store is dropped
 when the sweep returns or raises.  Pair sweeps collect each g1/g2 orbit
-once, at its first member; with orbit deduplication only its canonical
-representative is searched and witnesses for the other members are derived
-by the two root transforms (negation, inversion) and re-certified.
+once, at its first member.  Every couple of a pair sweep is built from the
+search of its source: the couple itself, or with orbit deduplication the
+canonical first member of its orbit.  A couple that is its own source gets
+exactly its row of a sweep without orbits; any other member gets its
+source's witness mapped by the root transform (negation, inversion or both)
+that takes the source to it, certified for the member.
 """
 
 from __future__ import annotations
@@ -106,61 +109,67 @@ def _g2_spec(spec: RootSpec) -> RootSpec:
     )
 
 
-def _map_witness(spec: RootSpec, src: PairCouple, dst: PairCouple) -> Optional[RootSpec]:
-    """Transform a witness of src into one of dst via g1/g2 at the root level."""
-    candidates = {
-        src: spec,
-        act_g1(src): _g1_spec(spec),
-        act_g2(src): _g2_spec(spec),
-        act_g2(act_g1(src)): _g2_spec(_g1_spec(spec)),
-    }
-    return candidates.get(dst)
+def _map_witness(spec: RootSpec, src: PairCouple, dst: PairCouple) -> RootSpec:
+    """Transform a witness of src into one of dst != src in src's orbit, at the root level.
+
+    The transforms are tried as g2·g1, then g2, then g1; the first that takes
+    src to dst maps the witness.  Two of them take src to the same couple
+    when g2 or g2·g1 fixes src (g1 fixes no couple), and then g1 is the one
+    not taken.  Orbit sweeps have always made that choice, so their derived
+    rows keep their bytes.
+    """
+    if act_g2(act_g1(src)) == dst:
+        return _g2_spec(_g1_spec(spec))
+    return _g2_spec(spec) if act_g2(src) == dst else _g1_spec(spec)
 
 
 def sweep_pairs(d: int, cfg: SearchConfig, orbits: bool = False) -> SweepReport:
-    """Search every degree-d couple with the same budget and aggregate."""
+    """Search every degree-d couple with the same budget and aggregate.
+
+    With `orbits`, only the first member of each g1/g2 orbit is searched.
+    """
     couples = enumerate_couples(d)
-    seen: set[PairCouple] = set()
+    source: dict[PairCouple, PairCouple] = {}
     groups: list[tuple[PairCouple, ...]] = []
     for couple in couples:
-        if couple not in seen:
+        if couple not in source:
             members = orbit(couple)
-            seen.update(members)
+            source.update((m, members[0] if orbits else m) for m in members)
             groups.append(members)
 
+    outcomes: dict[PairCouple, SearchOutcome] = {}
     with sampler._shared_blocks():
-        if orbits:
-            found = _orbit_rows(groups, cfg)
-            rows = [found[c] for c in couples]
-        else:
-            rows = [_row(c, sampler.search_pair(c.pattern, c.pair, cfg)) for c in couples]
+        for couple in couples:
+            src = source[couple]
+            if src not in outcomes:
+                outcomes[src] = sampler.search_pair(src.pattern, src.pair, cfg)
+    rows = tuple(_pair_row(c, source[c], outcomes[source[c]]) for c in couples)
 
     index = {c: i for i, c in enumerate(couples)}
     return SweepReport(
-        kind="pairs", query=f"degree={d}", config=cfg, rows=tuple(rows),
+        kind="pairs", query=f"degree={d}", config=cfg, rows=rows,
         orbits=tuple(tuple(sorted(index[m] for m in members)) for members in groups),
     )
 
 
-def _orbit_rows(groups: list[tuple[PairCouple, ...]],
-                cfg: SearchConfig) -> dict[PairCouple, SweepRow]:
-    """A row per orbit member: each orbit's first member is searched, the others derived."""
-    found: dict[PairCouple, SweepRow] = {}
-    for members in groups:
-        rep = members[0]
-        outcome = sampler.search_pair(rep.pattern, rep.pair, cfg)
-        for member in members:
-            row = replace(_row(member, outcome), derived_from=None if member == rep else rep)
-            if outcome.found:
-                mapped = _map_witness(outcome.certificate.spec, rep, member)
-                cert = certifier.certify_couple(mapped, member)
-                if not isinstance(cert, Certificate):
-                    raise OrbitWitnessError(
-                        f"witness of {rep} mapped to {member} failed: {cert.detail}"
-                    )
-                row = replace(row, spec=mapped, certificate=cert)
-            found[member] = row
-    return found
+def _pair_row(couple: PairCouple, src: PairCouple, outcome: SearchOutcome) -> SweepRow:
+    """The row of couple, built from the search of its source src.
+
+    A couple that is its own source gets its search's row.  Any other gets
+    `derived_from=src` and, when src was realized, src's certificate spec
+    mapped to it by `_map_witness` and certified for it; a mapped witness
+    that fails to certify raises OrbitWitnessError.
+    """
+    row = _row(couple, outcome)
+    if couple != src:
+        row = replace(row, derived_from=src)
+    if couple == src or not outcome.found:
+        return row
+    spec = _map_witness(outcome.certificate.spec, src, couple)
+    cert = certifier.certify_couple(spec, couple)
+    if not isinstance(cert, Certificate):
+        raise OrbitWitnessError(f"witness of {src} mapped to {couple} failed: {cert.detail}")
+    return replace(row, spec=spec, certificate=cert)
 
 
 def _row(couple: Union[PairCouple, ModuliCouple], outcome: SearchOutcome) -> SweepRow:

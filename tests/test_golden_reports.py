@@ -30,7 +30,7 @@ GOLDEN = [
     ),
     pytest.param(
         "sweep pairs --degree 4 --budget 20000 --orbits",
-        1, "d8f6f6fa96707b9c1aa567b7fb23e165068dce092c1c8ac0d73fcb12f1f53aee",
+        1, "845b5ac415022d8523880676cfb06e8663d7c9ece0f427b4cbd8ac8d0fe86050",
         id="sweep-pairs-orbits",
     ),
     pytest.param(

@@ -221,6 +221,26 @@ class TestConfigValidation:
         assert str(raised.value) == f"{name} (int, about 10**5000) is too large for a float"
 
     @pytest.mark.parametrize(
+        "name, kwargs, message",
+        [
+            ("ell", dict(ell=Fraction(10**5000)), "an int or a float"),
+            ("n", dict(n=Fraction(10**5000)), "an int"),
+            ("seed", dict(seed=Fraction(10**5000)), "an int"),
+            ("narrow_scale", dict(strategy=Mixture(narrow_scale=Fraction(10**5000))),
+             "an int or a float"),
+            ("strategy", dict(strategy=Fraction(10**5000)),
+             "Uniform, Mixture or MultiplicityBias"),
+        ],
+        # the default id would write the digits
+        ids=["ell", "n", "seed", "narrow_scale", "strategy"],
+    )
+    def test_a_value_too_long_to_write_is_named_by_type(self, name, kwargs, message):
+        # repr of a Fraction past 4 300 digits raises, so the message gives its type
+        with pytest.raises(ValueError) as raised:
+            SearchConfig(**{"n": 3, **kwargs})
+        assert str(raised.value) == f"{name} must be {message}, not a Fraction too long to write"
+
+    @pytest.mark.parametrize(
         "ints, floats",
         [
             (dict(ell=2), dict(ell=2.0)),

@@ -5,11 +5,12 @@ from math import comb
 
 import pytest
 
-from polyrealize import report, sampler
+from polyrealize import report, sampler, sweeps
 from polyrealize.certifier import Certificate
 from polyrealize.moduliorders import parse_order
 from polyrealize.sampler import Mixture, SearchConfig, search_moduli, search_pair
 from polyrealize.signpatterns import (
+    PairCouple,
     RootCountPair,
     is_compatible_pair,
     orbit,
@@ -219,12 +220,12 @@ class TestPairSweepSharedBlocks:
     """A pair sweep draws each block once for all couples with its draw count."""
 
     @staticmethod
-    def assert_rows_equal_standalone_searches(rpt, cfg, orbits=False):
+    def assert_rows_equal_standalone_searches(rpt, cfg):
         """Each row against a standalone search of its couple, or of its orbit's
         searched member; returns the attempt indices of the searches that hit.
 
-        An orbit row's witness is mapped through g1/g2, so only the rows of a
-        sweep without orbits are compared witness by witness.
+        A derived row's witness is mapped through g1/g2, so only searched rows
+        are compared witness by witness.
         """
         searched = {}
         for row in rpt.rows:
@@ -234,14 +235,14 @@ class TestPairSweepSharedBlocks:
             out = searched[rep]
             assert row.status == (REALIZED if out.found else UNRESOLVED)
             assert (row.attempts, row.attempt_index) == (out.attempts, out.attempt_index)
-            if not orbits:
+            if row.derived_from is None:
                 assert (row.spec, row.certificate) == (out.spec, out.certificate)
         return [out.attempt_index for out in searched.values() if out.found]
 
     @pytest.mark.parametrize("orbits", [False, True], ids=["couples", "orbits"])
     def test_rows_equal_standalone_searches(self, monkeypatch, orbits):
         rpt = sweep_pairs(4, PAIR_CFG, orbits=orbits)
-        hits = self.assert_rows_equal_standalone_searches(rpt, PAIR_CFG, orbits)
+        hits = self.assert_rows_equal_standalone_searches(rpt, PAIR_CFG)
         # hits before and after attempt 64, and exhaustions through every block
         assert min(hits) < 64 <= max(hits)
         assert rpt.totals[UNRESOLVED] == 2
@@ -344,3 +345,48 @@ class TestPairSweepSharedBlocks:
         count = 4  # uniforms per attempt of every degree-4 couple under Uniform
         limit = (sampler._SHARE_CAP + sampler._BLOCK_CAP) * count * 8
         assert sum(v.itemsize * len(v) for v in store.values()) <= limit
+
+
+class TestPairSources:
+    """Every row of a pair sweep is built from the search of its source: the
+    couple itself, or with orbits the first member of its orbit."""
+
+    @pytest.mark.parametrize("orbits", [False, True], ids=["couples", "orbits"])
+    def test_one_search_per_source_in_sweep_order(self, monkeypatch, orbits):
+        # the benchmark's Recorder replaces sampler.search_pair with a wrapper of
+        # three positional arguments, and pins the sweep's searches in call order
+        calls, orbit_calls = [], []
+        search = sampler.search_pair
+
+        def recorded(*args, **kwargs):
+            assert len(args) == 3 and not kwargs
+            calls.append(PairCouple(*args[:2]))
+            return search(*args)
+
+        monkeypatch.setattr(sampler, "search_pair", recorded)
+        monkeypatch.setattr(sweeps, "orbit", lambda c: orbit_calls.append(c) or orbit(c))
+        sweep_pairs(4, PAIR_CFG, orbits=orbits)
+        couples = enumerate_couples(4)
+        firsts = list(dict.fromkeys(orbit(c)[0] for c in couples))  # in the order first met
+        assert calls == (firsts if orbits else couples)
+        assert len(orbit_calls) == len(firsts) == 17  # once per orbit
+
+    def test_searched_rows_carry_their_own_certificate(self):
+        # 10 of these 16 couples are fixed by g2 or g2·g1, whose image of the
+        # witness must not replace the couple's own
+        rpt = sweep_pairs(4, PAIR_CFG, orbits=True)
+        searched = [row for row in rpt.rows if row.derived_from is None and row.status == REALIZED]
+        assert len(searched) == 16
+        for row in searched:
+            out = search_pair(row.couple.pattern, row.couple.pair, PAIR_CFG)
+            assert row.certificate == out.certificate
+
+    @pytest.mark.parametrize("d, cfg", [(3, SearchConfig(n=500)), (4, PAIR_CFG)],
+                             ids=["degree3", "degree4"])
+    def test_searched_rows_equal_the_rows_of_a_sweep_without_orbits(self, d, cfg):
+        rows = sweep_pairs(d, cfg, orbits=True).rows
+        plain = sweep_pairs(d, cfg).rows
+        searched = [i for i, row in enumerate(rows) if row.derived_from is None]
+        assert all(rows[i].derived_from == orbit(rows[i].couple)[0]
+                   for i in range(len(rows)) if i not in searched)
+        assert [rows[i] for i in searched] == [plain[i] for i in searched]
