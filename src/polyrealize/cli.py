@@ -10,6 +10,7 @@ import functools
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import click
@@ -21,7 +22,7 @@ from .concatenation import ConcatResult, Realizer, concat_pairs
 from .criticalgaps import GAP_CLASSES, DegenerateMarginError, gap_report
 from .moduliorders import ModuliCouple, parse_order
 from .polycore import RootSpec
-from .sampler import Mixture, MultiplicityBias, SearchConfig, Uniform
+from .sampler import Mixture, SearchConfig, Uniform
 from .signpatterns import PairCouple, RootCountPair, parse_pattern
 
 EXIT_FOUND = 0
@@ -77,6 +78,8 @@ def _read_roots(path: str) -> tuple[list[float], list[tuple[float, float]]]:
             raise ValueError(f"{path}:{lineno}: cannot parse root line {line!r}")
         if not all(math.isfinite(v) for v in values):
             raise ValueError(f"{path}:{lineno}: root is not finite")
+        if len(values) == 2 and not values[1] > 0:
+            raise ValueError(f"{path}:{lineno}: complex pair needs im > 0, got im={values[1]!r}")
         if len(values) == 2:
             pairs.append(values)
         else:
@@ -92,14 +95,6 @@ def parse_roots_file(path: str) -> RootSpec:
     return RootSpec(real_roots=tuple(reals), complex_pairs=tuple(pairs))
 
 
-def _strategy(name: str, narrow_scale, narrow_fraction, dup_prob):
-    if name == "uniform":
-        return Uniform()
-    if name == "mixture":
-        return Mixture(narrow_scale=narrow_scale, narrow_fraction=narrow_fraction)
-    return MultiplicityBias(dup_probability=dup_prob)
-
-
 def _search_options(fn):
     opts = [
         click.option("--n", type=int, default=10**6, show_default=True,
@@ -107,12 +102,12 @@ def _search_options(fn):
         click.option("--ell", type=float, default=1.0, show_default=True,
                      help="Sampling half-width."),
         click.option("--seed", type=int, default=0, show_default=True),
-        click.option("--strategy", type=click.Choice(["uniform", "mixture", "multiplicity"]),
-                     default="uniform", show_default=True),
+        click.option("--strategy", type=click.Choice(list(sampler.STRATEGIES)),
+                     default=Uniform.kind, show_default=True),
         click.option("--narrow-scale", type=float, default=None,
                      help="Mixture narrow interval width (default ell/100)."),
         click.option("--narrow-fraction", type=float, default=0.5, show_default=True),
-        click.option("--dup-prob", type=float, default=0.5, show_default=True),
+        click.option("--dup-prob", "dup_probability", type=float, default=0.5, show_default=True),
         click.option("--digits", type=int, default=certifier.DEFAULT_DIGITS,
                      show_default=True,
                      help="Significant digits kept by the exact certifier."),
@@ -123,13 +118,11 @@ def _search_options(fn):
     return fn
 
 
-def _config(n, ell, seed, strategy, narrow_scale, narrow_fraction, dup_prob,
-            digits) -> SearchConfig:
-    return SearchConfig(
-        n=n, ell=ell, seed=seed,
-        strategy=_strategy(strategy, narrow_scale, narrow_fraction, dup_prob),
-        digits=digits,
-    )
+def _config(n, ell, seed, strategy, digits, **params) -> SearchConfig:
+    """The config of a search command; the strategy takes the flags its fields name."""
+    cls = sampler.STRATEGIES[strategy]
+    return SearchConfig(n=n, ell=ell, seed=seed, digits=digits,
+                        strategy=cls(**{f.name: params[f.name] for f in fields(cls)}))
 
 
 def _emit_search(command: str, cfg: SearchConfig, query: dict, outcome,

@@ -17,7 +17,7 @@ from .concatenation import ConcatResult
 from .criticalgaps import GapReport
 from .moduliorders import ModuliCouple
 from .polycore import RootSpec
-from .sampler import Mixture, SearchConfig, SearchOutcome, Uniform
+from .sampler import Mixture, SearchConfig, SearchOutcome
 from .signpatterns import PairCouple
 from .sweeps import SweepReport
 
@@ -25,16 +25,11 @@ SCHEMA_VERSION = 1
 
 
 def _strategy_json(cfg: SearchConfig) -> dict:
-    s = cfg.strategy
-    if isinstance(s, Uniform):
-        return {"kind": "uniform"}
-    if isinstance(s, Mixture):
-        return {
-            "kind": "mixture",
-            "narrow_scale": cfg.narrow_scale,
-            "narrow_fraction": s.narrow_fraction,
-        }
-    return {"kind": "multiplicity", "dup_probability": s.dup_probability}  # MultiplicityBias
+    """The strategy's kind and fields; a Mixture's narrow_scale is the one it draws with."""
+    doc = {"kind": cfg.strategy.kind, **vars(cfg.strategy)}
+    if isinstance(cfg.strategy, Mixture):
+        doc["narrow_scale"] = cfg.narrow_scale
+    return doc
 
 
 def config_json(cfg: SearchConfig) -> dict:

@@ -47,6 +47,11 @@ order's signs.  With no tail, the kernel returns every lane's roots from
 the draw lines: one call gives a moduli front its moduli, and a call on a
 block of one gives `draw_rootspec_pair` its roots.
 
+A strategy, how an attempt's roots are drawn, is one of the classes of
+`STRATEGIES`, a dict from the kind that the CLI's `--strategy` and the
+reports name it by to its class.  `SearchConfig` refuses any other type, a
+subclass too: the kernels are generated for the exact class.
+
 A sweep runs many searches under one config, and attempt i of each draws
 the same uniforms whenever the searches draw as many per attempt: every
 couple of a Uniform pair sweep, every order of a moduli sweep.  Inside
@@ -163,6 +168,8 @@ def attempt_unit_draws(seed: int, attempt: int, count: int) -> list[float]:
 class Uniform:
     """Plain uniform draws over the configured interval."""
 
+    kind: ClassVar[str] = "uniform"
+
 
 @dataclass(frozen=True)
 class Mixture:
@@ -173,6 +180,7 @@ class Mixture:
     and one per conjugate pair (covering both its parameters).
     """
 
+    kind: ClassVar[str] = "mixture"
     narrow_scale: Optional[float] = None
     narrow_fraction: float = 0.5
 
@@ -186,10 +194,13 @@ class MultiplicityBias:
     reports still name this strategy.
     """
 
+    kind: ClassVar[str] = "multiplicity"
     dup_probability: float = 0.5
 
 
 Strategy = Union[Uniform, Mixture, MultiplicityBias]
+# every strategy, by the kind that the CLI and the reports name it by
+STRATEGIES = {cls.kind: cls for cls in (Uniform, Mixture, MultiplicityBias)}
 
 
 def _shown(value) -> str:
@@ -221,7 +232,11 @@ def _as_float(name: str, value, optional: bool = False) -> Optional[float]:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Reproducible sampling parameters shared by all engines."""
+    """Reproducible sampling parameters shared by all engines.
+
+    strategy must be an instance of a class in `STRATEGIES`, not of a
+    subclass: a kernel draws by the exact class and a report names its kind.
+    """
 
     n: int
     ell: float = 1.0
@@ -242,7 +257,7 @@ class SearchConfig:
             raise ValueError("ell must be positive and finite")
         if self.digits < 1:
             raise ValueError("digits must be >= 1")
-        if not isinstance(self.strategy, (Uniform, Mixture, MultiplicityBias)):
+        if type(self.strategy) not in STRATEGIES.values():
             raise ValueError(f"strategy must be Uniform, Mixture or MultiplicityBias, "
                              f"not {_shown(self.strategy)}")
         strategy = self.strategy

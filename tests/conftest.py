@@ -1,5 +1,7 @@
 """Shared test configuration and deterministic sample generators."""
 
+import math
+import struct
 import warnings
 
 from hypothesis import HealthCheck, settings
@@ -28,6 +30,31 @@ def unit_draws(seed: int, case: int, count: int) -> list[float]:
     from polyrealize.sampler import attempt_unit_draws
 
     return attempt_unit_draws(seed, case, count)
+
+
+def bits(values) -> list[bytes]:
+    """Each float's 8 bytes: equal lists have equal bits, -0.0 and NaN included."""
+    return [struct.pack("d", v) for v in values]
+
+
+def at_ell(strategy, ell):
+    """`strategy` for a config at scale ell: a set narrow_scale (0.05 at ell = 1)
+    scales with ell, so it stays below ell."""
+    from polyrealize.sampler import Mixture
+
+    if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
+        return Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
+    return strategy
+
+
+def q1_spec():
+    """The roots of the catalog's degree-5 witness q1: its pair is that of x**2 - 1.97x + 0.977."""
+    from polyrealize.polycore import RootSpec
+
+    return RootSpec(
+        real_roots=(-0.723, -0.59, -0.48),
+        complex_pairs=((0.985, math.sqrt(0.977 - 0.985**2)),),
+    )
 
 
 def reference_draw_count(pos: int, neg: int, npairs: int, strategy, gap: bool = False) -> int:

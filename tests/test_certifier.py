@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_distinct_sorted, random_rootspec, unit_draws
+from conftest import q1_spec, random_distinct_sorted, random_rootspec, unit_draws
 from polyrealize.catalog import catalog_lookup
 from polyrealize.certifier import (
     GAP_REFINE_CAP,
@@ -56,13 +56,6 @@ from polyrealize.signpatterns import (
     parse_pattern,
 )
 from polyrealize.sweeps import _g1_spec, _g2_spec
-
-
-def q1_spec() -> RootSpec:
-    return RootSpec(
-        real_roots=(-0.723, -0.59, -0.48),
-        complex_pairs=((0.985, math.sqrt(0.977 - 0.985**2)),),
-    )
 
 
 GAP_D6_ROOTS = (-0.19, -0.18, 0.13, 0.21, 0.67, 0.96)

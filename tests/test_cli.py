@@ -48,6 +48,22 @@ class TestRootsFile:
         with pytest.raises(ValueError, match=r"roots\.txt:2: root is not finite"):
             parse_roots_file(str(path))
 
+    @pytest.mark.parametrize("line, im", [("c:1,0", "0.0"), ("c:0.5,-0.25", "-0.25")])
+    def test_pair_without_positive_im(self, tmp_path, line, im):
+        path = tmp_path / "roots.txt"
+        path.write_text(f"0.5\n{line}\n-0.3\n")
+        with pytest.raises(ValueError) as raised:
+            parse_roots_file(str(path))
+        assert str(raised.value) == f"{path}:2: complex pair needs im > 0, got im={im}"
+
+    def test_verify_names_the_line_of_a_pair_without_positive_im(self, runner, tmp_path):
+        path = tmp_path / "r.txt"
+        path.write_text("c:1,0\n")
+        result = runner.invoke(main, ["verify", "--roots", str(path), "--sigma", "++",
+                                      "--pos", "0", "--neg", "0"])
+        assert result.exit_code == 2
+        assert f"{path}:1: complex pair needs im > 0, got im=0.0" in result.output
+
 
 class TestSearchCommands:
     def test_trivial_pair_found(self, runner):
@@ -150,6 +166,20 @@ class TestSearchCommands:
                                       "--seed", "7", "--strategy", "mixture",
                                       "--narrow-scale", "0.05"])
         assert result.exit_code == 0
+
+    @pytest.mark.parametrize("flags, strategy", [
+        (["--strategy", "multiplicity", "--dup-prob", "0.25"],
+         {"kind": "multiplicity", "dup_probability": 0.25}),
+        # without --narrow-scale the report gives the scale drawn with, ell/100
+        (["--strategy", "mixture", "--narrow-fraction", "0.3", "--ell", "2"],
+         {"kind": "mixture", "narrow_scale": 0.02, "narrow_fraction": 0.3}),
+    ], ids=["multiplicity", "mixture"])
+    def test_strategy_flags_reach_the_report(self, runner, tmp_path, flags, strategy):
+        out = tmp_path / "report.json"
+        result = runner.invoke(main, ["search", "pair", "--sigma", "1,3,2", "--pos", "0",
+                                      "--neg", "3", "--n", "50", *flags, "--json", str(out)])
+        assert result.exit_code == 1, result.output  # exhausted: the report is still written
+        assert json.loads(out.read_text())["config"]["strategy"] == strategy
 
 
 class TestSweepCommands:

@@ -3,12 +3,11 @@ import functools
 import itertools
 import math
 import random
-import struct
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_distinct_sorted, unit_draws
+from conftest import bits, random_distinct_sorted, unit_draws
 from polyrealize import criticalgaps, sampler
 from polyrealize.criticalgaps import (
     BISECTION_REL_TOL,
@@ -326,10 +325,6 @@ def _reference_match(xs, target):
     return rpt if rpt.gap_class == target else None
 
 
-def _bits(values):
-    return [struct.pack("d", v) for v in values]
-
-
 ELLS = (2.0**-30, 1.0, 2.0**30)
 
 
@@ -345,8 +340,8 @@ class TestSignOnlyKernel:
                     criticalgaps._refine(xs, lo, hi, BISECTION_REL_TOL * (xs[-1] - xs[0]))
                     got_xi = [0.5 * (a + b) for a, b in zip(lo, hi)]
                     got_w = [0.5 * (b - a) for a, b in zip(lo, hi)]
-                    assert _bits(got_xi) == _bits(want_xi), (d, ell, case)
-                    assert _bits(got_w) == _bits(want_w), (d, ell, case)
+                    assert bits(got_xi) == bits(want_xi), (d, ell, case)
+                    assert bits(got_w) == bits(want_w), (d, ell, case)
 
     @pytest.mark.parametrize("draws", [300, pytest.param(10_000, marks=pytest.mark.slow)])
     def test_stage_bounds_are_xi_gap_bounds(self, draws):
@@ -361,8 +356,8 @@ class TestSignOnlyKernel:
                     for tol in (span / 16, BISECTION_REL_TOL * span):
                         criticalgaps._refine(xs, lo, hi, tol)
                         k_lo, k_hi, got = stage(xs, lo, hi, tol)
-                        assert _bits(k_lo) == _bits(lo) and _bits(k_hi) == _bits(hi), (d, ell, case)
-                        assert _bits(got) == _bits(xi_gap_bounds(lo, hi)), (d, ell, case, tol)
+                        assert bits(k_lo) == bits(lo) and bits(k_hi) == bits(hi), (d, ell, case)
+                        assert bits(got) == bits(xi_gap_bounds(lo, hi)), (d, ell, case, tol)
 
     @pytest.mark.parametrize(
         "xs",
@@ -377,7 +372,7 @@ class TestSignOnlyKernel:
     )
     def test_stage_bounds_keep_min_and_max_nan_rule(self, xs):
         lo, hi, got = _kernel_stage(len(xs))(xs, xs[:-1], xs[1:], 1e-3)
-        assert _bits(got) == _bits(xi_gap_bounds(lo, hi))
+        assert bits(got) == bits(xi_gap_bounds(lo, hi))
 
     def test_refine_single_bracket_has_no_bounds(self):
         lo, hi = [0.0], [1.0]
@@ -388,8 +383,8 @@ class TestSignOnlyKernel:
         xs = random_distinct_sorted(77, 0, 7)
         xi, widths = _reference_critical_points_with_widths(xs)
         rpt = gap_report(xs)
-        assert _bits(critical_points(xs)) == _bits(xi) == _bits(rpt.xi)
-        assert _bits(rpt.xi_halfwidth) == _bits(widths)
+        assert bits(critical_points(xs)) == bits(xi) == bits(rpt.xi)
+        assert bits(rpt.xi_halfwidth) == bits(widths)
 
     def test_gap_report_tiny_roots_are_degenerate(self):
         # both margins are of order 1e-200, far under MARGIN_EPS
@@ -443,14 +438,14 @@ class TestKernelHead:
             for ell in ELLS:
                 for case in range(300):
                     xs = random_distinct_sorted(800 + d, case, d, spread=ell)
-                    assert _bits(head(xs)) == _bits(_gap_extrema_of_midpoints(xs)), (d, ell, case)
+                    assert bits(head(xs)) == bits(_gap_extrema_of_midpoints(xs)), (d, ell, case)
 
     @pytest.mark.parametrize("d", HEAD_DEGREES)
     @pytest.mark.parametrize("case", HEAD_EDGE_CASES)
     def test_keeps_min_and_max_nan_and_tie_rule(self, case, d):
         xs = HEAD_EDGE_CASES[case](d)
         assert len(xs) == d
-        assert _bits(_kernel_head(d)(xs)) == _bits(_gap_extrema_of_midpoints(xs))
+        assert bits(_kernel_head(d)(xs)) == bits(_gap_extrema_of_midpoints(xs))
 
 
 def _margins(xs):
@@ -692,7 +687,7 @@ class TestSpanOverflow:
             assert small[-1] - small[0] < math.inf
             got = critical_points(xs)
             assert all(abs(c - r) < math.inf for c in got for r in xs)
-            assert _bits(got) == _bits([4.0 * v for v in critical_points(small)]), xs
+            assert bits(got) == bits([4.0 * v for v in critical_points(small)]), xs
 
     def test_gap_report_classifies(self):
         rpt = gap_report(SPAN_OVERFLOW_ROOTS)

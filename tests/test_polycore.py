@@ -1,14 +1,13 @@
 import itertools
 import math
 import random
-import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import lane_verdicts, random_rootspec, reference_draw_count
+from conftest import at_ell, bits, lane_verdicts, q1_spec, random_rootspec, reference_draw_count
 from polyrealize import polycore
 from polyrealize.certifier import exact_expand, rationalize
 from polyrealize.polycore import (
@@ -36,13 +35,6 @@ from polyrealize.sampler import (
 from polyrealize.signpatterns import SignPattern
 
 GAP_D6_ROOTS = (-0.19, -0.18, 0.13, 0.21, 0.67, 0.96)
-
-
-def q1_spec() -> RootSpec:
-    return RootSpec(
-        real_roots=(-0.723, -0.59, -0.48),
-        complex_pairs=((0.985, math.sqrt(0.977 - 0.985**2)),),
-    )
 
 
 class TestExpandFromRoots:
@@ -189,10 +181,6 @@ def reference_exact_expand(spec):
             nxt[j + 2] += q * coeffs[j]
         coeffs = nxt
     return tuple(coeffs)
-
-
-def bits(values):
-    return [struct.pack("d", v) for v in values]
 
 
 # (pos, neg, npairs) shapes up to degree 8, cycled over the attempts
@@ -534,13 +522,6 @@ SEARCH_STRATEGIES = [
     MultiplicityBias(), MultiplicityBias(dup_probability=0.9),
 ]
 KERNEL_ELLS = [2.0**-30, 0.7, 1.0, 3e5, 1e-300, 1.7e308]
-
-
-def at_ell(strategy, ell):
-    """`strategy` at scale ell: a set narrow_scale (0.05 at ell = 1) scales with ell."""
-    if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
-        return Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
-    return strategy
 
 
 def census_blocks(blocks):

@@ -2,7 +2,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 import subprocess
 import sys
 from decimal import Decimal
@@ -19,7 +18,7 @@ from polyrealize.certifier import (
     rationalize,
     rationalize_value,
 )
-from conftest import lane_verdicts, reference_draw_count
+from conftest import at_ell, bits, lane_verdicts, reference_draw_count
 from polyrealize.criticalgaps import GAP_CLASSES, gap_report, match, match_kernel
 from polyrealize.moduliorders import (
     ModuliCouple,
@@ -239,6 +238,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError) as raised:
             SearchConfig(**{"n": 3, **kwargs})
         assert str(raised.value) == f"{name} must be {message}, not a Fraction too long to write"
+
+    @pytest.mark.parametrize("base", [Uniform, Mixture, MultiplicityBias],
+                             ids=["uniform", "mixture", "multiplicity"])
+    def test_a_strategy_subclass_is_refused(self, base):
+        # a kernel is generated for the exact class, and a report names the base's kind:
+        # a subclass would be drawn under one scheme and reported under another
+        subclass = type(f"My{base.__name__}", (base,), {})
+        with pytest.raises(ValueError, match=r"^strategy must be Uniform, Mixture or "
+                                             r"MultiplicityBias, not "):
+            SearchConfig(n=3, strategy=subclass())
+
+    def test_the_strategy_table_holds_each_class_under_its_kind(self):
+        assert list(sampler.STRATEGIES.items()) == [
+            ("uniform", Uniform), ("mixture", Mixture), ("multiplicity", MultiplicityBias)]
 
     @pytest.mark.parametrize(
         "ints, floats",
@@ -512,10 +525,6 @@ class TestBlockSchedule:
         assert seen == [attempt_unit_draws(1, i, 2) for i in range(1, 7)]
 
 
-def bits(values):
-    return [struct.pack("d", v) for v in values]
-
-
 # (pos, neg, npairs) at degrees 1-8: only reals, only pairs, and both
 COLUMN_SHAPES = [(pos, neg, (d - pos - neg) // 2)
                  for d in range(1, 9) for pos in range(d + 1) for neg in range(d + 1 - pos)
@@ -527,14 +536,6 @@ PAIR_STRATEGIES = [
     MultiplicityBias(), MultiplicityBias(dup_probability=0.9),
 ]
 OTHER_ELLS = [0.7, 2.0**-30, 3e5]
-
-
-def at_ell(strategy, ell):
-    """`strategy` for a config at scale ell: a set narrow_scale (0.05 at ell = 1)
-    scales with ell, so it stays below ell."""
-    if isinstance(strategy, Mixture) and strategy.narrow_scale is not None:
-        return Mixture(strategy.narrow_scale * ell, strategy.narrow_fraction)
-    return strategy
 
 
 def reference_pair_roots(pos, neg, npairs, cfg, u):
